@@ -31,8 +31,8 @@ use fade_bench::{drain_timings, MatrixTiming};
 use fade_report::{JsonDocument, JsonObject};
 use fade_service::{measure_service_throughput, EngineSel, LoadOptions};
 use fade_system::{
-    measure_parallel_replay, measure_synthetic_filterable, measure_system_throughput_records,
-    measure_throughput_matrix, measure_trace_codec_records, record_trace_prefix, SystemConfig,
+    measure_system_throughput_records, measure_throughput_matrix, measure_trace_codec_records,
+    record_trace_prefix, SystemConfig,
 };
 use fade_trace::{bench, read_trace_file, write_trace_file, TraceMeta, TraceRecord};
 
@@ -41,27 +41,23 @@ use fade_trace::{bench, read_trace_file, write_trace_file, TraceMeta, TraceRecor
 const PIPELINE_POINTS: [(&str, &str); 2] = [("hmmer", "AddrCheck"), ("gcc", "MemLeak")];
 const BATCH_SIZES: [usize; 4] = [1, 8, 32, 256];
 const PIPELINE_EVENTS: u64 = 200_000;
-/// Batch size of the synthetic all-filterable row (the SoA acceptance
-/// point).
-const SYNTHETIC_BATCH: usize = 32;
 
-/// One pipeline row (fields unchanged since the v6 schema): the v5
-/// fields plus the vectorized (SoA block) engine's rate and its
-/// speedup over the scalar batched loop. The v7 bump added the
-/// per-stratum sampling columns to the *system* rows; v8 added the
-/// `service_results` section (and moved all emission onto the shared
-/// `fade_report` writer); v9 added the `parallel_results` section
-/// (epoch-parallel whole-trace replay vs sequential).
+/// One pipeline row: batched vs per-event filter throughput at one
+/// batch size. The v7 bump added the per-stratum sampling columns to
+/// the *system* rows; v8 added the `service_results` section (and
+/// moved all emission onto the shared `fade_report` writer); v10
+/// dropped the vectorized-kernel columns, the synthetic-filterable row
+/// and the `parallel_results` section along with the code they
+/// measured.
 fn pipeline_row(r: &fade_system::ThroughputReport) -> String {
     println!(
-        "  {}/{} batch {:>3}: {:>6.2} Mev/s batched, {:>6.2} Mev/s vectorized, {:>6.2} Mev/s per-event ({:.2}x vec, {:.0}% fast path)",
+        "  {}/{} batch {:>3}: {:>6.2} Mev/s batched, {:>6.2} Mev/s per-event ({:.2}x, {:.0}% fast path)",
         r.benchmark,
         r.monitor,
         r.batch_size,
         r.batched_rate() / 1e6,
-        r.vectorized_rate() / 1e6,
         r.per_event_rate() / 1e6,
-        r.vector_speedup(),
+        r.speedup(),
         100.0 * r.fast_path_fraction(),
     );
     JsonObject::new()
@@ -70,10 +66,8 @@ fn pipeline_row(r: &fade_system::ThroughputReport) -> String {
         .uint("batch_size", r.batch_size as u64)
         .uint("events", r.events)
         .float("events_per_sec_batched", r.batched_rate(), 0)
-        .float("events_per_sec_vectorized", r.vectorized_rate(), 0)
         .float("events_per_sec_per_event", r.per_event_rate(), 0)
         .float("speedup", r.speedup(), 3)
-        .float("vector_speedup", r.vector_speedup(), 3)
         .float("fast_path_fraction", r.fast_path_fraction(), 4)
         .float("filtering_ratio", r.fade.filtering_ratio(), 4)
         .render()
@@ -87,10 +81,6 @@ fn pipeline_json() -> Vec<String> {
             rows.push(pipeline_row(&r));
         }
     }
-    // The all-filterable synthetic stream: the vector kernel's best
-    // case, and the acceptance point for the SoA speedup target.
-    let synth = measure_synthetic_filterable(SYNTHETIC_BATCH, PIPELINE_EVENTS);
-    rows.push(pipeline_row(&synth));
     rows
 }
 
@@ -286,50 +276,6 @@ fn matrix_json(rows: &[(String, MatrixTiming)]) -> Vec<String> {
         .collect()
 }
 
-/// Epoch-parallel whole-trace replay vs sequential replay (since
-/// schema v9): serial and parallel wall clocks per pipeline point, at
-/// workers 1 (the speculation machinery's pure overhead — the < 5%
-/// acceptance bar) and at the fleet worker count (the speedup), plus
-/// the epoch scheduler's validate/re-run accounting. Each measurement
-/// is also a differential check: the harness asserts bit-exact
-/// monitor-visible results between the serial and parallel replays.
-fn parallel_json() -> Vec<String> {
-    let cfg = SystemConfig::fade_single_core();
-    let fleet = fade_bench::default_workers().clamp(2, 8);
-    let mut rows = Vec::new();
-    for (bench_name, monitor) in PIPELINE_POINTS {
-        let b = bench::by_name(bench_name).unwrap();
-        for workers in [1, fleet] {
-            let r = measure_parallel_replay(&b, monitor, &cfg, PIPELINE_EVENTS, workers);
-            println!(
-                "  {bench_name}/{monitor} replay x{workers}: {:.3}s serial vs {:.3}s parallel ({:.2}x, {} epochs, {} validated, {} rerun)",
-                r.serial_s,
-                r.parallel_s,
-                r.speedup(),
-                r.epochs.epochs,
-                r.epochs.validated,
-                r.epochs.rerun,
-            );
-            rows.push(
-                JsonObject::new()
-                    .str("benchmark", &r.benchmark)
-                    .str("monitor", &r.monitor)
-                    .uint("workers", r.workers as u64)
-                    .uint("events", r.events)
-                    .uint("instrs", r.instrs)
-                    .float("serial_wall_s", r.serial_s, 4)
-                    .float("parallel_wall_s", r.parallel_s, 4)
-                    .float("speedup", r.speedup(), 3)
-                    .uint("epochs", r.epochs.epochs)
-                    .uint("epochs_validated", r.epochs.validated)
-                    .uint("epochs_rerun", r.epochs.rerun)
-                    .render(),
-            );
-        }
-    }
-    rows
-}
-
 /// Multi-tenant serving throughput (since schema v8): an in-process
 /// `faded` daemon on a temporary socket, N concurrent tenants
 /// streaming recorded `.fadet` sessions, sustained aggregate event
@@ -461,19 +407,14 @@ fn main() {
     println!("================================================================");
     let system_rows = system_json(replay_dir.as_deref(), prefixes);
     println!("================================================================");
-    println!("Parallel replay (epoch-parallel vs sequential)");
-    println!("================================================================");
-    let parallel_rows = parallel_json();
-    println!("================================================================");
     println!("Service throughput (faded daemon, concurrent tenants)");
     println!("================================================================");
     let service_rows = service_json();
     let matrix_rows = matrix_json(&matrix_rows);
-    let json = JsonDocument::new("fade-pipeline-throughput/v9")
+    let json = JsonDocument::new("fade-pipeline-throughput/v10")
         .section("results", pipeline_rows)
         .section("trace_results", trace_rows)
         .section("system_results", system_rows)
-        .section("parallel_results", parallel_rows)
         .section("matrix_results", matrix_rows)
         .section("service_results", service_rows)
         .render();

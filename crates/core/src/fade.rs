@@ -265,28 +265,12 @@ impl BatchStats {
     /// Advances the occupancy model over one event that dispatched
     /// `dispatched` events to software (0 = filtered).
     #[inline]
-    pub(crate) fn occ_event(&mut self, dispatched: u64) {
+    fn occ_event(&mut self, dispatched: u64) {
         self.occ_integral += self.occ_depth;
         if dispatched > 0 {
             self.occ_depth += Self::OCC_COST * dispatched;
         } else {
             self.occ_depth = self.occ_depth.saturating_sub(1);
-        }
-    }
-
-    /// Advances the occupancy model over a run of `n` consecutive
-    /// filtered events in closed form — exactly what `n` successive
-    /// [`BatchStats::occ_event`]`(0)` calls would do, so the vectorized
-    /// bulk-retire path stays bit-identical to the scalar loop.
-    #[inline]
-    pub(crate) fn occ_filtered_run(&mut self, n: u64) {
-        let q = self.occ_depth;
-        if n >= q {
-            self.occ_integral += q * (q + 1) / 2;
-            self.occ_depth = 0;
-        } else {
-            self.occ_integral += n * q - n * (n - 1) / 2;
-            self.occ_depth = q - n;
         }
     }
 
@@ -306,7 +290,7 @@ impl BatchStats {
 /// index is `line % min(MD_WINDOW_SLOTS, sets)`, so two lines of the
 /// same cache set always collide in the window and a stale "line X is
 /// at MRU of its set" entry can never survive a same-set access).
-pub(crate) const MD_WINDOW_SLOTS: usize = 8;
+const MD_WINDOW_SLOTS: usize = 8;
 
 /// Hot-path context for [`Fade::run_batch`].
 ///
@@ -322,28 +306,19 @@ pub(crate) const MD_WINDOW_SLOTS: usize = 8;
 /// would bump the hit counter and leave the LRU order unchanged. Any
 /// cycle-accurate `tick` invalidates the MRU fields.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct BatchCtx {
+struct BatchCtx {
     /// Event ID the decoded plan below describes.
-    pub(crate) plan_id: Option<EventId>,
+    plan_id: Option<EventId>,
     /// The plan's entry has no multi-shot continuation.
-    pub(crate) plan_single_shot: bool,
+    plan_single_shot: bool,
     /// The plan's entry has a memory operand (Metadata Read stage does
     /// one M-TLB + one MD-cache access).
-    pub(crate) plan_has_mem: bool,
+    plan_has_mem: bool,
     /// Application page number at the M-TLB's MRU slot.
-    pub(crate) mru_page: Option<u32>,
+    mru_page: Option<u32>,
     /// Metadata lines known to sit at the MRU way of their MD-cache
     /// set, keyed by `line % min(MD_WINDOW_SLOTS, sets)`.
-    pub(crate) md_window: [Option<u64>; MD_WINDOW_SLOTS],
-    /// Adaptive-gate state for the vectorized kernel: consecutive
-    /// partially-retired blocks seen so far. Persists across batch
-    /// calls so the gate can learn stream behaviour even when the
-    /// driver submits small batches. Heuristic only — never affects
-    /// results, just which (bit-exact) path runs.
-    pub(crate) vec_poor: u32,
-    /// Remaining block-sized chunks to route through the scalar loop
-    /// before the vectorized kernel probes again.
-    pub(crate) vec_cooloff: u32,
+    md_window: [Option<u64>; MD_WINDOW_SLOTS],
 }
 
 impl BatchCtx {
@@ -393,27 +368,21 @@ enum FaState {
 }
 
 /// The FADE accelerator.
-///
-/// `Clone` produces an independent accelerator with identical
-/// functional *and* timing state (program, queues, cache/TLB contents,
-/// counters) — what epoch checkpoints snapshot so a speculative epoch
-/// resumes from the exact accelerator its predecessor would hand over.
-#[derive(Clone)]
 pub struct Fade {
     config: FadeConfig,
-    pub(crate) program: FadeProgram,
-    pub(crate) event_q: BoundedQueue<AppEvent>,
-    pub(crate) ufq: BoundedQueue<UnfilteredEvent>,
-    pub(crate) fsq: Fsq,
-    pub(crate) md_cache: TagCache,
+    program: FadeProgram,
+    event_q: BoundedQueue<AppEvent>,
+    ufq: BoundedQueue<UnfilteredEvent>,
+    fsq: Fsq,
+    md_cache: TagCache,
     md_l2: TagCache,
-    pub(crate) tlb: MdTlb,
+    tlb: MdTlb,
     suu: StackUpdateUnit,
     state: FaState,
-    pub(crate) outstanding: Vec<u64>,
+    outstanding: Vec<u64>,
     next_token: u64,
-    pub(crate) stats: FadeStats,
-    pub(crate) batch: BatchCtx,
+    stats: FadeStats,
+    batch: BatchCtx,
 }
 
 impl std::fmt::Debug for Fade {
@@ -701,10 +670,8 @@ impl Fade {
     /// the decoded plan allows it, tier B (the full pipeline stages
     /// without queue churn) for multi-shot chains and unknown events.
     /// Also advances the occupancy integral by the event's dispatch
-    /// count — every scalar instruction path (plain batches and the
-    /// vectorized kernel's scalar lanes) funnels through here, which is
-    /// what keeps the integral identical across kernels.
-    pub(crate) fn batch_instr<F>(
+    /// count.
+    fn batch_instr<F>(
         &mut self,
         ev: &InstrEvent,
         st: &mut MetadataState,
@@ -850,7 +817,7 @@ impl Fade {
     /// indexing [`TagCache`] applies internally, kept in one place so
     /// the tier-A MRU check can never drift from the cache geometry.
     #[inline]
-    pub(crate) fn md_line(&self, md_addr: u64) -> u64 {
+    fn md_line(&self, md_addr: u64) -> u64 {
         md_addr >> self.md_cache.config().line_shift()
     }
 
@@ -859,7 +826,7 @@ impl Fade {
     /// always share a slot and a same-set access can never leave a
     /// stale MRU claim behind in another slot.
     #[inline]
-    pub(crate) fn md_window_slot(&self, line: u64) -> usize {
+    fn md_window_slot(&self, line: u64) -> usize {
         let sets = self.md_cache.set_count() as u64;
         (line & (sets.min(MD_WINDOW_SLOTS as u64) - 1)) as usize
     }
@@ -883,7 +850,7 @@ impl Fade {
 
     /// Runs the cycle-accurate loop (with an always-ready consumer)
     /// until the accelerator quiesces.
-    pub(crate) fn settle_batch<F>(&mut self, st: &mut MetadataState, out: &mut BatchStats, consumer: &mut F)
+    fn settle_batch<F>(&mut self, st: &mut MetadataState, out: &mut BatchStats, consumer: &mut F)
     where
         F: FnMut(UnfilteredEvent, &mut MetadataState),
     {
@@ -1104,7 +1071,7 @@ impl Fade {
 
     /// Metadata Read stage: fetch the three operands' metadata, masked,
     /// observing the FSQ before the MD cache (non-blocking forwarding).
-    pub(crate) fn fetch_operands(
+    fn fetch_operands(
         &self,
         entry: &EventTableEntry,
         ev: &InstrEvent,

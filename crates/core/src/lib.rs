@@ -61,7 +61,6 @@ pub mod md_tlb;
 pub mod program;
 pub mod suu;
 pub mod update_logic;
-pub mod vector;
 
 pub use crate::fade::{
     BatchStats, Fade, FadeConfig, FadeStats, FadeTick, FilterMode, UnfilteredEvent,
@@ -77,4 +76,3 @@ pub use md_tlb::MdTlb;
 pub use program::{FadeProgram, ProgramError, SuuConfig};
 pub use suu::StackUpdateUnit;
 pub use update_logic::{NbAction, NbCond, NbCondOperand, NbUpdate};
-pub use vector::{broadcast8, eq_byte_lanes, pack8, zero_byte_lanes, BlockProbe};

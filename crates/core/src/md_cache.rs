@@ -162,13 +162,6 @@ impl TagCache {
         self.stats.hits += 1;
     }
 
-    /// Records `n` hits for addresses known to sit at the MRU way of
-    /// their sets — the bulk-retire form of [`TagCache::record_mru_hit`]
-    /// (recency order is already correct, so only the counter moves).
-    #[inline]
-    pub fn record_mru_hits(&mut self, n: u64) {
-        self.stats.hits += n;
-    }
 
     /// Probes without updating LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {

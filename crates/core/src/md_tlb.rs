@@ -71,13 +71,6 @@ impl MdTlb {
         self.hits += 1;
     }
 
-    /// Records `n` hits for addresses known to sit at the MRU slot —
-    /// the bulk-retire form of [`MdTlb::record_mru_hit`] (recency order
-    /// is already correct, so only the counter moves).
-    #[inline]
-    pub fn record_mru_hits(&mut self, n: u64) {
-        self.hits += n;
-    }
 
     /// The metadata frame an application page maps to (the translation
     /// the hardware would return; delegated to the functional map).

@@ -28,7 +28,6 @@
 //! ```
 
 pub mod addr;
-pub mod block;
 pub mod event;
 pub mod instr;
 pub mod layout;
@@ -36,7 +35,6 @@ pub mod opclass;
 pub mod reg;
 
 pub use addr::{PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE, WORD_SIZE};
-pub use block::{EventBlock, BLOCK_LANES};
 pub use event::{
     AppEvent, EventId, HighLevelEvent, InstrEvent, StackUpdateEvent, StackUpdateKind,
     EVENT_TABLE_ENTRIES,

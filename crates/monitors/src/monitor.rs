@@ -136,13 +136,13 @@ pub trait Monitor: Send {
     }
 
     /// An independent copy of this monitor with all its internal
-    /// bookkeeping (allocation tables, lock sets, reports) — the
-    /// checkpointing hook behind epoch-parallel replay, which snapshots
-    /// the monitor alongside the metadata state at epoch boundaries.
+    /// bookkeeping (allocation tables, lock sets, reports), for callers
+    /// that want to snapshot a monitor mid-run alongside its metadata
+    /// state. Wrapping monitors should forward it to the monitor they
+    /// wrap.
     ///
     /// The default returns `None`, meaning the monitor cannot be
-    /// checkpointed; sessions for such monitors fall back to sequential
-    /// replay. All built-in monitors fork via `Clone`.
+    /// copied. All built-in monitors fork via `Clone`.
     fn fork(&self) -> Option<Box<dyn Monitor>> {
         None
     }

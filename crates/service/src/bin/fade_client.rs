@@ -38,7 +38,7 @@ fn usage() -> ExitCode {
          \x20 --engine cycle|batched|unaccelerated   (default: batched)\n\
          \x20 --recover                 skip corrupt chunks, report degradation\n\
          \x20 --shadow-page-budget N  --shadow-mem-cap N  --sample-period N\n\
-         \x20 --sample-window N  --batch-lanes N  --seed N\n\
+         \x20 --sample-window N  --seed N\n\
          \n\
          loadtest options:\n\
          \x20 --tenants N               concurrent tenants (default: 8)\n\
@@ -63,7 +63,6 @@ struct Args {
     shadow_mem_cap: Option<u64>,
     sample_period: Option<u64>,
     sample_window: Option<u64>,
-    batch_lanes: Option<u32>,
     seed: Option<u64>,
 }
 
@@ -84,7 +83,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         shadow_mem_cap: None,
         sample_period: None,
         sample_window: None,
-        batch_lanes: None,
         seed: None,
     };
     let mut args = std::env::args().skip(1);
@@ -131,7 +129,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--sample-window" => {
                 a.sample_window = Some(num("--sample-window", value("--sample-window")?)?)
             }
-            "--batch-lanes" => a.batch_lanes = Some(num("--batch-lanes", value("--batch-lanes")?)?),
             "--seed" => a.seed = Some(num("--seed", value("--seed")?)?),
             "--help" | "-h" => return Err(usage()),
             other => {
@@ -221,7 +218,6 @@ fn main() -> ExitCode {
         shadow_mem_cap: a.shadow_mem_cap,
         sample_period: a.sample_period,
         sample_window: a.sample_window,
-        batch_lanes: a.batch_lanes,
         seed: a.seed,
         ..Hello::new(a.tenant.clone(), a.monitor.clone())
     };

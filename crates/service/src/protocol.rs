@@ -50,8 +50,9 @@ pub const FRAME_ERROR: u8 = 0x13;
 
 /// Sentinel meaning "knob not set" in HELLO's u64 fields.
 const U64_UNSET: u64 = u64::MAX;
-/// Sentinel meaning "knob not set" in HELLO's u32 fields.
-const U32_UNSET: u32 = u32::MAX;
+/// What encoders write into HELLO's reserved u32 word (decoders read
+/// and ignore it, whatever it holds).
+const RESERVED_WORD: u32 = u32::MAX;
 
 /// Why a frame or HELLO payload failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -181,8 +182,6 @@ pub struct Hello {
     pub sample_period: Option<u64>,
     /// Batched sampling window ([`SystemConfig::with_sample_window`]).
     pub sample_window: Option<u64>,
-    /// SoA lane width ([`SystemConfig::with_batch_lanes`]).
-    pub batch_lanes: Option<u32>,
     /// Simulation seed ([`SystemConfig::with_seed`]).
     pub seed: Option<u64>,
 }
@@ -213,9 +212,6 @@ impl Hello {
         if let Some(w) = self.sample_window {
             cfg = cfg.with_sample_window(w);
         }
-        if let Some(l) = self.batch_lanes {
-            cfg = cfg.with_batch_lanes(l as usize);
-        }
         if let Some(s) = self.seed {
             cfg = cfg.with_seed(s);
         }
@@ -236,7 +232,7 @@ impl Hello {
         put_u64(&mut out, self.shadow_mem_cap.unwrap_or(U64_UNSET));
         put_u64(&mut out, self.sample_period.unwrap_or(U64_UNSET));
         put_u64(&mut out, self.sample_window.unwrap_or(U64_UNSET));
-        out.extend_from_slice(&self.batch_lanes.unwrap_or(U32_UNSET).to_le_bytes());
+        out.extend_from_slice(&RESERVED_WORD.to_le_bytes());
         put_u64(&mut out, self.seed.unwrap_or(U64_UNSET));
         out
     }
@@ -257,7 +253,7 @@ impl Hello {
         let shadow_mem_cap = opt64(p.u64("HELLO shadow mem cap")?);
         let sample_period = opt64(p.u64("HELLO sample period")?);
         let sample_window = opt64(p.u64("HELLO sample window")?);
-        let batch_lanes = opt32(p.u32("HELLO batch lanes")?);
+        let _reserved = p.u32("HELLO reserved word")?;
         let seed = opt64(p.u64("HELLO seed")?);
         Ok(Hello {
             tenant,
@@ -268,7 +264,6 @@ impl Hello {
             shadow_mem_cap,
             sample_period,
             sample_window,
-            batch_lanes,
             seed,
         })
     }
@@ -319,10 +314,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 fn opt64(v: u64) -> Option<u64> {
     (v != U64_UNSET).then_some(v)
-}
-
-fn opt32(v: u32) -> Option<u32> {
-    (v != U32_UNSET).then_some(v)
 }
 
 struct Cursor<'a> {
@@ -439,12 +430,35 @@ mod tests {
             shadow_mem_cap: Some(1 << 20),
             sample_period: Some(8192),
             sample_window: Some(2048),
-            batch_lanes: Some(16),
             seed: Some(0x5eed),
         };
         assert_eq!(Hello::decode(&hello.encode()).unwrap(), hello);
         let bare = Hello::new("t", "AddrCheck");
         assert_eq!(Hello::decode(&bare.encode()).unwrap(), bare);
+    }
+
+    #[test]
+    fn hello_ignores_the_reserved_word() {
+        // Version-1 clients may put any value in the reserved word
+        // before the seed (older ones sent a lane width there); it must
+        // decode exactly like the value encoders write.
+        let hello = Hello {
+            seed: Some(9),
+            ..Hello::new("t", "AddrCheck")
+        };
+        let bytes = hello.encode();
+        let at = bytes.len() - 8 - 4;
+        assert_eq!(bytes[at..at + 4], RESERVED_WORD.to_le_bytes());
+        let mut old = bytes.clone();
+        old[at..at + 4].copy_from_slice(&16u32.to_le_bytes());
+        let decoded = Hello::decode(&old).unwrap();
+        assert_eq!(decoded, Hello::decode(&bytes).unwrap());
+        // SystemConfig has no PartialEq; its Debug form covers every knob.
+        let base = SystemConfig::fade_single_core();
+        assert_eq!(
+            format!("{:?}", decoded.config(base)),
+            format!("{:?}", hello.config(base))
+        );
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! that the session layer surfaces.
 
 use std::cell::Cell;
-use std::sync::Arc;
 
 /// Log2 of a shadow page, kept equal to the application page size so the
 /// M-TLB maps one application page to one metadata frame.
@@ -41,13 +40,8 @@ const NO_PAGE: u64 = u64::MAX;
 /// How one materialized page is stored.
 #[derive(Clone, Debug)]
 enum PageRepr {
-    /// A full 4 KiB frame (the only writable representation). The frame
-    /// sits behind an [`Arc`] so a checkpoint `clone()` of the whole
-    /// memory shares every frame copy-on-write: cloning is O(pages)
-    /// pointer bumps, and the first write to a shared frame
-    /// ([`Arc::make_mut`] in `page_mut`) pays the 4 KiB copy. Semantics
-    /// are unchanged — clones still behave as deep copies.
-    Full(Arc<[u8; SHADOW_PAGE_SIZE]>),
+    /// A full 4 KiB frame (the only writable representation).
+    Full(Box<[u8; SHADOW_PAGE_SIZE]>),
     /// Every byte of the page holds this value.
     Uniform(u8),
     /// Run-length-encoded frame: `(value, run_length)` byte pairs.
@@ -343,12 +337,12 @@ impl ShadowMemory {
         match &slot.repr {
             PageRepr::Full(_) => return,
             PageRepr::Uniform(v) => {
-                slot.repr = PageRepr::Full(Arc::new([*v; SHADOW_PAGE_SIZE]));
+                slot.repr = PageRepr::Full(Box::new([*v; SHADOW_PAGE_SIZE]));
             }
             PageRepr::Compressed(c) => {
                 let frame = rle_expand(c);
                 self.compressed_bytes -= c.len();
-                slot.repr = PageRepr::Full(Arc::from(frame));
+                slot.repr = PageRepr::Full(frame);
             }
         }
         self.counters.refaults += 1;
@@ -371,7 +365,7 @@ impl ShadowMemory {
                 i
             }
             None => {
-                let i = self.insert(page, PageRepr::Full(Arc::new([0u8; SHADOW_PAGE_SIZE])));
+                let i = self.insert(page, PageRepr::Full(Box::new([0u8; SHADOW_PAGE_SIZE])));
                 self.full_pages += 1;
                 self.touch(i);
                 self.enforce_budget();
@@ -380,9 +374,7 @@ impl ShadowMemory {
         };
         self.touch(i);
         match &mut self.slots[i].as_mut().expect("found slot is occupied").repr {
-            // `make_mut` un-shares a frame that a checkpoint still holds
-            // (copy-on-write); unique frames are handed out in place.
-            PageRepr::Full(frame) => Arc::make_mut(frame),
+            PageRepr::Full(frame) => frame,
             _ => unreachable!("page was just expanded to a full frame"),
         }
     }
@@ -398,53 +390,6 @@ impl ShadowMemory {
             PageRepr::Full(p) => p[off],
             PageRepr::Uniform(v) => *v,
             PageRepr::Compressed(c) => rle_read(c, off),
-        }
-    }
-
-    /// Reads one metadata byte per address into `out` — the lane-gather
-    /// primitive of the vectorized filtering kernel. Values are exactly
-    /// what per-address [`ShadowMemory::read_u8`] calls would return;
-    /// the page table is probed (and page recency stamped) once per
-    /// *run* of addresses sharing a page rather than once per byte.
-    /// Gathers are bursty within a page, so this removes most of the
-    /// per-lane lookup cost; recency granularity is not part of the
-    /// semantic state (equality is content-based) and demotions stay
-    /// lossless regardless of stamp order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `addrs`.
-    pub fn gather_u8(&self, addrs: &[u64], out: &mut [u8]) {
-        assert!(out.len() >= addrs.len(), "gather output too short");
-        let mut i = 0;
-        while i < addrs.len() {
-            let page = addrs[i] >> SHADOW_PAGE_SHIFT;
-            let mut j = i + 1;
-            while j < addrs.len() && addrs[j] >> SHADOW_PAGE_SHIFT == page {
-                j += 1;
-            }
-            // The page representation is resolved once for the whole
-            // run, so the per-byte loops are straight array reads.
-            match self.find(page) {
-                None => out[i..j].fill(0),
-                Some(s) => {
-                    self.touch(s);
-                    match &self.slots[s].as_ref().expect("found slot is occupied").repr {
-                        PageRepr::Full(p) => {
-                            for k in i..j {
-                                out[k] = p[(addrs[k] as usize) & (SHADOW_PAGE_SIZE - 1)];
-                            }
-                        }
-                        PageRepr::Uniform(v) => out[i..j].fill(*v),
-                        PageRepr::Compressed(c) => {
-                            for k in i..j {
-                                out[k] = rle_read(c, (addrs[k] as usize) & (SHADOW_PAGE_SIZE - 1));
-                            }
-                        }
-                    }
-                }
-            }
-            i = j;
         }
     }
 
@@ -584,7 +529,7 @@ impl ShadowMemory {
             .flatten()
             .filter_map(|s| {
                 let frame: Box<[u8; SHADOW_PAGE_SIZE]> = match &s.repr {
-                    PageRepr::Full(p) => Box::new(**p),
+                    PageRepr::Full(p) => p.clone(),
                     PageRepr::Uniform(v) => Box::new([*v; SHADOW_PAGE_SIZE]),
                     PageRepr::Compressed(c) => rle_expand(c),
                 };
@@ -597,64 +542,6 @@ impl ShadowMemory {
             .collect();
         pages.sort_unstable_by_key(|&(page, _)| page);
         pages
-    }
-
-    /// A cheap content digest: an FNV-style fold over the canonical
-    /// page contents (sorted by page number, zero-only pages skipped),
-    /// mixed a 64-bit word at a time — epoch validation digests whole
-    /// checkpoints, so this walk must stay far cheaper than replaying
-    /// the epoch it validates. Two memories digest equal exactly when
-    /// they compare [`PartialEq`]-equal, with no allocation per
-    /// full/uniform page.
-    ///
-    /// This digests *memory* content only; combine with register state
-    /// via [`MetadataState::digest`](crate::MetadataState::digest).
-    pub fn content_digest(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix_word(h: u64, w: u64) -> u64 {
-            (h ^ w).wrapping_mul(PRIME)
-        }
-        // One word-at-a-time pass over a frame; page size is a power of
-        // two ≥ 8, so chunks_exact covers every byte.
-        fn mix_frame(mut h: u64, frame: &[u8; SHADOW_PAGE_SIZE]) -> u64 {
-            for chunk in frame.chunks_exact(8) {
-                h = mix_word(h, u64::from_le_bytes(chunk.try_into().unwrap()));
-            }
-            h
-        }
-        let mut live: Vec<&PageSlot> = self.slots.iter().flatten().collect();
-        live.sort_unstable_by_key(|s| s.page);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for s in live {
-            match &s.repr {
-                PageRepr::Full(p) => {
-                    if p.iter().any(|&b| b != 0) {
-                        h = mix_word(h, s.page);
-                        h = mix_frame(h, p);
-                    }
-                }
-                PageRepr::Uniform(v) => {
-                    if *v != 0 {
-                        // Equal by construction to mix_frame over a
-                        // frame of repeated `v` — representation must
-                        // not move the digest.
-                        h = mix_word(h, s.page);
-                        let w = u64::from_le_bytes([*v; 8]);
-                        for _ in 0..SHADOW_PAGE_SIZE / 8 {
-                            h = mix_word(h, w);
-                        }
-                    }
-                }
-                PageRepr::Compressed(c) => {
-                    let frame = rle_expand(c);
-                    if frame.iter().any(|&b| b != 0) {
-                        h = mix_word(h, s.page);
-                        h = mix_frame(h, &frame);
-                    }
-                }
-            }
-        }
-        h
     }
 }
 
@@ -861,28 +748,6 @@ mod tests {
         assert_eq!(a, b);
         b.write_u8(0x90_000, 3);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn digest_tracks_content_not_representation() {
-        let mut unbounded = ShadowMemory::new();
-        patterned(&mut unbounded, 20);
-        let mut bounded = ShadowMemory::new();
-        bounded.set_budget(Some(4), None);
-        patterned(&mut bounded, 20);
-        assert_eq!(
-            bounded.content_digest(),
-            unbounded.content_digest(),
-            "representation (full/uniform/compressed) must not affect the digest"
-        );
-        // Zero-only pages digest like untouched memory.
-        let before = unbounded.content_digest();
-        unbounded.write_u8(0x7000_0000, 5);
-        unbounded.write_u8(0x7000_0000, 0);
-        assert_eq!(unbounded.content_digest(), before);
-        // Content changes move the digest.
-        unbounded.write_u8(0x40, 1);
-        assert_ne!(unbounded.content_digest(), before);
     }
 
     #[test]

@@ -74,20 +74,6 @@ impl MetadataState {
         self.mem.fill(start, md_len, value);
     }
 
-    /// A cheap content digest of the monitor-visible metadata state:
-    /// the [`ShadowMemory::content_digest`] with every register's
-    /// metadata byte folded in. Epoch validation compares digests (one
-    /// `u64` each side) instead of running full structural equality on
-    /// entry/exit snapshots; two states digest equal exactly when their
-    /// memory contents and register reads are identical.
-    pub fn digest(&self) -> u64 {
-        let mut h = self.mem.content_digest();
-        for reg in Reg::all() {
-            h = (h ^ u64::from(self.regs.read(reg))).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// Reads register metadata.
     #[inline]
     pub fn reg_meta(&self, reg: Reg) -> u8 {

@@ -80,15 +80,6 @@ pub struct SystemConfig {
     /// typed [`fade_shadow::BudgetExceeded`] on the session. `None`
     /// (the default) means uncapped.
     pub shadow_mem_cap_bytes: Option<usize>,
-    /// Batched execution mode: SoA lane width of the vectorized
-    /// filtering kernel. `1` (the default) runs the scalar per-event
-    /// tier-A loop; `2..=`[`fade_isa::BLOCK_LANES`] groups consecutive
-    /// instruction events into structure-of-arrays blocks and filters
-    /// them data-parallel ([`fade::Fade::run_batch_vectorized`]),
-    /// bit-exact with the scalar loop. Clamped to the valid range at
-    /// use. Ignored by the cycle-accurate engine and the sampling
-    /// windows, which are always cycle-exact.
-    pub batch_lanes: usize,
     /// Hardware-parameter overrides for sensitivity sweeps.
     pub tweaks: FadeTweaks,
 }
@@ -136,7 +127,6 @@ impl SystemConfig {
             ideal_consumer: false,
             shadow_page_budget: None,
             shadow_mem_cap_bytes: None,
-            batch_lanes: 1,
             tweaks: FadeTweaks::default(),
         }
     }
@@ -230,14 +220,6 @@ impl SystemConfig {
         self
     }
 
-    /// Selects the batched engine's SoA lane width: `1` is the scalar
-    /// per-event loop, wider runs the vectorized kernel (bit-exact;
-    /// clamped to `1..=`[`fade_isa::BLOCK_LANES`] at use).
-    pub fn with_batch_lanes(mut self, lanes: usize) -> Self {
-        self.batch_lanes = lanes;
-        self
-    }
-
     /// Overrides the MD cache capacity (sensitivity sweeps).
     pub fn with_md_cache_bytes(mut self, bytes: u32) -> Self {
         self.tweaks.md_cache_bytes = Some(bytes);
@@ -279,13 +261,6 @@ mod tests {
         assert!(matches!(f.accel, Accel::Fade(FilterMode::NonBlocking)));
         assert!(matches!(u.accel, Accel::None));
         assert_eq!(SystemConfig::fade_two_core().topology, Topology::TwoCore);
-    }
-
-    #[test]
-    fn batch_lanes_defaults_to_scalar() {
-        assert_eq!(SystemConfig::fade_single_core().batch_lanes, 1);
-        let c = SystemConfig::fade_single_core().with_batch_lanes(16);
-        assert_eq!(c.batch_lanes, 16);
     }
 
     #[test]

@@ -45,7 +45,6 @@
 //! ```
 
 pub mod config;
-pub mod epoch;
 pub mod pool;
 pub mod registry;
 pub mod run;
@@ -57,18 +56,15 @@ pub use config::{Accel, FadeTweaks, SystemConfig, Topology};
 pub use pool::{run_indexed, WorkerPool};
 pub use registry::{MonitorFactory, MonitorRegistry, UnknownMonitor};
 pub use run::{ClassInstrs, RunStats, SamplingSummary, UtilBreakdown};
-pub use epoch::EpochStats;
 pub use session::{
-    Engine, MonitorSel, ReplayReport, RunReport, Session, SessionBuilder, SessionError,
-    SessionRunError, ShadowUsage, SourceSpec,
+    Engine, MonitorSel, RunReport, Session, SessionBuilder, SessionError, SessionRunError,
+    ShadowUsage, SourceSpec,
 };
 pub use system::{
     baseline_cycles, ExecMode, MonitoringSystem, ReplayBuffer, SourceError, TraceSource,
 };
 pub use throughput::{
-    measure_parallel_replay, measure_synthetic_filterable, measure_system_throughput,
-    measure_system_throughput_records, measure_throughput, measure_throughput_matrix,
-    measure_trace_codec, measure_trace_codec_records, record_trace_prefix,
-    synthetic_filterable_events, ParallelReplayReport, SystemThroughputReport, ThroughputReport,
-    TraceCodecReport, VECTOR_LANES,
+    measure_system_throughput, measure_system_throughput_records, measure_throughput,
+    measure_throughput_matrix, measure_trace_codec, measure_trace_codec_records,
+    record_trace_prefix, SystemThroughputReport, ThroughputReport, TraceCodecReport,
 };

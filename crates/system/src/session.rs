@@ -18,10 +18,7 @@
 //! Every combination is valid, every combination funnels through the
 //! one internal constructor (so variants cannot drift apart), and the
 //! built session is `Send`, which is what lets the experiment-matrix
-//! driver shard whole runs across worker threads. A finite-source
-//! session can additionally replay its whole trace as speculative
-//! parallel epochs — [`SessionBuilder::parallel_replay`] and
-//! [`Session::replay_all`].
+//! driver shard whole runs across worker threads.
 //!
 //! # Example
 //!
@@ -54,11 +51,10 @@ use fade_shadow::{BudgetExceeded, MetadataState, ShadowCounters};
 use fade_trace::{BenchProfile, DegradationReport, TraceRecord};
 
 use crate::config::{Accel, SystemConfig};
-use crate::epoch::{self, EpochPlan, EpochStats};
 use crate::registry::{MonitorRegistry, UnknownMonitor};
 use crate::run::RunStats;
 use crate::system::{
-    baseline_cycles, ExecMode, MonitoringSystem, SourceError, SpanReplay, TraceSource,
+    baseline_cycles, ExecMode, MonitoringSystem, ReplayBuffer, SourceError, TraceSource,
 };
 
 /// How a [`Session`] executes its trace.
@@ -362,8 +358,6 @@ pub struct SessionBuilder {
     registry: Option<Arc<MonitorRegistry>>,
     program: Option<FadeProgram>,
     recover: bool,
-    parallel: Option<usize>,
-    stale_epoch: Option<usize>,
 }
 
 impl SessionBuilder {
@@ -376,8 +370,6 @@ impl SessionBuilder {
             registry: None,
             program: None,
             recover: false,
-            parallel: None,
-            stale_epoch: None,
         }
     }
 
@@ -448,35 +440,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Replays the trace as speculative parallel epochs on `workers`
-    /// threads when [`Session::replay_all`] is called: the trace is
-    /// split at `.fadet` chunk boundaries, a cheap functional pass
-    /// predicts each epoch's entry state, the epochs run the real
-    /// engine in parallel, and a sequential validate-and-merge join
-    /// guarantees the result is bit-identical to a sequential replay
-    /// (see [`crate::epoch`]).
-    ///
-    /// Applies to finite replayable sources (in-memory records, or a
-    /// strict-mode `.fadet` file) on FADE-enabled configs with a
-    /// forkable monitor; other sessions fall back to sequential replay
-    /// with identical results. `workers == 1` runs the full
-    /// speculate/validate machinery serially (same answers, useful for
-    /// overhead measurement); `workers == 0` means sequential.
-    pub fn parallel_replay(mut self, workers: usize) -> Self {
-        self.parallel = (workers > 0).then_some(workers);
-        self
-    }
-
-    /// Test hook: poisons the predicted entry checkpoint of `epoch` so
-    /// the validate-and-merge join must detect the stale state and
-    /// re-run that epoch. Only meaningful with
-    /// [`SessionBuilder::parallel_replay`].
-    #[doc(hidden)]
-    pub fn inject_stale_epoch(mut self, epoch: usize) -> Self {
-        self.stale_epoch = Some(epoch);
-        self
-    }
-
     /// Builds the [`Session`].
     ///
     /// # Errors
@@ -520,82 +483,21 @@ impl SessionBuilder {
             monitor.program().validate().map_err(SessionError::Program)?;
         }
 
-        // Parallel replay needs a finite replayable source, the
-        // accelerator's batched fast path for the predictor, and a
-        // monitor that can fork its state into epoch checkpoints.
-        // Anything else silently falls back to sequential replay —
-        // same results, no speculation.
-        let want_parallel =
-            self.parallel.is_some() && cfg.accel != Accel::None && monitor.fork().is_some();
-        let workers = self.parallel.unwrap_or(1);
-        let stale_epoch = self.stale_epoch;
-        let mut plan: Option<EpochPlan> = None;
-        let mut finite_source = true;
-
         let (bench, source): (BenchProfile, Option<Box<dyn TraceSource>>) =
             match self.source.ok_or(SessionError::NoSource)? {
-                SourceSpec::Synthetic(bench) => {
-                    finite_source = false;
-                    (bench, None)
-                }
+                SourceSpec::Synthetic(bench) => (bench, None),
                 SourceSpec::Records(bench, records) => {
-                    let records = std::sync::Arc::new(records);
-                    let len = records.len();
-                    if want_parallel {
-                        // In-memory buffers have no file chunks: split
-                        // at the writer's default chunking granularity.
-                        let bounds: Vec<usize> = (1..)
-                            .map(|i| i * fade_trace::file::DEFAULT_CHUNK_RECORDS)
-                            .take_while(|&b| b < len)
-                            .chain(std::iter::once(len))
-                            .collect();
-                        plan = Some(EpochPlan {
-                            workers,
-                            records: std::sync::Arc::clone(&records),
-                            bounds,
-                            stale_epoch,
-                        });
-                    }
-                    (bench, Some(Box::new(SpanReplay::new(records, (0, len)))))
+                    (bench, Some(Box::new(ReplayBuffer::new(records))))
                 }
                 SourceSpec::TraceFile(path) => {
-                    if want_parallel && !self.recover {
-                        // Decode eagerly and split exactly at the
-                        // file's own chunk boundaries via the trailer
-                        // index (O(index) on v2 files).
-                        let bytes = std::fs::read(&path)
-                            .map_err(|e| fade_trace::TraceFileError::Io(e.to_string()))?;
-                        let index = fade_trace::ChunkIndex::from_bytes(&bytes)?;
-                        let (meta, records) = fade_trace::decode_trace(&bytes)?;
-                        let bench = fade_trace::bench::by_name(&meta.bench)
-                            .ok_or(SessionError::UnknownBench(meta.bench))?;
-                        let bounds: Vec<usize> = index
-                            .entries()
-                            .iter()
-                            .scan(0usize, |acc, e| {
-                                *acc += e.records as usize;
-                                Some(*acc)
-                            })
-                            .collect();
-                        let records = std::sync::Arc::new(records);
-                        let len = records.len();
-                        plan = Some(EpochPlan {
-                            workers,
-                            records: std::sync::Arc::clone(&records),
-                            bounds,
-                            stale_epoch,
-                        });
-                        (bench, Some(Box::new(SpanReplay::new(records, (0, len)))))
-                    } else {
-                        let mut reader = fade_trace::TraceReader::open(path)?;
-                        if self.recover {
-                            reader = reader.with_recovery();
-                        }
-                        let name = reader.meta().bench.clone();
-                        let bench = fade_trace::bench::by_name(&name)
-                            .ok_or(SessionError::UnknownBench(name))?;
-                        (bench, Some(Box::new(reader)))
+                    let mut reader = fade_trace::TraceReader::open(path)?;
+                    if self.recover {
+                        reader = reader.with_recovery();
                     }
+                    let name = reader.meta().bench.clone();
+                    let bench = fade_trace::bench::by_name(&name)
+                        .ok_or(SessionError::UnknownBench(name))?;
+                    (bench, Some(Box::new(reader)))
                 }
                 SourceSpec::Custom(bench, source) => (bench, Some(source)),
             };
@@ -607,8 +509,6 @@ impl SessionBuilder {
             engine: self.engine,
             created: Instant::now(),
             poisoned: None,
-            plan,
-            finite_source,
         })
     }
 }
@@ -637,13 +537,6 @@ pub struct Session {
     /// every subsequent run call (a panicked engine may hold torn
     /// state; nothing may run on it again).
     poisoned: Option<SessionRunError>,
-    /// Epoch-parallel replay plan materialized by
-    /// [`SessionBuilder::parallel_replay`] (consumed by
-    /// [`Session::replay_all`]).
-    plan: Option<EpochPlan>,
-    /// Whether the source is known to end ([`Session::replay_all`]
-    /// refuses to drive an endless synthetic workload to exhaustion).
-    finite_source: bool,
 }
 
 impl Session {
@@ -740,85 +633,6 @@ impl Session {
     /// As for [`Session::run`].
     pub fn drain(&mut self) -> Result<(), SessionRunError> {
         self.guard(|sys| sys.drain())
-    }
-
-    /// Replays the *entire* trace to exhaustion and reports the final
-    /// monitor-visible result — sequentially, or as speculative
-    /// parallel epochs when the builder asked for
-    /// [`SessionBuilder::parallel_replay`] and the session qualifies
-    /// (finite replayable source, FADE-enabled config, forkable
-    /// monitor). Both paths produce bit-identical monitor-visible
-    /// results (violations, final metadata state, functional counters,
-    /// event counts): the parallel join validates every epoch's entry
-    /// state against its committed predecessor before merging, so the
-    /// sequential-equivalence guarantee holds by construction, not by
-    /// trust in the predictor.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Session::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a synthetic (endless) source: a whole-trace replay
-    /// needs a trace with an end. Record buffers, trace files and
-    /// custom finite sources are fine.
-    pub fn replay_all(mut self) -> Result<ReplayReport, SessionRunError> {
-        assert!(
-            self.finite_source,
-            "replay_all needs a finite source (records, trace file, or custom); \
-             synthetic workloads never end"
-        );
-        let start = Instant::now();
-        if let Some(p) = self.poisoned {
-            return Err(p);
-        }
-        if let Some(plan) = self.plan.take() {
-            let bench = self.bench.clone();
-            let cfg = *self.sys.config();
-            let mode = self.engine.exec_mode();
-            let monitor_name = self.sys.monitor().name().to_string();
-            let sys = &mut self.sys;
-            match catch_unwind(AssertUnwindSafe(|| {
-                epoch::replay_parallel(sys, &bench, &cfg, mode, &plan)
-            })) {
-                Ok(merged) => Ok(ReplayReport {
-                    instrs: merged.instrs,
-                    events_seen: merged.exit.events_seen,
-                    estimated_cycles: merged.cycles_est,
-                    violations: merged.exit.monitor.reports(),
-                    functional_counters: merged
-                        .exit
-                        .fade
-                        .as_ref()
-                        .map(|f| f.stats().functional_counters()),
-                    final_state: merged.exit.state,
-                    batch: merged.batch,
-                    epochs: merged.stats,
-                    wall_s: start.elapsed().as_secs_f64(),
-                }),
-                Err(payload) => Err(SessionRunError::MonitorPanicked {
-                    monitor: monitor_name,
-                    payload: panic_message(payload.as_ref()),
-                }),
-            }
-        } else {
-            while !self.sys.source_exhausted() {
-                self.run(epoch::DRIVE_CHUNK)?;
-            }
-            self.drain()?;
-            Ok(ReplayReport {
-                instrs: self.sys.instrs(),
-                events_seen: self.sys.events_seen(),
-                estimated_cycles: self.sys.estimated_total_cycles(),
-                violations: self.sys.monitor().reports(),
-                functional_counters: self.sys.fade_stats().map(|f| f.functional_counters()),
-                final_state: self.sys.state().clone(),
-                batch: self.sys.batch_stats(),
-                epochs: EpochStats::default(),
-                wall_s: start.elapsed().as_secs_f64(),
-            })
-        }
     }
 
     /// The full experiment protocol: warmup, measured window (drained
@@ -1042,36 +856,6 @@ pub struct RunReport {
     pub degradation: Option<DegradationReport>,
     /// Wall-clock seconds this run took — what the experiment matrix
     /// aggregates into its sharding speedup.
-    pub wall_s: f64,
-}
-
-/// What a whole-trace replay ([`Session::replay_all`]) produced —
-/// identical fields whether the replay ran sequentially or as parallel
-/// epochs (that equivalence is the point; `tests/parallel_replay.rs`
-/// pins it bit-exactly).
-pub struct ReplayReport {
-    /// Application instructions retired over the whole trace.
-    pub instrs: u64,
-    /// Monitored events accepted over the whole trace.
-    pub events_seen: u64,
-    /// Estimated total cycles (summed per-epoch estimates on the
-    /// parallel path — deterministic for a given trace and config, but
-    /// epoch-boundary-sensitive, unlike the monitor-visible fields).
-    pub estimated_cycles: u64,
-    /// The monitor's violation reports accumulated over the whole
-    /// trace, in trace order.
-    pub violations: Vec<String>,
-    /// Final metadata state (shadow memory + registers) after the last
-    /// record.
-    pub final_state: MetadataState,
-    /// Accumulated fast-path statistics (summed across epochs).
-    pub batch: BatchStats,
-    /// The accelerator's engine-invariant functional counters at the
-    /// end of the trace (`None` for unaccelerated sessions).
-    pub functional_counters: Option<[u64; 7]>,
-    /// What the epoch scheduler did (all zero on the sequential path).
-    pub epochs: EpochStats,
-    /// Wall-clock seconds the replay took.
     pub wall_s: f64,
 }
 

@@ -158,38 +158,6 @@ impl TraceSource for ReplayBuffer {
     }
 }
 
-/// A zero-copy [`TraceSource`] over one span of a shared, immutable
-/// record buffer — what every epoch of a parallel replay reads from.
-/// The buffer is never copied per epoch; each epoch just walks its
-/// `[pos, end)` window of the one `Arc`'d trace.
-pub(crate) struct SpanReplay {
-    records: std::sync::Arc<Vec<TraceRecord>>,
-    pos: usize,
-    end: usize,
-}
-
-impl SpanReplay {
-    pub(crate) fn new(records: std::sync::Arc<Vec<TraceRecord>>, span: (usize, usize)) -> Self {
-        let (pos, end) = span;
-        debug_assert!(pos <= end && end <= records.len());
-        SpanReplay { records, pos, end }
-    }
-}
-
-impl TraceSource for SpanReplay {
-    fn next_records_into(
-        &mut self,
-        buf: &mut Vec<TraceRecord>,
-        n: usize,
-    ) -> Result<usize, SourceError> {
-        let end = (self.pos + n).min(self.end);
-        let taken = end - self.pos;
-        buf.extend_from_slice(&self.records[self.pos..end]);
-        self.pos = end;
-        Ok(taken)
-    }
-}
-
 impl<R: std::io::Read + Send> TraceSource for fade_trace::TraceReader<R> {
     fn next_records_into(
         &mut self,
@@ -350,60 +318,6 @@ pub struct MonitoringSystem {
     total_cycles: u64,
 }
 
-/// Everything monitor-visible at an epoch boundary, plus the bits of
-/// execution bookkeeping the engine threads across chunk boundaries
-/// (the event clock that phases the sampling schedule, the burst
-/// trackers). Speculative epochs start from a replicated checkpoint;
-/// the join validates each epoch's entry digest against the committed
-/// predecessor's exit digest.
-pub(crate) struct SystemCheckpoint {
-    pub(crate) state: MetadataState,
-    pub(crate) monitor: Box<dyn Monitor>,
-    pub(crate) fade: Option<Fade>,
-    pub(crate) events_seen: u64,
-    pub(crate) since_uf: u64,
-    pub(crate) cur_burst: u64,
-}
-
-impl SystemCheckpoint {
-    /// An independent copy (the monitor forks, shadow pages share
-    /// copy-on-write storage) — cheap enough to hand one to every
-    /// speculative epoch.
-    pub(crate) fn replicate(&self) -> Self {
-        SystemCheckpoint {
-            state: self.state.clone(),
-            monitor: self.monitor.fork().expect("checkpointed monitors can fork"),
-            fade: self.fade.clone(),
-            events_seen: self.events_seen,
-            since_uf: self.since_uf,
-            cur_burst: self.cur_burst,
-        }
-    }
-
-    /// Digest of the monitor-visible state: shadow memory + registers,
-    /// accumulated bug reports, the event clock, and the accelerator's
-    /// functional counters. Everything folded in is engine-invariant
-    /// (bit-exact across cycle/batched/vectorized execution), so a
-    /// predictor-produced entry digest comparing equal to the real
-    /// predecessor's exit digest proves the speculation sound.
-    pub(crate) fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = self.state.digest();
-        for report in self.monitor.reports() {
-            for &b in report.as_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-            h = (h ^ 0xff).wrapping_mul(PRIME);
-        }
-        if let Some(fade) = &self.fade {
-            for c in fade.stats().functional_counters() {
-                h = (h ^ c).wrapping_mul(PRIME);
-            }
-        }
-        (h ^ self.events_seen).wrapping_mul(PRIME)
-    }
-}
-
 impl MonitoringSystem {
     /// The one real constructor: every public entry point funnels
     /// through [`crate::SessionBuilder::build`], which lands here, so
@@ -424,80 +338,51 @@ impl MonitoringSystem {
         program: Option<fade::FadeProgram>,
         source: Option<Box<dyn TraceSource>>,
     ) -> Self {
-        let mut state = MetadataState::new(monitor.program().md_map());
+        let mon_program = monitor.program();
+        let mut state = MetadataState::new(mon_program.md_map());
         if cfg.shadow_page_budget.is_some() || cfg.shadow_mem_cap_bytes.is_some() {
             state.mem.set_budget(cfg.shadow_page_budget, cfg.shadow_mem_cap_bytes);
         }
         monitor.init_state(&mut state);
-        Self::assemble(bench, monitor, cfg, program, source, state, None)
-    }
-
-    /// The construction tail shared by [`MonitoringSystem::build`] and
-    /// [`MonitoringSystem::from_checkpoint`]: everything except the
-    /// metadata state, which the caller provides — freshly initialized
-    /// by the monitor, or carried over from a checkpoint (skipping the
-    /// monitor's segment-filling `init_state` entirely; on monitors
-    /// with large initial fills that cost would otherwise dominate a
-    /// per-epoch rebuild). `prebuilt_fade` likewise carries a
-    /// checkpointed accelerator across an epoch boundary instead of
-    /// constructing one that would be thrown away (an unaccelerated
-    /// checkpoint passes `None`, and the config-driven construction
-    /// below yields `None` for it too).
-    fn assemble(
-        bench: &BenchProfile,
-        monitor: Box<dyn Monitor>,
-        cfg: &SystemConfig,
-        program: Option<fade::FadeProgram>,
-        source: Option<Box<dyn TraceSource>>,
-        state: MetadataState,
-        prebuilt_fade: Option<Fade>,
-    ) -> Self {
-        let mon_program = monitor.program();
         let custom_program = program.is_some();
         if custom_program && cfg.accel == Accel::None {
             panic!("a custom FADE program requires a FADE-enabled configuration");
         }
-        let fade = if prebuilt_fade.is_some() {
-            prebuilt_fade
-        } else {
-            match cfg.accel {
-                Accel::None => None,
-                Accel::Fade(mode) => {
-                    let mut fc = FadeConfig::paper(mode);
-                    fc.event_queue = cfg.event_queue;
-                    fc.unfiltered_queue = cfg.unfiltered_queue;
-                    if !custom_program {
-                        // Caller-built programs (ablations) run on the
-                        // paper's baseline hardware parameters —
-                        // ablations compare programs, not hardware
-                        // tweaks; everything else gets the config's
-                        // full tweak set.
-                        if let Some(bytes) = cfg.tweaks.md_cache_bytes {
-                            fc.md_cache = fade::TagCacheConfig {
-                                size_bytes: bytes,
-                                ways: 2,
-                                line_bytes: 64,
-                            };
-                        }
-                        if let Some(n) = cfg.tweaks.tlb_entries {
-                            fc.tlb_entries = n;
-                        }
-                        if let Some(n) = cfg.tweaks.fsq_entries {
-                            fc.fsq_entries = n;
-                        }
-                        if cfg.ideal_consumer {
-                            // Section 3.2's queueing study: the
-                            // accelerator consumes exactly one event per
-                            // cycle with no metadata-miss, drain or
-                            // backpressure stalls.
-                            fc.tlb_miss_penalty = 0;
-                            fc.blocking_resume_latency = 0;
-                            fc.mem_lat = fade_sim::MemLatency { l1: 0, l2: 0, dram: 0 };
-                            fc.unfiltered_queue = fade_sim::QueueDepth::Unbounded;
-                        }
+        let fade = match cfg.accel {
+            Accel::None => None,
+            Accel::Fade(mode) => {
+                let mut fc = FadeConfig::paper(mode);
+                fc.event_queue = cfg.event_queue;
+                fc.unfiltered_queue = cfg.unfiltered_queue;
+                if !custom_program {
+                    // Caller-built programs (ablations) run on the
+                    // paper's baseline hardware parameters — ablations
+                    // compare programs, not hardware tweaks; everything
+                    // else gets the config's full tweak set.
+                    if let Some(bytes) = cfg.tweaks.md_cache_bytes {
+                        fc.md_cache = fade::TagCacheConfig {
+                            size_bytes: bytes,
+                            ways: 2,
+                            line_bytes: 64,
+                        };
                     }
-                    Some(Fade::new(fc, program.unwrap_or(mon_program)))
+                    if let Some(n) = cfg.tweaks.tlb_entries {
+                        fc.tlb_entries = n;
+                    }
+                    if let Some(n) = cfg.tweaks.fsq_entries {
+                        fc.fsq_entries = n;
+                    }
+                    if cfg.ideal_consumer {
+                        // Section 3.2's queueing study: the accelerator
+                        // consumes exactly one event per cycle with no
+                        // metadata-miss, drain or backpressure stalls.
+                        fc.tlb_miss_penalty = 0;
+                        fc.blocking_resume_latency = 0;
+                        fc.mem_lat = fade_sim::MemLatency { l1: 0, l2: 0, dram: 0 };
+                        fc.unfiltered_queue = fade_sim::QueueDepth::Unbounded;
+                    }
                 }
+                Some(Fade::new(fc, program.unwrap_or(mon_program)))
             }
         };
         let mut sys = MonitoringSystem {
@@ -582,135 +467,6 @@ impl MonitoringSystem {
         let monitor = monitor_by_name(monitor_name)
             .unwrap_or_else(|| panic!("unknown monitor {monitor_name}"));
         Self::build(bench, monitor, cfg, None, source)
-    }
-
-    /// Snapshots everything monitor-visible plus the execution
-    /// bookkeeping the engine threads across chunk boundaries (event
-    /// clock, burst trackers) — or `None` when the monitor cannot
-    /// [`Monitor::fork`].
-    pub(crate) fn checkpoint(&self) -> Option<SystemCheckpoint> {
-        Some(SystemCheckpoint {
-            state: self.state.clone(),
-            monitor: self.monitor.fork()?,
-            fade: self.fade.clone(),
-            events_seen: self.events_seen,
-            since_uf: self.since_uf,
-            cur_burst: self.cur_burst,
-        })
-    }
-
-    /// [`MonitoringSystem::checkpoint`] by consumption: moves the
-    /// state and monitor out instead of cloning and forking them. The
-    /// epoch executor hands each finished epoch's exit straight to the
-    /// merge (and, on the one-worker chain path, straight into the
-    /// next epoch), so nothing else will ever observe this system
-    /// again.
-    pub(crate) fn into_checkpoint(self) -> SystemCheckpoint {
-        SystemCheckpoint {
-            state: self.state,
-            monitor: self.monitor,
-            fade: self.fade,
-            events_seen: self.events_seen,
-            since_uf: self.since_uf,
-            cur_burst: self.cur_burst,
-        }
-    }
-
-    /// [`MonitoringSystem::build`] resuming from a checkpoint: the
-    /// epoch executor of parallel replay, running `records` (one
-    /// epoch's span) on top of the checkpointed state.
-    ///
-    /// The commit process is reseeded from the config seed and the
-    /// epoch index only, so cycle estimates are a deterministic
-    /// function of the trace and the epoch partition — never of which
-    /// worker thread happened to run the epoch.
-    pub(crate) fn from_checkpoint(
-        bench: &BenchProfile,
-        cfg: &SystemConfig,
-        cp: SystemCheckpoint,
-        source: Box<dyn TraceSource>,
-        epoch: u64,
-    ) -> Self {
-        let mut sys = Self::assemble(
-            bench,
-            cp.monitor,
-            cfg,
-            None,
-            Some(source),
-            cp.state,
-            cp.fade,
-        );
-        sys.events_seen = cp.events_seen;
-        sys.since_uf = cp.since_uf;
-        sys.cur_burst = cp.cur_burst;
-        sys.commit = CommitModel::new(
-            cfg.core,
-            bench.commit,
-            Rng::seed_from(cfg.seed ^ epoch.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        );
-        sys
-    }
-
-    /// Replays `records` through the accelerator's batched fast path
-    /// with *functional* semantics only: shadow state, monitor
-    /// bookkeeping, invariant registers and the event clock advance
-    /// exactly as in a real run (monitor-visible results are
-    /// engine-invariant), but no commit process, congestion, timing or
-    /// batch statistics are touched. This is the cheap predictor pass
-    /// of epoch-parallel replay: it produces the entry checkpoints the
-    /// speculative epochs start from.
-    pub(crate) fn run_functional_slice(&mut self, records: &[TraceRecord]) {
-        let monitors_stack = self.monitor.monitors_stack();
-        let mut pos = 0usize;
-        let mut chunk = std::mem::take(&mut self.batch_buf);
-        while pos < records.len() {
-            chunk.clear();
-            while pos < records.len() && (chunk.len() as u64) < BATCH_CHUNK {
-                match &records[pos] {
-                    TraceRecord::Instr(i) => {
-                        self.total_instrs += 1;
-                        if self.monitor.selects(i) {
-                            chunk.push(AppEvent::Instr(instr_event_for(i)));
-                            self.events_seen += 1;
-                        }
-                    }
-                    TraceRecord::Stack(s) => {
-                        if monitors_stack {
-                            chunk.push(AppEvent::StackUpdate(*s));
-                            self.events_seen += 1;
-                        }
-                    }
-                    TraceRecord::High(h) => {
-                        let switch = matches!(h, HighLevelEvent::ThreadSwitch { .. });
-                        chunk.push(AppEvent::HighLevel(*h));
-                        self.events_seen += 1;
-                        if switch {
-                            // Cut the chunk so the monitor's
-                            // invariant-register updates land before
-                            // the next event is filtered — same order
-                            // as both real engines.
-                            pos += 1;
-                            break;
-                        }
-                    }
-                }
-                pos += 1;
-            }
-            if chunk.is_empty() {
-                continue;
-            }
-            let mut fade = self.fade.take().expect("functional replay requires FADE");
-            let monitor = &mut self.monitor;
-            let inv_buf = &mut self.inv_buf;
-            let _ = fade.run_batch_with(&chunk, &mut self.state, |uf, st| {
-                apply_unfiltered(monitor.as_mut(), &uf, st, inv_buf);
-            });
-            for (id, v) in self.inv_buf.drain(..) {
-                fade.write_invariant(id, v);
-            }
-            self.fade = Some(fade);
-        }
-        self.batch_buf = chunk;
     }
 
     /// The monitor driving this system (bug reports, etc.).
@@ -1375,8 +1131,7 @@ impl MonitoringSystem {
                 // absorbed by the sampled residual).
                 let hipc = self.cfg.core.handler_ipc().min(self.cfg.core.width() as f64);
                 let mut handler_cycles = 0u64;
-                let lanes = self.cfg.batch_lanes.clamp(1, fade_isa::BLOCK_LANES);
-                let consumer = |uf: fade::UnfilteredEvent, st: &mut MetadataState| {
+                let bs = fade.run_batch_with(&chunk, &mut self.state, |uf, st| {
                     apply_unfiltered(monitor.as_mut(), &uf, st, inv_buf);
                     // Same handler-cost attribution as the cycle
                     // engine's consumer.
@@ -1401,14 +1156,7 @@ impl MonitoringSystem {
                             AppEvent::StackUpdate(_) => class_instrs.stack += cost,
                         }
                     }
-                };
-                // The vectorized kernel is bit-exact with the scalar
-                // loop, so the lane width is purely a throughput knob.
-                let bs = if lanes > 1 {
-                    fade.run_batch_vectorized_with(&chunk, &mut self.state, lanes, consumer)
-                } else {
-                    fade.run_batch_with(&chunk, &mut self.state, consumer)
-                };
+                });
                 for (id, v) in self.inv_buf.drain(..) {
                     fade.write_invariant(id, v);
                 }

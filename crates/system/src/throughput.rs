@@ -16,9 +16,7 @@
 use std::time::Instant;
 
 use fade::{BatchStats, Fade, FadeConfig, FadeStats, FilterMode, InvId, UnfilteredEvent};
-use fade_isa::{
-    instr_event_for, layout, AppEvent, AppInstr, HighLevelEvent, InstrClass, MemRef, Reg, VirtAddr,
-};
+use fade_isa::{instr_event_for, AppEvent, HighLevelEvent};
 use fade_monitors::{monitor_by_name, Monitor};
 use fade_shadow::MetadataState;
 use fade_trace::{BenchProfile, SyntheticProgram, TraceRecord};
@@ -39,21 +37,13 @@ pub struct ThroughputReport {
     pub events: u64,
     /// Wall-clock seconds of the per-event path.
     pub per_event_s: f64,
-    /// Wall-clock seconds of the batched (scalar tier-A) path.
+    /// Wall-clock seconds of the batched path.
     pub batched_s: f64,
-    /// Wall-clock seconds of the vectorized SoA path
-    /// ([`fade::Fade::run_batch_vectorized`] at [`VECTOR_LANES`]
-    /// lanes), over the identical stream.
-    pub vectorized_s: f64,
-    /// Batch path breakdown (fast path vs. fallback, dispatches);
-    /// asserted identical between the scalar and vectorized paths.
+    /// Batch path breakdown (fast path vs. fallback, dispatches).
     pub batch: BatchStats,
-    /// Accelerator statistics (identical for all three paths).
+    /// Accelerator statistics (identical for both paths).
     pub fade: FadeStats,
 }
-
-/// Lane width the throughput harness measures the vectorized path at.
-pub const VECTOR_LANES: usize = 16;
 
 impl ThroughputReport {
     /// Events per second through the per-event path.
@@ -66,19 +56,9 @@ impl ThroughputReport {
         self.events as f64 / self.batched_s.max(1e-12)
     }
 
-    /// Events per second through the vectorized SoA path.
-    pub fn vectorized_rate(&self) -> f64 {
-        self.events as f64 / self.vectorized_s.max(1e-12)
-    }
-
     /// Batched-over-per-event speedup.
     pub fn speedup(&self) -> f64 {
         self.per_event_s / self.batched_s.max(1e-12)
-    }
-
-    /// Vectorized-over-scalar-batched speedup.
-    pub fn vector_speedup(&self) -> f64 {
-        self.batched_s / self.vectorized_s.max(1e-12)
     }
 
     /// Fraction of events that took the short-circuit fast path.
@@ -148,14 +128,11 @@ fn apply_dispatch(
     }
 }
 
-/// Drives the batched engine over the stream in `batch_size` chunks;
-/// `lanes == 1` uses the scalar tier-A loop, wider the vectorized SoA
-/// kernel.
+/// Drives the batched engine over the stream in `batch_size` chunks.
 fn drive_batched(
     monitor_name: &str,
     events: &[AppEvent],
     batch_size: usize,
-    lanes: usize,
 ) -> (f64, BatchStats, FadeStats) {
     let (mut fade, mut st, mut mon) = fresh(monitor_name);
     let mut total = BatchStats::default();
@@ -173,14 +150,9 @@ fn drive_batched(
         {
             end = i + p + 1;
         }
-        let consumer = |uf: UnfilteredEvent, st: &mut MetadataState| {
+        let bs = fade.run_batch_with(&events[i..end], &mut st, |uf, st| {
             apply_dispatch(mon.as_mut(), &uf, st, &mut inv_writes);
-        };
-        let bs = if lanes > 1 {
-            fade.run_batch_vectorized_with(&events[i..end], &mut st, lanes, consumer)
-        } else {
-            fade.run_batch_with(&events[i..end], &mut st, consumer)
-        };
+        });
         for (id, v) in inv_writes.drain(..) {
             fade.write_invariant(id, v);
         }
@@ -241,22 +213,10 @@ pub fn measure_throughput_matrix(
     batch_sizes
         .iter()
         .map(|&batch_size| {
-            let (batched_s, batch, fade_b) = drive_batched(monitor_name, &events, batch_size, 1);
-            let (vectorized_s, batch_v, fade_v) =
-                drive_batched(monitor_name, &events, batch_size, VECTOR_LANES);
+            let (batched_s, batch, fade_b) = drive_batched(monitor_name, &events, batch_size);
             assert_eq!(
                 fade_b, fade_p,
                 "batched and per-event execution diverged for {monitor_name} on {}",
-                bench.name
-            );
-            assert_eq!(
-                fade_v, fade_b,
-                "vectorized and scalar batched execution diverged for {monitor_name} on {}",
-                bench.name
-            );
-            assert_eq!(
-                batch_v, batch,
-                "vectorized BatchStats diverged for {monitor_name} on {}",
                 bench.name
             );
             ThroughputReport {
@@ -266,75 +226,11 @@ pub fn measure_throughput_matrix(
                 events: events.len() as u64,
                 per_event_s,
                 batched_s,
-                vectorized_s,
                 batch,
                 fade: fade_b,
             }
         })
         .collect()
-}
-
-/// Synthetic all-filterable event stream for the vectorized kernel's
-/// headline number: one `Malloc` registers a heap object, then every
-/// load hits inside the same metadata line of that object — for
-/// `AddrCheck` each one is a clean single-shot check, so after the
-/// first (cold) access the whole stream retires on the MRU fast path
-/// and the SoA kernel can bulk-retire full blocks.
-pub fn synthetic_filterable_events(n_events: u64) -> Vec<AppEvent> {
-    let base = layout::HEAP_BASE + 0x400;
-    let mut events = Vec::with_capacity(n_events as usize);
-    events.push(AppEvent::HighLevel(HighLevelEvent::Malloc {
-        base: VirtAddr::new(base),
-        len: 256,
-        ctx: 1,
-    }));
-    let mut i = 0u32;
-    while (events.len() as u64) < n_events {
-        // Word loads inside one 32-byte metadata line: every access
-        // after the first stays MRU-warm in both the M-TLB and the MD
-        // cache.
-        let addr = base + (i % 8) * 4;
-        let instr = AppInstr::new(VirtAddr::new(0x1000 + (i % 64) * 4), InstrClass::Load)
-            .with_dest(Reg::new(2 + (i % 8) as u8))
-            .with_mem(MemRef::word(VirtAddr::new(addr)));
-        events.push(AppEvent::Instr(instr_event_for(&instr)));
-        i += 1;
-    }
-    events
-}
-
-/// Measures the synthetic all-filterable profile (the vectorized
-/// kernel's best case: every block is warm, uniform and clean, so the
-/// SoA path bulk-retires whole blocks) at one batch size, under
-/// `AddrCheck`. The per-event baseline and scalar/vectorized batched
-/// paths all run the identical stream and are asserted bit-identical
-/// in accelerator statistics, exactly like
-/// [`measure_throughput_matrix`].
-///
-/// # Panics
-///
-/// Panics if the scalar and vectorized paths diverge in accelerator or
-/// batch statistics.
-pub fn measure_synthetic_filterable(batch_size: usize, n_events: u64) -> ThroughputReport {
-    let events = synthetic_filterable_events(n_events);
-    let (per_event_s, fade_p) = drive_per_event("AddrCheck", &events);
-    let (batched_s, batch, fade_b) = drive_batched("AddrCheck", &events, batch_size, 1);
-    let (vectorized_s, batch_v, fade_v) =
-        drive_batched("AddrCheck", &events, batch_size, VECTOR_LANES);
-    assert_eq!(fade_b, fade_p, "synthetic: batched vs per-event diverged");
-    assert_eq!(fade_v, fade_b, "synthetic: vectorized vs scalar diverged");
-    assert_eq!(batch_v, batch, "synthetic: vectorized BatchStats diverged");
-    ThroughputReport {
-        benchmark: "synthetic-filterable".to_string(),
-        monitor: "AddrCheck".to_string(),
-        batch_size,
-        events: events.len() as u64,
-        per_event_s,
-        batched_s,
-        vectorized_s,
-        batch,
-        fade: fade_b,
-    }
 }
 
 /// Measured throughput of the *full system* (commit process, queues,
@@ -573,107 +469,6 @@ pub fn measure_system_throughput_records(
         rel_half_width: batched_sys.rel_half_width(),
         carried_seed_cycles: batched_sys.carried_seed_cycles(),
         strata: batched_sys.sampling_strata(),
-    }
-}
-
-/// Measured serial-vs-parallel whole-trace replay of one (benchmark,
-/// monitor) point ([`measure_parallel_replay`]).
-#[derive(Clone, Debug)]
-pub struct ParallelReplayReport {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Monitor name.
-    pub monitor: String,
-    /// Worker threads of the parallel replay.
-    pub workers: usize,
-    /// Monitored events in the replayed trace.
-    pub events: u64,
-    /// Application instructions in the replayed trace.
-    pub instrs: u64,
-    /// Wall-clock seconds of the sequential replay.
-    pub serial_s: f64,
-    /// Wall-clock seconds of the epoch-parallel replay.
-    pub parallel_s: f64,
-    /// What the epoch scheduler did during the parallel replay.
-    pub epochs: crate::epoch::EpochStats,
-}
-
-impl ParallelReplayReport {
-    /// Serial-over-parallel wall-clock speedup (>1 is a win).
-    pub fn speedup(&self) -> f64 {
-        self.serial_s / self.parallel_s.max(1e-12)
-    }
-}
-
-/// Replays the same `n_events`-event trace prefix twice through the
-/// batched engine — once sequentially, once as speculative parallel
-/// epochs on `workers` threads ([`crate::SessionBuilder::parallel_replay`])
-/// — and compares wall-clock time. Every measurement doubles as a
-/// differential check: both replays must finish with identical
-/// monitor-visible results.
-///
-/// # Panics
-///
-/// Panics if the monitor is unknown or the two replays diverge in any
-/// monitor-visible result (which would be an epoch-join bug).
-pub fn measure_parallel_replay(
-    bench: &BenchProfile,
-    monitor_name: &str,
-    cfg: &SystemConfig,
-    n_events: u64,
-    workers: usize,
-) -> ParallelReplayReport {
-    let probe = monitor_by_name(monitor_name)
-        .unwrap_or_else(|| panic!("unknown monitor {monitor_name}"));
-    let (records, _instrs) = record_prefix(bench, probe.as_ref(), cfg.seed, n_events);
-    let session = |parallel: usize| {
-        let mut b = crate::Session::builder()
-            .monitor(monitor_name)
-            .source((bench.clone(), records.clone()))
-            .engine(crate::Engine::batched())
-            .config(*cfg);
-        if parallel > 0 {
-            b = b.parallel_replay(parallel);
-        }
-        b.build()
-            .unwrap_or_else(|e| panic!("replay session for {monitor_name} on {}: {e}", bench.name))
-    };
-    let serial = session(0).replay_all().expect("sequential replay");
-    let parallel = session(workers).replay_all().expect("parallel replay");
-    assert_eq!(
-        serial.instrs, parallel.instrs,
-        "parallel replay retired different instructions for {monitor_name} on {}",
-        bench.name
-    );
-    assert_eq!(
-        serial.events_seen, parallel.events_seen,
-        "parallel replay consumed a different event stream for {monitor_name} on {}",
-        bench.name
-    );
-    assert!(
-        serial.final_state == parallel.final_state,
-        "parallel replay metadata state diverged for {monitor_name} on {}",
-        bench.name
-    );
-    assert_eq!(
-        serial.violations, parallel.violations,
-        "parallel replay violation reports diverged for {monitor_name} on {}",
-        bench.name
-    );
-    assert_eq!(
-        serial.functional_counters, parallel.functional_counters,
-        "parallel replay functional counters diverged for {monitor_name} on {}",
-        bench.name
-    );
-    ParallelReplayReport {
-        benchmark: bench.name.to_string(),
-        monitor: monitor_name.to_string(),
-        workers,
-        events: serial.events_seen,
-        instrs: serial.instrs,
-        serial_s: serial.wall_s,
-        parallel_s: parallel.wall_s,
-        epochs: parallel.epochs,
     }
 }
 
@@ -944,7 +739,6 @@ mod tests {
             events: 0,
             per_event_s: 0.0,
             batched_s: 0.0,
-            vectorized_s: 0.0,
             batch: BatchStats::default(),
             fade: FadeStats::default(),
         };
@@ -952,108 +746,9 @@ mod tests {
             p.fast_path_fraction(),
             p.per_event_rate(),
             p.batched_rate(),
-            p.vectorized_rate(),
             p.speedup(),
-            p.vector_speedup(),
         ] {
             assert!(v.is_finite(), "degenerate report leaked {v}");
-        }
-    }
-
-    #[test]
-    fn synthetic_filterable_profile_is_all_fast_path() {
-        // One cold Malloc + first touch, then everything retires warm:
-        // the fraction must be essentially 1 and the vectorized path
-        // must agree bit-for-bit (asserted inside the measure fn).
-        let r = measure_synthetic_filterable(32, 20_000);
-        assert_eq!(r.events, 20_000);
-        assert!(
-            r.fast_path_fraction() > 0.99,
-            "synthetic profile must saturate the fast path, got {}",
-            r.fast_path_fraction()
-        );
-        assert!(r.vectorized_rate() > 0.0);
-    }
-
-    /// Bench smoke (run with `--ignored` in release CI): the vectorized
-    /// SoA kernel must beat the scalar tier-A loop on the all-filterable
-    /// profile and clear an absolute throughput floor. Wall-clock
-    /// thresholds are deliberately loose (shared CI runners); the
-    /// relative check retries best-of-3 like the differential bench
-    /// harness.
-    #[test]
-    #[ignore = "bench smoke: wall-clock sensitive, run explicitly in release CI"]
-    fn bench_smoke_vectorized_beats_scalar_on_synthetic_profile() {
-        let mut best: Option<ThroughputReport> = None;
-        for _ in 0..3 {
-            let r = measure_synthetic_filterable(32, 400_000);
-            assert!(r.fast_path_fraction() > 0.99, "got {}", r.fast_path_fraction());
-            let better = best
-                .as_ref()
-                .map(|b| r.vector_speedup() > b.vector_speedup())
-                .unwrap_or(true);
-            if better {
-                best = Some(r);
-            }
-        }
-        let r = best.unwrap();
-        // Measured ~2.2x / ~130 Mev/s on the dev container; floors sit
-        // well under that so shared CI runners don't flake.
-        assert!(
-            r.vector_speedup() > 1.5,
-            "vectorized path must beat scalar: speedup {:.2} ({:.1} vs {:.1} Mev/s)",
-            r.vector_speedup(),
-            r.vectorized_rate() / 1e6,
-            r.batched_rate() / 1e6
-        );
-        assert!(
-            r.vectorized_rate() > 60e6,
-            "vectorized throughput floor: {:.1} Mev/s",
-            r.vectorized_rate() / 1e6
-        );
-    }
-
-    #[test]
-    #[ignore = "wall-clock benchmark; run explicitly"]
-    fn bench_smoke_narrow_batches_do_not_regress_vectorized() {
-        // Batch size 1 feeds the vectorized entry point one event per
-        // call: the SoA kernel can never pay off there, so the
-        // narrow-run width gate must route those calls through the
-        // scalar loop. The floor sits just under parity — the bypass
-        // leaves only per-call overhead shared with the scalar driver,
-        // so anything below ~1.0 is the gate failing, not noise.
-        for (bench_name, monitor) in [("hmmer", "AddrCheck"), ("gcc", "MemLeak")] {
-            let b = bench::by_name(bench_name).unwrap();
-            // Each single pass is only a few milliseconds, so paired
-            // per-run ratios are noise-dominated; ratio the best rate
-            // each path reaches across the repeats, and retry the whole
-            // measurement a few times — a transiently loaded runner can
-            // still depress one path by several percent across a whole
-            // repeat set, while a real bypass regression fails every
-            // attempt.
-            let mut speedup = 0.0f64;
-            let (mut best_batched, mut best_vectorized) = (0.0f64, 0.0f64);
-            for _ in 0..3 {
-                best_batched = 0.0;
-                best_vectorized = 0.0;
-                for _ in 0..5 {
-                    let r = measure_throughput(&b, monitor, 1, 200_000);
-                    best_batched = best_batched.max(r.batched_rate());
-                    best_vectorized = best_vectorized.max(r.vectorized_rate());
-                }
-                speedup = speedup.max(best_vectorized / best_batched);
-                if speedup >= 0.98 {
-                    break;
-                }
-            }
-            assert!(
-                speedup >= 0.98,
-                "{bench_name}/{monitor} batch 1: vectorized entry must not trail scalar: \
-                 speedup {:.3} ({:.1} vs {:.1} Mev/s)",
-                speedup,
-                best_vectorized / 1e6,
-                best_batched / 1e6
-            );
         }
     }
 

@@ -24,12 +24,10 @@
 //!
 //! Version 2 (current) appends the chunk-offset index frame and widens
 //! the trailer to carry `index_offset`, so a consumer can seek straight
-//! to any chunk — [`ChunkIndex::from_bytes`] reads the trailer and the
-//! index frame in O(index) without touching chunk payloads, which is
-//! what epoch-parallel replay splits a trace with. Version-1 files
-//! (13-byte trailer, no index frame) still read through both paths: the
-//! sequential reader keys the trailer layout off the header version,
-//! and [`ChunkIndex::from_bytes`] falls back to a forward frame scan.
+//! to any chunk. The sequential reader verifies the index frame's
+//! checksum and skips it. Version-1 files (13-byte trailer, no index
+//! frame) still read: the reader keys the trailer layout off the header
+//! version.
 //!
 //! Unknown trailing header-payload bytes are skipped, so minor-version
 //! extensions can add metadata without breaking old readers; a major
@@ -688,8 +686,7 @@ impl<R: Read> TraceReader<R> {
             }
             INDEX_MARKER => {
                 // Chunk-offset index frame (version 2+): advisory for a
-                // sequential read — seekable consumers parse it through
-                // [`ChunkIndex::from_bytes`] instead. Verify and skip.
+                // sequential read. Verify and skip.
                 if self.version < 2 {
                     return Err(TraceFileError::BadStructure { offset: chunk_offset });
                 }
@@ -1026,279 +1023,6 @@ pub fn read_trace_file(
     Ok((r.meta.clone(), records))
 }
 
-// ---------------------------------------------------------------------
-// Seekable chunk index
-// ---------------------------------------------------------------------
-
-/// One chunk's position in a `.fadet` buffer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkIndexEntry {
-    /// File offset of the chunk's marker byte.
-    pub offset: u64,
-    /// Records the chunk holds.
-    pub records: u32,
-}
-
-/// A contiguous run of chunks assigned to one replay epoch (see
-/// [`ChunkIndex::split_epochs`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EpochSpan {
-    /// First chunk in the span (index into [`ChunkIndex::entries`]).
-    pub chunk_start: usize,
-    /// One past the last chunk in the span.
-    pub chunk_end: usize,
-    /// Global index of the span's first record.
-    pub record_start: u64,
-    /// Records the span holds.
-    pub records: u64,
-}
-
-/// The chunk-offset map of a `.fadet` buffer: where every chunk lives
-/// and how many records it holds, without decoding any payload.
-///
-/// For version-2 files this is O(index): the trailer's `index_offset`
-/// points straight at the index frame. Version-1 files fall back to a
-/// forward scan over frame *headers* (still never decoding payloads).
-/// Epoch-parallel replay uses this to split one trace into chunk-aligned
-/// spans that decode independently — the per-chunk codec-context reset
-/// is what makes a mid-file chunk a valid decode entry point.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChunkIndex {
-    entries: Vec<ChunkIndexEntry>,
-    total_records: u64,
-}
-
-impl ChunkIndex {
-    /// Builds the index from a complete `.fadet` buffer.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceFileError> {
-        if bytes.len() < 12 {
-            return Err(TraceFileError::BadMagic);
-        }
-        if &bytes[..8] != FILE_MAGIC {
-            return Err(TraceFileError::BadMagic);
-        }
-        let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if version > FORMAT_VERSION || version == 0 {
-            return Err(TraceFileError::UnsupportedVersion { found: version });
-        }
-        if version < 2 {
-            return Self::scan(bytes);
-        }
-        if bytes.len() < TRAILER_V2 {
-            return Err(TraceFileError::Truncated {
-                offset: bytes.len() as u64,
-            });
-        }
-        let t = bytes.len() - TRAILER_V2;
-        if bytes[t] != END_MARKER {
-            return Err(TraceFileError::BadStructure { offset: t as u64 });
-        }
-        let crc = u32_at(bytes, t + 17);
-        if crc32(&bytes[t + 1..t + 17]) != crc {
-            return Err(TraceFileError::ChecksumMismatch {
-                chunk_offset: t as u64,
-            });
-        }
-        let total_records = u64_at(bytes, t + 1);
-        let index_offset = u64_at(bytes, t + 9);
-        let io_ = usize::try_from(index_offset)
-            .map_err(|_| TraceFileError::BadStructure { offset: index_offset })?;
-        if io_ + 13 > t || bytes[io_] != INDEX_MARKER {
-            return Err(TraceFileError::BadStructure { offset: index_offset });
-        }
-        let plen = u32_at(bytes, io_ + 1);
-        let nchunks = u32_at(bytes, io_ + 5);
-        if plen > MAX_CHUNK_PAYLOAD
-            || u64::from(nchunks) * INDEX_ENTRY_BYTES as u64 != u64::from(plen)
-            || io_ + 13 + plen as usize > t
-        {
-            return Err(TraceFileError::BadStructure { offset: index_offset });
-        }
-        let icrc = u32_at(bytes, io_ + 9);
-        let payload = &bytes[io_ + 13..io_ + 13 + plen as usize];
-        if crc32(payload) != icrc {
-            return Err(TraceFileError::ChecksumMismatch {
-                chunk_offset: index_offset,
-            });
-        }
-        let entries: Vec<ChunkIndexEntry> = payload
-            .chunks_exact(INDEX_ENTRY_BYTES)
-            .map(|e| ChunkIndexEntry {
-                offset: u64_at(e, 0),
-                records: u32_at(e, 8),
-            })
-            .collect();
-        let summed: u64 = entries.iter().map(|e| u64::from(e.records)).sum();
-        if summed != total_records {
-            return Err(TraceFileError::CountMismatch {
-                expected: total_records,
-                found: summed,
-            });
-        }
-        Ok(ChunkIndex {
-            entries,
-            total_records,
-        })
-    }
-
-    /// Version-1 fallback: walk frame headers front to back.
-    fn scan(bytes: &[u8]) -> Result<Self, TraceFileError> {
-        if bytes.len() < 12 {
-            return Err(TraceFileError::BadHeader);
-        }
-        let hlen = u16::from_le_bytes([bytes[10], bytes[11]]) as usize;
-        let mut at = 12 + hlen + 4;
-        if at > bytes.len() {
-            return Err(TraceFileError::Truncated {
-                offset: bytes.len() as u64,
-            });
-        }
-        let mut entries = Vec::new();
-        loop {
-            if at >= bytes.len() {
-                return Err(TraceFileError::Truncated { offset: at as u64 });
-            }
-            match bytes[at] {
-                CHUNK_MARKER => {
-                    if at + 13 > bytes.len() {
-                        return Err(TraceFileError::Truncated {
-                            offset: bytes.len() as u64,
-                        });
-                    }
-                    let plen = u32_at(bytes, at + 1);
-                    let records = u32_at(bytes, at + 5);
-                    if plen > MAX_CHUNK_PAYLOAD || records > MAX_CHUNK_RECORDS {
-                        return Err(TraceFileError::BadStructure { offset: at as u64 });
-                    }
-                    entries.push(ChunkIndexEntry {
-                        offset: at as u64,
-                        records,
-                    });
-                    at += 13 + plen as usize;
-                }
-                END_MARKER => {
-                    if at + TRAILER_V1 > bytes.len() {
-                        return Err(TraceFileError::Truncated {
-                            offset: bytes.len() as u64,
-                        });
-                    }
-                    let total_records = u64_at(bytes, at + 1);
-                    let crc = u32_at(bytes, at + 9);
-                    if crc32(&bytes[at + 1..at + 9]) != crc {
-                        return Err(TraceFileError::ChecksumMismatch {
-                            chunk_offset: at as u64,
-                        });
-                    }
-                    let summed: u64 = entries.iter().map(|e| u64::from(e.records)).sum();
-                    if summed != total_records {
-                        return Err(TraceFileError::CountMismatch {
-                            expected: total_records,
-                            found: summed,
-                        });
-                    }
-                    return Ok(ChunkIndex {
-                        entries,
-                        total_records,
-                    });
-                }
-                _ => return Err(TraceFileError::BadStructure { offset: at as u64 }),
-            }
-        }
-    }
-
-    /// Per-chunk (offset, record count) entries, in file order.
-    pub fn entries(&self) -> &[ChunkIndexEntry] {
-        &self.entries
-    }
-
-    /// Total records the trailer promises.
-    pub fn total_records(&self) -> u64 {
-        self.total_records
-    }
-
-    /// Partitions the trace into at most `epochs` contiguous
-    /// chunk-aligned spans.
-    ///
-    /// The partition is a pure function of the index and `epochs` —
-    /// never of worker count or timing — so epoch boundaries (and with
-    /// them every epoch-parallel replay result) are deterministic.
-    /// Returns fewer spans than requested when there are fewer chunks;
-    /// empty spans are never produced.
-    pub fn split_epochs(&self, epochs: usize) -> Vec<EpochSpan> {
-        let n = self.entries.len();
-        let epochs = epochs.max(1).min(n.max(1));
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut spans = Vec::with_capacity(epochs);
-        let mut record_start = 0u64;
-        for e in 0..epochs {
-            let chunk_start = e * n / epochs;
-            let chunk_end = (e + 1) * n / epochs;
-            let records: u64 = self.entries[chunk_start..chunk_end]
-                .iter()
-                .map(|c| u64::from(c.records))
-                .sum();
-            spans.push(EpochSpan {
-                chunk_start,
-                chunk_end,
-                record_start,
-                records,
-            });
-            record_start += records;
-        }
-        spans
-    }
-
-    /// Decodes one span's records straight from `bytes`, seeking to each
-    /// chunk by its indexed offset (payload CRCs still verified).
-    pub fn read_span(
-        &self,
-        bytes: &[u8],
-        span: &EpochSpan,
-    ) -> Result<Vec<TraceRecord>, TraceFileError> {
-        let mut out = Vec::with_capacity(span.records as usize);
-        for entry in &self.entries[span.chunk_start..span.chunk_end] {
-            let at = usize::try_from(entry.offset)
-                .map_err(|_| TraceFileError::BadStructure { offset: entry.offset })?;
-            if at + 13 > bytes.len() || bytes[at] != CHUNK_MARKER {
-                return Err(TraceFileError::BadStructure { offset: entry.offset });
-            }
-            let plen = u32_at(bytes, at + 1) as usize;
-            let nrecords = u32_at(bytes, at + 5);
-            let crc = u32_at(bytes, at + 9);
-            if nrecords != entry.records || at + 13 + plen > bytes.len() {
-                return Err(TraceFileError::BadStructure { offset: entry.offset });
-            }
-            let payload = &bytes[at + 13..at + 13 + plen];
-            if crc32(payload) != crc {
-                return Err(TraceFileError::ChecksumMismatch {
-                    chunk_offset: entry.offset,
-                });
-            }
-            ChunkDecoder::new(payload)
-                .decode_all(nrecords as usize, &mut out)
-                .map_err(|error| TraceFileError::Corrupt {
-                    chunk_offset: entry.offset,
-                    error,
-                })?;
-        }
-        Ok(out)
-    }
-}
-
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1619,46 +1343,9 @@ mod tests {
     }
 
     #[test]
-    fn chunk_index_round_trips_and_seeks() {
-        let records = sample("gcc", 42, 3_000);
-        let (bytes, offsets) = chunked(&records, 1000);
-        let idx = ChunkIndex::from_bytes(&bytes).unwrap();
-        assert_eq!(idx.total_records(), 3000);
-        assert_eq!(
-            idx.entries()
-                .iter()
-                .map(|e| (e.offset as usize, e.records))
-                .collect::<Vec<_>>(),
-            offsets.iter().map(|&o| (o, 1000)).collect::<Vec<_>>()
-        );
-        // Each span decodes independently and concatenates to the trace.
-        for epochs in [1usize, 2, 3, 7] {
-            let spans = idx.split_epochs(epochs);
-            assert_eq!(spans.len(), epochs.min(3));
-            let mut all = Vec::new();
-            for s in &spans {
-                assert_eq!(s.record_start, all.len() as u64);
-                let part = idx.read_span(&bytes, s).unwrap();
-                assert_eq!(part.len() as u64, s.records);
-                all.extend(part);
-            }
-            assert_eq!(all, records, "epochs {epochs}");
-        }
-    }
-
-    #[test]
-    fn chunk_index_of_empty_trace_is_empty() {
-        let bytes = encode_trace(&meta(), &[]);
-        let idx = ChunkIndex::from_bytes(&bytes).unwrap();
-        assert!(idx.entries().is_empty());
-        assert_eq!(idx.total_records(), 0);
-        assert!(idx.split_epochs(4).is_empty());
-    }
-
-    #[test]
     fn version1_files_still_read_through_both_paths() {
         let records = sample("gcc", 42, 3_000);
-        let (bytes, offsets) = chunked(&records, 1000);
+        let (bytes, _) = chunked(&records, 1000);
         let v1 = downgrade_to_v1(&bytes);
         assert!(v1.len() < bytes.len(), "v1 drops the index frame");
         let mut r = TraceReader::new(&v1[..]).unwrap();
@@ -1668,45 +1355,20 @@ mod tests {
         let (_, back, report) = decode_trace_recovering(&v1).unwrap();
         assert_eq!(back, records);
         assert!(report.is_clean(), "{report:?}");
-        // The index fallback scans frame headers to the same entries.
-        let idx = ChunkIndex::from_bytes(&v1).unwrap();
-        assert_eq!(
-            idx.entries()
-                .iter()
-                .map(|e| (e.offset as usize, e.records))
-                .collect::<Vec<_>>(),
-            offsets.iter().map(|&o| (o, 1000)).collect::<Vec<_>>()
-        );
-        let spans = idx.split_epochs(1);
-        assert_eq!(idx.read_span(&v1, &spans[0]).unwrap(), records);
     }
 
     #[test]
-    fn chunk_index_rejects_corruption_with_typed_errors() {
+    fn sequential_read_verifies_the_index_frame() {
         let records = sample("gcc", 42, 2_000);
-        let bytes = encode_trace(&meta(), &records);
+        let mut bytes = encode_trace(&meta(), &records);
         let n = bytes.len();
         let index_offset =
             u64::from_le_bytes(bytes[n - 12..n - 4].try_into().unwrap()) as usize;
-        // Flip a byte inside the index payload: checksum catches it.
-        let mut corrupt = bytes.clone();
-        corrupt[index_offset + 13] ^= 0x01;
+        // Flip a byte inside the index payload: the checksum catches it
+        // even though a sequential read only skips the frame.
+        bytes[index_offset + 13] ^= 0x01;
         assert_eq!(
-            ChunkIndex::from_bytes(&corrupt).unwrap_err(),
-            TraceFileError::ChecksumMismatch {
-                chunk_offset: index_offset as u64
-            }
-        );
-        // Every truncated tail fails with a typed error, never a panic.
-        for cut in n.saturating_sub(TRAILER_V2 + 13 + 24)..n {
-            assert!(
-                ChunkIndex::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} must not produce an index"
-            );
-        }
-        // A sequential read also verifies the index frame it skips.
-        assert_eq!(
-            decode_trace(&corrupt).unwrap_err(),
+            decode_trace(&bytes).unwrap_err(),
             TraceFileError::ChecksumMismatch {
                 chunk_offset: index_offset as u64
             }

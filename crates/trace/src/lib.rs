@@ -47,18 +47,15 @@ pub mod file;
 pub mod heap;
 pub mod profile;
 pub mod program;
-pub mod soa;
 pub mod value;
 
 pub use bench::{by_name, parallel_suite, spec_int_suite, taint_suite};
 pub use faultinject::{FaultKind, FaultPlan, FaultyReader};
 pub use file::{
     decode_trace, decode_trace_recovering, encode_trace, read_trace_file, write_trace_file,
-    ChunkIndex, ChunkIndexEntry, DegradationReport, EpochSpan, SkippedChunk, TraceFileError,
-    TraceMeta, TraceReader, TraceWriter,
+    DegradationReport, SkippedChunk, TraceFileError, TraceMeta, TraceReader, TraceWriter,
 };
 pub use heap::HeapModel;
 pub use profile::{BenchProfile, InstrMix};
 pub use program::{SyntheticProgram, TraceRecord};
-pub use soa::{read_trace_soa, SoaDecoder, SoaItem};
 pub use value::{ValueState, ValueTags};

@@ -1,6 +1,6 @@
 //! Helpers shared by the differential harnesses
 //! (`tests/differential.rs`, `tests/trace_replay.rs`,
-//! `tests/parallel_replay.rs`): the definition of "monitor-visible
+//! `tests/budget_differential.rs`): the definition of "monitor-visible
 //! results" lives here once, so growing the bit-exactness contract (a
 //! new counter, a new assertion) updates every harness at the same
 //! time.
@@ -22,9 +22,8 @@ pub fn suite_for(monitor: &str) -> Vec<BenchProfile> {
 }
 
 /// Anything exposing the monitor-visible result surface:
-/// [`MonitoringSystem`]s, live [`Session`]s and finished
-/// [`ReplayReport`]s, so the harnesses can differentially compare
-/// across engines, worker counts and driving styles.
+/// [`MonitoringSystem`]s and live [`Session`]s, so the harnesses can
+/// differentially compare across engines and driving styles.
 pub trait MonitorVisible {
     fn instrs(&self) -> u64;
     fn events_seen(&self) -> u64;
@@ -68,24 +67,6 @@ impl MonitorVisible for Session {
     }
     fn functional_counters(&self) -> Option<[u64; 7]> {
         self.fade_stats().map(|f| f.functional_counters())
-    }
-}
-
-impl MonitorVisible for ReplayReport {
-    fn instrs(&self) -> u64 {
-        self.instrs
-    }
-    fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-    fn state(&self) -> &MetadataState {
-        &self.final_state
-    }
-    fn reports(&self) -> Vec<String> {
-        self.violations.clone()
-    }
-    fn functional_counters(&self) -> Option<[u64; 7]> {
-        self.functional_counters
     }
 }
 

@@ -1,10 +1,9 @@
 //! Golden-stats regression test for the batched system mode.
 //!
 //! Runs two fixed-seed workloads through `MonitoringSystem::run_batched`
-//! — on both the scalar batched engine and the vectorized SoA engine
-//! (`batch_lanes = 16`) — and compares a full stats snapshot (events,
-//! functional accelerator counters, fast-path fraction, violations,
-//! metadata fingerprint) against a committed golden file. Every quantity in the snapshot is
+//! and compares a full stats snapshot (events, functional accelerator
+//! counters, fast-path fraction, violations, metadata fingerprint)
+//! against a committed golden file. Every quantity in the snapshot is
 //! deterministic — same seed, same trace, same filtering decisions —
 //! so any diff is a real behaviour change, not noise.
 //!
@@ -52,12 +51,11 @@ fn state_fingerprint(sys: &Session) -> u64 {
     h
 }
 
-fn snapshot_one(bench_name: &str, monitor: &str, lanes: usize, out: &mut String) {
+fn snapshot_one(bench_name: &str, monitor: &str, out: &mut String) {
     let b = bench::by_name(bench_name).unwrap();
     let cfg = SystemConfig::fade_single_core()
         .with_sample_period(2048)
-        .with_sample_window(512)
-        .with_batch_lanes(lanes);
+        .with_sample_window(512);
     let mut sys = Session::builder()
         .monitor(monitor)
         .source(b)
@@ -71,7 +69,7 @@ fn snapshot_one(bench_name: &str, monitor: &str, lanes: usize, out: &mut String)
     let f = sys.fade_stats().expect("FADE config");
     let bs = sys.batch_stats();
     let reports = sys.monitor().reports();
-    writeln!(out, "[{bench_name}/{monitor} lanes={lanes}]").unwrap();
+    writeln!(out, "[{bench_name}/{monitor}]").unwrap();
     writeln!(out, "instrs = {}", sys.instrs()).unwrap();
     writeln!(out, "events = {}", sys.events_seen()).unwrap();
     writeln!(out, "instr_events = {}", f.instr_events).unwrap();
@@ -100,16 +98,8 @@ fn batched_stats_match_golden_snapshot() {
         "# Golden batched-mode stats snapshot (see tests/golden_stats.rs;\n\
          # regenerate with UPDATE_GOLDEN=1 after intentional changes).\n\n",
     );
-    // Scalar batched engine, then the vectorized SoA engine over the
-    // same workloads. The vectorized kernel is bit-exact with the
-    // scalar loop, so every quantity below — including the
-    // fast-path/fallback split and the metadata fingerprint — must come
-    // out identical between the lanes=1 and lanes=16 sections; a
-    // vectorized-only diff here means the kernel's accounting drifted.
-    snapshot_one("gcc", "MemLeak", 1, &mut snapshot);
-    snapshot_one("hmmer", "AddrCheck", 1, &mut snapshot);
-    snapshot_one("gcc", "MemLeak", 16, &mut snapshot);
-    snapshot_one("hmmer", "AddrCheck", 16, &mut snapshot);
+    snapshot_one("gcc", "MemLeak", &mut snapshot);
+    snapshot_one("hmmer", "AddrCheck", &mut snapshot);
 
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
