@@ -1,35 +1,73 @@
-//! Golden-stats regression test for the batched system mode.
+//! Golden-stats regression tests.
 //!
-//! Runs two fixed-seed workloads through `MonitoringSystem::run_batched`
-//! and compares a full stats snapshot (events, functional accelerator
-//! counters, fast-path fraction, violations, metadata fingerprint)
-//! against a committed golden file. Every quantity in the snapshot is
-//! deterministic — same seed, same trace, same filtering decisions —
-//! so any diff is a real behaviour change, not noise.
+//! * `batched_stats_match_golden_snapshot` runs two fixed-seed
+//!   workloads through the batched engine and snapshots the functional
+//!   result (events, accelerator counters, fast-path fraction,
+//!   violations, metadata fingerprint) into
+//!   `tests/golden/batched_stats.txt`.
+//! * `run_stats_match_golden_snapshot` runs the same two workloads
+//!   through `Session::run_measured` on the cycle, batched and
+//!   unaccelerated engines and snapshots every scalar of the measured
+//!   window's `RunStats` (timing, handler classes, histograms, sampling
+//!   summary) into `tests/golden/run_stats.txt`.
 //!
-//! To regenerate the golden file after an *intentional* change:
+//! Every quantity in either snapshot is deterministic — same seed, same
+//! trace, same filtering and timing decisions — so any diff is a real
+//! behaviour change, not noise.
+//!
+//! To regenerate the golden files after an *intentional* change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --release -p fade-repro --test golden_stats
 //! ```
 //!
-//! then review the diff of `tests/golden/batched_stats.txt` like any
-//! other code change.
+//! then review the diff of `tests/golden/` like any other code change.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use fade_repro::isa::{layout, Reg, VirtAddr};
 use fade_repro::prelude::*;
+use fade_repro::sim::LogHistogram;
 use fade_repro::trace::bench;
 
 /// Instructions per workload: enough to cross several sampling periods.
 const INSTRS: u64 = 60_000;
 
-fn golden_path() -> PathBuf {
+/// Warmup and measured-window instructions of each `RunStats` run:
+/// short enough for debug builds, long enough to span many sampling
+/// periods on the batched engine.
+const RUN_WARMUP: u64 = 10_000;
+const RUN_MEASURE: u64 = 40_000;
+
+fn golden_path(file: &str) -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/repro; the golden files live in the
     // repository-root tests/ directory next to this test's source.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/batched_stats.txt")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(file)
+}
+
+/// Compares `snapshot` against the golden file, or rewrites the file
+/// when `UPDATE_GOLDEN` is set.
+fn check_golden(file: &str, snapshot: &str) {
+    let path = golden_path(file);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, snapshot).expect("write golden file");
+        eprintln!("updated {}", path.display());
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        golden, snapshot,
+        "{file} drifted from the golden snapshot; if the change is \
+         intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
+    );
 }
 
 /// FNV-1a over the monitor-visible metadata: all register metadata plus
@@ -100,23 +138,67 @@ fn batched_stats_match_golden_snapshot() {
     );
     snapshot_one("gcc", "MemLeak", &mut snapshot);
     snapshot_one("hmmer", "AddrCheck", &mut snapshot);
+    check_golden("batched_stats.txt", &snapshot);
+}
 
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &snapshot).expect("write golden file");
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        golden, snapshot,
-        "batched-mode stats drifted from the golden snapshot; if the \
-         change is intentional, regenerate with UPDATE_GOLDEN=1 and \
-         review the diff"
+fn write_histogram(out: &mut String, name: &str, h: &LogHistogram) {
+    writeln!(
+        out,
+        "{name} = total {} mean {:?} p50 {} p90 {}",
+        h.total(),
+        h.mean(),
+        h.percentile(50.0),
+        h.percentile(90.0)
+    )
+    .unwrap();
+}
+
+fn run_stats_one(bench_name: &str, monitor: &str, engine: Engine, out: &mut String) {
+    let report = Session::builder()
+        .monitor(monitor)
+        .source(bench::by_name(bench_name).unwrap())
+        .engine(engine)
+        .config(SystemConfig::fade_single_core())
+        .build()
+        .unwrap()
+        .run_measured(RUN_WARMUP, RUN_MEASURE)
+        .unwrap();
+    let s = &report.stats;
+    writeln!(out, "[{bench_name}/{monitor}/{engine:?}]").unwrap();
+    writeln!(out, "system = {}", s.system).unwrap();
+    writeln!(out, "app_instrs = {}", s.app_instrs).unwrap();
+    writeln!(out, "monitored_events = {}", s.monitored_events).unwrap();
+    writeln!(out, "stack_events = {}", s.stack_events).unwrap();
+    writeln!(out, "high_level_events = {}", s.high_level_events).unwrap();
+    writeln!(out, "cycles = {}", s.cycles).unwrap();
+    writeln!(out, "baseline_cycles = {}", s.baseline_cycles).unwrap();
+    writeln!(out, "class_instrs = {:?}", s.class_instrs).unwrap();
+    writeln!(out, "util = {:?}", s.util).unwrap();
+    write_histogram(out, "occupancy", &s.occupancy);
+    write_histogram(out, "unfiltered_distances", &s.unfiltered_distances);
+    write_histogram(out, "burst_sizes", &s.burst_sizes);
+    writeln!(out, "fade = {:#?}", s.fade).unwrap();
+    writeln!(out, "sampling = {:#?}", s.sampling).unwrap();
+    writeln!(out).unwrap();
+}
+
+#[test]
+fn run_stats_match_golden_snapshot() {
+    let mut snapshot = String::from(
+        "# Golden measured-window RunStats snapshot (see tests/golden_stats.rs;\n\
+         # regenerate with UPDATE_GOLDEN=1 after intentional changes).\n\n",
     );
+    for (bench_name, monitor) in [("gcc", "MemLeak"), ("hmmer", "AddrCheck")] {
+        // The 8192/2048 batched point has windows long enough to seed
+        // carried congestion; the 2048/512 one never seeds.
+        for engine in [
+            Engine::Cycle,
+            Engine::batched_with(2048, 512),
+            Engine::batched_with(8192, 2048),
+            Engine::Unaccelerated,
+        ] {
+            run_stats_one(bench_name, monitor, engine, &mut snapshot);
+        }
+    }
+    check_golden("run_stats.txt", &snapshot);
 }
