@@ -55,9 +55,9 @@ pub struct SystemConfig {
     /// remaining `sample_window` through the cycle-accurate engine.
     /// `1` degenerates to pure cycle-accurate execution; a period no
     /// smaller than the trace degenerates to pure batching (no timing
-    /// samples). Ignored by [`MonitoringSystem::run_instrs`].
+    /// samples). Ignored by [`Engine::Cycle`].
     ///
-    /// [`MonitoringSystem::run_instrs`]: crate::MonitoringSystem::run_instrs
+    /// [`Engine::Cycle`]: crate::Engine::Cycle
     pub sample_period: u64,
     /// Batched execution mode: cycle-accurate events per sampling
     /// period (clamped to `sample_period`). Larger windows cost

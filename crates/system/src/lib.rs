@@ -3,7 +3,7 @@
 //! Composed monitoring systems and the experiment harness — the crate
 //! that produces every number in the paper's evaluation (Section 7).
 //!
-//! A [`MonitoringSystem`] wires together:
+//! A [`Session`] runs one monitoring system, which wires together:
 //!
 //! * an application hardware thread (a [`fade_trace::SyntheticProgram`]
 //!   retiring through a [`fade_sim::CommitModel`]),
@@ -60,9 +60,7 @@ pub use session::{
     Engine, MonitorSel, RunReport, Session, SessionBuilder, SessionError, SessionRunError,
     ShadowUsage, SourceSpec,
 };
-pub use system::{
-    baseline_cycles, ExecMode, MonitoringSystem, ReplayBuffer, SourceError, TraceSource,
-};
+pub use system::{baseline_cycles, ReplayBuffer, SourceError, TraceSource};
 pub use throughput::{
     measure_system_throughput, measure_system_throughput_records, measure_throughput,
     measure_throughput_matrix, measure_trace_codec, measure_trace_codec_records,

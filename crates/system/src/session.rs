@@ -1,9 +1,7 @@
 //! One way to run anything: `Session` and its builder.
 //!
-//! Before this module, running a monitoring experiment meant choosing
-//! one of six `MonitoringSystem` constructors, crossing it with one of
-//! four run methods, and wiring warmup/measure/baseline glue by hand.
-//! A [`Session`] collapses that grid into one composition:
+//! A [`Session`] is the one way to run a monitoring experiment, a
+//! single composition of:
 //!
 //! * **monitor** — a registered name, a boxed [`Monitor`] trait object,
 //!   or anything in a custom [`MonitorRegistry`];
@@ -53,9 +51,7 @@ use fade_trace::{BenchProfile, DegradationReport, TraceRecord};
 use crate::config::{Accel, SystemConfig};
 use crate::registry::{MonitorRegistry, UnknownMonitor};
 use crate::run::RunStats;
-use crate::system::{
-    baseline_cycles, ExecMode, MonitoringSystem, ReplayBuffer, SourceError, TraceSource,
-};
+use crate::system::{baseline_cycles, MonitoringSystem, ReplayBuffer, SourceError, TraceSource};
 
 /// How a [`Session`] executes its trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -97,23 +93,6 @@ impl Engine {
         Engine::Batched {
             period: Some(period),
             window: Some(window),
-        }
-    }
-
-    /// The drive mode this engine runs the underlying system in.
-    fn exec_mode(self) -> ExecMode {
-        match self {
-            Engine::Cycle | Engine::Unaccelerated => ExecMode::Cycle,
-            Engine::Batched { .. } => ExecMode::Batched,
-        }
-    }
-}
-
-impl From<ExecMode> for Engine {
-    fn from(mode: ExecMode) -> Self {
-        match mode {
-            ExecMode::Cycle => Engine::Cycle,
-            ExecMode::Batched => Engine::batched(),
         }
     }
 }
@@ -602,10 +581,10 @@ impl Session {
     /// mid-stream, [`SessionRunError::ShadowBudget`] if dirty shadow
     /// state exceeded the configured byte cap.
     pub fn run(&mut self, n: u64) -> Result<(), SessionRunError> {
-        let mode = self.engine.exec_mode();
-        self.guard(|sys| match mode {
-            ExecMode::Cycle => sys.run_instrs(n),
-            ExecMode::Batched => sys.run_batched(n),
+        let engine = self.engine;
+        self.guard(|sys| match engine {
+            Engine::Cycle | Engine::Unaccelerated => sys.run_instrs(n),
+            Engine::Batched { .. } => sys.run_batched(n),
         })
     }
 
@@ -618,10 +597,10 @@ impl Session {
     ///
     /// As for [`Session::run`].
     pub fn run_exact(&mut self, n: u64) -> Result<(), SessionRunError> {
-        let mode = self.engine.exec_mode();
-        self.guard(|sys| match mode {
-            ExecMode::Cycle => sys.run_instrs_exact(n),
-            ExecMode::Batched => sys.run_batched(n),
+        let engine = self.engine;
+        self.guard(|sys| match engine {
+            Engine::Cycle | Engine::Unaccelerated => sys.run_instrs_exact(n),
+            Engine::Batched { .. } => sys.run_batched(n),
         })
     }
 
@@ -648,7 +627,7 @@ impl Session {
         self.run(warmup)?;
         self.sys.start_measure();
         self.run(measure)?;
-        if self.engine.exec_mode() == ExecMode::Batched {
+        if let Engine::Batched { .. } = self.engine {
             self.drain()?;
         }
         let cfg = *self.sys.config();
@@ -730,8 +709,12 @@ impl Session {
 
     /// Relative half-width of the 95% CI on
     /// [`Session::estimated_total_cycles`] — the production rate's
-    /// error bound (see [`MonitoringSystem::rel_half_width`]; `None`
-    /// with fewer than two sampled windows).
+    /// error bound (`None` with fewer than two sampled windows). Only
+    /// the sampled residual is uncertain; the simulated cycles and the
+    /// deterministic base of batched stretches are exact. The interval
+    /// on the residual (stratified, control-variate-adjusted ratio
+    /// estimator, Student-t) is therefore an *absolute* cycle band,
+    /// and the relative width divides it by the full cycle estimate.
     pub fn rel_half_width(&self) -> Option<f64> {
         self.sys.rel_half_width()
     }
@@ -756,22 +739,27 @@ impl Session {
         self.sys.fade_stats()
     }
 
-    /// The residual-overhead windows batched execution sampled so far,
-    /// each with its congestion stratum and control covariate (empty
-    /// for cycle-accurate sessions).
+    /// The residual-overhead windows batched execution sampled so far:
+    /// per window, the measured cycles minus the unimpeded commit-model
+    /// cycles for the same instructions and minus the handler-execution
+    /// cycles — what is left is queueing, SMT interference and
+    /// accelerator stalls. Each carries its congestion stratum and
+    /// control covariate (empty for cycle-accurate sessions).
     pub fn sampled_windows(&self) -> &[WindowSample] {
         self.sys.sampled_windows()
     }
 
-    /// Per-congestion-stratum breakdown of the sampling interval (see
-    /// [`MonitoringSystem::sampling_strata`]; empty for cycle-accurate
-    /// sessions).
+    /// Per-congestion-stratum breakdown of the sampling interval, one
+    /// row per merged stratum in ascending key order (empty for
+    /// cycle-accurate sessions).
     pub fn sampling_strata(&self) -> Vec<StratumStat> {
         self.sys.sampling_strata()
     }
 
     /// Carried-congestion handler cycles seeded into sampling windows
-    /// so far (see [`MonitoringSystem::carried_seed_cycles`]).
+    /// so far — how much batch-stretch backlog the windows started
+    /// under instead of starting from drained queues (0 for
+    /// cycle-accurate sessions, or when nothing ever congested).
     pub fn carried_seed_cycles(&self) -> u64 {
         self.sys.carried_seed_cycles()
     }

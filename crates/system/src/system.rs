@@ -77,7 +77,7 @@ impl From<fade_trace::TraceFileError> for SourceError {
     }
 }
 
-/// Where a [`MonitoringSystem`] gets its trace records.
+/// Where a [`crate::Session`] gets its trace records.
 ///
 /// The engine pulls records in batches; a source appends up to `n`
 /// records per call. Implementations exist for on-the-fly synthetic
@@ -98,8 +98,8 @@ pub trait TraceSource: Send {
     /// `Ok(0)` (for `n > 0`) means the source is cleanly exhausted:
     /// the engine stops pulling and the run ends early with whatever
     /// trace existed. `Err` means the source failed mid-stream; the
-    /// engine also stops pulling and surfaces the error through
-    /// [`MonitoringSystem::source_error`].
+    /// engine also stops pulling and the session's run call returns
+    /// [`crate::SessionRunError::Source`].
     fn next_records_into(
         &mut self,
         buf: &mut Vec<TraceRecord>,
@@ -137,11 +137,6 @@ impl ReplayBuffer {
     pub fn new(records: Vec<TraceRecord>) -> Self {
         ReplayBuffer { records, pos: 0 }
     }
-
-    /// Records not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.records.len() - self.pos
-    }
 }
 
 impl TraceSource for ReplayBuffer {
@@ -172,23 +167,6 @@ impl<R: std::io::Read + Send> TraceSource for fade_trace::TraceReader<R> {
     }
 }
 
-/// How the system executes a stretch of the trace.
-///
-/// `Cycle` is the reference engine: every event walks the full
-/// fetch→filter→dispatch machinery one cycle at a time. `Batched`
-/// drains most events through [`Fade::run_batch`] and periodically
-/// falls back to the cycle engine to sample timing
-/// ([`MonitoringSystem::run_batched`]); monitor-visible results are
-/// bit-exact with `Cycle`, cycle counts are sampled estimates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Cycle-accurate execution ([`MonitoringSystem::run_instrs`]).
-    Cycle,
-    /// Batched execution with sampled timing
-    /// ([`MonitoringSystem::run_batched`]).
-    Batched,
-}
-
 /// Lifecycle of the engine's trace source: once a source reports
 /// exhaustion or failure the engine never pulls from it again.
 enum SourceState {
@@ -200,10 +178,98 @@ enum SourceState {
     Failed(SourceError),
 }
 
+/// The engine's monotone counters since construction. The measured
+/// window reports each one as "now minus the snapshot taken at
+/// [`MonitoringSystem::start_measure`]".
+#[derive(Clone, Copy, Debug, Default)]
+struct Counts {
+    /// Application instructions retired (both engines).
+    instrs: u64,
+    /// Cycles simulated exactly (`step` calls).
+    cycles: u64,
+    /// Monitored instruction events accepted.
+    instr_events: u64,
+    /// Stack-update events accepted.
+    stack_events: u64,
+    /// High-level events accepted.
+    high_events: u64,
+    /// Instructions retired on the batched path.
+    batch_instrs: u64,
+    /// Monitored events drained on the batched path.
+    batch_events: u64,
+    /// Exact base cycles of batched stretches: per chunk, `max(app
+    /// cycles, handler cycles)` — the app side fast-forwarded through
+    /// the *real* commit process unimpeded (so the whole run consumes
+    /// one continuous run/stall realization and the dominant phase
+    /// noise stays exact), the handler side charged at the monitor
+    /// thread's standalone IPC (handler work is too bursty to sample).
+    /// The max models the binding constraint: an app-bound stretch
+    /// hides handler work and a monitor-bound stretch hides the app;
+    /// the sampled residual captures imperfect overlap, queueing and
+    /// stalls.
+    batch_base_cycles: u64,
+    /// Estimated handler cycles of carried congestion seeded into
+    /// sampling windows.
+    seeded_cycles: u64,
+}
+
+impl Counts {
+    /// Monitored events accepted (instruction, stack and high-level):
+    /// the clock the sampling schedule is phased against.
+    fn events(&self) -> u64 {
+        self.instr_events + self.stack_events + self.high_events
+    }
+
+    /// Counts one accepted event by kind.
+    fn note_event(&mut self, ev: &AppEvent) {
+        match ev {
+            AppEvent::Instr(_) => self.instr_events += 1,
+            AppEvent::StackUpdate(_) => self.stack_events += 1,
+            AppEvent::HighLevel(_) => self.high_events += 1,
+        }
+    }
+
+    /// Per-field difference `self - then`.
+    fn since(&self, then: &Counts) -> Counts {
+        Counts {
+            instrs: self.instrs - then.instrs,
+            cycles: self.cycles - then.cycles,
+            instr_events: self.instr_events - then.instr_events,
+            stack_events: self.stack_events - then.stack_events,
+            high_events: self.high_events - then.high_events,
+            batch_instrs: self.batch_instrs - then.batch_instrs,
+            batch_events: self.batch_events - then.batch_events,
+            // Never saturates: a seed is at most the handler work
+            // dispatched since the previous one, which is already in
+            // the base, and `start_measure` drops any earlier carry.
+            batch_base_cycles: self.batch_base_cycles - then.batch_base_cycles,
+            seeded_cycles: self.seeded_cycles - then.seeded_cycles,
+        }
+    }
+}
+
+/// The trace record's monitored event, if the monitor observes it —
+/// the one place a retired record becomes an event (commit-time
+/// selection). Every high-level record is an event; stack updates are
+/// when the monitor tracks the stack.
+pub(crate) fn select_event(
+    monitor: &dyn Monitor,
+    monitors_stack: bool,
+    rec: &TraceRecord,
+) -> Option<AppEvent> {
+    match rec {
+        TraceRecord::Instr(i) => monitor.selects(i).then(|| AppEvent::Instr(instr_event_for(i))),
+        TraceRecord::Stack(s) => monitors_stack.then_some(AppEvent::StackUpdate(*s)),
+        TraceRecord::High(h) => Some(AppEvent::HighLevel(*h)),
+    }
+}
+
 /// A complete monitoring system under simulation.
-pub struct MonitoringSystem {
+pub(crate) struct MonitoringSystem {
     cfg: SystemConfig,
     monitor: Box<dyn Monitor>,
+    /// `monitor.monitors_stack()`, read once at build.
+    monitors_stack: bool,
     source: Box<dyn TraceSource>,
     source_state: SourceState,
     commit: CommitModel,
@@ -212,16 +278,14 @@ pub struct MonitoringSystem {
     state: MetadataState,
     fade: Option<Fade>,
     sw_queue: BoundedQueue<AppEvent>,
-    pending: Option<TraceRecord>,
     cur_token: Option<u64>,
-    /// Batch-refilled trace records (consumed from `record_pos`).
+    /// Batch-refilled trace records (consumed from `record_pos`). A
+    /// record the cycle engine could not enqueue stays unconsumed at
+    /// `record_pos` until it can.
     record_buf: Vec<TraceRecord>,
     record_pos: usize,
 
     // Batched execution mode (`run_batched`).
-    /// Monitored events accepted so far (both engines): the clock the
-    /// sampling schedule is phased against.
-    events_seen: u64,
     /// `step` skips the application side (drain: the producer is
     /// paused, the monitor side gets the whole core).
     producer_paused: bool,
@@ -253,52 +317,28 @@ pub struct MonitoringSystem {
     /// of restarting from drained queues (which truncates long
     /// congestion episodes and biases monitor-bound estimates low).
     congestion: CongestionCarry,
-    /// Estimated handler cycles seeded into sampling windows so far.
-    seeded_cycles_total: u64,
-    /// Seeded cycles within the measurement window.
-    m_seeded_cycles: u64,
-    /// Exact base cycles of batched stretches since construction: per
-    /// chunk, `max(app cycles, handler cycles)` — the app side
-    /// fast-forwarded through the *real* commit process unimpeded (so
-    /// the whole run consumes one continuous run/stall realization and
-    /// the dominant phase noise stays exact), the handler side charged
-    /// at the monitor thread's standalone IPC (handler work is too
-    /// bursty to sample). The max models the binding constraint: an
-    /// app-bound stretch hides handler work and a monitor-bound
-    /// stretch hides the app; the sampled residual captures imperfect
-    /// overlap, queueing and stalls.
-    batch_base_cycles: u64,
-    /// Exact base cycles of batched stretches in the measured window.
-    m_batch_base_cycles: u64,
     /// Running total of *estimated* handler cycles (`ceil(cost /
     /// standalone IPC)`) for every event the cycle engine's consumer
     /// starts. Sampled windows subtract the same quantity the batched
     /// base charges, so the residual calibrates out the difference
     /// between estimated and real handler throughput (SMT sharing).
     handler_est_cycles: u64,
-    /// Instructions retired on the batched path since construction.
-    batch_instrs_total: u64,
-    /// Instructions retired on the batched path in the measured window.
-    m_batch_instrs: u64,
-    /// Monitored events drained on the batched path since construction.
-    batch_events_total: u64,
-    /// Monitored events drained on the batched path while measuring.
-    m_batch_events: u64,
     /// Accumulated fast-path statistics of every `run_batch` call.
     batch_stats: BatchStats,
     /// Staging buffer for batch chunks (reused across segments).
     batch_buf: Vec<AppEvent>,
-    /// Deferred invariant-register writes from thread switches handled
-    /// inside a batch chunk (applied when the chunk returns).
+    /// Deferred invariant-register writes of dispatched thread
+    /// switches (applied once the accelerator is reachable again).
     inv_buf: Vec<(InvId, u64)>,
+    /// Record, event and cycle counters since construction.
+    counts: Counts,
 
     // Measurement window.
+    /// `counts` at `start_measure` (zero until then: the whole run).
+    measure_start: Counts,
+    /// Gates the window's histograms and handler-class/utilization
+    /// breakdowns, which are reset rather than snapshotted.
     measuring: bool,
-    m_app_instrs: u64,
-    m_monitored: u64,
-    m_stack: u64,
-    m_high: u64,
-    m_cycles: u64,
     class_instrs: ClassInstrs,
     occupancy: LogHistogram,
     distances: LogHistogram,
@@ -313,9 +353,6 @@ pub struct MonitoringSystem {
     /// issue slots this cycle (an SMT thread stalled on a full queue
     /// does not compete for bandwidth).
     last_blocked: bool,
-
-    total_instrs: u64,
-    total_cycles: u64,
 }
 
 impl MonitoringSystem {
@@ -386,6 +423,7 @@ impl MonitoringSystem {
             }
         };
         let mut sys = MonitoringSystem {
+            monitors_stack: monitor.monitors_stack(),
             monitor,
             source: Box::new(SyntheticProgram::new(bench, cfg.seed)),
             source_state: SourceState::Live,
@@ -395,11 +433,9 @@ impl MonitoringSystem {
             state,
             fade,
             sw_queue: BoundedQueue::new(cfg.event_queue),
-            pending: None,
             cur_token: None,
             record_buf: Vec::with_capacity(RECORD_BATCH),
             record_pos: 0,
-            events_seen: 0,
             producer_paused: false,
             instr_cap: None,
             estimator: StratifiedEstimator::new(),
@@ -418,24 +454,13 @@ impl MonitoringSystem {
                     + cfg.event_queue.capacity().unwrap_or(32)
                     + 1,
             ),
-            seeded_cycles_total: 0,
-            m_seeded_cycles: 0,
-            batch_base_cycles: 0,
-            m_batch_base_cycles: 0,
             handler_est_cycles: 0,
-            batch_instrs_total: 0,
-            m_batch_instrs: 0,
-            batch_events_total: 0,
-            m_batch_events: 0,
             batch_stats: BatchStats::default(),
             batch_buf: Vec::with_capacity(BATCH_CHUNK as usize),
             inv_buf: Vec::new(),
+            counts: Counts::default(),
+            measure_start: Counts::default(),
             measuring: false,
-            m_app_instrs: 0,
-            m_monitored: 0,
-            m_stack: 0,
-            m_high: 0,
-            m_cycles: 0,
             class_instrs: ClassInstrs::default(),
             occupancy: LogHistogram::new(),
             distances: LogHistogram::new(),
@@ -445,8 +470,6 @@ impl MonitoringSystem {
             since_uf: 0,
             cur_burst: 0,
             last_blocked: false,
-            total_instrs: 0,
-            total_cycles: 0,
             cfg: *cfg,
         };
         if let Some(source) = source {
@@ -486,18 +509,18 @@ impl MonitoringSystem {
 
     /// Total cycles simulated so far.
     pub fn cycles(&self) -> u64 {
-        self.total_cycles
+        self.counts.cycles
     }
 
     /// Total application instructions retired so far.
     pub fn instrs(&self) -> u64 {
-        self.total_instrs
+        self.counts.instrs
     }
 
     /// Monitored events accepted so far (instruction, stack and
     /// high-level events, across both execution engines).
     pub fn events_seen(&self) -> u64 {
-        self.events_seen
+        self.counts.events()
     }
 
     /// `true` once the trace source reported clean exhaustion: the run
@@ -552,12 +575,10 @@ impl MonitoringSystem {
 
     /// `true` when the source can feed the engine no further records:
     /// it is exhausted or failed and every buffered record (including
-    /// a backpressured `pending` one) has been consumed. The run loops
-    /// stop here instead of spinning on an empty trace.
+    /// a backpressured one) has been consumed. The run loops stop here
+    /// instead of spinning on an empty trace.
     fn out_of_records(&self) -> bool {
-        !matches!(self.source_state, SourceState::Live)
-            && self.pending.is_none()
-            && self.record_pos == self.record_buf.len()
+        !matches!(self.source_state, SourceState::Live) && self.record_pos == self.record_buf.len()
     }
 
     /// Accumulated fast-path statistics of every batched stretch run so
@@ -567,30 +588,21 @@ impl MonitoringSystem {
     }
 
     /// Estimated handler cycles of carried congestion seeded into
-    /// sampling windows so far — how much batch-stretch backlog the
-    /// windows started under instead of starting from drained queues
-    /// (0 if only the cycle engine ran, or nothing ever congested).
+    /// sampling windows so far.
     pub fn carried_seed_cycles(&self) -> u64 {
-        self.seeded_cycles_total
+        self.counts.seeded_cycles
     }
 
     /// Relative half-width of the 95% CI on
-    /// [`MonitoringSystem::estimated_total_cycles`] — the production
-    /// rate's error bound (`None` with fewer than two windows). Only
-    /// the sampled residual is uncertain; the simulated cycles and the
-    /// deterministic base of batched stretches are exact. The interval
-    /// on the residual (stratified, control-variate-adjusted ratio
-    /// estimator, Student-t) is therefore an *absolute* cycle band,
-    /// and the relative width divides it by the full cycle estimate —
-    /// not by the residual alone, whose near-zero point value on
-    /// app-bound runs made the old ratio meaningless as a rate bound.
+    /// [`MonitoringSystem::estimated_total_cycles`] (see
+    /// [`crate::Session::rel_half_width`]).
     pub fn rel_half_width(&self) -> Option<f64> {
         let e = self
             .estimator
-            .estimate_with_covariate_mean(self.batch_events_total, self.batch_covariate_mean());
+            .estimate_with_covariate_mean(self.counts.batch_events, self.batch_covariate_mean());
         e.ci?;
-        let exact = self.batch_base_cycles as f64;
-        let total = self.total_cycles as f64 + (exact + e.cycles).max(0.0);
+        let exact = self.counts.batch_base_cycles as f64;
+        let total = self.counts.cycles as f64 + (exact + e.cycles).max(0.0);
         if total <= 0.0 {
             return None;
         }
@@ -598,9 +610,7 @@ impl MonitoringSystem {
         Some(half / total)
     }
 
-    /// Per-congestion-stratum breakdown of the sampling interval, one
-    /// row per merged stratum in ascending key order (empty if only
-    /// the cycle engine ran).
+    /// Per-congestion-stratum breakdown of the sampling interval.
     pub fn sampling_strata(&self) -> Vec<StratumStat> {
         self.estimator.strata()
     }
@@ -611,12 +621,7 @@ impl MonitoringSystem {
     }
 
     /// The residual-overhead windows sampled by batched execution so
-    /// far: per window, the measured cycles minus the unimpeded
-    /// commit-model cycles for the same instructions and minus the
-    /// handler-execution cycles — what is left is queueing, SMT
-    /// interference and accelerator stalls (empty if only the cycle
-    /// engine ran). Each sample also carries its congestion stratum
-    /// and control covariate for the stratified estimator.
+    /// far (see [`crate::Session::sampled_windows`]).
     pub fn sampled_windows(&self) -> &[WindowSample] {
         self.estimator.samples()
     }
@@ -629,10 +634,10 @@ impl MonitoringSystem {
     pub fn estimated_total_cycles(&self) -> u64 {
         let residual = self
             .estimator
-            .estimate_with_covariate_mean(self.batch_events_total, self.batch_covariate_mean())
+            .estimate_with_covariate_mean(self.counts.batch_events, self.batch_covariate_mean())
             .cycles;
-        let exact = self.batch_base_cycles as f64;
-        self.total_cycles + (exact + residual).max(0.0).round() as u64
+        let exact = self.counts.batch_base_cycles as f64;
+        self.counts.cycles + (exact + residual).max(0.0).round() as u64
     }
 
     /// Population mean of the window control covariate over every
@@ -642,10 +647,10 @@ impl MonitoringSystem {
     /// window, so this mean and the sample's nearly coincide — the
     /// estimator's regression adjustment closes the remaining gap.
     fn batch_covariate_mean(&self) -> f64 {
-        if self.batch_events_total == 0 {
+        if self.counts.batch_events == 0 {
             return 0.0;
         }
-        self.batch_base_cycles as f64 / self.batch_events_total as f64
+        self.counts.batch_base_cycles as f64 / self.counts.batch_events as f64
     }
 
     /// `true` when nothing is in flight anywhere: accelerator (or
@@ -661,21 +666,13 @@ impl MonitoringSystem {
     /// Starts the measurement window: counters collected from now on.
     pub fn start_measure(&mut self) {
         self.measuring = true;
-        self.m_app_instrs = 0;
-        self.m_monitored = 0;
-        self.m_stack = 0;
-        self.m_high = 0;
-        self.m_cycles = 0;
+        self.measure_start = self.counts;
         self.class_instrs = ClassInstrs::default();
         self.occupancy = LogHistogram::new();
         self.distances = LogHistogram::new();
         self.bursts = LogHistogram::new();
         self.util = UtilBreakdown::default();
         self.fade_snapshot = self.fade.as_ref().map(|f| *f.stats());
-        self.m_batch_instrs = 0;
-        self.m_batch_events = 0;
-        self.m_batch_base_cycles = 0;
-        self.m_seeded_cycles = 0;
         self.measure_from = self.estimator.len();
         // Drop any congestion carry accrued before the window: its
         // charge lives in the unmeasured base, so seeding it into a
@@ -696,19 +693,19 @@ impl MonitoringSystem {
     /// Panics if the system fails to make forward progress with
     /// records still available (a deadlock would be a simulator bug).
     pub fn run_instrs(&mut self, n: u64) {
-        let target = self.total_instrs + n;
-        let cycle_cap = self.total_cycles + 200_000 + n * 400;
-        while self.total_instrs < target {
+        let target = self.counts.instrs + n;
+        let cycle_cap = self.counts.cycles + 200_000 + n * 400;
+        while self.counts.instrs < target {
             if self.out_of_records() {
                 self.drain();
                 return;
             }
             self.step();
             assert!(
-                self.total_cycles < cycle_cap,
+                self.counts.cycles < cycle_cap,
                 "no forward progress: {} instrs after {} cycles",
-                self.total_instrs,
-                self.total_cycles
+                self.counts.instrs,
+                self.counts.cycles
             );
         }
     }
@@ -726,7 +723,7 @@ impl MonitoringSystem {
     ///
     /// Panics if the system fails to make forward progress.
     pub fn run_instrs_exact(&mut self, n: u64) {
-        let target = self.total_instrs + n;
+        let target = self.counts.instrs + n;
         self.run_cycle_exact(target, u64::MAX);
         if self.out_of_records() {
             // The trace ended before the target: complete the in-flight
@@ -776,7 +773,7 @@ impl MonitoringSystem {
     /// `run_batched(a + b)` — the sampling schedule is phased against
     /// the global event count, not the call boundary.
     pub fn run_batched(&mut self, n: u64) {
-        let target = self.total_instrs + n;
+        let target = self.counts.instrs + n;
         let period = self.cfg.sample_period.max(1);
         let window = self.cfg.sample_window.min(period);
         if self.fade.is_none() || window >= period {
@@ -789,12 +786,12 @@ impl MonitoringSystem {
             return;
         }
         let batch_len = period - window;
-        while self.total_instrs < target {
+        while self.counts.instrs < target {
             if self.out_of_records() {
                 self.drain();
                 return;
             }
-            let pos = self.events_seen % period;
+            let pos = self.counts.events() % period;
             if pos < batch_len {
                 if !self.quiesced() {
                     self.drain();
@@ -812,10 +809,10 @@ impl MonitoringSystem {
                 // minus estimated handler-execution cycles (exact
                 // bursty work), whichever of the two binds.
                 let window_events = period - pos;
-                let window_end = self.events_seen + window_events;
-                let events0 = self.events_seen;
-                let instrs0 = self.total_instrs;
-                let cycles0 = self.total_cycles;
+                let window_end = self.counts.events() + window_events;
+                let events0 = self.counts.events();
+                let instrs0 = self.counts.instrs;
+                let cycles0 = self.counts.cycles;
                 let handler0 = self.handler_est_cycles;
                 // Captured before seeding: the seed's estimated cycles
                 // join the window's handler term, offsetting the
@@ -847,32 +844,32 @@ impl MonitoringSystem {
                 let warm_end = events0 + window_events / 2;
                 let mut baseline_commit = self.commit.clone();
                 self.run_cycle_exact(target, warm_end);
-                if self.events_seen < warm_end {
+                if self.counts.events() < warm_end {
                     continue; // instruction target hit mid-warmup
                 }
-                let events1 = self.events_seen;
-                let instrs1 = self.total_instrs;
-                let cycles1 = self.total_cycles;
+                let events1 = self.counts.events();
+                let instrs1 = self.counts.instrs;
+                let cycles1 = self.counts.cycles;
                 let handler1 = self.handler_est_cycles;
                 // Advance the unimpeded replay through the warmup so
                 // the tail's application-side term continues the same
                 // run/stall realization.
                 let ff_warm = unimpeded_commit_cycles(&mut baseline_commit, instrs1 - instrs0);
                 self.run_cycle_exact(target, window_end);
-                if self.events_seen >= window_end && self.events_seen > events1 {
+                if self.counts.events() >= window_end && self.counts.events() > events1 {
                     // Steady-state snapshot before the trailing drain:
                     // the drain pays the end-of-window backlog down at
                     // full-core rate, a fixed cost that would swamp a
                     // short tail's per-event residual. Its cycles stay
                     // exact (simulated, in the total) either way.
-                    let cycles_pre = self.total_cycles;
+                    let cycles_pre = self.counts.cycles;
                     let handler_pre = self.handler_est_cycles;
                     self.drain();
-                    let di = self.total_instrs - instrs1;
+                    let di = self.counts.instrs - instrs1;
                     let dc_tail = (cycles_pre - cycles1) as f64;
                     let dh_tail = (handler_pre - handler1) as f64;
                     let ff_tail = unimpeded_commit_cycles(&mut baseline_commit, di) as f64;
-                    let dc_whole = (self.total_cycles - cycles0) as f64;
+                    let dc_whole = (self.counts.cycles - cycles0) as f64;
                     let dh_whole = (self.handler_est_cycles - handler0) as f64;
                     let ff_whole = ff_warm as f64 + ff_tail;
                     // Which side bound the whole window decides what to
@@ -888,13 +885,13 @@ impl MonitoringSystem {
                     // boundary effects (inherited backlog pay-down,
                     // episode edges) don't amortize over a few hundred
                     // events and would over-sample peak congestion.
-                    let tail_events = self.events_seen - events1;
+                    let tail_events = self.counts.events() - events1;
                     let (ev_rec, resid) = if dh_whole > ff_whole
                         && Self::congestion_window_ok(window_events)
                     {
                         (tail_events, dc_tail - ff_tail.max(dh_tail))
                     } else {
-                        (self.events_seen - events0, dc_whole - ff_whole.max(dh_whole))
+                        (self.counts.events() - events0, dc_whole - ff_whole.max(dh_whole))
                     };
                     self.estimator.record_window(ev_rec, resid, stratum, cov);
                 }
@@ -954,17 +951,12 @@ impl MonitoringSystem {
         if seed == 0 {
             return 0;
         }
-        let hipc = self.cfg.core.handler_ipc().min(self.cfg.core.width() as f64);
-        let cost = ((seed as f64) * hipc).round().max(1.0) as u32;
+        let cost = ((seed as f64) * handler_ipc(self.cfg.core)).round().max(1.0) as u32;
         self.handler.start(cost);
-        let est = self.handler_cycle_est(cost);
+        let est = handler_cycle_est(self.cfg.core, cost);
         self.handler_est_cycles += est;
-        self.batch_base_cycles = self.batch_base_cycles.saturating_sub(seed);
-        self.seeded_cycles_total += est;
-        if self.measuring {
-            self.m_batch_base_cycles = self.m_batch_base_cycles.saturating_sub(seed);
-            self.m_seeded_cycles += est;
-        }
+        self.counts.batch_base_cycles = self.counts.batch_base_cycles.saturating_sub(seed);
+        self.counts.seeded_cycles += est;
         seed
     }
 
@@ -984,7 +976,7 @@ impl MonitoringSystem {
             assert!(guard < 10_000_000, "drain failed to quiesce");
         }
         self.producer_paused = false;
-        // The queues are empty now; any pending record re-enters
+        // The queues are empty now; a backpressured record re-enters
         // through the normal paths.
         self.last_blocked = false;
     }
@@ -993,25 +985,25 @@ impl MonitoringSystem {
     /// retired or `event_target` monitored events have been accepted,
     /// whichever comes first, never overshooting `instr_target`.
     fn run_cycle_exact(&mut self, instr_target: u64, event_target: u64) {
-        if self.total_instrs >= instr_target {
+        if self.counts.instrs >= instr_target {
             return;
         }
         self.instr_cap = Some(instr_target);
         // Saturating: callers may pass "effectively unbounded" targets
         // (run-to-exhaustion), which must not overflow the cap math.
-        let cycle_cap = (instr_target - self.total_instrs)
+        let cycle_cap = (instr_target - self.counts.instrs)
             .saturating_mul(400)
-            .saturating_add(self.total_cycles + 200_000);
-        while self.total_instrs < instr_target && self.events_seen < event_target {
+            .saturating_add(self.counts.cycles + 200_000);
+        while self.counts.instrs < instr_target && self.counts.events() < event_target {
             if self.out_of_records() {
                 break;
             }
             self.step();
             assert!(
-                self.total_cycles < cycle_cap,
+                self.counts.cycles < cycle_cap,
                 "no forward progress: {} instrs after {} cycles",
-                self.total_instrs,
-                self.total_cycles
+                self.counts.instrs,
+                self.counts.cycles
             );
         }
         self.instr_cap = None;
@@ -1027,97 +1019,59 @@ impl MonitoringSystem {
         // consistent between exact and sampled stretches.
         let window = self.cfg.sample_window.min(self.cfg.sample_period.max(1));
         let chunk_cap = if window > 0 { window } else { BATCH_CHUNK };
-        let monitors_stack = self.monitor.monitors_stack();
         let mut budget = event_budget;
-        while budget > 0 && self.total_instrs < instr_target && !self.out_of_records() {
+        while budget > 0 && self.counts.instrs < instr_target && !self.out_of_records() {
             // ---- Collect one chunk of monitored events. ----
             let mut chunk = std::mem::take(&mut self.batch_buf);
             chunk.clear();
             let cap = budget.min(chunk_cap);
-            let mut chunk_instrs = 0u64;
-            // A record the cycle engine popped but could not enqueue
-            // re-enters through the chunk (cutting it if it is a
-            // thread switch, like the in-place path below).
-            let mut cut_early = false;
-            if let Some(rec) = self.pending.take() {
-                cut_early = self.collect_record(rec, &mut chunk, &mut chunk_instrs);
-            }
-            'collect: while !cut_early
-                && (chunk.len() as u64) < cap
-                && self.total_instrs < instr_target
+            let instrs0 = self.counts.instrs;
+            // Larger refills than the cycle engine's: the batch path
+            // consumes records in bulk. A dead source cuts the chunk;
+            // the outer loops see `out_of_records`.
+            'collect: while (chunk.len() as u64) < cap
+                && self.counts.instrs < instr_target
+                && self.refill_records(1024)
             {
-                // Larger refills than the cycle engine's: the batch
-                // path consumes records in bulk. A dead source cuts
-                // the chunk; the outer loops see `out_of_records`.
-                if !self.refill_records(1024) {
-                    break 'collect;
-                }
                 // Records are consumed in place (no per-record copy out
                 // of the buffer); `record_pos` only advances past a
                 // record once it is accepted, so chunk/target cuts
                 // leave the remainder for the next consumer.
                 while self.record_pos < self.record_buf.len() {
-                    if (chunk.len() as u64) >= cap || self.total_instrs >= instr_target {
+                    if (chunk.len() as u64) >= cap || self.counts.instrs >= instr_target {
                         break 'collect;
                     }
-                    match &self.record_buf[self.record_pos] {
-                        TraceRecord::Instr(i) => {
-                            self.total_instrs += 1;
-                            chunk_instrs += 1;
-                            if self.measuring {
-                                self.m_app_instrs += 1;
-                            }
-                            if self.monitor.selects(i) {
-                                chunk.push(AppEvent::Instr(instr_event_for(i)));
-                                self.events_seen += 1;
-                                if self.measuring {
-                                    self.m_monitored += 1;
-                                }
-                            }
-                        }
-                        TraceRecord::Stack(s) => {
-                            if monitors_stack {
-                                chunk.push(AppEvent::StackUpdate(*s));
-                                self.events_seen += 1;
-                                if self.measuring {
-                                    self.m_stack += 1;
-                                }
-                            }
-                        }
-                        TraceRecord::High(h) => {
-                            let switch = matches!(h, HighLevelEvent::ThreadSwitch { .. });
-                            chunk.push(AppEvent::HighLevel(*h));
-                            self.events_seen += 1;
-                            if self.measuring {
-                                self.m_high += 1;
-                            }
-                            if switch {
-                                // Cut the chunk so the monitor's
-                                // invariant-register updates land
-                                // before the next event is filtered —
-                                // same order as the cycle engine's
-                                // dispatch path.
-                                self.record_pos += 1;
-                                break 'collect;
-                            }
+                    let rec = &self.record_buf[self.record_pos];
+                    self.record_pos += 1;
+                    if let TraceRecord::Instr(_) = rec {
+                        self.counts.instrs += 1;
+                    }
+                    let selected = select_event(self.monitor.as_ref(), self.monitors_stack, rec);
+                    if let Some(ev) = selected {
+                        chunk.push(ev);
+                        self.counts.note_event(&ev);
+                        if let AppEvent::HighLevel(HighLevelEvent::ThreadSwitch { .. }) = ev {
+                            // Cut the chunk so the monitor's
+                            // invariant-register updates land before
+                            // the next event is filtered — same order
+                            // as the cycle engine's dispatch path.
+                            break 'collect;
                         }
                     }
-                    self.record_pos += 1;
                 }
             }
-            budget -= chunk.len() as u64;
-            self.batch_instrs_total += chunk_instrs;
-            self.batch_events_total += chunk.len() as u64;
+            let chunk_instrs = self.counts.instrs - instrs0;
+            let chunk_events = chunk.len() as u64;
+            budget -= chunk_events;
+            self.counts.batch_instrs += chunk_instrs;
+            self.counts.batch_events += chunk_events;
             // Fast-forward the commit process over the stretch so the
             // run consumes one continuous run/stall realization: this
             // is the stretch's exact application-side cycle cost.
             let ff = unimpeded_commit_cycles(&mut self.commit, chunk_instrs);
-            if self.measuring {
-                self.m_batch_instrs += chunk_instrs;
-                self.m_batch_events += chunk.len() as u64;
-            }
 
             // ---- Drain the chunk through the accelerator. ----
+            let mut handler_cycles = 0u64;
             if !chunk.is_empty() {
                 let mut fade = self.fade.take().expect("batched segments require FADE");
                 let monitor = &mut self.monitor;
@@ -1126,111 +1080,42 @@ impl MonitoringSystem {
                 let congestion = &mut self.congestion;
                 let measuring = self.measuring;
                 let ideal = self.cfg.ideal_consumer;
-                // Monitor-thread execution rate when it has the core
-                // (the steady state of a loaded system; deviations are
-                // absorbed by the sampled residual).
-                let hipc = self.cfg.core.handler_ipc().min(self.cfg.core.width() as f64);
-                let mut handler_cycles = 0u64;
+                let core = self.cfg.core;
                 let bs = fade.run_batch_with(&chunk, &mut self.state, |uf, st| {
                     apply_unfiltered(monitor.as_mut(), &uf, st, inv_buf);
                     // Same handler-cost attribution as the cycle
-                    // engine's consumer.
-                    let cost = if ideal {
-                        1
-                    } else {
-                        unfiltered_cost(monitor.as_ref(), &uf).max(1)
-                    } as u64;
-                    let est = (cost as f64 / hipc).ceil() as u64;
+                    // engine's consumer, at the monitor thread's
+                    // standalone rate (the steady state of a loaded
+                    // system; deviations are absorbed by the sampled
+                    // residual).
+                    let cost = dispatch_cost(
+                        monitor.as_ref(),
+                        &uf,
+                        ideal,
+                        measuring.then_some(&mut *class_instrs),
+                    );
+                    let est = handler_cycle_est(core, cost);
                     handler_cycles += est;
                     congestion.on_dispatch(est);
-                    if measuring {
-                        match uf.event {
-                            AppEvent::Instr(_) => {
-                                if uf.partial_hit {
-                                    class_instrs.partial += cost;
-                                } else {
-                                    class_instrs.complex += cost;
-                                }
-                            }
-                            AppEvent::HighLevel(_) => class_instrs.high_level += cost,
-                            AppEvent::StackUpdate(_) => class_instrs.stack += cost,
-                        }
-                    }
                 });
                 for (id, v) in self.inv_buf.drain(..) {
                     fade.write_invariant(id, v);
                 }
                 self.fade = Some(fade);
                 self.batch_stats.merge(&bs);
-                let base = ff.max(handler_cycles);
-                self.batch_base_cycles += base;
-                self.stretch_base_cycles += base;
-                if self.measuring {
-                    self.m_batch_base_cycles += base;
-                }
-                self.congestion.on_stretch(handler_cycles, ff);
-            } else {
-                self.batch_base_cycles += ff;
-                self.stretch_base_cycles += ff;
-                if self.measuring {
-                    self.m_batch_base_cycles += ff;
-                }
-                self.congestion.on_stretch(0, ff);
             }
-            self.stretch_events += chunk.len() as u64;
+            let base = ff.max(handler_cycles);
+            self.counts.batch_base_cycles += base;
+            self.stretch_base_cycles += base;
+            self.congestion.on_stretch(handler_cycles, ff);
+            self.stretch_events += chunk_events;
             self.batch_buf = chunk;
-        }
-    }
-
-    /// Folds one out-of-buffer record (the cycle engine's blocked
-    /// `pending`) into a batch chunk. Returns `true` when the record
-    /// was a thread switch, which must cut the chunk.
-    fn collect_record(
-        &mut self,
-        rec: TraceRecord,
-        chunk: &mut Vec<AppEvent>,
-        chunk_instrs: &mut u64,
-    ) -> bool {
-        match rec {
-            TraceRecord::Instr(i) => {
-                self.total_instrs += 1;
-                *chunk_instrs += 1;
-                if self.measuring {
-                    self.m_app_instrs += 1;
-                }
-                if self.monitor.selects(&i) {
-                    chunk.push(AppEvent::Instr(instr_event_for(&i)));
-                    self.events_seen += 1;
-                    if self.measuring {
-                        self.m_monitored += 1;
-                    }
-                }
-                false
-            }
-            TraceRecord::Stack(s) => {
-                if self.monitor.monitors_stack() {
-                    chunk.push(AppEvent::StackUpdate(s));
-                    self.events_seen += 1;
-                    if self.measuring {
-                        self.m_stack += 1;
-                    }
-                }
-                false
-            }
-            TraceRecord::High(h) => {
-                chunk.push(AppEvent::HighLevel(h));
-                self.events_seen += 1;
-                if self.measuring {
-                    self.m_high += 1;
-                }
-                matches!(h, HighLevelEvent::ThreadSwitch { .. })
-            }
         }
     }
 
     /// Advances the system one cycle.
     pub fn step(&mut self) {
-        self.total_cycles += 1;
+        self.counts.cycles += 1;
         let monitor_busy_at_start = self.handler.busy();
         let width = self.cfg.core.width();
         let mut blocked = false;
@@ -1257,65 +1142,30 @@ impl MonitoringSystem {
             }
             if let Some(cap) = self.instr_cap {
                 // Exact-stop execution: never retire past the cap.
-                let left = cap.saturating_sub(self.total_instrs);
+                let left = cap.saturating_sub(self.counts.instrs);
                 app_slots = app_slots.min(left.min(u32::MAX as u64) as u32);
             }
             let mut retired = 0u32;
             while retired < app_slots {
-                let rec = match self.pending.take() {
-                    Some(r) => r,
-                    None => match self.next_trace_record() {
-                        Some(r) => r,
-                        // Out of records: the application side idles
-                        // from here on; the run loops stop once the
-                        // monitoring side quiesces.
-                        None => break,
-                    },
+                // Out of records: the application side idles from here
+                // on; the run loops stop once the monitoring side
+                // quiesces.
+                let Some(rec) = self.next_trace_record() else {
+                    break;
                 };
-                match rec {
-                    TraceRecord::Instr(i) => {
-                        if self.monitor.selects(&i) {
-                            let ev = AppEvent::Instr(instr_event_for(&i));
-                            if self.try_enqueue(ev).is_err() {
-                                self.pending = Some(rec);
-                                blocked = true;
-                                break;
-                            }
-                            self.events_seen += 1;
-                            if self.measuring {
-                                self.m_monitored += 1;
-                            }
-                        }
-                        retired += 1;
-                        self.total_instrs += 1;
-                        if self.measuring {
-                            self.m_app_instrs += 1;
-                        }
+                if let Some(ev) = select_event(self.monitor.as_ref(), self.monitors_stack, &rec) {
+                    if self.try_enqueue(ev).is_err() {
+                        // Backpressure: leave the record unconsumed for
+                        // the next retirement attempt.
+                        self.record_pos -= 1;
+                        blocked = true;
+                        break;
                     }
-                    TraceRecord::Stack(s) => {
-                        if self.monitor.monitors_stack() {
-                            if self.try_enqueue(AppEvent::StackUpdate(s)).is_err() {
-                                self.pending = Some(rec);
-                                blocked = true;
-                                break;
-                            }
-                            self.events_seen += 1;
-                            if self.measuring {
-                                self.m_stack += 1;
-                            }
-                        }
-                    }
-                    TraceRecord::High(h) => {
-                        if self.try_enqueue(AppEvent::HighLevel(h)).is_err() {
-                            self.pending = Some(rec);
-                            blocked = true;
-                            break;
-                        }
-                        self.events_seen += 1;
-                        if self.measuring {
-                            self.m_high += 1;
-                        }
-                    }
+                    self.counts.note_event(&ev);
+                }
+                if let TraceRecord::Instr(_) = rec {
+                    retired += 1;
+                    self.counts.instrs += 1;
                 }
             }
             self.commit.retire(retired);
@@ -1337,31 +1187,15 @@ impl MonitoringSystem {
                 // Monitor core consumes the unfiltered queue.
                 if !self.handler.busy() {
                     if let Some(uf) = fade.pop_unfiltered() {
-                        let cost = if self.cfg.ideal_consumer {
-                            1
-                        } else {
-                            self.unfiltered_cost(&uf).max(1)
-                        };
-                        self.handler_est_cycles += self.handler_cycle_est(cost);
+                        let cost = dispatch_cost(
+                            self.monitor.as_ref(),
+                            &uf,
+                            self.cfg.ideal_consumer,
+                            self.measuring.then_some(&mut self.class_instrs),
+                        );
+                        self.handler_est_cycles += handler_cycle_est(self.cfg.core, cost);
                         self.handler.start(cost);
                         self.cur_token = Some(uf.token);
-                        if self.measuring {
-                            match uf.event {
-                                AppEvent::Instr(_) => {
-                                    if uf.partial_hit {
-                                        self.class_instrs.partial += cost as u64;
-                                    } else {
-                                        self.class_instrs.complex += cost as u64;
-                                    }
-                                }
-                                AppEvent::HighLevel(_) => {
-                                    self.class_instrs.high_level += cost as u64;
-                                }
-                                AppEvent::StackUpdate(_) => {
-                                    self.class_instrs.stack += cost as u64;
-                                }
-                            }
-                        }
                     }
                 }
                 if self.handler.busy() && self.handler.tick_slots(monitor_slots) {
@@ -1393,7 +1227,6 @@ impl MonitoringSystem {
 
         // ---- Utilization classification (Figure 11(b)). ----
         if self.measuring {
-            self.m_cycles += 1;
             let monitor_busy = self.handler.busy();
             if monitor_busy && blocked {
                 self.util.app_idle += 1;
@@ -1430,29 +1263,18 @@ impl MonitoringSystem {
     /// effects apply now (program order); the monitor core pays the
     /// execution time when it pops the queue.
     fn on_dispatch(&mut self, fade: &mut Fade, uf: UnfilteredEvent) {
-        match uf.event {
-            AppEvent::Instr(ev) => {
-                self.monitor.apply_instr(&ev, &mut self.state);
-                // Distance/burst statistics track events needing the
-                // *complex* handler; partial hits behave like filtered
-                // events for the burstiness analysis of Section 3.4.
-                if uf.partial_hit {
-                    self.since_uf += 1;
-                } else {
-                    self.note_unfiltered();
-                }
-            }
-            AppEvent::HighLevel(h) => {
-                self.monitor.apply_high_level(&h, &mut self.state);
-                if let HighLevelEvent::ThreadSwitch { tid } = h {
-                    for (id, v) in self.monitor.on_thread_switch(tid) {
-                        fade.write_invariant(id, v);
-                    }
-                }
-            }
-            AppEvent::StackUpdate(ev) => {
-                // Only reachable when the SUU is disabled (ablation).
-                self.monitor.apply_stack_update(&ev, &mut self.state);
+        apply_unfiltered(self.monitor.as_mut(), &uf, &mut self.state, &mut self.inv_buf);
+        for (id, v) in self.inv_buf.drain(..) {
+            fade.write_invariant(id, v);
+        }
+        // Distance/burst statistics track events needing the *complex*
+        // handler; partial hits behave like filtered events for the
+        // burstiness analysis of Section 3.4.
+        if let AppEvent::Instr(_) = uf.event {
+            if uf.partial_hit {
+                self.since_uf += 1;
+            } else {
+                self.note_unfiltered();
             }
         }
     }
@@ -1471,18 +1293,6 @@ impl MonitoringSystem {
             self.cur_burst = 1;
         }
         self.since_uf = 0;
-    }
-
-    fn unfiltered_cost(&self, uf: &UnfilteredEvent) -> u32 {
-        unfiltered_cost(self.monitor.as_ref(), uf)
-    }
-
-    /// Estimated handler-execution cycles for a `cost`-instruction
-    /// handler at the monitor thread's standalone rate — the unit both
-    /// the batched base and the sampled residual are expressed in.
-    fn handler_cycle_est(&self, cost: u32) -> u64 {
-        let hipc = self.cfg.core.handler_ipc().min(self.cfg.core.width() as f64);
-        (cost as f64 / hipc).ceil() as u64
     }
 
     /// Software (unaccelerated) handling of one event: classification,
@@ -1552,8 +1362,9 @@ impl MonitoringSystem {
             (Some(f), None) => Some(*f.stats()),
             _ => None,
         };
-        let (cycles, sampling) = if self.m_batch_instrs == 0 && self.m_batch_events == 0 {
-            (self.m_cycles, None)
+        let m = self.counts.since(&self.measure_start);
+        let (cycles, sampling) = if m.batch_instrs == 0 && m.batch_events == 0 {
+            (m.cycles, None)
         } else {
             // Prefer windows sampled inside the measured window; fall
             // back to all windows (e.g. warmup-only sampling).
@@ -1563,16 +1374,16 @@ impl MonitoringSystem {
             } else {
                 StratifiedEstimator::from_samples(measured)
             };
-            let pop_mean = if self.m_batch_events > 0 {
-                self.m_batch_base_cycles as f64 / self.m_batch_events as f64
+            let pop_mean = if m.batch_events > 0 {
+                m.batch_base_cycles as f64 / m.batch_events as f64
             } else {
                 0.0
             };
-            let e = est.estimate_with_covariate_mean(self.m_batch_events, pop_mean);
-            let base = self.m_batch_base_cycles as f64;
+            let e = est.estimate_with_covariate_mean(m.batch_events, pop_mean);
+            let base = m.batch_base_cycles as f64;
             let extra = |residual: f64| (base + residual).max(0.0).round() as u64;
-            let total = self.m_cycles + extra(e.cycles);
-            let (lo, hi) = (self.m_cycles + extra(e.lo()), self.m_cycles + extra(e.hi()));
+            let total = m.cycles + extra(e.cycles);
+            let (lo, hi) = (m.cycles + extra(e.lo()), m.cycles + extra(e.hi()));
             // The production-rate bound: the residual's absolute cycle
             // band relative to the whole cycle estimate (simulated +
             // deterministic base are exact, so the band is theirs too).
@@ -1584,12 +1395,12 @@ impl MonitoringSystem {
                 total,
                 Some(SamplingSummary {
                     windows: est.len(),
-                    sampled_instrs: self.m_app_instrs - self.m_batch_instrs,
-                    sampled_cycles: self.m_cycles,
-                    extrapolated_instrs: self.m_batch_instrs,
-                    extrapolated_events: self.m_batch_events,
-                    extrapolated_base_cycles: self.m_batch_base_cycles,
-                    carried_seed_cycles: self.m_seeded_cycles,
+                    sampled_instrs: m.instrs - m.batch_instrs,
+                    sampled_cycles: m.cycles,
+                    extrapolated_instrs: m.batch_instrs,
+                    extrapolated_events: m.batch_events,
+                    extrapolated_base_cycles: m.batch_base_cycles,
+                    carried_seed_cycles: m.seeded_cycles,
                     residual_per_event: est.cpi(),
                     rel_half_width: rel,
                     cycles_lo: lo,
@@ -1602,10 +1413,10 @@ impl MonitoringSystem {
             benchmark: bench_name.to_string(),
             monitor: self.monitor.name().to_string(),
             system: self.cfg.label(),
-            app_instrs: self.m_app_instrs,
-            monitored_events: self.m_monitored,
-            stack_events: self.m_stack,
-            high_level_events: self.m_high,
+            app_instrs: m.instrs,
+            monitored_events: m.instr_events,
+            stack_events: m.stack_events,
+            high_level_events: m.high_events,
             cycles,
             baseline_cycles: baseline,
             sampling,
@@ -1637,21 +1448,50 @@ fn unimpeded_commit_cycles(commit: &mut CommitModel, n: u64) -> u64 {
     cycles
 }
 
-/// Software-handler cost of one unfiltered event (shared by the cycle
-/// engine's consumer and the batched consumer).
-fn unfiltered_cost(monitor: &dyn Monitor, uf: &UnfilteredEvent) -> u32 {
-    match uf.event {
-        AppEvent::Instr(_) => {
-            let c = monitor.costs();
-            if uf.partial_hit {
-                c.partial_short
-            } else {
-                c.complex
-            }
+/// The monitor thread's standalone handler IPC: the rate batched
+/// stretches and congestion seeds convert handler work at.
+fn handler_ipc(core: CoreKind) -> f64 {
+    core.handler_ipc().min(core.width() as f64)
+}
+
+/// Estimated handler-execution cycles for a `cost`-instruction
+/// handler at the monitor thread's standalone rate — the unit both the
+/// batched base and the sampled residual are expressed in.
+fn handler_cycle_est(core: CoreKind, cost: u32) -> u64 {
+    (cost as f64 / handler_ipc(core)).ceil() as u64
+}
+
+/// Software-handler cost of one event the accelerator dispatched (1
+/// under the idealized consumer), charged to its handler class in
+/// `class_instrs` when given — the one charge the cycle engine's
+/// consumer and the batched consumer share.
+fn dispatch_cost(
+    monitor: &dyn Monitor,
+    uf: &UnfilteredEvent,
+    ideal: bool,
+    class_instrs: Option<&mut ClassInstrs>,
+) -> u32 {
+    let cost = if ideal {
+        1
+    } else {
+        match uf.event {
+            AppEvent::Instr(_) if uf.partial_hit => monitor.costs().partial_short,
+            AppEvent::Instr(_) => monitor.costs().complex,
+            AppEvent::HighLevel(h) => monitor.high_level_cost(&h),
+            AppEvent::StackUpdate(s) => monitor.stack_cost(&s),
         }
-        AppEvent::HighLevel(h) => monitor.high_level_cost(&h),
-        AppEvent::StackUpdate(s) => monitor.stack_cost(&s),
+        .max(1)
+    };
+    if let Some(c) = class_instrs {
+        let class = match uf.event {
+            AppEvent::Instr(_) if uf.partial_hit => &mut c.partial,
+            AppEvent::Instr(_) => &mut c.complex,
+            AppEvent::HighLevel(_) => &mut c.high_level,
+            AppEvent::StackUpdate(_) => &mut c.stack,
+        };
+        *class += cost as u64;
     }
+    cost
 }
 
 /// Applies the software handler's functional effect for one dispatched
@@ -1659,7 +1499,7 @@ fn unfiltered_cost(monitor: &dyn Monitor, uf: &UnfilteredEvent) -> u32 {
 /// batched consumer cannot reach the accelerator while it is running
 /// the batch; chunks are cut at thread switches so the deferral does
 /// not reorder against filtering).
-fn apply_unfiltered(
+pub(crate) fn apply_unfiltered(
     monitor: &mut dyn Monitor,
     uf: &UnfilteredEvent,
     st: &mut MetadataState,

@@ -1,8 +1,8 @@
 //! Functional filtering throughput: monitored events per second of
 //! wall-clock time through the accelerator model.
 //!
-//! The cycle-accurate [`MonitoringSystem`]
-//! measures *simulated* cycles; this harness measures how fast the
+//! A [`crate::Session`] measures *simulated* cycles; this harness
+//! measures how fast the
 //! simulation itself filters, comparing the per-event `enqueue`+`tick`
 //! driver against the batched fast path ([`fade::Fade::run_batch`]) on
 //! the same pre-generated event stream — the number every scaling PR
@@ -15,14 +15,14 @@
 
 use std::time::Instant;
 
-use fade::{BatchStats, Fade, FadeConfig, FadeStats, FilterMode, InvId, UnfilteredEvent};
-use fade_isa::{instr_event_for, AppEvent, HighLevelEvent};
+use fade::{BatchStats, Fade, FadeConfig, FadeStats, FilterMode, InvId};
+use fade_isa::{AppEvent, HighLevelEvent};
 use fade_monitors::{monitor_by_name, Monitor};
 use fade_shadow::MetadataState;
 use fade_trace::{BenchProfile, SyntheticProgram, TraceRecord};
 
 use crate::config::SystemConfig;
-use crate::system::MonitoringSystem;
+use crate::system::{apply_unfiltered, select_event, MonitoringSystem, ReplayBuffer};
 
 /// Measured throughput of one (benchmark, monitor, batch size) point.
 #[derive(Clone, Debug)]
@@ -69,31 +69,16 @@ impl ThroughputReport {
 
 /// Pre-generates `n_events` monitored events for the benchmark, exactly
 /// the events the monitor would select from the trace.
-pub fn monitored_events(bench: &BenchProfile, monitor: &dyn Monitor, n_events: u64) -> Vec<AppEvent> {
+fn monitored_events(bench: &BenchProfile, monitor: &dyn Monitor, n_events: u64) -> Vec<AppEvent> {
+    let monitors_stack = monitor.monitors_stack();
     let mut gen = SyntheticProgram::new(bench, 42);
     let mut events = Vec::with_capacity(n_events as usize);
     let mut records = Vec::new();
     while (events.len() as u64) < n_events {
         records.clear();
         gen.next_records_into(&mut records, 4096);
-        for r in &records {
-            match *r {
-                TraceRecord::Instr(i) => {
-                    if monitor.selects(&i) {
-                        events.push(AppEvent::Instr(instr_event_for(&i)));
-                    }
-                }
-                TraceRecord::Stack(s) => {
-                    if monitor.monitors_stack() {
-                        events.push(AppEvent::StackUpdate(s));
-                    }
-                }
-                TraceRecord::High(h) => events.push(AppEvent::HighLevel(h)),
-            }
-            if events.len() as u64 == n_events {
-                break;
-            }
-        }
+        let selected = records.iter().filter_map(|r| select_event(monitor, monitors_stack, r));
+        events.extend(selected.take((n_events - events.len() as u64) as usize));
     }
     events
 }
@@ -106,26 +91,6 @@ fn fresh(monitor_name: &str) -> (Fade, MetadataState, Box<dyn Monitor>) {
     mon.init_state(&mut st);
     let fade = Fade::new(FadeConfig::paper(FilterMode::NonBlocking), program);
     (fade, st, mon)
-}
-
-/// Applies the software handler's functional effect for one dispatched
-/// event, returning invariant writes the monitor wants performed.
-fn apply_dispatch(
-    mon: &mut dyn Monitor,
-    uf: &UnfilteredEvent,
-    st: &mut MetadataState,
-    inv_writes: &mut Vec<(InvId, u64)>,
-) {
-    match uf.event {
-        AppEvent::Instr(ev) => mon.apply_instr(&ev, st),
-        AppEvent::HighLevel(h) => {
-            mon.apply_high_level(&h, st);
-            if let HighLevelEvent::ThreadSwitch { tid } = h {
-                inv_writes.extend(mon.on_thread_switch(tid));
-            }
-        }
-        AppEvent::StackUpdate(ev) => mon.apply_stack_update(&ev, st),
-    }
 }
 
 /// Drives the batched engine over the stream in `batch_size` chunks.
@@ -151,7 +116,7 @@ fn drive_batched(
             end = i + p + 1;
         }
         let bs = fade.run_batch_with(&events[i..end], &mut st, |uf, st| {
-            apply_dispatch(mon.as_mut(), &uf, st, &mut inv_writes);
+            apply_unfiltered(mon.as_mut(), &uf, st, &mut inv_writes);
         });
         for (id, v) in inv_writes.drain(..) {
             fade.write_invariant(id, v);
@@ -172,7 +137,7 @@ fn drive_per_event(monitor_name: &str, events: &[AppEvent]) -> (f64, FadeStats) 
         loop {
             let tick = fade.tick(&mut st);
             if let Some(uf) = tick.dispatched {
-                apply_dispatch(mon.as_mut(), &uf, &mut st, &mut inv_writes);
+                apply_unfiltered(mon.as_mut(), &uf, &mut st, &mut inv_writes);
             }
             while let Some(uf) = fade.pop_unfiltered() {
                 fade.handler_completed(uf.token);
@@ -318,17 +283,9 @@ pub fn record_trace_prefix(
     seed: u64,
     n_events: u64,
 ) -> (Vec<TraceRecord>, u64) {
-    let probe = monitor_by_name(monitor_name)
+    let monitor = monitor_by_name(monitor_name)
         .unwrap_or_else(|| panic!("unknown monitor {monitor_name}"));
-    record_prefix(bench, probe.as_ref(), seed, n_events)
-}
-
-fn record_prefix(
-    bench: &BenchProfile,
-    monitor: &dyn Monitor,
-    seed: u64,
-    n_events: u64,
-) -> (Vec<TraceRecord>, u64) {
+    let monitors_stack = monitor.monitors_stack();
     let mut gen = SyntheticProgram::new(bench, seed);
     let mut events = 0u64;
     let mut instrs = 0u64;
@@ -339,22 +296,14 @@ fn record_prefix(
         gen.next_records_into(&mut batch, 4096);
         for r in &batch {
             records.push(*r);
-            match *r {
-                TraceRecord::Instr(i) => {
-                    instrs += 1;
-                    if monitor.selects(&i) {
-                        events += 1;
-                    }
-                }
-                TraceRecord::Stack(_) => {
-                    if monitor.monitors_stack() {
-                        events += 1;
-                    }
-                }
-                TraceRecord::High(_) => events += 1,
+            if let TraceRecord::Instr(_) = r {
+                instrs += 1;
             }
-            if events == n_events {
-                break;
+            if select_event(monitor.as_ref(), monitors_stack, r).is_some() {
+                events += 1;
+                if events == n_events {
+                    break;
+                }
             }
         }
     }
@@ -383,23 +332,22 @@ pub fn measure_system_throughput(
     cfg: &SystemConfig,
     n_events: u64,
 ) -> SystemThroughputReport {
-    let probe = monitor_by_name(monitor_name)
-        .unwrap_or_else(|| panic!("unknown monitor {monitor_name}"));
-    let (records, instrs) = record_prefix(bench, probe.as_ref(), cfg.seed, n_events);
+    let (records, instrs) = record_trace_prefix(bench, monitor_name, cfg.seed, n_events);
     measure_system_throughput_records(bench, monitor_name, cfg, records, instrs)
 }
 
 /// [`measure_system_throughput`] over a caller-provided record buffer —
 /// the replay half of record/replay: feed it the records of a recorded
 /// `.fadet` trace (`fade_trace::read_trace_file`) and `instrs` retired
-/// instructions to consume (at most the buffer's instruction count),
-/// and both engines run the identical frozen workload.
+/// instructions to consume, and both engines run the identical frozen
+/// workload. A buffer holding fewer than `instrs` instructions (a
+/// truncated trace) stops both engines cleanly at its end; the report's
+/// `instrs` is what actually retired.
 ///
 /// # Panics
 ///
-/// Panics if the monitor is unknown, the buffer holds fewer than
-/// `instrs` instruction records, or the two modes diverge in any
-/// monitor-visible result.
+/// Panics if the monitor is unknown, or if the two modes diverge in
+/// retired instructions or any monitor-visible result.
 pub fn measure_system_throughput_records(
     bench: &BenchProfile,
     monitor_name: &str,
@@ -412,7 +360,7 @@ pub fn measure_system_throughput_records(
             bench,
             monitor_name,
             cfg,
-            Some(Box::new(crate::system::ReplayBuffer::new(records))),
+            Some(Box::new(ReplayBuffer::new(records))),
         )
     };
     let mut cycle_sys = replay(records.clone());
@@ -427,6 +375,12 @@ pub fn measure_system_throughput_records(
     batched_sys.drain();
     let batched_s = start.elapsed().as_secs_f64();
 
+    assert_eq!(
+        cycle_sys.instrs(),
+        batched_sys.instrs(),
+        "modes retired different instruction counts for {monitor_name} on {}",
+        bench.name
+    );
     assert_eq!(
         cycle_sys.events_seen(),
         batched_sys.events_seen(),
@@ -458,7 +412,7 @@ pub fn measure_system_throughput_records(
         benchmark: bench.name.to_string(),
         monitor: monitor_name.to_string(),
         events: cycle_sys.events_seen(),
-        instrs,
+        instrs: cycle_sys.instrs(),
         cycle_s,
         batched_s,
         batch: batched_sys.batch_stats(),
@@ -693,9 +647,17 @@ mod tests {
         let (records, instrs) = record_trace_prefix(&b, "AddrCheck", cfg.seed, 20_000);
         // Driving the replayed buffer differentially checks both
         // engines against each other over the frozen trace.
-        let r = measure_system_throughput_records(&b, "AddrCheck", &cfg, records, instrs);
+        let r = measure_system_throughput_records(&b, "AddrCheck", &cfg, records.clone(), instrs);
         assert_eq!(r.events, 20_000);
         assert_eq!(r.instrs, instrs);
+
+        // A truncated trace stops both engines at its end: the report
+        // counts the instructions that retired, not the request.
+        let short = records[..records.len() / 2].to_vec();
+        let short_instrs = short.iter().filter(|r| matches!(r, TraceRecord::Instr(_))).count();
+        let r = measure_system_throughput_records(&b, "AddrCheck", &cfg, short, instrs);
+        assert_eq!(r.instrs, short_instrs as u64);
+        assert!(r.events < 20_000);
     }
 
     #[test]

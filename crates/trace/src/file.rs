@@ -432,8 +432,8 @@ impl<W: Write> TraceWriter<W> {
 /// Parses the header eagerly ([`TraceReader::meta`]), then decodes one
 /// chunk at a time on demand — a trace never needs to fit in memory
 /// twice. Implements `Iterator<Item = Result<TraceRecord, _>>`, and
-/// plugs directly into the replay path of
-/// `fade_system::MonitoringSystem` through the `TraceSource` trait.
+/// plugs directly into a `fade_system::Session` as its trace source
+/// (the `TraceSource` trait).
 ///
 /// In strict mode (the default) the first fault aborts the read with a
 /// typed [`TraceFileError`]; [`TraceReader::with_recovery`] switches to

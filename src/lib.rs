@@ -53,9 +53,9 @@ pub mod prelude {
     pub use fade_monitors::{monitor_by_name, Monitor};
     pub use fade_shadow::MetadataState;
     pub use fade_system::{
-        measure_system_throughput, measure_trace_codec, record_trace_prefix, Engine, ExecMode,
-        MonitorRegistry, MonitoringSystem, ReplayBuffer, RunReport, RunStats, Session,
-        SessionBuilder, SessionError, SessionRunError, SourceError, SystemConfig, TraceSource,
+        measure_system_throughput, measure_trace_codec, record_trace_prefix, Engine,
+        MonitorRegistry, ReplayBuffer, RunReport, RunStats, Session, SessionBuilder,
+        SessionError, SessionRunError, SourceError, SystemConfig, TraceSource,
     };
     pub use fade_trace::{
         bench, read_trace_file, write_trace_file, BenchProfile, DegradationReport, FaultKind,

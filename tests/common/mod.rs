@@ -21,9 +21,9 @@ pub fn suite_for(monitor: &str) -> Vec<BenchProfile> {
     }
 }
 
-/// Anything exposing the monitor-visible result surface:
-/// [`MonitoringSystem`]s and live [`Session`]s, so the harnesses can
-/// differentially compare across engines and driving styles.
+/// Anything exposing the monitor-visible result surface (live
+/// [`Session`]s), so the harnesses can differentially compare across
+/// engines and driving styles.
 pub trait MonitorVisible {
     fn instrs(&self) -> u64;
     fn events_seen(&self) -> u64;
@@ -32,24 +32,6 @@ pub trait MonitorVisible {
     /// The accelerator counters that must not depend on the execution
     /// engine (the cycle/stall counters legitimately do).
     fn functional_counters(&self) -> Option<[u64; 7]>;
-}
-
-impl MonitorVisible for MonitoringSystem {
-    fn instrs(&self) -> u64 {
-        MonitoringSystem::instrs(self)
-    }
-    fn events_seen(&self) -> u64 {
-        MonitoringSystem::events_seen(self)
-    }
-    fn state(&self) -> &MetadataState {
-        MonitoringSystem::state(self)
-    }
-    fn reports(&self) -> Vec<String> {
-        self.monitor().reports()
-    }
-    fn functional_counters(&self) -> Option<[u64; 7]> {
-        self.fade_stats().map(|f| f.functional_counters())
-    }
 }
 
 impl MonitorVisible for Session {

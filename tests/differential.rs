@@ -1,7 +1,7 @@
 //! Differential test harness: batched execution vs the cycle-accurate
 //! reference engine.
 //!
-//! The batched system mode ([`MonitoringSystem::run_batched`]) promises
+//! The batched engine (`Session` with `Engine::batched()`) promises
 //! two things, and this harness is the contract that makes refactoring
 //! either engine safe:
 //!
