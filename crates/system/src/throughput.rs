@@ -2,8 +2,8 @@
 //! wall-clock time through the accelerator model.
 //!
 //! A [`crate::Session`] measures *simulated* cycles; this harness
-//! measures how fast the
-//! simulation itself filters, comparing the per-event `enqueue`+`tick`
+//! measures how fast the simulation itself filters, comparing the
+//! per-event `enqueue`+`tick`
 //! driver against the batched fast path ([`fade::Fade::run_batch`]) on
 //! the same pre-generated event stream — the number every scaling PR
 //! (sharding, async, multi-core) moves.
