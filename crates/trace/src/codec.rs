@@ -22,7 +22,7 @@
 
 use fade_isa::{
     AppInstr, HighLevelEvent, InstrClass, MemRef, Reg, StackUpdateEvent, StackUpdateKind,
-    VirtAddr, NUM_REGS,
+    VirtAddr,
 };
 
 use crate::program::TraceRecord;
@@ -114,22 +114,20 @@ fn class_tag(c: InstrClass) -> u8 {
     }
 }
 
-fn class_from_tag(t: u8) -> Option<InstrClass> {
-    Some(match t {
-        0 => InstrClass::Load,
-        1 => InstrClass::Store,
-        2 => InstrClass::IntAlu,
-        3 => InstrClass::IntMove,
-        4 => InstrClass::IntMul,
-        5 => InstrClass::FpAlu,
-        6 => InstrClass::Branch,
-        7 => InstrClass::Jump,
-        8 => InstrClass::Call,
-        9 => InstrClass::Return,
-        10 => InstrClass::Nop,
-        _ => return None,
-    })
-}
+/// Instruction class by record tag, the inverse of [`class_tag`].
+const CLASS_OF_TAG: [InstrClass; 11] = [
+    InstrClass::Load,
+    InstrClass::Store,
+    InstrClass::IntAlu,
+    InstrClass::IntMove,
+    InstrClass::IntMul,
+    InstrClass::FpAlu,
+    InstrClass::Branch,
+    InstrClass::Jump,
+    InstrClass::Call,
+    InstrClass::Return,
+    InstrClass::Nop,
+];
 
 /// Memory-operand size codes (2 bits of the flags byte). Word accesses
 /// dominate generated traces, so they cost nothing; the escape code
@@ -177,47 +175,60 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The 8 payload bytes from `at` as a little-endian word, zero-filled
+/// past the payload end. Every field is read from such a window: a
+/// zero byte is a varint terminator and a valid register, so a record
+/// cut by the payload end decodes to a length that overruns it, which
+/// one end check per record turns into [`CodecError::Truncated`].
+#[inline(always)]
+fn window(buf: &[u8], at: usize) -> u64 {
+    match buf.get(at..).and_then(<[u8]>::first_chunk) {
+        Some(&w) => u64::from_le_bytes(w),
+        None => window_at_end(buf, at),
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or(CodecError::Truncated { offset: self.pos })?;
-        self.pos += 1;
-        Ok(b)
-    }
+#[cold]
+fn window_at_end(buf: &[u8], at: usize) -> u64 {
+    let tail = buf.get(at..).unwrap_or(&[]);
+    let mut w = [0u8; 8];
+    w[..tail.len()].copy_from_slice(tail);
+    u64::from_le_bytes(w)
+}
 
-    /// Reads a LEB128 varint that must fit in 32 bits.
-    fn varint32(&mut self) -> Result<u32, CodecError> {
-        let start = self.pos;
-        let mut v: u64 = 0;
-        for shift in (0..).step_by(7) {
-            let b = self.u8()?;
-            // A 32-bit value spans at most 5 varint bytes.
-            if shift >= 35 {
-                return Err(CodecError::BadOperand { offset: start });
-            }
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-        }
-        u32::try_from(v).map_err(|_| CodecError::BadOperand { offset: start })
-    }
-
-    fn reg(&mut self) -> Result<Reg, CodecError> {
-        let at = self.pos;
-        let idx = self.u8()?;
-        if (idx as usize) < NUM_REGS {
-            Ok(Reg::new(idx))
+/// Reads the LEB128 varint starting window `w`, whose first byte sits
+/// at payload offset `at`: its value, its byte length (from the first
+/// clear continuation bit) and whether it is a bad operand — a sixth
+/// byte present in the payload, or a five-byte value above `u32::MAX`.
+/// A varint cut by the payload end is not bad but overruns the end.
+#[inline(always)]
+fn varint(w: u64, at: usize, payload_len: usize) -> (u32, usize, bool) {
+    let stops = !w & 0x8080_8080_8080_8080;
+    // 1..=8, or 9 when all eight bytes continue.
+    let len = (stops.trailing_zeros() / 8 + 1) as usize;
+    // The varint's bytes: everything up to its first stop bit.
+    let x = w & (stops ^ stops.wrapping_sub(1));
+    let v = (x & 0x7f)
+        | (x >> 1 & 0x7f << 7)
+        | (x >> 2 & 0x7f << 14)
+        | (x >> 3 & 0x7f << 21)
+        | (x >> 4 & 0x7f << 28);
+    // Only a varint of five or more bytes can be bad.
+    let bad = len >= 5
+        && if len == 5 {
+            v > u32::MAX as u64
         } else {
-            Err(CodecError::BadOperand { offset: at })
-        }
+            at + 6 <= payload_len
+        };
+    (v as u32, len, bad)
+}
+
+/// [`varint`] at `at`, failing a bad operand.
+#[inline(always)]
+fn varint32(buf: &[u8], at: usize) -> Result<(u32, usize), CodecError> {
+    match varint(window(buf, at), at, buf.len()) {
+        (_, _, true) => Err(CodecError::BadOperand { offset: at }),
+        (v, len, false) => Ok((v, len)),
     }
 }
 
@@ -327,7 +338,8 @@ pub fn encode_chunk(records: &[TraceRecord], out: &mut Vec<u8>) {
 
 /// Decoder over one chunk payload.
 pub struct ChunkDecoder<'a> {
-    cursor: Cursor<'a>,
+    buf: &'a [u8],
+    pos: usize,
     ctx: Ctx,
 }
 
@@ -335,22 +347,20 @@ impl<'a> ChunkDecoder<'a> {
     /// Starts decoding a payload with a fresh context.
     pub fn new(payload: &'a [u8]) -> Self {
         ChunkDecoder {
-            cursor: Cursor {
-                buf: payload,
-                pos: 0,
-            },
+            buf: payload,
+            pos: 0,
             ctx: Ctx::default(),
         }
     }
 
     /// Bytes consumed so far.
     pub fn pos(&self) -> usize {
-        self.cursor.pos
+        self.pos
     }
 
     /// `true` once the whole payload has been consumed.
     pub fn is_done(&self) -> bool {
-        self.cursor.pos >= self.cursor.buf.len()
+        self.pos >= self.buf.len()
     }
 
     /// Decodes the next record, or `None` at the payload end.
@@ -358,94 +368,139 @@ impl<'a> ChunkDecoder<'a> {
         if self.is_done() {
             return Ok(None);
         }
-        let tag_offset = self.cursor.pos;
-        let tag = self.cursor.u8()?;
-        let rec = match tag {
-            t if t <= 10 => {
-                let class = class_from_tag(t).expect("tags 0..=10 are classes");
-                let flags = self.cursor.u8()?;
-                let pc = unzigzag(self.cursor.varint32()?, self.ctx.prev_pc);
+        self.record().map(Some)
+    }
+
+    /// Decodes the record at `pos`. Operand checks fire in byte order
+    /// and only on bytes inside the payload; a record overrunning the
+    /// payload end (including one starting at it) is
+    /// `Truncated { offset: payload length }`.
+    #[inline(always)]
+    fn record(&mut self) -> Result<TraceRecord, CodecError> {
+        let (buf, at) = (self.buf, self.pos);
+        let head = window(buf, at);
+        let tag = head as u8;
+        let (rec, end) = match tag {
+            0..=10 => {
+                let flags = (head >> 8) as u8;
+                // PCs mostly advance by a word: a one-byte delta whose
+                // length, known early, keeps `pos` off the varint path.
+                let (z, n, bad) = if head & 0x80_0000 == 0 {
+                    ((head >> 16) as u32 & 0x7f, 1, false)
+                } else {
+                    varint(head >> 16, at + 2, buf.len())
+                };
+                if bad {
+                    return Err(CodecError::BadOperand { offset: at + 2 });
+                }
+                let pc = unzigzag(z, self.ctx.prev_pc);
                 self.ctx.prev_pc = pc;
-                let mut i = AppInstr::new(VirtAddr::new(pc), class)
-                    .with_result_ptr(flags & F_RESULT_PTR != 0)
-                    .with_tid(self.ctx.cur_tid);
-                if flags & F_SRC1 != 0 {
-                    i = i.with_src1(self.cursor.reg()?);
+                // Registers, then the explicit tid, packed in flag order.
+                let ops_at = at + 2 + n;
+                let ops = window(buf, ops_at);
+                let nregs = (flags & (F_SRC1 | F_SRC2 | F_DEST)).count_ones() as usize;
+                let bad = ops & 0xe0_e0e0 & !(u64::MAX << (8 * nregs));
+                if bad != 0 {
+                    return Err(CodecError::BadOperand {
+                        offset: ops_at + bad.trailing_zeros() as usize / 8,
+                    });
                 }
-                if flags & F_SRC2 != 0 {
-                    i = i.with_src2(self.cursor.reg()?);
-                }
-                if flags & F_DEST != 0 {
-                    i = i.with_dest(self.cursor.reg()?);
-                }
-                if flags & F_TID != 0 {
-                    i = i.with_tid(self.cursor.u8()?);
-                }
-                if flags & F_MEM != 0 {
-                    let addr = unzigzag(self.cursor.varint32()?, self.ctx.prev_mem);
+                let reg = |bit: u8| {
+                    let slot = (flags & (bit - 1) & (F_SRC1 | F_SRC2)).count_ones();
+                    (flags & bit != 0).then_some(Reg::new((ops >> (8 * slot)) as u8 & 0x1f))
+                };
+                let explicit_tid = flags & F_TID != 0;
+                let tid = if explicit_tid {
+                    (ops >> (8 * nregs)) as u8
+                } else {
+                    self.ctx.cur_tid
+                };
+                let mut end = ops_at + nregs + explicit_tid as usize;
+                let mem = if flags & F_MEM != 0 {
+                    let w = window(buf, end);
+                    let (z, n, bad) = varint(w, end, buf.len());
+                    if bad {
+                        return Err(CodecError::BadOperand { offset: end });
+                    }
+                    let addr = unzigzag(z, self.ctx.prev_mem);
                     self.ctx.prev_mem = addr;
+                    end += n;
                     let size = match flags >> SIZE_SHIFT {
                         SIZE_WORD => 4,
                         SIZE_BYTE => 1,
                         SIZE_HALF => 2,
-                        _ => self.cursor.u8()?,
+                        _ => {
+                            end += 1;
+                            (w >> (8 * n.min(7))) as u8
+                        }
                     };
-                    i = i.with_mem(MemRef {
+                    Some(MemRef {
                         addr: VirtAddr::new(addr),
                         size,
-                    });
-                }
-                TraceRecord::Instr(i)
+                    })
+                } else {
+                    None
+                };
+                let instr = AppInstr {
+                    pc: VirtAddr::new(pc),
+                    class: CLASS_OF_TAG[tag as usize],
+                    src1: reg(F_SRC1),
+                    src2: reg(F_SRC2),
+                    dest: reg(F_DEST),
+                    mem,
+                    tid,
+                    result_ptr: flags & F_RESULT_PTR != 0,
+                };
+                (TraceRecord::Instr(instr), end)
             }
             TAG_STACK_CALL | TAG_STACK_RETURN => {
-                let base = unzigzag(self.cursor.varint32()?, self.ctx.prev_stack);
+                let (z, n) = varint32(buf, at + 1)?;
+                let base = unzigzag(z, self.ctx.prev_stack);
                 self.ctx.prev_stack = base;
-                let len = self.cursor.varint32()?;
-                let tid = self.cursor.u8()?;
-                TraceRecord::Stack(StackUpdateEvent {
+                let (len, m) = varint32(buf, at + 1 + n)?;
+                let tid = buf.get(at + 1 + n + m).copied().unwrap_or(0);
+                let kind = if tag == TAG_STACK_CALL {
+                    StackUpdateKind::Call
+                } else {
+                    StackUpdateKind::Return
+                };
+                let s = StackUpdateEvent {
                     base: VirtAddr::new(base),
                     len,
-                    kind: if tag == TAG_STACK_CALL {
-                        StackUpdateKind::Call
-                    } else {
-                        StackUpdateKind::Return
-                    },
+                    kind,
                     tid,
-                })
+                };
+                (TraceRecord::Stack(s), at + 2 + n + m)
             }
-            TAG_MALLOC => {
-                let base = unzigzag(self.cursor.varint32()?, self.ctx.prev_heap);
-                self.ctx.prev_heap = base;
-                TraceRecord::High(HighLevelEvent::Malloc {
-                    base: VirtAddr::new(base),
-                    len: self.cursor.varint32()?,
-                    ctx: self.cursor.varint32()?,
-                })
-            }
-            TAG_FREE => {
-                let base = unzigzag(self.cursor.varint32()?, self.ctx.prev_heap);
-                self.ctx.prev_heap = base;
-                TraceRecord::High(HighLevelEvent::Free {
-                    base: VirtAddr::new(base),
-                    len: self.cursor.varint32()?,
-                })
-            }
-            TAG_TAINT_SOURCE => {
-                let base = unzigzag(self.cursor.varint32()?, self.ctx.prev_heap);
-                self.ctx.prev_heap = base;
-                TraceRecord::High(HighLevelEvent::TaintSource {
-                    base: VirtAddr::new(base),
-                    len: self.cursor.varint32()?,
-                })
+            TAG_MALLOC | TAG_FREE | TAG_TAINT_SOURCE => {
+                let (z, n) = varint32(buf, at + 1)?;
+                let base = VirtAddr::new(unzigzag(z, self.ctx.prev_heap));
+                self.ctx.prev_heap = base.raw();
+                let (len, m) = varint32(buf, at + 1 + n)?;
+                let mut end = at + 1 + n + m;
+                let h = match tag {
+                    TAG_MALLOC => {
+                        let (ctx, k) = varint32(buf, end)?;
+                        end += k;
+                        HighLevelEvent::Malloc { base, len, ctx }
+                    }
+                    TAG_FREE => HighLevelEvent::Free { base, len },
+                    _ => HighLevelEvent::TaintSource { base, len },
+                };
+                (TraceRecord::High(h), end)
             }
             TAG_THREAD_SWITCH => {
-                let tid = self.cursor.u8()?;
+                let tid = (head >> 8) as u8;
                 self.ctx.cur_tid = tid;
-                TraceRecord::High(HighLevelEvent::ThreadSwitch { tid })
+                (TraceRecord::High(HighLevelEvent::ThreadSwitch { tid }), at + 2)
             }
-            _ => return Err(CodecError::BadTag { offset: tag_offset }),
+            _ => return Err(CodecError::BadTag { offset: at }),
         };
-        Ok(Some(rec))
+        if end > buf.len() {
+            return Err(CodecError::Truncated { offset: buf.len() });
+        }
+        self.pos = end;
+        Ok(rec)
     }
 
     /// Decodes exactly `expected` records, requiring the payload to end
@@ -458,38 +513,48 @@ impl<'a> ChunkDecoder<'a> {
         // actually decode.
         out.reserve(expected.min(64 * 1024));
         for _ in 0..expected {
-            match self.next_record()? {
-                Some(r) => out.push(r),
-                // Fewer records than the chunk header promised.
-                None => {
-                    return Err(CodecError::Truncated {
-                        offset: self.cursor.pos,
-                    })
-                }
-            }
+            // At the payload end this is `Truncated`: fewer records
+            // than the chunk header promised.
+            out.push(self.record()?);
         }
         if !self.is_done() {
             // Trailing garbage after the promised record count.
-            return Err(CodecError::BadTag {
-                offset: self.cursor.pos,
-            });
+            return Err(CodecError::BadTag { offset: self.pos });
         }
         Ok(())
     }
 }
 
 /// CRC-32 (IEEE 802.3, reflected) — the per-chunk integrity check.
+///
+/// Slicing-by-8: eight bytes per step through eight lookup tables,
+/// with the byte-at-a-time loop for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const T: [[u32; 256]; 8] = crc32_tables();
     let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = T[7][(lo & 0xff) as usize]
+            ^ T[6][(lo >> 8 & 0xff) as usize]
+            ^ T[5][(lo >> 16 & 0xff) as usize]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][(hi & 0xff) as usize]
+            ^ T[2][(hi >> 8 & 0xff) as usize]
+            ^ T[1][(hi >> 16 & 0xff) as usize]
+            ^ T[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the byte-at-a-time table; `T[k][i]` is the CRC of byte
+/// `i` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -498,10 +563,20 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]
@@ -587,9 +662,51 @@ mod tests {
     }
 
     #[test]
+    fn class_table_inverts_class_tag() {
+        for c in InstrClass::ALL {
+            assert_eq!(CLASS_OF_TAG[class_tag(c) as usize], c);
+        }
+    }
+
+    #[test]
     fn crc32_matches_known_vector() {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// CRC-32 by its definition, one shift per bit.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xedb8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bitwise_reference() {
+        // Deterministic pseudo-random bytes (xorshift64).
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let buf: Vec<u8> = (0..100_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        // Every length through eight full words, at every start
+        // alignment, so each word/tail split is covered.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
+            }
+        }
+        assert_eq!(crc32(&buf[3..]), crc32_bitwise(&buf[3..]));
     }
 }

@@ -105,6 +105,8 @@ const MAX_CHUNK_PAYLOAD: u32 = 1 << 26;
 const MAX_CHUNK_RECORDS: u32 = 1 << 24;
 /// Upper bound for the bench-name field.
 const MAX_NAME_LEN: usize = 255;
+/// Largest single `read` the reader issues into its look-ahead.
+const READ_CHUNK: usize = 8192;
 
 /// Profile metadata carried in the file header: enough to rebuild the
 /// [`crate::BenchProfile`] context a recorded trace was captured under.
@@ -444,18 +446,24 @@ pub struct TraceReader<R: Read> {
     /// Header schema version; selects the trailer layout (version 1
     /// uses the short trailer and has no index frame).
     version: u16,
-    /// File offset of the next logically-unread byte (the front of
-    /// `buf`, when `buf` is non-empty).
+    /// File offset of the next logically-unread byte (`buf[head]`,
+    /// when any byte is buffered).
     pos: u64,
-    /// Look-ahead over `r`: frame parsing peeks here and only consumes
-    /// bytes once the whole frame verifies, so a failed parse leaves
-    /// the stream intact for resynchronization.
-    buf: std::collections::VecDeque<u8>,
+    /// Look-ahead over `r`: `buf[head..end]` is read but not yet
+    /// consumed. Frame parsing peeks here, checksums and decodes each
+    /// frame in place, and only consumes bytes once the whole frame
+    /// verifies, so a failed parse leaves the stream intact for
+    /// resynchronization. Reads of at most [`READ_CHUNK`] bytes land at
+    /// `end`; the unread bytes move to the front only when `buf` is
+    /// full, and `buf` doubles only when they fill it — so its size
+    /// follows the bytes actually read, never a length field.
+    buf: Vec<u8>,
+    head: usize,
+    end: usize,
     /// `r` reported end-of-stream.
     eof: bool,
     chunk: Vec<TraceRecord>,
     chunk_pos: usize,
-    payload: Vec<u8>,
     total_seen: u64,
     /// End of trace reached (verified trailer, or a recovered reader
     /// ran off the end of the stream).
@@ -519,11 +527,12 @@ impl<R: Read> TraceReader<R> {
             meta: TraceMeta { bench, seed },
             version,
             pos,
-            buf: std::collections::VecDeque::new(),
+            buf: Vec::new(),
+            head: 0,
+            end: 0,
             eof: false,
             chunk: Vec::new(),
             chunk_pos: 0,
-            payload: Vec::new(),
             total_seen: 0,
             done: false,
             recover: false,
@@ -587,43 +596,55 @@ impl<R: Read> TraceReader<R> {
 
     // -- buffered look-ahead ------------------------------------------
 
+    /// Bytes buffered but not yet consumed.
+    fn buffered(&self) -> &[u8] {
+        &self.buf[self.head..self.end]
+    }
+
     /// Ensures up to `n` bytes are buffered; returns how many are
     /// available (fewer than `n` only at end-of-stream).
     fn fill(&mut self, n: usize) -> Result<usize, TraceFileError> {
-        let mut tmp = [0u8; 8192];
-        while self.buf.len() < n && !self.eof {
-            let want = (n - self.buf.len()).min(tmp.len());
-            match self.r.read(&mut tmp[..want]) {
+        while self.end - self.head < n && !self.eof {
+            if self.end == self.buf.len() {
+                if self.head > 0 {
+                    // Full: move the unread bytes to the front.
+                    self.buf.copy_within(self.head..self.end, 0);
+                    self.end -= self.head;
+                    self.head = 0;
+                } else {
+                    // Full of unread bytes: double.
+                    self.buf.resize(self.buf.len() + self.buf.len().max(READ_CHUNK), 0);
+                }
+            }
+            let want = (self.buf.len() - self.end).min(READ_CHUNK);
+            match self.r.read(&mut self.buf[self.end..self.end + want]) {
                 Ok(0) => self.eof = true,
-                Ok(k) => self.buf.extend(&tmp[..k]),
+                Ok(k) => self.end += k,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(self.buf.len().min(n))
+        Ok(self.buffered().len().min(n))
     }
 
-    /// Drops `n` already-buffered bytes from the front of `buf`.
+    /// Drops `n` already-buffered bytes from the front of the
+    /// look-ahead.
     fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.buf.len(), "consume beyond buffered look-ahead");
-        self.buf.drain(..n);
+        debug_assert!(n <= self.buffered().len(), "consume beyond buffered look-ahead");
+        self.head += n;
         self.pos += n as u64;
+        if self.head == self.end {
+            self.head = 0;
+            self.end = 0;
+        }
     }
 
     fn peek_u32(&self, off: usize) -> u32 {
-        let mut b = [0u8; 4];
-        for (i, x) in b.iter_mut().enumerate() {
-            *x = self.buf[off + i];
-        }
-        u32::from_le_bytes(b)
+        u32::from_le_bytes(self.buffered()[off..off + 4].try_into().expect("4 bytes"))
     }
 
     fn peek_u64(&self, off: usize) -> u64 {
-        let mut b = [0u8; 8];
-        for (i, x) in b.iter_mut().enumerate() {
-            *x = self.buf[off + i];
-        }
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.buffered()[off..off + 8].try_into().expect("8 bytes"))
     }
 
     // -- frame parsing ------------------------------------------------
@@ -637,7 +658,7 @@ impl<R: Read> TraceReader<R> {
         if self.fill(1)? < 1 {
             return Err(TraceFileError::Truncated { offset: self.pos });
         }
-        match self.buf[0] {
+        match self.buffered()[0] {
             CHUNK_MARKER => {
                 let avail = self.fill(13)?;
                 if avail < 13 {
@@ -663,9 +684,8 @@ impl<R: Read> TraceReader<R> {
                         offset: self.pos + avail as u64,
                     });
                 }
-                self.payload.clear();
-                self.payload.extend(self.buf.iter().skip(13).take(plen as usize));
-                if crc32(&self.payload) != crc {
+                let payload = &self.buf[self.head + 13..self.head + frame_len];
+                if crc32(payload) != crc {
                     return Err(TraceFileError::ChecksumMismatch { chunk_offset });
                 }
                 // The old chunk is fully drained (loop invariant), so
@@ -674,8 +694,8 @@ impl<R: Read> TraceReader<R> {
                 // served as real ones.
                 self.chunk.clear();
                 self.chunk_pos = 0;
-                if let Err(error) = ChunkDecoder::new(&self.payload)
-                    .decode_all(nrecords as usize, &mut self.chunk)
+                if let Err(error) =
+                    ChunkDecoder::new(payload).decode_all(nrecords as usize, &mut self.chunk)
                 {
                     self.chunk.clear();
                     return Err(TraceFileError::Corrupt { chunk_offset, error });
@@ -711,9 +731,7 @@ impl<R: Read> TraceReader<R> {
                         offset: self.pos + avail as u64,
                     });
                 }
-                self.payload.clear();
-                self.payload.extend(self.buf.iter().skip(13).take(plen as usize));
-                if crc32(&self.payload) != crc {
+                if crc32(&self.buffered()[13..frame_len]) != crc {
                     return Err(TraceFileError::ChecksumMismatch { chunk_offset });
                 }
                 self.consume(frame_len);
@@ -731,11 +749,7 @@ impl<R: Read> TraceReader<R> {
                 }
                 let count = self.peek_u64(1);
                 let crc = self.peek_u32(tlen - 4);
-                let mut crc_input = [0u8; 16];
-                for (i, x) in crc_input[..tlen - 5].iter_mut().enumerate() {
-                    *x = self.buf[1 + i];
-                }
-                if crc32(&crc_input[..tlen - 5]) != crc {
+                if crc32(&self.buffered()[1..tlen - 4]) != crc {
                     return Err(TraceFileError::ChecksumMismatch { chunk_offset });
                 }
                 if count != self.total_seen {
@@ -747,16 +761,45 @@ impl<R: Read> TraceReader<R> {
                 self.consume(tlen);
                 self.done = true;
                 self.degradation.trailer_verified = true;
+                self.expect_end_of_stream()?;
                 Ok(false)
             }
             _ => Err(TraceFileError::BadStructure { offset: chunk_offset }),
         }
     }
 
+    /// The trailer must end the stream. Bytes after it are
+    /// `BadStructure` at the first of them in strict mode; in recover
+    /// mode they are skipped and accounted as one fault.
+    fn expect_end_of_stream(&mut self) -> Result<(), TraceFileError> {
+        let offset = self.pos;
+        if self.fill(1)? == 0 {
+            return Ok(());
+        }
+        let error = TraceFileError::BadStructure { offset };
+        if !self.recover {
+            return Err(error);
+        }
+        while self.fill(1)? > 0 {
+            self.consume(self.buffered().len());
+        }
+        self.degradation.bytes_skipped += self.pos - offset;
+        self.degradation.faults.push(SkippedChunk {
+            offset,
+            resumed_at: None,
+            error,
+        });
+        Ok(())
+    }
+
     /// Accepts a structurally-valid trailer whose count disagrees with
     /// the decoded records (recover mode: the normal outcome after
     /// skipping a chunk).
-    fn accept_mismatched_trailer(&mut self, trailer_offset: u64, expected: u64) {
+    fn accept_mismatched_trailer(
+        &mut self,
+        trailer_offset: u64,
+        expected: u64,
+    ) -> Result<(), TraceFileError> {
         let tlen = self.trailer_len();
         self.consume(tlen);
         self.done = true;
@@ -792,6 +835,7 @@ impl<R: Read> TraceReader<R> {
                 },
             });
         }
+        self.expect_end_of_stream()
     }
 
     /// Ends a recovering read at a damaged tail (end-of-stream before a
@@ -813,7 +857,7 @@ impl<R: Read> TraceReader<R> {
             Ok(r) => return Ok(r),
             Err(e @ TraceFileError::Io(_)) => return Err(e),
             Err(TraceFileError::CountMismatch { expected, .. }) => {
-                self.accept_mismatched_trailer(fault_offset, expected);
+                self.accept_mismatched_trailer(fault_offset, expected)?;
                 return Ok(false);
             }
             Err(e) => e,
@@ -822,13 +866,13 @@ impl<R: Read> TraceReader<R> {
         // still parseable (checksum/decode faults leave it intact).
         let claimed = match first_err {
             TraceFileError::ChecksumMismatch { .. } | TraceFileError::Corrupt { .. }
-                if self.buf.len() >= 13 && self.buf[0] == CHUNK_MARKER =>
+                if self.buffered().len() >= 13 && self.buffered()[0] == CHUNK_MARKER =>
             {
                 self.peek_u32(5) as u64
             }
             _ => 0,
         };
-        if matches!(first_err, TraceFileError::Truncated { .. }) && self.buf.is_empty() {
+        if matches!(first_err, TraceFileError::Truncated { .. }) && self.buffered().is_empty() {
             // Clean end-of-stream at a frame boundary: a missing
             // trailer, not a skippable frame.
             self.degradation.faults.push(SkippedChunk {
@@ -855,7 +899,7 @@ impl<R: Read> TraceReader<R> {
                 self.end_at_truncated_tail();
                 return Ok(false);
             }
-            let b = self.buf[0];
+            let b = self.buffered()[0];
             if b != CHUNK_MARKER && b != END_MARKER && b != INDEX_MARKER {
                 self.consume(1);
                 continue;
@@ -883,7 +927,7 @@ impl<R: Read> TraceReader<R> {
                         resumed_at: Some(resume),
                         error: first_err,
                     });
-                    self.accept_mismatched_trailer(resume, expected);
+                    self.accept_mismatched_trailer(resume, expected)?;
                     return Ok(false);
                 }
                 // False synchronization point: keep scanning.
@@ -1165,6 +1209,119 @@ mod tests {
             TraceFileError::BadStructure {
                 offset: header_len as u64
             }
+        );
+        // The largest payload the reader accepts, over a short stream:
+        // the look-ahead holds what the stream delivered plus at most
+        // one read, never the claimed length.
+        bytes[header_len + 1..header_len + 5].copy_from_slice(&MAX_CHUNK_PAYLOAD.to_le_bytes());
+        let mut r = TraceReader::new(&bytes[..]).unwrap();
+        assert!(matches!(r.read_all(), Err(TraceFileError::Truncated { .. })));
+        assert!(
+            r.buf.capacity() <= bytes.len() + READ_CHUNK,
+            "look-ahead capacity {} for a {}-byte stream",
+            r.buf.capacity(),
+            bytes.len()
+        );
+    }
+
+    /// A source that hands out one byte per `read`.
+    struct OneByteReads<'a>(&'a [u8]);
+
+    impl Read for OneByteReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn short_reads_yield_the_same_records_as_a_cursor() {
+        use crate::faultinject::{FaultKind, FaultPlan, FaultyReader};
+        let records = sample("gcc", 42, 3_000);
+        let (bytes, _) = chunked(&records, 700);
+        let whole = TraceReader::new(io::Cursor::new(&bytes)).unwrap().read_all().unwrap();
+        assert_eq!(whole, records);
+        let one = TraceReader::new(OneByteReads(&bytes)).unwrap().read_all().unwrap();
+        assert_eq!(one, whole, "one byte per read");
+        for seed in 0..8 {
+            let plan = FaultPlan::seeded(seed, FaultKind::ShortRead, bytes.len() as u64);
+            let short = TraceReader::new(FaultyReader::new(&bytes[..], plan))
+                .unwrap()
+                .read_all()
+                .unwrap();
+            assert_eq!(short, whole, "short reads, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn bytes_after_the_trailer_are_rejected_in_strict_mode() {
+        let records = sample("gcc", 42, 500);
+        let bytes = encode_trace(&meta(), &records);
+        let end = bytes.len() as u64;
+        let mut garbage = bytes.clone();
+        garbage.extend_from_slice(b"GARBAGE");
+        assert_eq!(
+            decode_trace(&garbage).unwrap_err(),
+            TraceFileError::BadStructure { offset: end }
+        );
+        // Two whole traces back to back are not one trace.
+        let mut twice = bytes.clone();
+        twice.extend_from_slice(&bytes);
+        assert_eq!(
+            decode_trace(&twice).unwrap_err(),
+            TraceFileError::BadStructure { offset: end }
+        );
+    }
+
+    #[test]
+    fn bytes_after_the_trailer_are_skipped_and_accounted_in_recover_mode() {
+        let records = sample("gcc", 42, 500);
+        let bytes = encode_trace(&meta(), &records);
+        let end = bytes.len() as u64;
+        let mut twice = bytes.clone();
+        twice.extend_from_slice(&bytes);
+        for (extra, input) in [(7, [&bytes[..], b"GARBAGE"].concat()), (bytes.len(), twice)] {
+            let (_, back, report) = decode_trace_recovering(&input).unwrap();
+            assert_eq!(back, records, "the records before the trailer survive");
+            assert!(!report.is_clean(), "{report:?}");
+            assert!(report.trailer_verified);
+            assert!(!report.truncated_tail);
+            assert_eq!(report.records_lost, 0);
+            assert_eq!(report.chunks_skipped, 0);
+            assert_eq!(report.bytes_skipped, extra as u64);
+            assert_eq!(
+                report.faults,
+                vec![SkippedChunk {
+                    offset: end,
+                    resumed_at: None,
+                    error: TraceFileError::BadStructure { offset: end },
+                }]
+            );
+        }
+    }
+
+    #[test]
+    fn bytes_after_a_mismatched_trailer_are_accounted_too() {
+        let records = sample("gcc", 42, 3_000);
+        let (bytes, offsets) = chunked(&records, 1000);
+        let mut spliced = bytes[..offsets[1]].to_vec();
+        spliced.extend_from_slice(&bytes[offsets[2]..]);
+        let end = spliced.len() as u64;
+        spliced.extend_from_slice(&[0u8; 5]);
+        let (_, back, report) = decode_trace_recovering(&spliced).unwrap();
+        assert_eq!(back.len(), 2000);
+        assert_eq!(report.records_lost, 1000);
+        assert_eq!(report.bytes_skipped, 5);
+        assert_eq!(report.faults.len(), 2);
+        assert_eq!(
+            report.faults[1].error,
+            TraceFileError::BadStructure { offset: end }
         );
     }
 

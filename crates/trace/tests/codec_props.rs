@@ -12,7 +12,9 @@ use fade_isa::{
     VirtAddr, NUM_REGS,
 };
 use fade_trace::codec::{encode_chunk, write_varint, ChunkDecoder, CodecError};
-use fade_trace::file::{decode_trace, encode_trace, TraceFileError, TraceMeta, TraceWriter};
+use fade_trace::file::{
+    decode_trace, decode_trace_recovering, encode_trace, TraceFileError, TraceMeta, TraceWriter,
+};
 use fade_trace::TraceRecord;
 use proptest::prelude::*;
 
@@ -196,6 +198,29 @@ proptest! {
                 prop_assert!(false, "flip at byte {pos} bit {bit} went undetected");
             }
         }
+    }
+
+    /// The trailer ends the stream: any non-empty suffix after a valid
+    /// file is detected — `BadStructure` at its first byte in strict
+    /// mode, skipped and accounted in recover mode.
+    #[test]
+    fn any_suffix_after_a_valid_file_is_detected(
+        records in prop::collection::vec(arb_record(), 0..80),
+        suffix in prop::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let mut bytes = encode_chunked(&records, 32);
+        let end = bytes.len() as u64;
+        bytes.extend_from_slice(&suffix);
+        prop_assert_eq!(
+            decode_trace(&bytes),
+            Err(TraceFileError::BadStructure { offset: end })
+        );
+        let (_, back, report) = decode_trace_recovering(&bytes)
+            .map_err(|e| TestCaseError::fail(format!("recovering decode failed: {e}")))?;
+        prop_assert_eq!(back, records);
+        prop_assert!(!report.is_clean());
+        prop_assert!(report.trailer_verified);
+        prop_assert_eq!(report.bytes_skipped, suffix.len() as u64);
     }
 
     /// Feeding arbitrary garbage to the decoder returns an error (or an
