@@ -535,15 +535,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = T[7][(lo & 0xff) as usize]
-            ^ T[6][(lo >> 8 & 0xff) as usize]
-            ^ T[5][(lo >> 16 & 0xff) as usize]
-            ^ T[4][(lo >> 24) as usize]
-            ^ T[3][(hi & 0xff) as usize]
-            ^ T[2][(hi >> 8 & 0xff) as usize]
-            ^ T[1][(hi >> 16 & 0xff) as usize]
-            ^ T[0][(hi >> 24) as usize];
+        // The high word's terms do not depend on `crc`: combine them
+        // apart so the loop-carried chain is one lookup and two xors.
+        let hi = (T[3][w[4] as usize] ^ T[2][w[5] as usize])
+            ^ (T[1][w[6] as usize] ^ T[0][w[7] as usize]);
+        crc = hi
+            ^ ((T[7][(lo & 0xff) as usize] ^ T[6][(lo >> 8 & 0xff) as usize])
+                ^ (T[5][(lo >> 16 & 0xff) as usize] ^ T[4][(lo >> 24) as usize]));
     }
     for &b in words.remainder() {
         crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xff) as usize];

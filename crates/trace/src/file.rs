@@ -22,6 +22,12 @@
 //!            crc32(total_records index_offset):u32
 //! ```
 //!
+//! The trailer must end the stream. A reader that finds bytes after a
+//! verified trailer fails with [`TraceFileError::BadStructure`] at the
+//! first of them (or, in recover mode, skips and accounts them), so
+//! appended garbage or a second concatenated trace never passes as a
+//! clean read.
+//!
 //! Version 2 (current) appends the chunk-offset index frame and widens
 //! the trailer to carry `index_offset`, so a consumer can seek straight
 //! to any chunk. The sequential reader verifies the index frame's
