@@ -619,7 +619,8 @@ impl<R: Read> TraceReader<R> {
                     self.head = 0;
                 } else {
                     // Full of unread bytes: double.
-                    self.buf.resize(self.buf.len() + self.buf.len().max(READ_CHUNK), 0);
+                    self.buf
+                        .resize(self.buf.len() + self.buf.len().max(READ_CHUNK), 0);
                 }
             }
             let want = (self.buf.len() - self.end).min(READ_CHUNK);
@@ -636,7 +637,10 @@ impl<R: Read> TraceReader<R> {
     /// Drops `n` already-buffered bytes from the front of the
     /// look-ahead.
     fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.buffered().len(), "consume beyond buffered look-ahead");
+        debug_assert!(
+            n <= self.buffered().len(),
+            "consume beyond buffered look-ahead"
+        );
         self.head += n;
         self.pos += n as u64;
         if self.head == self.end {
@@ -980,9 +984,7 @@ impl<R: Read> TraceReader<R> {
     /// Reads and validates the whole remaining trace.
     pub fn read_all(&mut self) -> Result<Vec<TraceRecord>, TraceFileError> {
         let mut out = Vec::new();
-        while let Some(r) = self.next_record()? {
-            out.push(r);
-        }
+        self.next_records_into(&mut out, usize::MAX)?;
         Ok(out)
     }
 }
@@ -1221,7 +1223,10 @@ mod tests {
         // one read, never the claimed length.
         bytes[header_len + 1..header_len + 5].copy_from_slice(&MAX_CHUNK_PAYLOAD.to_le_bytes());
         let mut r = TraceReader::new(&bytes[..]).unwrap();
-        assert!(matches!(r.read_all(), Err(TraceFileError::Truncated { .. })));
+        assert!(matches!(
+            r.read_all(),
+            Err(TraceFileError::Truncated { .. })
+        ));
         assert!(
             r.buf.capacity() <= bytes.len() + READ_CHUNK,
             "look-ahead capacity {} for a {}-byte stream",
@@ -1251,9 +1256,15 @@ mod tests {
         use crate::faultinject::{FaultKind, FaultPlan, FaultyReader};
         let records = sample("gcc", 42, 3_000);
         let (bytes, _) = chunked(&records, 700);
-        let whole = TraceReader::new(io::Cursor::new(&bytes)).unwrap().read_all().unwrap();
+        let whole = TraceReader::new(io::Cursor::new(&bytes))
+            .unwrap()
+            .read_all()
+            .unwrap();
         assert_eq!(whole, records);
-        let one = TraceReader::new(OneByteReads(&bytes)).unwrap().read_all().unwrap();
+        let one = TraceReader::new(OneByteReads(&bytes))
+            .unwrap()
+            .read_all()
+            .unwrap();
         assert_eq!(one, whole, "one byte per read");
         for seed in 0..8 {
             let plan = FaultPlan::seeded(seed, FaultKind::ShortRead, bytes.len() as u64);

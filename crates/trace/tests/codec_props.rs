@@ -8,8 +8,8 @@
 //! alike.
 
 use fade_isa::{
-    AppInstr, HighLevelEvent, InstrClass, MemRef, Reg, StackUpdateEvent, StackUpdateKind,
-    VirtAddr, NUM_REGS,
+    AppInstr, HighLevelEvent, InstrClass, MemRef, Reg, StackUpdateEvent, StackUpdateKind, VirtAddr,
+    NUM_REGS,
 };
 use fade_trace::codec::{encode_chunk, write_varint, ChunkDecoder, CodecError};
 use fade_trace::file::{
@@ -555,7 +555,10 @@ fn decoder_matches_reference_on_edge_cases() {
         (vec![TAG_THREAD_SWITCH], 1),
         (vec![2, 0, 0x08, TAG_THREAD_SWITCH, 9], 2),
         // Overlong varints in every non-instruction record.
-        (vec![TAG_MALLOC, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01], 1),
+        (
+            vec![TAG_MALLOC, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            1,
+        ),
         (vec![TAG_FREE, 0, 0xff, 0xff, 0xff, 0xff, 0x1f], 1),
         (vec![TAG_STACK_CALL, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80], 1),
         (vec![TAG_TAINT_SOURCE, 4], 1),
@@ -616,7 +619,17 @@ fn decoder_matches_reference_on_edge_cases() {
         }
     }
     // Every varint length 1..=5 at every value boundary.
-    for v in [0u64, 0x7f, 0x80, 0x3fff, 0x4000, 0x1f_ffff, 0x20_0000, 0xfff_ffff, 0x1000_0000] {
+    for v in [
+        0u64,
+        0x7f,
+        0x80,
+        0x3fff,
+        0x4000,
+        0x1f_ffff,
+        0x20_0000,
+        0xfff_ffff,
+        0x1000_0000,
+    ] {
         let mut p = vec![2u8, 0];
         write_varint(&mut p, v);
         cases.push((p, 1));
