@@ -382,13 +382,7 @@ impl<'a> ChunkDecoder<'a> {
         let (rec, end) = match tag {
             0..=10 => {
                 let flags = (head >> 8) as u8;
-                // PCs mostly advance by a word: a one-byte delta whose
-                // length, known early, keeps `pos` off the varint path.
-                let (z, n, bad) = if head & 0x80_0000 == 0 {
-                    ((head >> 16) as u32 & 0x7f, 1, false)
-                } else {
-                    varint(head >> 16, at + 2, buf.len())
-                };
+                let (z, n, bad) = varint(head >> 16, at + 2, buf.len());
                 if bad {
                     return Err(CodecError::BadOperand { offset: at + 2 });
                 }

@@ -446,6 +446,13 @@ impl<W: Write> TraceWriter<W> {
 /// In strict mode (the default) the first fault aborts the read with a
 /// typed [`TraceFileError`]; [`TraceReader::with_recovery`] switches to
 /// skip-and-resynchronize with a [`DegradationReport`].
+///
+/// The reader takes over the whole stream: it reads ahead in blocks of
+/// up to 8 KiB, past the frame it needs, and after the trailer it
+/// reads once more to check for end of stream (see the module docs),
+/// so the read finishes only at EOF or at an error. A trace cannot be
+/// embedded in a longer stream, and a pipe or socket that stays open
+/// after the trailer blocks that last read until it closes.
 pub struct TraceReader<R: Read> {
     r: R,
     meta: TraceMeta,
