@@ -1541,7 +1541,9 @@ fn fade_stats_delta(now: FadeStats, then: FadeStats) -> FadeStats {
 
 /// Cycles an unmonitored (application-only) system needs to retire
 /// `measure` instructions after a `warmup`-instruction warmup, with the
-/// same core and commit-process seed as the monitored run.
+/// same core and commit-process seed as the monitored run. The
+/// measured span starts at the end of the cycle whose retirement
+/// reaches `warmup` — at cycle 0 when there is no warmup.
 pub fn baseline_cycles(
     bench: &BenchProfile,
     core: CoreKind,
@@ -1551,7 +1553,7 @@ pub fn baseline_cycles(
 ) -> u64 {
     let mut commit = CommitModel::new(core, bench.commit, Rng::seed_from(seed ^ 0xbace));
     let mut instrs = 0u64;
-    let mut cycles_at_warmup = None;
+    let mut cycles_at_warmup = (warmup == 0).then_some(0);
     let mut cycles = 0u64;
     while instrs < warmup + measure {
         commit.tick();
@@ -1714,5 +1716,28 @@ mod tests {
             "baseline ipc {ipc} vs profile {}",
             b.commit.ipc_4way
         );
+    }
+
+    #[test]
+    fn baseline_without_warmup_counts_from_cycle_zero() {
+        let b = bench::by_name("hmmer").unwrap();
+        let core = CoreKind::AggrOoO4;
+        // Retiring anything takes at least one cycle.
+        assert!(baseline_cycles(&b, core, 1, 0, 1) >= 1);
+        assert!(baseline_cycles(&b, core, 1, 0, 4) >= 1);
+        // The same realization, counted from cycle 0: no warmup cycle is
+        // dropped from the measured span.
+        assert_eq!(baseline_cycles(&b, core, 1, 0, 1000), 250);
+        assert_eq!(baseline_cycles(&b, core, 1, 1, 1000), 250);
+        let mut commit = CommitModel::new(core, b.commit, Rng::seed_from(1 ^ 0xbace));
+        let (mut instrs, mut cycles) = (0u64, 0u64);
+        while instrs < 1 {
+            commit.tick();
+            let n = commit.retirable();
+            commit.retire(n);
+            instrs += n as u64;
+            cycles += 1;
+        }
+        assert_eq!(baseline_cycles(&b, core, 1, 0, 1), cycles);
     }
 }
