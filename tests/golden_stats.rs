@@ -9,7 +9,8 @@
 //!   through `Session::run_measured` on the cycle, batched and
 //!   unaccelerated engines and snapshots every scalar of the measured
 //!   window's `RunStats` (timing, handler classes, histograms, sampling
-//!   summary) into `tests/golden/run_stats.txt`.
+//!   summary) into `tests/golden/run_stats.txt`, plus gcc/MemLeak on
+//!   the two-core systems and on the in-order and 2-way cores.
 //!
 //! Every quantity in either snapshot is deterministic — same seed, same
 //! trace, same filtering and timing decisions — so any diff is a real
@@ -28,7 +29,7 @@ use std::path::PathBuf;
 
 use fade_repro::isa::{layout, Reg, VirtAddr};
 use fade_repro::prelude::*;
-use fade_repro::sim::LogHistogram;
+use fade_repro::sim::{CoreKind, LogHistogram};
 use fade_repro::trace::bench;
 
 /// Instructions per workload: enough to cross several sampling periods.
@@ -153,18 +154,35 @@ fn write_histogram(out: &mut String, name: &str, h: &LogHistogram) {
     .unwrap();
 }
 
-fn run_stats_one(bench_name: &str, monitor: &str, engine: Engine, out: &mut String) {
+/// Snapshots one `run_measured` report. `cfg` defaults to the FADE
+/// single-core 4-way system; other systems are named in the section
+/// header by topology and core.
+fn run_stats_one(
+    bench_name: &str,
+    monitor: &str,
+    engine: Engine,
+    cfg: Option<SystemConfig>,
+    out: &mut String,
+) {
     let report = Session::builder()
         .monitor(monitor)
         .source(bench::by_name(bench_name).unwrap())
         .engine(engine)
-        .config(SystemConfig::fade_single_core())
+        .config(cfg.unwrap_or_else(SystemConfig::fade_single_core))
         .build()
         .unwrap()
         .run_measured(RUN_WARMUP, RUN_MEASURE)
         .unwrap();
     let s = &report.stats;
-    writeln!(out, "[{bench_name}/{monitor}/{engine:?}]").unwrap();
+    match cfg {
+        None => writeln!(out, "[{bench_name}/{monitor}/{engine:?}]").unwrap(),
+        Some(c) => writeln!(
+            out,
+            "[{bench_name}/{monitor}/{engine:?}/{} {}]",
+            c.topology, c.core
+        )
+        .unwrap(),
+    }
     writeln!(out, "system = {}", s.system).unwrap();
     writeln!(out, "app_instrs = {}", s.app_instrs).unwrap();
     writeln!(out, "monitored_events = {}", s.monitored_events).unwrap();
@@ -197,8 +215,27 @@ fn run_stats_match_golden_snapshot() {
             Engine::batched_with(8192, 2048),
             Engine::Unaccelerated,
         ] {
-            run_stats_one(bench_name, monitor, engine, &mut snapshot);
+            run_stats_one(bench_name, monitor, engine, None, &mut snapshot);
         }
+    }
+    // Systems off the default single-core 4-way point, on one workload:
+    // the two-core topology (FADE and unaccelerated) and the narrower
+    // cores on both engines. These reach the cycle engine's idle-stall
+    // accounting on every topology and core width.
+    let batched = Engine::batched_with(2048, 512);
+    let two_core = SystemConfig::fade_two_core();
+    let in_order = SystemConfig::fade_single_core().with_core(CoreKind::InOrder1);
+    let two_way = SystemConfig::fade_single_core().with_core(CoreKind::LeanOoO2);
+    for (engine, cfg) in [
+        (Engine::Cycle, two_core),
+        (batched, two_core),
+        (Engine::Unaccelerated, two_core),
+        (Engine::Cycle, in_order),
+        (batched, in_order),
+        (Engine::Cycle, two_way),
+        (batched, two_way),
+    ] {
+        run_stats_one("gcc", "MemLeak", engine, Some(cfg), &mut snapshot);
     }
     check_golden("run_stats.txt", &snapshot);
 }

@@ -233,6 +233,31 @@ fn two_core_never_loses() {
     }
 }
 
+/// Every simulated cycle of a measured cycle-engine window is charged
+/// exactly once: one occupancy sample and one utilization class per
+/// cycle, on every organization and core — including the cycles the
+/// engine advances in bulk.
+#[test]
+fn every_measured_cycle_is_accounted_once() {
+    let b = bench::by_name("gcc").unwrap();
+    for org in [
+        SystemConfig::fade_single_core(),
+        SystemConfig::fade_two_core(),
+        SystemConfig::unaccelerated_single_core(),
+        SystemConfig::unaccelerated_two_core(),
+    ] {
+        for core in fade_repro::sim::CoreKind::ALL {
+            let cfg = org.with_core(core);
+            let s = run_experiment(&b, "MemLeak", &cfg, WARM / 2, MEAS / 3);
+            let label = cfg.label();
+            assert!(s.cycles > 0, "{label}");
+            assert_eq!(s.occupancy.total(), s.cycles, "{label}: occupancy samples");
+            let u = s.util;
+            assert_eq!(u.app_idle + u.monitor_idle + u.both, s.cycles, "{label}: utilization");
+        }
+    }
+}
+
 /// Area/power model reproduces Section 7.6 (paper-vs-measured).
 #[test]
 fn power_model_matches_paper() {
