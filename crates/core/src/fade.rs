@@ -596,6 +596,20 @@ impl Fade {
         out
     }
 
+    /// Advances a quiesced accelerator `cycles` cycles at once, exactly
+    /// as that many [`Fade::tick`] calls would with nothing in flight:
+    /// each is an idle cycle, and the batch fast path's MRU knowledge is
+    /// dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the accelerator is [`Fade::quiesced`].
+    pub fn skip_idle(&mut self, cycles: u64) {
+        assert!(self.quiesced(), "only a quiesced accelerator idles in bulk");
+        self.batch.invalidate_mru();
+        self.stats.idle_cycles += cycles;
+    }
+
     /// Drains a slice of events through the four-stage pipeline without
     /// per-event `enqueue`/`tick` round trips.
     ///

@@ -136,6 +136,17 @@ enum CommitState {
 /// backpressure the window fills and the core stalls, exactly like a real
 /// ROB); the system retires instructions from the window with
 /// [`CommitModel::retire`].
+///
+/// Two entry points advance the process a phase at a time instead of a
+/// cycle at a time, with the same state and random draws as the
+/// equivalent `tick`/`retire` sequence: [`CommitModel::fast_forward`]
+/// retires instructions with nothing impeding retirement, and
+/// [`CommitModel::skip_idle_stall`] advances through an idle stall.
+/// Only the interiors of phases are advanced in bulk — inside a run
+/// whose window cannot clamp at the ROB every cycle retires exactly the
+/// commit width, and inside a stall with an empty window no cycle
+/// retires anything. Phase ends (which draw the next phase), draining
+/// windows and ROB-clamped cycles go through `tick` one cycle at a time.
 #[derive(Clone, Debug)]
 pub struct CommitModel {
     kind: CoreKind,
@@ -190,6 +201,12 @@ impl CommitModel {
         self.target_ipc
     }
 
+    /// Window capacity: the ROB, or one full commit group on a core
+    /// whose ROB is narrower than its width.
+    fn window_cap(&self) -> u32 {
+        self.kind.rob().max(self.kind.width())
+    }
+
     /// Advances one cycle: commit-eligible instructions accumulate in the
     /// window (bounded by the ROB).
     pub fn tick(&mut self) {
@@ -203,7 +220,7 @@ impl CommitModel {
                 0
             }
         };
-        self.pending = (self.pending + produce).min(self.kind.rob().max(self.kind.width()));
+        self.pending = (self.pending + produce).min(self.window_cap());
         // State transition when the current phase expires.
         let expired = matches!(self.state, CommitState::Run(0) | CommitState::Stall(0));
         if expired {
@@ -217,6 +234,64 @@ impl CommitModel {
             } else {
                 CommitState::Run(self.draw_run())
             };
+        }
+    }
+
+    /// Retires instructions with nothing impeding retirement — each
+    /// cycle is a [`CommitModel::tick`] followed by retiring everything
+    /// [`CommitModel::retirable`] — until at least `n` have retired,
+    /// and returns `(cycles, retired)`. With `exact`, the last cycle
+    /// retires only what is left, so exactly `n` retire; without it the
+    /// last cycle retires everything retirable and may overshoot `n`.
+    /// `n == 0` advances nothing.
+    ///
+    /// Costs O(phases), not O(cycles): run and idle-stall interiors are
+    /// advanced in bulk (see the type docs), with the same resulting
+    /// state and random draws as the per-cycle loop.
+    pub fn fast_forward(&mut self, n: u64, exact: bool) -> (u64, u64) {
+        let width = self.kind.width();
+        let (mut cycles, mut retired) = (0u64, 0u64);
+        while retired < n {
+            let left = n - retired;
+            let bulk = match self.state {
+                // Run interior: every cycle deposits and retires a full
+                // commit group, leaving the window unchanged.
+                CommitState::Run(run) if run > 1 && self.pending + width <= self.window_cap() => {
+                    let k = (run - 1).min(left / width as u64);
+                    self.state = CommitState::Run(run - k);
+                    retired += k * width as u64;
+                    k
+                }
+                CommitState::Run(_) => 0,
+                CommitState::Stall(_) => self.skip_idle_stall(),
+            };
+            if bulk > 0 {
+                cycles += bulk;
+                continue;
+            }
+            self.tick();
+            let avail = self.retirable();
+            let take = if exact { avail.min(left.min(u32::MAX as u64) as u32) } else { avail };
+            self.retire(take);
+            retired += take as u64;
+            cycles += 1;
+        }
+        (cycles, retired)
+    }
+
+    /// Advances through all but the last cycle of an idle stall — a
+    /// stall with an empty window, where no cycle can retire anything —
+    /// and returns the cycles advanced: exactly what that many `tick`s
+    /// do. The stall's last cycle, which draws the next run, is left to
+    /// [`CommitModel::tick`]. Returns 0, changing nothing, outside an
+    /// idle stall or on its last cycle.
+    pub fn skip_idle_stall(&mut self) -> u64 {
+        match self.state {
+            CommitState::Stall(stall) if stall > 1 && self.pending == 0 => {
+                self.state = CommitState::Stall(1);
+                stall - 1
+            }
+            _ => 0,
         }
     }
 

@@ -21,13 +21,22 @@ impl LogHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of the same value, exactly as `n` calls of
+    /// [`LogHistogram::record`] would.
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let bucket = Self::bucket_of(value);
         if self.counts.len() <= bucket {
             self.counts.resize(bucket + 1, 0);
         }
-        self.counts[bucket] += 1;
-        self.total += 1;
-        self.sum += value as u128;
+        self.counts[bucket] += n;
+        self.total += n;
+        self.sum += value as u128 * n as u128;
     }
 
     fn bucket_of(value: u64) -> usize {

@@ -87,6 +87,21 @@ proptest! {
         prop_assert!((h.mean() - expect).abs() < 1e-6);
     }
 
+    /// `record_n(v, n)` is `n` calls of `record(v)`, bucket for bucket.
+    #[test]
+    fn histogram_record_n_is_repeated_record(
+        runs in prop::collection::vec((0u64..100_000, 0u64..50), 0..40),
+    ) {
+        let (mut bulk, mut single) = (LogHistogram::new(), LogHistogram::new());
+        for &(v, n) in &runs {
+            bulk.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        prop_assert_eq!(format!("{bulk:?}"), format!("{single:?}"));
+    }
+
     /// RNG ranges honour their bounds for arbitrary seeds.
     #[test]
     fn rng_bounds(seed: u64, lo in 0u64..1000, span in 1u64..1000) {

@@ -185,7 +185,7 @@ enum SourceState {
 struct Counts {
     /// Application instructions retired (both engines).
     instrs: u64,
-    /// Cycles simulated exactly (`step` calls).
+    /// Cycles simulated exactly by the cycle engine (`step`).
     cycles: u64,
     /// Monitored instruction events accepted.
     instr_events: u64,
@@ -854,7 +854,7 @@ impl MonitoringSystem {
                 // Advance the unimpeded replay through the warmup so
                 // the tail's application-side term continues the same
                 // run/stall realization.
-                let ff_warm = unimpeded_commit_cycles(&mut baseline_commit, instrs1 - instrs0);
+                let ff_warm = baseline_commit.fast_forward(instrs1 - instrs0, true).0;
                 self.run_cycle_exact(target, window_end);
                 if self.counts.events() >= window_end && self.counts.events() > events1 {
                     // Steady-state snapshot before the trailing drain:
@@ -868,7 +868,7 @@ impl MonitoringSystem {
                     let di = self.counts.instrs - instrs1;
                     let dc_tail = (cycles_pre - cycles1) as f64;
                     let dh_tail = (handler_pre - handler1) as f64;
-                    let ff_tail = unimpeded_commit_cycles(&mut baseline_commit, di) as f64;
+                    let ff_tail = baseline_commit.fast_forward(di, true).0 as f64;
                     let dc_whole = (self.counts.cycles - cycles0) as f64;
                     let dh_whole = (self.handler_est_cycles - handler0) as f64;
                     let ff_whole = ff_warm as f64 + ff_tail;
@@ -1068,7 +1068,7 @@ impl MonitoringSystem {
             // Fast-forward the commit process over the stretch so the
             // run consumes one continuous run/stall realization: this
             // is the stretch's exact application-side cycle cost.
-            let ff = unimpeded_commit_cycles(&mut self.commit, chunk_instrs);
+            let ff = self.commit.fast_forward(chunk_instrs, true).0;
 
             // ---- Drain the chunk through the accelerator. ----
             let mut handler_cycles = 0u64;
@@ -1113,8 +1113,19 @@ impl MonitoringSystem {
         }
     }
 
-    /// Advances the system one cycle.
+    /// Advances the system one cycle, or through one whole idle stall.
+    ///
+    /// When the application thread sits inside a commit stall with an
+    /// empty window, nothing is in flight on the monitoring side and
+    /// neither a drain nor a blocked enqueue is pending, no cycle of the
+    /// stall can do anything but count it down. Such a step advances
+    /// all but the stall's last cycle at once, charging every skipped
+    /// cycle exactly as a single step would; the last cycle, which draws
+    /// the next run, is the next step.
     pub fn step(&mut self) {
+        if self.skip_idle_stall() {
+            return;
+        }
         self.counts.cycles += 1;
         let monitor_busy_at_start = self.handler.busy();
         let width = self.cfg.core.width();
@@ -1236,6 +1247,37 @@ impl MonitoringSystem {
                 self.util.both += 1;
             }
         }
+    }
+
+    /// The idle-stall branch of [`MonitoringSystem::step`]: advances
+    /// through all but the last cycle of an idle commit stall when the
+    /// monitoring side is quiesced, charging the skipped cycles in bulk
+    /// — cycle count, accelerator idle cycles, and in a measured window
+    /// one empty-queue occupancy sample and one monitor-idle cycle each.
+    /// Returns `false`, changing nothing, when the step must run cycle
+    /// by cycle. A drain never skips: its producer is paused.
+    fn skip_idle_stall(&mut self) -> bool {
+        if self.producer_paused || self.last_blocked || !self.quiesced() {
+            return false;
+        }
+        let k = self.commit.skip_idle_stall();
+        if k == 0 {
+            return false;
+        }
+        self.counts.cycles += k;
+        if let Some(fade) = &mut self.fade {
+            fade.skip_idle(k);
+        }
+        if self.cfg.topology == Topology::SingleCoreDualThread {
+            // What every skipped cycle's arbitration does: the app wants
+            // nothing and the monitor is idle.
+            self.arbiter.arbitrate(self.cfg.core.width(), 0, false);
+        }
+        if self.measuring {
+            self.occupancy.record_n(0, k);
+            self.util.monitor_idle += k;
+        }
+        true
     }
 
     /// The next trace record, through the batch-refilled buffer (same
@@ -1430,24 +1472,6 @@ impl MonitoringSystem {
     }
 }
 
-/// Advances a commit process by exactly `n` retired instructions with
-/// nothing impeding retirement, returning the cycles consumed — the
-/// application-only cost of a stretch, on the process's own run/stall
-/// realization.
-fn unimpeded_commit_cycles(commit: &mut CommitModel, n: u64) -> u64 {
-    let mut retired = 0u64;
-    let mut cycles = 0u64;
-    while retired < n {
-        commit.tick();
-        let avail = commit.retirable() as u64;
-        let take = avail.min(n - retired) as u32;
-        commit.retire(take);
-        retired += take as u64;
-        cycles += 1;
-    }
-    cycles
-}
-
 /// The monitor thread's standalone handler IPC: the rate batched
 /// stretches and congestion seeds convert handler work at.
 fn handler_ipc(core: CoreKind) -> f64 {
@@ -1552,20 +1576,10 @@ pub fn baseline_cycles(
     measure: u64,
 ) -> u64 {
     let mut commit = CommitModel::new(core, bench.commit, Rng::seed_from(seed ^ 0xbace));
-    let mut instrs = 0u64;
-    let mut cycles_at_warmup = (warmup == 0).then_some(0);
-    let mut cycles = 0u64;
-    while instrs < warmup + measure {
-        commit.tick();
-        let n = commit.retirable();
-        commit.retire(n);
-        instrs += n as u64;
-        cycles += 1;
-        if cycles_at_warmup.is_none() && instrs >= warmup {
-            cycles_at_warmup = Some(cycles);
-        }
-    }
-    cycles - cycles_at_warmup.unwrap_or(0)
+    // Every cycle retires everything retirable, so the warmup may
+    // overshoot; the measured span retires the rest.
+    let (_, warm) = commit.fast_forward(warmup, false);
+    commit.fast_forward((warmup + measure).saturating_sub(warm), false).0
 }
 
 #[cfg(test)]
