@@ -271,7 +271,11 @@ impl CommitModel {
             }
             self.tick();
             let avail = self.retirable();
-            let take = if exact { avail.min(left.min(u32::MAX as u64) as u32) } else { avail };
+            let take = if exact {
+                avail.min(left.min(u32::MAX as u64) as u32)
+            } else {
+                avail
+            };
             self.retire(take);
             retired += take as u64;
             cycles += 1;

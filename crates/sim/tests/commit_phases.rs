@@ -66,7 +66,12 @@ fn assert_same_future(
     for cycle in 0..10_000 {
         a.tick();
         b.tick();
-        prop_assert_eq!(a.retirable(), b.retirable(), "cycle {} after the fast-forward", cycle);
+        prop_assert_eq!(
+            a.retirable(),
+            b.retirable(),
+            "cycle {} after the fast-forward",
+            cycle
+        );
         prop_assert_eq!(a.pending(), b.pending());
         let take = rng.below(a.retirable() as u64 + 1) as u32;
         a.retire(take);
@@ -180,9 +185,16 @@ fn fast_forward_from_a_full_window() {
         let mut fast = model(kind, 110, 200, 7);
         backpressure(&mut fast, 10_000);
         assert_eq!(fast.pending(), kind.rob().max(kind.width()));
-        assert_eq!(fast.skip_idle_stall(), 0, "{kind}: a full window is not idle");
+        assert_eq!(
+            fast.skip_idle_stall(),
+            0,
+            "{kind}: a full window is not idle"
+        );
         let mut slow = fast.clone();
-        assert_eq!(fast.fast_forward(1_000, true).0, exact_per_cycle(&mut slow, 1_000));
+        assert_eq!(
+            fast.fast_forward(1_000, true).0,
+            exact_per_cycle(&mut slow, 1_000)
+        );
         assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
     }
 }

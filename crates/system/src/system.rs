@@ -1579,7 +1579,9 @@ pub fn baseline_cycles(
     // Every cycle retires everything retirable, so the warmup may
     // overshoot; the measured span retires the rest.
     let (_, warm) = commit.fast_forward(warmup, false);
-    commit.fast_forward((warmup + measure).saturating_sub(warm), false).0
+    commit
+        .fast_forward((warmup + measure).saturating_sub(warm), false)
+        .0
 }
 
 #[cfg(test)]

@@ -253,7 +253,11 @@ fn every_measured_cycle_is_accounted_once() {
             assert!(s.cycles > 0, "{label}");
             assert_eq!(s.occupancy.total(), s.cycles, "{label}: occupancy samples");
             let u = s.util;
-            assert_eq!(u.app_idle + u.monitor_idle + u.both, s.cycles, "{label}: utilization");
+            assert_eq!(
+                u.app_idle + u.monitor_idle + u.both,
+                s.cycles,
+                "{label}: utilization"
+            );
         }
     }
 }
