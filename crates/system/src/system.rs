@@ -694,7 +694,9 @@ impl MonitoringSystem {
     /// records still available (a deadlock would be a simulator bug).
     pub fn run_instrs(&mut self, n: u64) {
         let target = self.counts.instrs + n;
-        let cycle_cap = self.counts.cycles + 200_000 + n * 400;
+        // Saturating, as in `run_cycle_exact`: run-to-exhaustion targets
+        // must not overflow the cap math.
+        let cycle_cap = n.saturating_mul(400).saturating_add(self.counts.cycles + 200_000);
         while self.counts.instrs < target {
             if self.out_of_records() {
                 self.drain();

@@ -84,6 +84,26 @@ fn source_exhaustion_is_a_clean_early_stop() {
     }
 }
 
+/// `run` to exhaustion — the counterpart of `run_exact(u64::MAX / 2)`
+/// in [`run_to_end`] — on the engines that step cycle by cycle: an
+/// effectively unbounded target must not overflow the progress guard.
+#[test]
+fn run_to_exhaustion_is_a_clean_early_stop() {
+    let b = bench::by_name("hmmer").unwrap();
+    let (records, _) = fade_system::record_trace_prefix(&b, "AddrCheck", cfg().seed, 2_000);
+    for engine in [Engine::Cycle, Engine::Unaccelerated] {
+        let mut s = Session::builder()
+            .monitor("AddrCheck")
+            .source((b.clone(), records.clone()))
+            .engine(engine)
+            .config(cfg())
+            .build()
+            .unwrap();
+        s.run(u64::MAX / 2).expect("running to exhaustion is not an error");
+        assert!(s.source_exhausted(), "{engine:?}: exhaustion flag");
+    }
+}
+
 /// The seeded sweep: every fault kind × seed, replayed through a full
 /// monitoring session in recover mode. Zero panics; transport faults
 /// are lossless; data faults degrade with the same surviving records a
