@@ -228,50 +228,15 @@ pub struct BatchStats {
     pub fallback: u64,
     /// Events dispatched to the software consumer during the batch.
     pub dispatched: u64,
-    /// Queue-occupancy integral: the sum, over every batch event, of
-    /// the modeled software-queue depth when that event entered the
-    /// filter. The model is a Lindley recurrence the batched path can
-    /// afford: each dispatched event deepens the queue by
-    /// [`BatchStats::OCC_COST`] (handler work outpaces retirement),
-    /// every event drains one unit. Purely observational — it never
-    /// affects filtering results — but unlike the post-hoc stall
-    /// counters it *sees* queue build-up inside batched stretches,
-    /// which is the covariate the sampling estimator needs for
-    /// monitor-bound runs.
-    pub occ_integral: u64,
-    /// Modeled queue depth left at the end of the batch (the state the
-    /// integral recurrence carries; merged chronologically).
-    pub occ_depth: u64,
 }
 
 impl BatchStats {
-    /// Modeled queue growth per dispatched event: the handler consumes
-    /// events slower than the filter produces them, so a dispatch costs
-    /// one drain slot plus one backlog slot.
-    pub const OCC_COST: u64 = 2;
-
-    /// Folds another batch's counters into this one. Batches merge in
-    /// execution order: the occupancy integral sums, the carried depth
-    /// is whatever the later batch left behind.
+    /// Folds another batch's counters into this one.
     pub fn merge(&mut self, other: &BatchStats) {
         self.events += other.events;
         self.fast_path += other.fast_path;
         self.fallback += other.fallback;
         self.dispatched += other.dispatched;
-        self.occ_integral += other.occ_integral;
-        self.occ_depth = other.occ_depth;
-    }
-
-    /// Advances the occupancy model over one event that dispatched
-    /// `dispatched` events to software (0 = filtered).
-    #[inline]
-    fn occ_event(&mut self, dispatched: u64) {
-        self.occ_integral += self.occ_depth;
-        if dispatched > 0 {
-            self.occ_depth += Self::OCC_COST * dispatched;
-        } else {
-            self.occ_depth = self.occ_depth.saturating_sub(1);
-        }
     }
 
     /// Fraction of batch events that took the short-circuit fast path
@@ -666,13 +631,10 @@ impl Fade {
                 AppEvent::Instr(iev) => self.batch_instr(iev, st, &mut out, &mut consumer),
                 other => {
                     out.fallback += 1;
-                    let mark = out.dispatched;
                     self.event_q
                         .push(*other)
                         .expect("event queue is drained between batch events");
                     self.settle_batch(st, &mut out, &mut consumer);
-                    let d = out.dispatched - mark;
-                    out.occ_event(d);
                 }
             }
         }
@@ -683,24 +645,7 @@ impl Fade {
     /// pipeline, fast-path when its metadata structures are warm) when
     /// the decoded plan allows it, tier B (the full pipeline stages
     /// without queue churn) for multi-shot chains and unknown events.
-    /// Also advances the occupancy integral by the event's dispatch
-    /// count.
     fn batch_instr<F>(
-        &mut self,
-        ev: &InstrEvent,
-        st: &mut MetadataState,
-        out: &mut BatchStats,
-        consumer: &mut F,
-    ) where
-        F: FnMut(UnfilteredEvent, &mut MetadataState),
-    {
-        let mark = out.dispatched;
-        self.batch_instr_exec(ev, st, out, consumer);
-        let d = out.dispatched - mark;
-        out.occ_event(d);
-    }
-
-    fn batch_instr_exec<F>(
         &mut self,
         ev: &InstrEvent,
         st: &mut MetadataState,

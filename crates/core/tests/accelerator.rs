@@ -393,7 +393,6 @@ fn batch_stats_fraction_is_zero_not_nan_on_empty_runs() {
         fast_path: 7,
         fallback: 3,
         dispatched: 1,
-        ..Default::default()
     };
     total.merge(&bs);
     assert!((total.fast_path_fraction() - 0.7).abs() < 1e-12);

@@ -14,7 +14,9 @@
 //!   aggressive OoO 4-way/96-ROB), modelled at the level FADE cares
 //!   about: bursty retirement and handler execution throughput,
 //! * [`MemLatency`] — Table 1 memory-hierarchy latencies,
-//! * statistics helpers ([`LogHistogram`], [`RunningMean`], [`gmean`]).
+//! * statistics helpers ([`LogHistogram`], [`gmean`]),
+//! * the sampling estimator behind batched timing
+//!   ([`StratifiedEstimator`], fed by [`CongestionCarry`]).
 
 pub mod cache;
 pub mod core_model;
@@ -28,7 +30,7 @@ pub use queue::{BoundedQueue, QueueDepth};
 pub use rng::Rng;
 pub use stats::{
     congestion_stratum, gmean, t_critical_975, Cdf, CongestionCarry, CycleCi, CycleEstimate,
-    LogHistogram, RunningMean, SampleEstimator, StratifiedEstimator, StratumStat, WindowSample,
+    LogHistogram, StratifiedEstimator, StratumStat, WindowSample,
 };
 
 /// Simulation time, in core clock cycles.

@@ -120,40 +120,6 @@ impl Cdf {
     }
 }
 
-/// An incrementally updated arithmetic mean.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RunningMean {
-    sum: f64,
-    n: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty mean.
-    pub fn new() -> Self {
-        RunningMean::default()
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, x: f64) {
-        self.sum += x;
-        self.n += 1;
-    }
-
-    /// The mean so far (0 if no samples).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-}
-
 /// The 95% confidence interval of a [`CycleEstimate`].
 ///
 /// Only exists when the estimator has enough information to compute
@@ -174,11 +140,12 @@ pub struct CycleCi {
 
 /// A cycle-count estimate extrapolated from sampled timing windows.
 ///
-/// Produced by [`SampleEstimator::estimate`]; `ci` bounds the estimate
-/// with a normal-approximation 95% confidence interval over the
-/// per-window CPI samples (SMARTS-style sampling error bars), and is
-/// `None` when fewer than two windows were sampled (no variance
-/// information) or the mean CPI is zero (no relative scale).
+/// Produced by [`StratifiedEstimator::estimate`]: the pooled ratio
+/// `ΣC/ΣE` of the sampled windows times the extrapolated events. `ci`
+/// bounds it with a Student-t 95% confidence interval over the windows'
+/// ratio residuals (SMARTS-style sampling error bars), and is `None`
+/// when fewer than two windows were sampled (no variance information)
+/// or the pooled ratio is zero (no relative scale).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CycleEstimate {
     /// Point estimate of the extrapolated cycle count.
@@ -229,136 +196,6 @@ pub fn t_critical_975(df: f64) -> f64 {
         41..=60 => 2.000,
         61..=120 => 1.980,
         _ => 1.960,
-    }
-}
-
-/// Extrapolates cycle counts from periodically sampled cycle-accurate
-/// windows — the timing half of the batched execution mode.
-///
-/// Each window contributes an `(instructions, cycles)` pair measured by
-/// running the cycle-accurate engine; unsampled (batched) stretches are
-/// charged the ratio-estimator CPI `Σcycles / Σinstrs`. The error bound
-/// is a 95% confidence interval on that *same ratio* — Taylor-linearized
-/// (instruction-weighted) variance with a Student-t critical value — so
-/// callers can report estimates as `cycles ± rel_half_width`.
-///
-/// Cycles are `f64` so callers can sample *differential* quantities —
-/// the batched system mode records each window's monitoring *overhead*
-/// (measured cycles minus the unimpeded-commit cycles for the same
-/// instructions, which can dip below zero in a lucky window) and keeps
-/// the large, noisy application-side term exact.
-#[derive(Clone, Debug, Default)]
-pub struct SampleEstimator {
-    windows: Vec<(u64, f64)>,
-}
-
-impl SampleEstimator {
-    /// Creates an estimator with no windows.
-    pub fn new() -> Self {
-        SampleEstimator::default()
-    }
-
-    /// Builds an estimator from pre-measured `(instrs, cycles)` windows.
-    /// Zero-instruction windows carry no CPI information and are
-    /// discarded, exactly as [`SampleEstimator::record_window`] would —
-    /// otherwise a single degenerate window poisons every downstream
-    /// ratio with `NaN`/`inf`.
-    pub fn from_windows(windows: &[(u64, f64)]) -> Self {
-        SampleEstimator {
-            windows: windows.iter().copied().filter(|&(i, _)| i > 0).collect(),
-        }
-    }
-
-    /// Records one sampled window of `instrs` instructions that took
-    /// `cycles` cycles. Windows with zero instructions carry no CPI
-    /// information and are ignored.
-    pub fn record_window(&mut self, instrs: u64, cycles: f64) {
-        if instrs > 0 {
-            self.windows.push((instrs, cycles));
-        }
-    }
-
-    /// The recorded `(instrs, cycles)` windows, in sampling order.
-    pub fn windows(&self) -> &[(u64, f64)] {
-        &self.windows
-    }
-
-    /// Number of recorded windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// `true` when no window has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Ratio-estimator cycles-per-instruction over all windows
-    /// (0 when empty).
-    pub fn cpi(&self) -> f64 {
-        let instrs: u64 = self.windows.iter().map(|&(i, _)| i).sum();
-        let cycles: f64 = self.windows.iter().map(|&(_, c)| c).sum();
-        if instrs == 0 {
-            0.0
-        } else {
-            cycles / instrs as f64
-        }
-    }
-
-    /// Half-width of the 95% confidence interval of the ratio-estimator
-    /// CPI, relative to its absolute value. `None` with fewer than two
-    /// windows (the `n - 1` variance denominator needs at least one
-    /// degree of freedom) or a zero ratio (no relative scale) — the
-    /// degenerate inputs that used to surface as sentinel infinities.
-    ///
-    /// The variance is the Taylor-linearized ratio-estimator form: with
-    /// `R = ΣC/ΣI`, each window's residual is `dⱼ = cⱼ − R·iⱼ`, and
-    /// `Var(R) ≈ n·s²_d / (ΣI)²` where `s²_d = Σdⱼ²/(n−1)`. Unlike a
-    /// plain variance of per-window CPIs, this weighs each window by its
-    /// instruction count — consistent with the point estimate — so the
-    /// short-tail fallback windows the batched mode produces don't get
-    /// outsized influence. The critical value is Student-t at `n − 1`
-    /// degrees of freedom, not a hard-coded z.
-    pub fn rel_half_width(&self) -> Option<f64> {
-        let n = self.windows.len();
-        if n < 2 {
-            return None;
-        }
-        let instrs: f64 = self.windows.iter().map(|&(i, _)| i as f64).sum();
-        let cycles: f64 = self.windows.iter().map(|&(_, c)| c).sum();
-        let ratio = cycles / instrs;
-        if ratio == 0.0 {
-            return None;
-        }
-        let ss: f64 = self
-            .windows
-            .iter()
-            .map(|&(i, c)| {
-                let d = c - ratio * i as f64;
-                d * d
-            })
-            .sum();
-        let var_sum = ss * n as f64 / (n as f64 - 1.0); // estimated Var(Σdⱼ)
-        let half = t_critical_975((n - 1) as f64) * var_sum.sqrt() / instrs;
-        Some(half / ratio.abs())
-    }
-
-    /// Estimated cycles for `instrs` unsampled instructions, with 95%
-    /// confidence bounds. With no windows the estimate is 0 cycles (the
-    /// caller sampled nothing); with fewer than two windows (or a zero
-    /// mean CPI) the point estimate stands alone and `ci` is `None`.
-    pub fn estimate(&self, instrs: u64) -> CycleEstimate {
-        let cpi = self.cpi();
-        let cycles = cpi * instrs as f64;
-        let ci = self.rel_half_width().map(|rel| {
-            let half = cycles.abs() * rel;
-            CycleCi {
-                lo: cycles - half,
-                hi: cycles + half,
-                rel_half_width: rel,
-            }
-        });
-        CycleEstimate { cycles, ci }
     }
 }
 
@@ -438,12 +275,11 @@ struct GroupVar {
     beta: Option<f64>,
 }
 
-/// Stratified ratio estimator with a control variate — the tightened
-/// replacement for [`SampleEstimator`] in the batched system mode.
+/// Stratified ratio estimator with a control variate — the estimator
+/// behind the batched system mode's sampled timing.
 ///
-/// The **point estimate** is the plain pooled ratio `ΣC/ΣE`, identical
-/// to what [`SampleEstimator`] reports for the same windows:
-/// post-stratification with sample-share weights `W_h = E_h/E` gives
+/// The **point estimate** is the plain pooled ratio `ΣC/ΣE` of the
+/// windows, whatever their stratum labels: post-stratification with sample-share weights `W_h = E_h/E` gives
 /// `Σ_h W_h·(C_h/E_h) = ΣC/E` exactly, so stratification can only
 /// change the *interval*, never the estimate.
 ///
@@ -626,8 +462,8 @@ impl StratifiedEstimator {
 
     /// Half-width of the stratified 95% confidence interval of the
     /// pooled CPI, relative to its absolute value. `None` with fewer
-    /// than two windows or a zero ratio, mirroring
-    /// [`SampleEstimator::rel_half_width`].
+    /// than two windows (no variance information) or a zero pooled
+    /// ratio `ΣC/ΣE` (no relative scale).
     ///
     /// Combined variance: `Var(R) = (1/E²)·Σ_h n_h·s²_h` (sample-share
     /// weights make the stratum weights cancel); critical value:
@@ -689,9 +525,11 @@ impl StratifiedEstimator {
             .collect()
     }
 
-    /// Estimated cycles for `events` unsampled events, with 95%
-    /// confidence bounds — same contract as
-    /// [`SampleEstimator::estimate`], but with the stratified interval.
+    /// Estimated cycles for `events` unsampled events — the pooled
+    /// ratio `ΣC/ΣE` times `events` — with the stratified 95%
+    /// confidence bounds. With no windows the estimate is 0 cycles;
+    /// with fewer than two windows (or a zero ratio) the point estimate
+    /// stands alone and `ci` is `None`.
     pub fn estimate(&self, events: u64) -> CycleEstimate {
         let cpi = self.cpi();
         let cycles = cpi * events as f64;
@@ -781,7 +619,7 @@ impl StratifiedEstimator {
 /// consumer, so when the engine drops into a sampling window the
 /// decoupling queues are empty — on monitor-bound workloads that
 /// truncates the long congestion episodes the window was supposed to
-/// measure, biasing the [`SampleEstimator`]'s per-event residual low.
+/// measure, biasing the pooled per-event residual `ΣC/ΣE` low.
 /// This summary tracks, from the stretch's dispatch stream, how far the
 /// software consumer would have been behind at the stretch boundary:
 ///
@@ -942,16 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn running_mean() {
-        let mut m = RunningMean::new();
-        assert_eq!(m.mean(), 0.0);
-        m.add(1.0);
-        m.add(3.0);
-        assert!((m.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(m.count(), 2);
-    }
-
-    #[test]
     fn gmean_of_equal_values() {
         assert!((gmean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!((gmean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
@@ -962,89 +790,6 @@ mod tests {
     #[should_panic(expected = "gmean requires positive values")]
     fn gmean_rejects_zero() {
         let _ = gmean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn sample_estimator_exact_for_constant_cpi() {
-        let mut e = SampleEstimator::new();
-        for _ in 0..4 {
-            e.record_window(100, 250.0); // CPI 2.5 in every window
-        }
-        assert!((e.cpi() - 2.5).abs() < 1e-12);
-        let est = e.estimate(1_000);
-        assert!((est.cycles - 2_500.0).abs() < 1e-9);
-        // Zero variance: the interval collapses onto the estimate.
-        assert!((est.hi() - est.lo()).abs() < 1e-9);
-        assert!(est.rel_half_width().unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn sample_estimator_bounds_cover_the_mean() {
-        let e = SampleEstimator::from_windows(&[(100, 200.0), (100, 300.0), (100, 250.0)]);
-        assert!((e.cpi() - 2.5).abs() < 1e-12);
-        let est = e.estimate(100);
-        assert!(est.lo() < est.cycles && est.cycles < est.hi());
-        let rel = est.rel_half_width().expect("3 windows give a CI");
-        assert!(rel > 0.0 && rel.is_finite());
-    }
-
-    #[test]
-    fn sample_estimator_handles_negative_overhead_windows() {
-        // Differential sampling: a lucky window can have negative
-        // overhead; the estimator must keep working on signed cycles.
-        let e = SampleEstimator::from_windows(&[(100, -10.0), (100, 30.0), (100, 10.0)]);
-        assert!((e.cpi() - 0.1).abs() < 1e-12);
-        let est = e.estimate(1_000);
-        assert!((est.cycles - 100.0).abs() < 1e-9);
-        assert!(est.lo() < est.cycles && est.cycles < est.hi());
-    }
-
-    #[test]
-    fn sample_estimator_degenerate_cases() {
-        let mut e = SampleEstimator::new();
-        assert!(e.is_empty());
-        let est = e.estimate(500);
-        assert_eq!(est.cycles, 0.0);
-        assert_eq!(est.ci, None);
-        assert_eq!(e.cpi(), 0.0);
-        assert_eq!(e.rel_half_width(), None);
-        // Zero-instruction windows are discarded.
-        e.record_window(0, 999.0);
-        assert!(e.is_empty());
-        // A single window gives a point estimate with no error bound —
-        // and every derived quantity stays finite (no NaN from the
-        // n - 1 variance denominator).
-        e.record_window(10, 30.0);
-        assert_eq!(e.len(), 1);
-        let est = e.estimate(10);
-        assert!((est.cycles - 30.0).abs() < 1e-12);
-        assert_eq!(est.ci, None);
-        assert_eq!(est.rel_half_width(), None);
-        assert_eq!(est.lo(), est.cycles);
-        assert_eq!(est.hi(), est.cycles);
-        assert!(est.cycles.is_finite() && est.lo().is_finite() && est.hi().is_finite());
-    }
-
-    #[test]
-    fn from_windows_discards_zero_instruction_windows() {
-        // A zero-instruction window used to slip through `from_windows`
-        // and divide by zero in the CPI vector (NaN variance, NaN CI).
-        let e = SampleEstimator::from_windows(&[(0, 123.0), (100, 250.0), (0, 9.0), (100, 200.0)]);
-        assert_eq!(e.len(), 2);
-        assert!((e.cpi() - 2.25).abs() < 1e-12);
-        let est = e.estimate(100);
-        assert!(est.cycles.is_finite());
-        let rel = est.rel_half_width().expect("two real windows give a CI");
-        assert!(rel.is_finite() && !rel.is_nan());
-    }
-
-    #[test]
-    fn zero_mean_cpi_has_no_relative_ci() {
-        // Perfectly cancelling overhead windows: the mean CPI is zero,
-        // so a *relative* half-width has no scale. Typed None, not inf.
-        let e = SampleEstimator::from_windows(&[(100, -50.0), (100, 50.0)]);
-        assert_eq!(e.rel_half_width(), None);
-        assert_eq!(e.estimate(1_000).ci, None);
     }
 
     #[test]
@@ -1061,50 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn small_n_intervals_use_student_t_not_z() {
-        // Same per-window CPI spread at n = 2 and n = 30; the n = 2
-        // interval must be wider by far more than the √n factor alone —
-        // the t₁ = 12.706 critical value vs t₂₉ = 2.045.
-        let two = SampleEstimator::from_windows(&[(100, 240.0), (100, 260.0)]);
-        let mut wins = Vec::new();
-        for k in 0..30 {
-            wins.push((100, if k % 2 == 0 { 240.0 } else { 260.0 }));
-        }
-        let thirty = SampleEstimator::from_windows(&wins);
-        let rel2 = two.rel_half_width().unwrap();
-        let rel30 = thirty.rel_half_width().unwrap();
-        // n = 2: sd of Σd is 10·√2·√2 = 20 over ΣC = 500, CPI 2.5 →
-        // rel = 12.706 · 20/200/2.5... compute directly instead:
-        // d = ∓10, s² = 200, Var(Σd) = n·s² = 400, half = 12.706·20,
-        // rel = 12.706·20/500 ≈ 0.5082.
-        assert!((rel2 - 12.706 * 20.0 / 500.0).abs() < 1e-9);
-        // n = 30: Var(Σd) = 30·(30·100/29), half = t₂₉·√(Σ)… just pin
-        // the closed form.
-        let var_sum: f64 = 30.0 * (30.0 * 100.0 / 29.0);
-        assert!((rel30 - 2.045 * var_sum.sqrt() / 7_500.0).abs() < 1e-9);
-        assert!(rel2 > 6.0 * rel30, "t must dominate at tiny n: {rel2} vs {rel30}");
-    }
-
-    #[test]
-    fn ci_weighs_windows_by_instruction_count() {
-        // A short window with a wild CPI and a long window near the
-        // ratio. The unweighted per-window-CPI variance treats both
-        // deviations equally; the ratio-estimator (linearized) variance
-        // weighs residuals in *cycles*, so the short window's influence
-        // shrinks with its length. Pin the linearized closed form.
-        let e = SampleEstimator::from_windows(&[(10, 60.0), (1_000, 2_000.0)]);
-        let ratio: f64 = 2060.0 / 1010.0;
-        let d1: f64 = 60.0 - ratio * 10.0;
-        let d2: f64 = 2000.0 - ratio * 1000.0;
-        let var_sum = (d1 * d1 + d2 * d2) * 2.0; // n/(n−1) = 2
-        let want = 12.706 * var_sum.sqrt() / 1010.0 / ratio;
-        assert!((e.rel_half_width().unwrap() - want).abs() < 1e-9);
-        // Sanity: the residuals are equal-and-opposite small numbers,
-        // not the enormous per-window CPI gap (6.0 vs 2.0).
-        assert!((d1 + d2).abs() < 1e-9);
-    }
-
-    #[test]
     fn congestion_stratum_buckets_by_backlog_magnitude() {
         assert_eq!(congestion_stratum(0), 0);
         assert_eq!(congestion_stratum(1), 1);
@@ -1115,71 +816,6 @@ mod tests {
         assert_eq!(congestion_stratum(4_095), 3);
         assert_eq!(congestion_stratum(4_096), 4);
         assert_eq!(congestion_stratum(u64::MAX), 4);
-    }
-
-    #[test]
-    fn stratification_never_moves_the_point_estimate() {
-        // Identical windows fed to the pooled and stratified
-        // estimators: the point estimates agree exactly, whatever the
-        // stratum labels, because sample-share weights telescope back
-        // to the pooled ratio.
-        let wins: Vec<(u64, f64)> = vec![
-            (1_000, 1_500.0),
-            (900, 4_000.0),
-            (1_100, 1_300.0),
-            (1_000, 3_900.0),
-            (800, 1_100.0),
-            (1_200, 4_700.0),
-            (1_000, 1_450.0),
-            (1_000, 4_100.0),
-        ];
-        let pooled = SampleEstimator::from_windows(&wins);
-        let strat = StratifiedEstimator::from_samples(
-            &wins
-                .iter()
-                .enumerate()
-                .map(|(k, &(e, c))| WindowSample {
-                    events: e,
-                    cycles: c,
-                    stratum: (k % 2) as u8,
-                    covariate: 0.0,
-                })
-                .collect::<Vec<_>>(),
-        );
-        assert!((pooled.cpi() - strat.cpi()).abs() < 1e-12);
-        let est_p = pooled.estimate(100_000);
-        let est_s = strat.estimate(100_000);
-        assert!((est_p.cycles - est_s.cycles).abs() < 1e-6);
-        // The windows alternate between a ~1.4 and a ~4.0 CPI regime;
-        // stratifying on that regime must tighten the interval.
-        assert!(
-            strat.rel_half_width().unwrap() < pooled.rel_half_width().unwrap(),
-            "stratified {:?} !< pooled {:?}",
-            strat.rel_half_width(),
-            pooled.rel_half_width()
-        );
-    }
-
-    #[test]
-    fn stratified_single_stratum_matches_pooled_interval() {
-        // With every window in one stratum and no covariate signal, the
-        // stratified interval degenerates to the pooled ratio interval.
-        let wins = [(100u64, 200.0), (120, 310.0), (90, 180.0), (110, 260.0)];
-        let pooled = SampleEstimator::from_windows(&wins);
-        let strat = StratifiedEstimator::from_samples(
-            &wins
-                .iter()
-                .map(|&(e, c)| WindowSample {
-                    events: e,
-                    cycles: c,
-                    stratum: 0,
-                    covariate: 0.0,
-                })
-                .collect::<Vec<_>>(),
-        );
-        let a = pooled.rel_half_width().unwrap();
-        let b = strat.rel_half_width().unwrap();
-        assert!((a - b).abs() < 1e-12, "{a} vs {b}");
     }
 
     #[test]
