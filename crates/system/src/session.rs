@@ -714,7 +714,9 @@ impl Session {
     /// deterministic base of batched stretches are exact. The interval
     /// on the residual (stratified, control-variate-adjusted ratio
     /// estimator, Student-t) is therefore an *absolute* cycle band,
-    /// and the relative width divides it by the full cycle estimate.
+    /// and the relative width divides it by the full cycle estimate —
+    /// the same integer bounds [`crate::SamplingSummary::rel_half_width`]
+    /// is computed from.
     pub fn rel_half_width(&self) -> Option<f64> {
         self.sys.rel_half_width()
     }

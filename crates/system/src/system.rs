@@ -9,7 +9,7 @@
 
 use fade::{BatchStats, Fade, FadeConfig, FadeStats, InvId, UnfilteredEvent};
 use fade_isa::{instr_event_for, AppEvent, HighLevelEvent};
-use fade_monitors::{monitor_by_name, EventClass, Monitor};
+use fade_monitors::{EventClass, Monitor};
 use fade_shadow::MetadataState;
 use fade_sim::{
     congestion_stratum, BoundedQueue, CommitModel, CongestionCarry, CoreKind, HandlerExec,
@@ -246,6 +246,39 @@ impl Counts {
             seeded_cycles: self.seeded_cycles - then.seeded_cycles,
         }
     }
+
+    /// The sampled cycle estimate of the span these counts cover, with
+    /// `est` holding its sampling windows: exactly simulated cycles,
+    /// plus the exact base of the batched stretches, plus the sampled
+    /// residual extrapolated onto the batched events. The residual is
+    /// extrapolated at the population mean of the window control
+    /// covariate — total base cycles per batched event; each window
+    /// records its preceding stretch's base per event, so the two means
+    /// nearly coincide and the estimator's regression adjustment closes
+    /// the gap.
+    ///
+    /// Returns `(total, lo, hi, rel_half_width)`. Only the residual is
+    /// uncertain, so `lo..hi` is its 95% band around the exact cycles,
+    /// and the production-rate bound `rel_half_width` is that band's
+    /// half-width relative to the whole estimate (`None` without an
+    /// interval or with a zero total).
+    fn sampled_estimate(&self, est: &StratifiedEstimator) -> (u64, u64, u64, Option<f64>) {
+        let pop_mean = if self.batch_events > 0 {
+            self.batch_base_cycles as f64 / self.batch_events as f64
+        } else {
+            0.0
+        };
+        let e = est.estimate_with_covariate_mean(self.batch_events, pop_mean);
+        let base = self.batch_base_cycles as f64;
+        let extra = |residual: f64| (base + residual).max(0.0).round() as u64;
+        let total = self.cycles + extra(e.cycles);
+        let (lo, hi) = (self.cycles + extra(e.lo()), self.cycles + extra(e.hi()));
+        let rel = e
+            .ci
+            .filter(|_| total > 0)
+            .map(|_| (hi - lo) as f64 / 2.0 / total as f64);
+        (total, lo, hi, rel)
+    }
 }
 
 /// The trace record's monitored event, if the monitor observes it —
@@ -478,20 +511,6 @@ impl MonitoringSystem {
         sys
     }
 
-    /// [`MonitoringSystem::build`] with the monitor resolved by name —
-    /// the shared tail of the name-keyed session paths and the in-crate
-    /// harnesses.
-    pub(crate) fn build_named(
-        bench: &BenchProfile,
-        monitor_name: &str,
-        cfg: &SystemConfig,
-        source: Option<Box<dyn TraceSource>>,
-    ) -> Self {
-        let monitor = monitor_by_name(monitor_name)
-            .unwrap_or_else(|| panic!("unknown monitor {monitor_name}"));
-        Self::build(bench, monitor, cfg, None, source)
-    }
-
     /// The monitor driving this system (bug reports, etc.).
     pub fn monitor(&self) -> &dyn Monitor {
         self.monitor.as_ref()
@@ -597,17 +616,7 @@ impl MonitoringSystem {
     /// [`MonitoringSystem::estimated_total_cycles`] (see
     /// [`crate::Session::rel_half_width`]).
     pub fn rel_half_width(&self) -> Option<f64> {
-        let e = self
-            .estimator
-            .estimate_with_covariate_mean(self.counts.batch_events, self.batch_covariate_mean());
-        e.ci?;
-        let exact = self.counts.batch_base_cycles as f64;
-        let total = self.counts.cycles as f64 + (exact + e.cycles).max(0.0);
-        if total <= 0.0 {
-            return None;
-        }
-        let half = ((exact + e.hi()).max(0.0) - (exact + e.lo()).max(0.0)) / 2.0;
-        Some(half / total)
+        self.counts.sampled_estimate(&self.estimator).3
     }
 
     /// Per-congestion-stratum breakdown of the sampling interval.
@@ -632,25 +641,7 @@ impl MonitoringSystem {
     /// stretches, plus the sampled per-event residual overhead. Equals
     /// [`MonitoringSystem::cycles`] when only the cycle engine ran.
     pub fn estimated_total_cycles(&self) -> u64 {
-        let residual = self
-            .estimator
-            .estimate_with_covariate_mean(self.counts.batch_events, self.batch_covariate_mean())
-            .cycles;
-        let exact = self.counts.batch_base_cycles as f64;
-        self.counts.cycles + (exact + residual).max(0.0).round() as u64
-    }
-
-    /// Population mean of the window control covariate over every
-    /// batched stretch: total deterministic base cycles per batched
-    /// event. Each sampled window records its *preceding* stretch's
-    /// base per event; periodic sampling pairs every stretch with a
-    /// window, so this mean and the sample's nearly coincide — the
-    /// estimator's regression adjustment closes the remaining gap.
-    fn batch_covariate_mean(&self) -> f64 {
-        if self.counts.batch_events == 0 {
-            return 0.0;
-        }
-        self.counts.batch_base_cycles as f64 / self.counts.batch_events as f64
+        self.counts.sampled_estimate(&self.estimator).0
     }
 
     /// `true` when nothing is in flight anywhere: accelerator (or
@@ -684,7 +675,8 @@ impl MonitoringSystem {
     /// Runs until `n` more application instructions retire, or the
     /// trace source runs out of records ([`MonitoringSystem::
     /// source_exhausted`] / [`MonitoringSystem::source_error`]),
-    /// whichever comes first. On early stop the in-flight events are
+    /// whichever comes first. The last cycle may retire past the target
+    /// by up to a commit width. On early stop the in-flight events are
     /// drained so monitor-visible state is complete for the trace that
     /// did exist.
     ///
@@ -693,23 +685,7 @@ impl MonitoringSystem {
     /// Panics if the system fails to make forward progress with
     /// records still available (a deadlock would be a simulator bug).
     pub fn run_instrs(&mut self, n: u64) {
-        let target = self.counts.instrs + n;
-        // Saturating, as in `run_cycle_exact`: run-to-exhaustion targets
-        // must not overflow the cap math.
-        let cycle_cap = n.saturating_mul(400).saturating_add(self.counts.cycles + 200_000);
-        while self.counts.instrs < target {
-            if self.out_of_records() {
-                self.drain();
-                return;
-            }
-            self.step();
-            assert!(
-                self.counts.cycles < cycle_cap,
-                "no forward progress: {} instrs after {} cycles",
-                self.counts.instrs,
-                self.counts.cycles
-            );
-        }
+        self.step_until(self.counts.instrs + n, u64::MAX, false);
     }
 
     /// Runs until exactly `n` more application instructions retire,
@@ -725,13 +701,7 @@ impl MonitoringSystem {
     ///
     /// Panics if the system fails to make forward progress.
     pub fn run_instrs_exact(&mut self, n: u64) {
-        let target = self.counts.instrs + n;
-        self.run_cycle_exact(target, u64::MAX);
-        if self.out_of_records() {
-            // The trace ended before the target: complete the in-flight
-            // events so the early stop leaves a fully-applied state.
-            self.drain();
-        }
+        self.step_until(self.counts.instrs + n, u64::MAX, true);
     }
 
     /// Batched execution: retires exactly `n` more application
@@ -781,10 +751,7 @@ impl MonitoringSystem {
         if self.fade.is_none() || window >= period {
             // No batched fast path to take: pure cycle-accurate
             // execution with the exact-stop discipline.
-            self.run_cycle_exact(target, u64::MAX);
-            if self.out_of_records() {
-                self.drain();
-            }
+            self.run_instrs_exact(n);
             return;
         }
         let batch_len = period - window;
@@ -845,7 +812,7 @@ impl MonitoringSystem {
                 // transient that biased monitor-bound estimates low.
                 let warm_end = events0 + window_events / 2;
                 let mut baseline_commit = self.commit.clone();
-                self.run_cycle_exact(target, warm_end);
+                self.step_until(target, warm_end, true);
                 if self.counts.events() < warm_end {
                     continue; // instruction target hit mid-warmup
                 }
@@ -857,7 +824,7 @@ impl MonitoringSystem {
                 // the tail's application-side term continues the same
                 // run/stall realization.
                 let ff_warm = baseline_commit.fast_forward(instrs1 - instrs0, true).0;
-                self.run_cycle_exact(target, window_end);
+                self.step_until(target, window_end, true);
                 if self.counts.events() >= window_end && self.counts.events() > events1 {
                     // Steady-state snapshot before the trailing drain:
                     // the drain pays the end-of-window backlog down at
@@ -983,21 +950,31 @@ impl MonitoringSystem {
         self.last_blocked = false;
     }
 
-    /// Cycle-accurate execution until `instr_target` instructions have
-    /// retired or `event_target` monitored events have been accepted,
-    /// whichever comes first, never overshooting `instr_target`.
-    fn run_cycle_exact(&mut self, instr_target: u64, event_target: u64) {
+    /// Steps the system until `instr_target` instructions have retired
+    /// or `event_target` monitored events have been accepted, whichever
+    /// comes first. `exact` caps the last cycle's retirement so the run
+    /// never overshoots `instr_target`; otherwise it may retire past it
+    /// by up to a commit width. If the trace source runs out of records
+    /// first, the in-flight events are drained before returning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system fails to make forward progress with
+    /// records still available (a deadlock would be a simulator bug).
+    fn step_until(&mut self, instr_target: u64, event_target: u64, exact: bool) {
         if self.counts.instrs >= instr_target {
             return;
         }
-        self.instr_cap = Some(instr_target);
+        self.instr_cap = exact.then_some(instr_target);
         // Saturating: callers may pass "effectively unbounded" targets
         // (run-to-exhaustion), which must not overflow the cap math.
         let cycle_cap = (instr_target - self.counts.instrs)
             .saturating_mul(400)
             .saturating_add(self.counts.cycles + 200_000);
+        let mut out_of_records = false;
         while self.counts.instrs < instr_target && self.counts.events() < event_target {
             if self.out_of_records() {
+                out_of_records = true;
                 break;
             }
             self.step();
@@ -1009,6 +986,9 @@ impl MonitoringSystem {
             );
         }
         self.instr_cap = None;
+        if out_of_records {
+            self.drain();
+        }
     }
 
     /// One batched stretch: pulls trace records and drains up to
@@ -1418,23 +1398,7 @@ impl MonitoringSystem {
             } else {
                 StratifiedEstimator::from_samples(measured)
             };
-            let pop_mean = if m.batch_events > 0 {
-                m.batch_base_cycles as f64 / m.batch_events as f64
-            } else {
-                0.0
-            };
-            let e = est.estimate_with_covariate_mean(m.batch_events, pop_mean);
-            let base = m.batch_base_cycles as f64;
-            let extra = |residual: f64| (base + residual).max(0.0).round() as u64;
-            let total = m.cycles + extra(e.cycles);
-            let (lo, hi) = (m.cycles + extra(e.lo()), m.cycles + extra(e.hi()));
-            // The production-rate bound: the residual's absolute cycle
-            // band relative to the whole cycle estimate (simulated +
-            // deterministic base are exact, so the band is theirs too).
-            let rel = e
-                .ci
-                .filter(|_| total > 0)
-                .map(|_| (hi - lo) as f64 / 2.0 / total as f64);
+            let (total, lo, hi, rel) = m.sampled_estimate(&est);
             (
                 total,
                 Some(SamplingSummary {

@@ -22,7 +22,8 @@ use fade_shadow::MetadataState;
 use fade_trace::{BenchProfile, SyntheticProgram, TraceRecord};
 
 use crate::config::SystemConfig;
-use crate::system::{apply_unfiltered, select_event, MonitoringSystem, ReplayBuffer};
+use crate::session::{Engine, Session};
+use crate::system::{apply_unfiltered, select_event};
 
 /// Measured throughput of one (benchmark, monitor, batch size) point.
 #[derive(Clone, Debug)]
@@ -70,17 +71,12 @@ impl ThroughputReport {
 /// Pre-generates `n_events` monitored events for the benchmark, exactly
 /// the events the monitor would select from the trace.
 fn monitored_events(bench: &BenchProfile, monitor: &dyn Monitor, n_events: u64) -> Vec<AppEvent> {
+    let (records, _) = record_trace_prefix(bench, monitor.name(), 42, n_events);
     let monitors_stack = monitor.monitors_stack();
-    let mut gen = SyntheticProgram::new(bench, 42);
-    let mut events = Vec::with_capacity(n_events as usize);
-    let mut records = Vec::new();
-    while (events.len() as u64) < n_events {
-        records.clear();
-        gen.next_records_into(&mut records, 4096);
-        let selected = records.iter().filter_map(|r| select_event(monitor, monitors_stack, r));
-        events.extend(selected.take((n_events - events.len() as u64) as usize));
-    }
-    events
+    records
+        .iter()
+        .filter_map(|r| select_event(monitor, monitors_stack, r))
+        .collect()
 }
 
 fn fresh(monitor_name: &str) -> (Fade, MetadataState, Box<dyn Monitor>) {
@@ -355,24 +351,29 @@ pub fn measure_system_throughput_records(
     records: Vec<TraceRecord>,
     instrs: u64,
 ) -> SystemThroughputReport {
-    let replay = |records: Vec<TraceRecord>| -> MonitoringSystem {
-        MonitoringSystem::build_named(
-            bench,
-            monitor_name,
-            cfg,
-            Some(Box::new(ReplayBuffer::new(records))),
-        )
+    let replay = |records: Vec<TraceRecord>, engine: Engine| -> Session {
+        Session::builder()
+            .monitor(monitor_name)
+            .source((bench.clone(), records))
+            .engine(engine)
+            .config(*cfg)
+            .build()
+            .unwrap_or_else(|e| panic!("cannot build a {monitor_name} replay session: {e}"))
     };
-    let mut cycle_sys = replay(records.clone());
+    let mut cycle_sys = replay(records.clone(), Engine::Cycle);
     let start = Instant::now();
-    cycle_sys.run_instrs_exact(instrs);
-    cycle_sys.drain();
+    cycle_sys
+        .run_exact(instrs)
+        .and_then(|()| cycle_sys.drain())
+        .unwrap_or_else(|e| panic!("cycle-accurate replay failed: {e}"));
     let cycle_s = start.elapsed().as_secs_f64();
 
-    let mut batched_sys = replay(records);
+    let mut batched_sys = replay(records, Engine::batched());
     let start = Instant::now();
-    batched_sys.run_batched(instrs);
-    batched_sys.drain();
+    batched_sys
+        .run(instrs)
+        .and_then(|()| batched_sys.drain())
+        .unwrap_or_else(|e| panic!("batched replay failed: {e}"));
     let batched_s = start.elapsed().as_secs_f64();
 
     assert_eq!(

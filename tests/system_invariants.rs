@@ -233,6 +233,47 @@ fn two_core_never_loses() {
     }
 }
 
+/// The live estimate is the reported one: a batched session measured
+/// from instruction 0 reports, mid-run, exactly the cycle estimate and
+/// production-rate bound its `finish` puts into `RunStats`.
+#[test]
+fn live_estimate_equals_reported_estimate() {
+    let pairs = [
+        ("AddrCheck", "hmmer"),
+        ("MemCheck", "libq"),
+        ("MemLeak", "gcc"),
+        ("TaintCheck", "astar-taint"),
+        ("AtomCheck", "water"),
+    ];
+    for (monitor, wl) in pairs {
+        let b = bench::by_name(wl).unwrap();
+        let cfg = SystemConfig::fade_single_core();
+        let mut s = Session::builder()
+            .monitor(monitor)
+            .source(&b)
+            .engine(Engine::batched_with(2048, 512))
+            .config(cfg)
+            .build()
+            .unwrap();
+        s.start_measure();
+        s.run(MEAS).unwrap();
+        s.drain().unwrap();
+        let (cycles, rel) = (s.estimated_total_cycles(), s.rel_half_width());
+        assert!(
+            rel.is_some(),
+            "{monitor}/{wl}: enough windows for an interval"
+        );
+        let baseline = fade_repro::system::baseline_cycles(&b, cfg.core, cfg.seed, 0, MEAS);
+        let stats = s.finish(baseline).unwrap().stats;
+        assert_eq!(cycles, stats.cycles, "{monitor}/{wl}: cycle estimate");
+        let sampling = stats.sampling.expect("batched timing is sampled");
+        assert_eq!(
+            rel, sampling.rel_half_width,
+            "{monitor}/{wl}: rel_half_width"
+        );
+    }
+}
+
 /// Every simulated cycle of a measured cycle-engine window is charged
 /// exactly once: one occupancy sample and one utilization class per
 /// cycle, on every organization and core — including the cycles the
