@@ -26,19 +26,43 @@ pub const WARMUP: u64 = 30_000;
 pub const MEASURE: u64 = 150_000;
 
 /// Reads the measurement length, honouring `FADE_MEASURE`.
+///
+/// # Panics
+///
+/// Panics if `FADE_MEASURE` is set to anything but an instruction
+/// count.
 pub fn measure_len() -> u64 {
-    std::env::var("FADE_MEASURE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(MEASURE)
+    env_setting("FADE_MEASURE", "an instruction count").unwrap_or(MEASURE)
 }
 
 /// Reads the warmup length, honouring `FADE_WARMUP`.
+///
+/// # Panics
+///
+/// Panics if `FADE_WARMUP` is set to anything but an instruction
+/// count.
 pub fn warmup_len() -> u64 {
-    std::env::var("FADE_WARMUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(WARMUP)
+    env_setting("FADE_WARMUP", "an instruction count").unwrap_or(WARMUP)
+}
+
+/// The harness setting in environment variable `name`, parsed; `None`
+/// when it is unset or empty (the caller's default applies).
+///
+/// # Panics
+///
+/// Panics when the variable is set but does not parse (`what` names
+/// the expected value in the message) — like [`exec_mode`], silently
+/// running the default on a typo would be worse.
+pub(crate) fn env_setting<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => None,
+        Ok(v) if v.is_empty() => None,
+        Ok(v) => match v.parse() {
+            Ok(x) => Some(x),
+            Err(_) => panic!("{name} must be {what}, got {v:?}"),
+        },
+        Err(e) => panic!("{name} must be {what}: {e}"),
+    }
 }
 
 /// Execution engine for the experiment binaries, honouring `FADE_MODE`
@@ -58,5 +82,17 @@ pub fn exec_mode() -> fade_system::Engine {
         Ok("batched") => fade_system::Engine::batched(),
         Ok("cycle") | Ok("") | Err(_) => fade_system::Engine::Cycle,
         Ok(other) => panic!("FADE_MODE must be 'batched' or 'cycle', got {other:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "FADE_TEST_SETTING_BAD must be an instruction count, got \"10k\"")]
+    fn garbage_harness_setting_fails_loudly() {
+        std::env::set_var("FADE_TEST_SETTING_BAD", "10k");
+        env_setting::<u64>("FADE_TEST_SETTING_BAD", "an instruction count");
     }
 }

@@ -48,7 +48,7 @@ use fade::FadeProgram;
 use fade_system::{Engine, MonitorRegistry, RunReport, Session, SessionRunError, SystemConfig};
 use fade_trace::BenchProfile;
 
-use crate::{exec_mode, measure_len, warmup_len};
+use crate::{env_setting, exec_mode, measure_len, warmup_len};
 
 /// One point of an experiment grid, as plain data.
 #[derive(Clone, Debug)]
@@ -222,16 +222,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Worker count for a matrix: `FADE_WORKERS` if set, else the machine's
 /// available parallelism.
+///
+/// # Panics
+///
+/// Panics if `FADE_WORKERS` is set to anything but a positive count.
 pub fn default_workers() -> usize {
-    std::env::var("FADE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    env_setting::<std::num::NonZeroUsize>("FADE_WORKERS", "a positive worker count")
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, |n| n.get())
 }
 
 /// A batch of experiments executed across worker threads.
