@@ -99,7 +99,8 @@ fn run_to_exhaustion_is_a_clean_early_stop() {
             .config(cfg())
             .build()
             .unwrap();
-        s.run(u64::MAX / 2).expect("running to exhaustion is not an error");
+        s.run(u64::MAX / 2)
+            .expect("running to exhaustion is not an error");
         assert!(s.source_exhausted(), "{engine:?}: exhaustion flag");
     }
 }
