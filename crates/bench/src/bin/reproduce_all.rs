@@ -1,6 +1,6 @@
 //! Runs every experiment of the paper's evaluation section in order,
-//! printing paper-style tables, then measures filtering, full-system
-//! and trace-codec throughput and dumps everything to
+//! printing paper-style tables, then measures full-system and serving
+//! throughput and dumps everything to
 //! `BENCH_pipeline.json` (the machine-readable seed of the repo's
 //! performance trajectory). Scale the window with FADE_MEASURE /
 //! FADE_WARMUP (instructions).
@@ -30,58 +30,45 @@ use fade_bench::experiments as ex;
 use fade_bench::{drain_timings, MatrixTiming};
 use fade_report::{JsonDocument, JsonObject};
 use fade_service::{measure_service_throughput, EngineSel, LoadOptions};
-use fade_system::{
-    measure_system_throughput_records, measure_throughput_matrix, measure_trace_codec_records,
-    record_trace_prefix, SystemConfig,
-};
+use fade_system::{measure_system_throughput_records, record_trace_prefix, SystemConfig};
 use fade_trace::{bench, read_trace_file, write_trace_file, TraceMeta, TraceRecord};
 
 /// (benchmark, monitor) points for the throughput dump: one
 /// high-filtering and one low-filtering workload.
 const PIPELINE_POINTS: [(&str, &str); 2] = [("hmmer", "AddrCheck"), ("gcc", "MemLeak")];
-const BATCH_SIZES: [usize; 4] = [1, 8, 32, 256];
 const PIPELINE_EVENTS: u64 = 200_000;
 
-/// One pipeline row: batched vs per-event filter throughput at one
-/// batch size. The v7 bump added the per-stratum sampling columns to
-/// the *system* rows; v8 added the `service_results` section (and
-/// moved all emission onto the shared `fade_report` writer); v10
-/// dropped the vectorized-kernel columns, the synthetic-filterable row
-/// and the `parallel_results` section along with the code they
-/// measured.
-fn pipeline_row(r: &fade_system::ThroughputReport) -> String {
-    println!(
-        "  {}/{} batch {:>3}: {:>6.2} Mev/s batched, {:>6.2} Mev/s per-event ({:.2}x, {:.0}% fast path)",
-        r.benchmark,
-        r.monitor,
-        r.batch_size,
-        r.batched_rate() / 1e6,
-        r.per_event_rate() / 1e6,
-        r.speedup(),
-        100.0 * r.fast_path_fraction(),
-    );
-    JsonObject::new()
-        .str("benchmark", &r.benchmark)
-        .str("monitor", &r.monitor)
-        .uint("batch_size", r.batch_size as u64)
-        .uint("events", r.events)
-        .float("events_per_sec_batched", r.batched_rate(), 0)
-        .float("events_per_sec_per_event", r.per_event_rate(), 0)
-        .float("speedup", r.speedup(), 3)
-        .float("fast_path_fraction", r.fast_path_fraction(), 4)
-        .float("filtering_ratio", r.fade.filtering_ratio(), 4)
-        .render()
+#[derive(Debug, Default)]
+struct Args {
+    mode: Option<&'static str>,
+    workers: Option<usize>,
+    record_dir: Option<PathBuf>,
+    replay_dir: Option<PathBuf>,
 }
 
-fn pipeline_json() -> Vec<String> {
-    let mut rows = Vec::new();
-    for (bench_name, monitor) in PIPELINE_POINTS {
-        let b = bench::by_name(bench_name).unwrap();
-        for r in measure_throughput_matrix(&b, monitor, &BATCH_SIZES, PIPELINE_EVENTS) {
-            rows.push(pipeline_row(&r));
+/// Parses the arguments after the program name, rejecting unknown
+/// flags, missing values and flags given as values.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    const FLAGS: [&str; 4] = ["--mode", "--workers", "--record-dir", "--replay-dir"];
+    let mut out = Args::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let value = it.next().filter(|v| !v.starts_with("--"));
+        match (flag.as_str(), value.map(String::as_str)) {
+            ("--mode", Some("batched")) => out.mode = Some("batched"),
+            ("--mode", Some("cycle")) => out.mode = Some("cycle"),
+            ("--mode", Some(m)) => return Err(format!("--mode expects batched|cycle, got {m:?}")),
+            ("--workers", Some(n)) => match n.parse::<usize>() {
+                Ok(n) if n > 0 => out.workers = Some(n),
+                _ => return Err("--workers expects a positive integer".into()),
+            },
+            ("--record-dir", Some(d)) => out.record_dir = Some(d.into()),
+            ("--replay-dir", Some(d)) => out.replay_dir = Some(d.into()),
+            (f, None) if FLAGS.contains(&f) => return Err(format!("{flag} expects a value")),
+            _ => return Err(format!("unknown argument {flag:?}")),
         }
     }
-    rows
+    Ok(out)
 }
 
 /// The `.fadet` path a pipeline point records to / replays from.
@@ -89,8 +76,8 @@ fn trace_path(dir: &Path, bench_name: &str, monitor: &str) -> PathBuf {
     dir.join(format!("{bench_name}-{monitor}.fadet"))
 }
 
-/// One pre-generated pipeline-point prefix, shared by the record,
-/// codec and (live) system sections so the trace is generated once.
+/// One pre-generated pipeline-point prefix, shared by the record and
+/// (live) system sections so the trace is generated once.
 struct PointPrefix {
     records: Vec<TraceRecord>,
     instrs: u64,
@@ -212,50 +199,6 @@ fn system_json(replay_dir: Option<&Path>, prefixes: Vec<PointPrefix>) -> Vec<Str
     rows
 }
 
-/// Trace-codec throughput: live generation vs `.fadet` encode/decode
-/// rates and the encoded-vs-raw size, per pipeline point. Replay is
-/// worth having exactly when decode beats generation — both rates land
-/// in the JSON so regressions surface.
-fn trace_json(prefixes: &[PointPrefix]) -> Vec<String> {
-    let mut rows = Vec::new();
-    for ((bench_name, monitor), p) in PIPELINE_POINTS.iter().zip(prefixes) {
-        let b = bench::by_name(bench_name).unwrap();
-        let cfg = SystemConfig::fade_single_core();
-        let r = measure_trace_codec_records(
-            &b,
-            monitor,
-            cfg.seed,
-            &p.records,
-            p.instrs,
-            PIPELINE_EVENTS,
-        );
-        println!(
-            "  {bench_name}/{monitor} codec: {:>7.2} Mev/s replay vs {:>6.2} Mev/s generate ({:.2}x), encode {:.2} Mev/s, {:.2} B/record ({:.1}x smaller than raw)",
-            r.replay_rate() / 1e6,
-            r.gen_rate() / 1e6,
-            r.replay_rate() / r.gen_rate(),
-            r.encode_rate() / 1e6,
-            r.encoded_bytes as f64 / r.records as f64,
-            r.compression_ratio(),
-        );
-        rows.push(
-            JsonObject::new()
-                .str("benchmark", &r.benchmark)
-                .str("monitor", &r.monitor)
-                .uint("events", r.events)
-                .uint("records", r.records)
-                .uint("raw_bytes", r.raw_bytes)
-                .uint("encoded_bytes", r.encoded_bytes)
-                .float("compression_ratio", r.compression_ratio(), 3)
-                .float("events_per_sec_generate", r.gen_rate(), 0)
-                .float("events_per_sec_encode", r.encode_rate(), 0)
-                .float("events_per_sec_replay", r.replay_rate(), 0)
-                .render(),
-        );
-    }
-    rows
-}
-
 type Section = (&'static str, fn() -> String);
 
 /// One JSON row per `.timed(...)` matrix a section ran: the sharding
@@ -279,7 +222,7 @@ fn matrix_json(rows: &[(String, MatrixTiming)]) -> Vec<String> {
 /// Multi-tenant serving throughput (since schema v8): an in-process
 /// `faded` daemon on a temporary socket, N concurrent tenants
 /// streaming recorded `.fadet` sessions, sustained aggregate event
-/// rate and FINISH→END report latency percentiles.
+/// rate and FINISH→END report latency (median and max).
 fn service_json() -> Vec<String> {
     let opts = LoadOptions {
         tenants: 8,
@@ -290,12 +233,12 @@ fn service_json() -> Vec<String> {
     let r = measure_service_throughput(&opts)
         .unwrap_or_else(|e| panic!("service load run failed: {e}"));
     println!(
-        "  {} tenants on {} workers: {:>6.2} Mev/s aggregate, p50 {:.1} ms, p99 {:.1} ms latency ({} report lines, {:.2}s wall)",
+        "  {} tenants on {} workers: {:>6.2} Mev/s aggregate, p50 {:.1} ms, max {:.1} ms latency ({} report lines, {:.2}s wall)",
         r.tenants,
         r.workers,
         r.aggregate_rate() / 1e6,
         r.p50_latency_s * 1e3,
-        r.p99_latency_s * 1e3,
+        r.max_latency_s * 1e3,
         r.reports,
         r.wall_s,
     );
@@ -308,48 +251,25 @@ fn service_json() -> Vec<String> {
         .uint("reports", r.reports)
         .float("events_per_sec_aggregate", r.aggregate_rate(), 0)
         .float("p50_latency_s", r.p50_latency_s, 4)
-        .float("p99_latency_s", r.p99_latency_s, 4)
         .float("max_latency_s", r.max_latency_s, 4)
         .float("wall_s", r.wall_s, 3)
         .render()]
 }
 
 fn main() {
-    // `--mode batched|cycle` selects the execution engine for every
-    // experiment; the env var is how the experiment declarations (and
-    // any figure binary run standalone) pick it up.
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--mode") {
-        match args.get(i + 1).map(String::as_str) {
-            Some(m @ ("batched" | "cycle")) => std::env::set_var("FADE_MODE", m),
-            other => {
-                eprintln!("--mode expects 'batched' or 'cycle', got {other:?}");
-                std::process::exit(2);
-            }
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("reproduce_all: {e}");
+        std::process::exit(2);
+    });
+    // The env vars are how the experiment declarations (and any figure
+    // binary run standalone) pick up the mode and worker count.
+    if let Some(m) = args.mode {
+        std::env::set_var("FADE_MODE", m);
     }
-    // `--workers N` shards every experiment matrix over N threads.
-    if let Some(i) = args.iter().position(|a| a == "--workers") {
-        match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-            Some(n) if n > 0 => std::env::set_var("FADE_WORKERS", n.to_string()),
-            _ => {
-                eprintln!("--workers expects a positive integer");
-                std::process::exit(2);
-            }
-        }
+    if let Some(n) = args.workers {
+        std::env::set_var("FADE_WORKERS", n.to_string());
     }
-    let dir_flag = |flag: &str| -> Option<PathBuf> {
-        let i = args.iter().position(|a| a == flag)?;
-        match args.get(i + 1) {
-            Some(d) => Some(PathBuf::from(d)),
-            None => {
-                eprintln!("{flag} expects a directory");
-                std::process::exit(2);
-            }
-        }
-    };
-    let record_dir = dir_flag("--record-dir");
-    let replay_dir = dir_flag("--replay-dir");
     println!(
         "execution mode: {:?}, {} workers (override with --mode batched|cycle, --workers N)",
         fade_bench::exec_mode(),
@@ -385,35 +305,24 @@ fn main() {
             matrix_rows.push((name.to_string(), t));
         }
     }
-    println!("================================================================");
-    println!("Pipeline throughput (batched vs. per-event)");
-    println!("================================================================");
-    let pipeline_rows = pipeline_json();
-    // One generation pass feeds recording, the codec section, and the
-    // live system section.
+    // One generation pass feeds recording and the live system section.
     let prefixes = point_prefixes();
-    if let Some(dir) = &record_dir {
+    if let Some(dir) = &args.record_dir {
         println!("================================================================");
         println!("Trace recording ({})", dir.display());
         println!("================================================================");
         record_traces(dir, &prefixes);
     }
     println!("================================================================");
-    println!("Trace codec (replay vs. live generation)");
-    println!("================================================================");
-    let trace_rows = trace_json(&prefixes);
-    println!("================================================================");
     println!("System throughput (batched engine vs. cycle engine)");
     println!("================================================================");
-    let system_rows = system_json(replay_dir.as_deref(), prefixes);
+    let system_rows = system_json(args.replay_dir.as_deref(), prefixes);
     println!("================================================================");
     println!("Service throughput (faded daemon, concurrent tenants)");
     println!("================================================================");
     let service_rows = service_json();
     let matrix_rows = matrix_json(&matrix_rows);
-    let json = JsonDocument::new("fade-pipeline-throughput/v10")
-        .section("results", pipeline_rows)
-        .section("trace_results", trace_rows)
+    let json = JsonDocument::new("fade-pipeline-throughput/v11")
         .section("system_results", system_rows)
         .section("matrix_results", matrix_rows)
         .section("service_results", service_rows)
@@ -422,5 +331,38 @@ fn main() {
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => eprintln!("\nfailed to write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn full_command_line_parses() {
+        let a = parse("--mode batched --workers 4 --record-dir r --replay-dir p").unwrap();
+        assert_eq!((a.mode, a.workers), (Some("batched"), Some(4)));
+        assert_eq!((a.record_dir, a.replay_dir), (Some("r".into()), Some("p".into())));
+    }
+
+    #[test]
+    fn bad_command_lines_are_rejected() {
+        for (line, names) in [
+            ("--mdoe batched", "--mdoe"),
+            ("--help", "unknown argument"),
+            ("--record-dir --replay-dir d", "--record-dir"),
+            ("--mode batched --replay-dir", "--replay-dir"),
+            ("--workers", "--workers"),
+            ("--mode fast", "fast"),
+            ("--workers 0", "--workers"),
+        ] {
+            let e = parse(line).unwrap_err();
+            assert!(e.contains(names), "{line}: {e}");
+        }
     }
 }

@@ -1,9 +1,8 @@
 //! # fade-bench
 //!
 //! The benchmark harness: one binary per paper table/figure (run with
-//! `cargo run -p fade-bench --release --bin <figN|table2|power>`),
-//! criterion microbenchmarks (`cargo bench`), and shared table-printing
-//! helpers.
+//! `cargo run -p fade-bench --release --bin <figN|table2|power>`) and
+//! shared table-printing helpers.
 //!
 //! Experiments are declared as data ([`Experiment`]) and executed by
 //! the sharded [`ExperimentMatrix`] driver — every paper figure is one

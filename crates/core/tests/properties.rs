@@ -5,15 +5,16 @@
 use std::collections::VecDeque;
 
 use fade::{
-    Fade, FadeConfig, FilterMode, Fsq, InvId, InvRf, NbAction, NbCond, NbCondOperand, NbUpdate,
-    OperandMeta, TagCache, TagCacheConfig, UnfilteredEvent,
+    BatchStats, Fade, FadeConfig, FadeStats, FilterMode, Fsq, InvId, InvRf, NbAction, NbCond,
+    NbCondOperand, NbUpdate, OperandMeta, TagCache, TagCacheConfig, UnfilteredEvent,
 };
 use fade_isa::{
     instr_event_for, layout, AppEvent, AppInstr, HighLevelEvent, InstrClass, MemRef, Reg,
     StackUpdateEvent, StackUpdateKind, VirtAddr,
 };
-use fade_monitors::monitor_by_name;
+use fade_monitors::{monitor_by_name, Monitor};
 use fade_shadow::MetadataState;
+use fade_trace::{SyntheticProgram, TraceRecord};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -156,17 +157,42 @@ fn instance(monitor: &str, mode: FilterMode) -> (Fade, MetadataState) {
     (Fade::new(FadeConfig::paper(mode), program), st)
 }
 
+/// The monitor thread's functional effect for one dispatched event,
+/// returning the invariant-register writes a thread switch asks for.
+fn apply_handler(
+    monitor: &mut dyn Monitor,
+    uf: &UnfilteredEvent,
+    st: &mut MetadataState,
+) -> Vec<(InvId, u64)> {
+    match uf.event {
+        AppEvent::Instr(ev) => monitor.apply_instr(&ev, st),
+        AppEvent::HighLevel(h) => {
+            monitor.apply_high_level(&h, st);
+            if let HighLevelEvent::ThreadSwitch { tid } = h {
+                return monitor.on_thread_switch(tid);
+            }
+        }
+        AppEvent::StackUpdate(ev) => monitor.apply_stack_update(&ev, st),
+    }
+    Vec::new()
+}
+
 /// The canonical per-event reference: enqueue one event, tick until
-/// quiescent with an always-ready consumer, collect dispatches.
+/// quiescent with an always-ready consumer (running `monitor`'s
+/// handlers, if any), collect dispatches.
 fn reference_drive(
     fade: &mut Fade,
     st: &mut MetadataState,
     events: &[AppEvent],
+    mut monitor: Option<&mut (dyn Monitor + '_)>,
 ) -> Vec<UnfilteredEvent> {
     let mut dispatched = Vec::new();
-    let drain = |fade: &mut Fade, dispatched: &mut Vec<UnfilteredEvent>| {
+    let mut drain = |fade: &mut Fade, st: &mut MetadataState| {
         while let Some(uf) = fade.pop_unfiltered() {
             fade.handler_completed(uf.token);
+            for (id, v) in monitor.as_deref_mut().map_or(vec![], |m| apply_handler(m, &uf, st)) {
+                fade.write_invariant(id, v);
+            }
             dispatched.push(uf);
         }
     };
@@ -175,13 +201,43 @@ fn reference_drive(
         let mut guard = 0u32;
         while !fade.is_idle() {
             fade.tick(st);
-            drain(fade, &mut dispatched);
+            drain(fade, st);
             guard += 1;
             assert!(guard < 1_000_000, "reference failed to quiesce");
         }
-        drain(fade, &mut dispatched);
+        drain(fade, st);
     }
     dispatched
+}
+
+/// The batched counterpart of [`reference_drive`]. With handlers, the
+/// stream is cut after every thread switch so its deferred invariant
+/// writes land before the next event is filtered.
+fn batched_drive(
+    fade: &mut Fade,
+    st: &mut MetadataState,
+    events: &[AppEvent],
+    monitor: Option<&mut (dyn Monitor + '_)>,
+) -> (BatchStats, Vec<UnfilteredEvent>) {
+    let mut dispatched = Vec::new();
+    let Some(monitor) = monitor else {
+        let bstats = fade.run_batch_with(events, st, |uf, _| dispatched.push(uf));
+        return (bstats, dispatched);
+    };
+    let mut total = BatchStats::default();
+    let mut inv_writes = Vec::new();
+    let switch =
+        |e: &AppEvent| matches!(e, AppEvent::HighLevel(HighLevelEvent::ThreadSwitch { .. }));
+    for chunk in events.split_inclusive(switch) {
+        total.merge(&fade.run_batch_with(chunk, st, |uf, st| {
+            inv_writes.extend(apply_handler(monitor, &uf, st));
+            dispatched.push(uf);
+        }));
+        for (id, v) in inv_writes.drain(..) {
+            fade.write_invariant(id, v);
+        }
+    }
+    (total, dispatched)
 }
 
 /// Compares the metadata the test can observe: every register and the
@@ -201,18 +257,22 @@ fn assert_states_match(a: &MetadataState, b: &MetadataState) -> Result<(), TestC
     Ok(())
 }
 
+/// Drives `events` per event and batched, optionally with the monitor's
+/// handlers, and checks that everything observable agrees.
 fn check_batch_equivalence(
     monitor: &str,
-    ops: &[BatchOp],
+    events: &[AppEvent],
     mode: FilterMode,
-) -> Result<(), TestCaseError> {
+    handlers: bool,
+) -> Result<(BatchStats, FadeStats), TestCaseError> {
     let (mut f_ref, mut st_ref) = instance(monitor, mode);
     let (mut f_bat, mut st_bat) = instance(monitor, mode);
-    let events = lower_ops(ops, &f_ref);
+    let mut m_ref = handlers.then(|| monitor_by_name(monitor).unwrap());
+    let mut m_bat = handlers.then(|| monitor_by_name(monitor).unwrap());
 
-    let ref_dispatched = reference_drive(&mut f_ref, &mut st_ref, &events);
-    let mut bat_dispatched = Vec::new();
-    let bstats = f_bat.run_batch_with(&events, &mut st_bat, |uf, _| bat_dispatched.push(uf));
+    let ref_dispatched = reference_drive(&mut f_ref, &mut st_ref, events, m_ref.as_deref_mut());
+    let (bstats, bat_dispatched) =
+        batched_drive(&mut f_bat, &mut st_bat, events, m_bat.as_deref_mut());
 
     prop_assert_eq!(bstats.events, events.len() as u64);
     prop_assert_eq!(bstats.fast_path + bstats.fallback, bstats.events);
@@ -227,7 +287,46 @@ fn check_batch_equivalence(
     prop_assert_eq!(f_bat.tlb_counts(), f_ref.tlb_counts(), "{}: M-TLB counts", monitor);
     prop_assert_eq!(f_bat.suu_writes(), f_ref.suu_writes(), "{}: SUU writes", monitor);
     prop_assert_eq!(f_bat.fsq_len(), 0, "{}: FSQ must drain", monitor);
-    assert_states_match(&st_bat, &st_ref)
+    prop_assert!(st_bat == st_ref, "{}: metadata state differs", monitor);
+    Ok((bstats, *f_bat.stats()))
+}
+
+/// The first `n` events `monitor` selects from `bench`'s generated trace.
+fn trace_events(bench: &str, monitor: &str, n: usize) -> Vec<AppEvent> {
+    let mon = monitor_by_name(monitor).unwrap();
+    let monitors_stack = mon.monitors_stack();
+    let mut gen = SyntheticProgram::new(&fade_trace::by_name(bench).unwrap(), 42);
+    let (mut records, mut events) = (Vec::new(), Vec::with_capacity(n));
+    while events.len() < n {
+        records.clear();
+        gen.next_records_into(&mut records, 4096);
+        events.extend(records.iter().filter_map(|r| match r {
+            TraceRecord::Instr(i) => mon.selects(i).then(|| AppEvent::Instr(instr_event_for(i))),
+            TraceRecord::Stack(s) => monitors_stack.then_some(AppEvent::StackUpdate(*s)),
+            TraceRecord::High(h) => Some(AppEvent::HighLevel(*h)),
+        }));
+    }
+    events.truncate(n);
+    events
+}
+
+/// The equivalence also holds on generated traces with the monitors'
+/// handler effects and thread-switch invariant writes applied.
+#[test]
+fn run_batch_matches_per_event_execution_on_generated_traces() {
+    let check = |bench: &str, monitor: &str| {
+        let events = trace_events(bench, monitor, 20_000);
+        check_batch_equivalence(monitor, &events, FilterMode::NonBlocking, true)
+            .unwrap_or_else(|e| panic!("{bench}/{monitor}: {e}"))
+    };
+    // Real traces hop between pages and lines; locality still keeps a
+    // solid majority of events on the short-circuit path.
+    let (hmmer, _) = check("hmmer", "AddrCheck");
+    assert!(hmmer.fast_path_fraction() > 0.5, "got {}", hmmer.fast_path_fraction());
+    let (gcc, _) = check("gcc", "MemLeak");
+    assert!(gcc.dispatched > 0, "MemLeak dispatches complex events");
+    let (_, water) = check("water", "AtomCheck");
+    assert!(water.partial_hits > 0);
 }
 
 proptest! {
@@ -242,7 +341,8 @@ proptest! {
         monitor_idx in 0usize..5,
     ) {
         let monitor = ["addrcheck", "memcheck", "memleak", "taintcheck", "atomcheck"][monitor_idx];
-        check_batch_equivalence(monitor, &ops, FilterMode::NonBlocking)?;
+        let events = lower_ops(&ops, &instance(monitor, FilterMode::NonBlocking).0);
+        check_batch_equivalence(monitor, &events, FilterMode::NonBlocking, false)?;
     }
 
     /// The equivalence also holds in blocking mode (resume latency,
@@ -253,7 +353,8 @@ proptest! {
         monitor_idx in 0usize..5,
     ) {
         let monitor = ["addrcheck", "memcheck", "memleak", "taintcheck", "atomcheck"][monitor_idx];
-        check_batch_equivalence(monitor, &ops, FilterMode::Blocking)?;
+        let events = lower_ops(&ops, &instance(monitor, FilterMode::Blocking).0);
+        check_batch_equivalence(monitor, &events, FilterMode::Blocking, false)?;
     }
 
     /// Splitting one stream into arbitrary consecutive batches does not
@@ -312,9 +413,9 @@ fn steady_state_retires_one_event_per_cycle() {
 
     // The per-event reference path agrees.
     let (mut f_ref, mut st_ref) = instance("memleak", FilterMode::NonBlocking);
-    reference_drive(&mut f_ref, &mut st_ref, &warm);
+    reference_drive(&mut f_ref, &mut st_ref, &warm, None);
     let busy0 = f_ref.stats().busy_cycles;
-    reference_drive(&mut f_ref, &mut st_ref, &stream);
+    reference_drive(&mut f_ref, &mut st_ref, &stream, None);
     assert_eq!(f_ref.stats().busy_cycles - busy0, 1000);
     assert_eq!(f_ref.stats(), fade.stats());
 }

@@ -172,13 +172,13 @@ fn main() -> ExitCode {
                 println!(
                     "{{\"tenants\": {}, \"events\": {}, \"reports\": {}, \
                      \"events_per_sec_aggregate\": {:.0}, \"p50_latency_s\": {:.4}, \
-                     \"p99_latency_s\": {:.4}, \"wall_s\": {:.3}}}",
+                     \"max_latency_s\": {:.4}, \"wall_s\": {:.3}}}",
                     r.tenants,
                     r.events,
                     r.reports,
                     r.aggregate_rate(),
                     r.p50_latency_s,
-                    r.p99_latency_s,
+                    r.max_latency_s,
                     r.wall_s
                 );
                 ExitCode::SUCCESS

@@ -74,8 +74,6 @@ pub struct ServiceThroughputReport {
     pub wall_s: f64,
     /// Median FINISH→END latency (seconds).
     pub p50_latency_s: f64,
-    /// 99th-percentile FINISH→END latency (seconds).
-    pub p99_latency_s: f64,
     /// Worst FINISH→END latency (seconds).
     pub max_latency_s: f64,
 }
@@ -202,7 +200,6 @@ pub fn measure_service_throughput_at(
         reports,
         wall_s,
         p50_latency_s: percentile(&latencies, 0.50),
-        p99_latency_s: percentile(&latencies, 0.99),
         max_latency_s: percentile(&latencies, 1.0),
     })
 }
@@ -218,4 +215,15 @@ pub fn measure_service_throughput(
     let result = measure_service_throughput_at(&socket, opts);
     daemon.shutdown();
     result
+}
+
+#[cfg(test)]
+mod tests {
+    /// For up to 100 samples the 99th percentile is the max, so the
+    /// report carries only the median and the max.
+    #[test]
+    fn p99_of_eight_samples_is_the_max() {
+        let xs: Vec<f64> = (1..=8).map(f64::from).collect();
+        assert_eq!(super::percentile(&xs, 0.99), 8.0);
+    }
 }

@@ -62,7 +62,6 @@ pub use session::{
 };
 pub use system::{baseline_cycles, ReplayBuffer, SourceError, TraceSource};
 pub use throughput::{
-    measure_system_throughput, measure_system_throughput_records, measure_throughput,
-    measure_throughput_matrix, measure_trace_codec, measure_trace_codec_records,
-    record_trace_prefix, SystemThroughputReport, ThroughputReport, TraceCodecReport,
+    measure_system_throughput, measure_system_throughput_records, record_trace_prefix,
+    SystemThroughputReport,
 };

@@ -1,203 +1,25 @@
-//! Functional filtering throughput: monitored events per second of
-//! wall-clock time through the accelerator model.
+//! Full-system throughput and differential harness: wall-clock time of
+//! the cycle-accurate and batched engines over one frozen trace prefix.
 //!
-//! A [`crate::Session`] measures *simulated* cycles; this harness
-//! measures how fast the simulation itself filters, comparing the
-//! per-event `enqueue`+`tick`
-//! driver against the batched fast path ([`fade::Fade::run_batch`]) on
-//! the same pre-generated event stream — the number every scaling PR
-//! (sharding, async, multi-core) moves.
-//!
-//! Both paths apply the monitors' software-handler functional effects
-//! in program order and must finish with identical accelerator
-//! statistics; the harness asserts it, so every throughput measurement
-//! doubles as an equivalence check.
+//! [`record_trace_prefix`] captures the records holding a monitor's
+//! first `n` events; [`measure_system_throughput_records`] replays them
+//! through both engines and asserts that they agree on every
+//! monitor-visible result, so every measurement doubles as a
+//! differential check of the batched engine and its cycle estimate.
 
 use std::time::Instant;
 
-use fade::{BatchStats, Fade, FadeConfig, FadeStats, FilterMode, InvId};
-use fade_isa::{AppEvent, HighLevelEvent};
-use fade_monitors::{monitor_by_name, Monitor};
-use fade_shadow::MetadataState;
+use fade::BatchStats;
+use fade_monitors::monitor_by_name;
 use fade_trace::{BenchProfile, SyntheticProgram, TraceRecord};
 
 use crate::config::SystemConfig;
 use crate::session::{Engine, Session};
-use crate::system::{apply_unfiltered, select_event};
-
-/// Measured throughput of one (benchmark, monitor, batch size) point.
-#[derive(Clone, Debug)]
-pub struct ThroughputReport {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Monitor name.
-    pub monitor: String,
-    /// Events per `run_batch` call.
-    pub batch_size: usize,
-    /// Monitored events driven through each path.
-    pub events: u64,
-    /// Wall-clock seconds of the per-event path.
-    pub per_event_s: f64,
-    /// Wall-clock seconds of the batched path.
-    pub batched_s: f64,
-    /// Batch path breakdown (fast path vs. fallback, dispatches).
-    pub batch: BatchStats,
-    /// Accelerator statistics (identical for both paths).
-    pub fade: FadeStats,
-}
-
-impl ThroughputReport {
-    /// Events per second through the per-event path.
-    pub fn per_event_rate(&self) -> f64 {
-        self.events as f64 / self.per_event_s.max(1e-12)
-    }
-
-    /// Events per second through the batched path.
-    pub fn batched_rate(&self) -> f64 {
-        self.events as f64 / self.batched_s.max(1e-12)
-    }
-
-    /// Batched-over-per-event speedup.
-    pub fn speedup(&self) -> f64 {
-        self.per_event_s / self.batched_s.max(1e-12)
-    }
-
-    /// Fraction of events that took the short-circuit fast path.
-    pub fn fast_path_fraction(&self) -> f64 {
-        self.batch.fast_path_fraction()
-    }
-}
-
-/// Pre-generates `n_events` monitored events for the benchmark, exactly
-/// the events the monitor would select from the trace.
-fn monitored_events(bench: &BenchProfile, monitor: &dyn Monitor, n_events: u64) -> Vec<AppEvent> {
-    let (records, _) = record_trace_prefix(bench, monitor.name(), 42, n_events);
-    let monitors_stack = monitor.monitors_stack();
-    records
-        .iter()
-        .filter_map(|r| select_event(monitor, monitors_stack, r))
-        .collect()
-}
-
-fn fresh(monitor_name: &str) -> (Fade, MetadataState, Box<dyn Monitor>) {
-    let mon = monitor_by_name(monitor_name)
-        .unwrap_or_else(|| panic!("unknown monitor {monitor_name}"));
-    let program = mon.program();
-    let mut st = MetadataState::new(program.md_map());
-    mon.init_state(&mut st);
-    let fade = Fade::new(FadeConfig::paper(FilterMode::NonBlocking), program);
-    (fade, st, mon)
-}
-
-/// Drives the batched engine over the stream in `batch_size` chunks.
-fn drive_batched(
-    monitor_name: &str,
-    events: &[AppEvent],
-    batch_size: usize,
-) -> (f64, BatchStats, FadeStats) {
-    let (mut fade, mut st, mut mon) = fresh(monitor_name);
-    let mut total = BatchStats::default();
-    let mut inv_writes: Vec<(InvId, u64)> = Vec::new();
-    let start = Instant::now();
-    let mut i = 0;
-    while i < events.len() {
-        let mut end = (i + batch_size).min(events.len());
-        // Cut the chunk right after a thread switch so the monitor's
-        // invariant-register updates land before the next event is
-        // filtered — same order as the per-event driver.
-        if let Some(p) = events[i..end]
-            .iter()
-            .position(|e| matches!(e, AppEvent::HighLevel(HighLevelEvent::ThreadSwitch { .. })))
-        {
-            end = i + p + 1;
-        }
-        let bs = fade.run_batch_with(&events[i..end], &mut st, |uf, st| {
-            apply_unfiltered(mon.as_mut(), &uf, st, &mut inv_writes);
-        });
-        for (id, v) in inv_writes.drain(..) {
-            fade.write_invariant(id, v);
-        }
-        total.merge(&bs);
-        i = end;
-    }
-    let secs = start.elapsed().as_secs_f64();
-    (secs, total, *fade.stats())
-}
-
-fn drive_per_event(monitor_name: &str, events: &[AppEvent]) -> (f64, FadeStats) {
-    let (mut fade, mut st, mut mon) = fresh(monitor_name);
-    let mut inv_writes: Vec<(InvId, u64)> = Vec::new();
-    let start = Instant::now();
-    for &ev in events {
-        fade.enqueue(ev).expect("queue drained between events");
-        loop {
-            let tick = fade.tick(&mut st);
-            if let Some(uf) = tick.dispatched {
-                apply_unfiltered(mon.as_mut(), &uf, &mut st, &mut inv_writes);
-            }
-            while let Some(uf) = fade.pop_unfiltered() {
-                fade.handler_completed(uf.token);
-            }
-            for (id, v) in inv_writes.drain(..) {
-                fade.write_invariant(id, v);
-            }
-            if fade.is_idle() {
-                break;
-            }
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    (secs, *fade.stats())
-}
-
-/// Measures filtering throughput for one (benchmark, monitor) point
-/// across several batch sizes: the event stream is generated once and
-/// the per-event baseline measured once, then reused for every batch
-/// size (neither depends on it), so the published speedups share one
-/// consistent denominator.
-///
-/// # Panics
-///
-/// Panics if the monitor is unknown, or if the two paths diverge in
-/// accelerator statistics (which would be a fast-path equivalence bug).
-pub fn measure_throughput_matrix(
-    bench: &BenchProfile,
-    monitor_name: &str,
-    batch_sizes: &[usize],
-    n_events: u64,
-) -> Vec<ThroughputReport> {
-    let probe = monitor_by_name(monitor_name)
-        .unwrap_or_else(|| panic!("unknown monitor {monitor_name}"));
-    let events = monitored_events(bench, probe.as_ref(), n_events);
-    let (per_event_s, fade_p) = drive_per_event(monitor_name, &events);
-
-    batch_sizes
-        .iter()
-        .map(|&batch_size| {
-            let (batched_s, batch, fade_b) = drive_batched(monitor_name, &events, batch_size);
-            assert_eq!(
-                fade_b, fade_p,
-                "batched and per-event execution diverged for {monitor_name} on {}",
-                bench.name
-            );
-            ThroughputReport {
-                benchmark: bench.name.to_string(),
-                monitor: monitor_name.to_string(),
-                batch_size,
-                events: events.len() as u64,
-                per_event_s,
-                batched_s,
-                batch,
-                fade: fade_b,
-            }
-        })
-        .collect()
-}
+use crate::system::select_event;
 
 /// Measured throughput of the *full system* (commit process, queues,
 /// monitor thread) in cycle-accurate vs batched execution mode — the
-/// number the batched system mode exists to move, where
-/// [`ThroughputReport`] covers the bare filter pipeline.
+/// number the batched system mode exists to move.
 #[derive(Clone, Debug)]
 pub struct SystemThroughputReport {
     /// Benchmark name.
@@ -308,7 +130,7 @@ pub fn record_trace_prefix(
 
 /// Measures full-system throughput for one (benchmark, monitor) point:
 /// the same `n_events`-event trace prefix is generated once (outside
-/// the timed region, like the filter-pipeline harness) and then
+/// the timed region) and then
 /// replayed once cycle-accurately and once batched (with `cfg`'s
 /// sampling period), both to the exact same instruction, and the
 /// wall-clock times of the execution engines compared.
@@ -427,184 +249,10 @@ pub fn measure_system_throughput_records(
     }
 }
 
-/// Measured performance of the `.fadet` trace codec on one
-/// (benchmark, monitor) point: how fast a trace prefix can be
-/// generated live, encoded to the on-disk format, and decoded back —
-/// plus the encoded-vs-in-memory size. Replay beats live generation
-/// exactly when `replay_rate > gen_rate`.
-#[derive(Clone, Debug)]
-pub struct TraceCodecReport {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Monitor name (selects the event prefix length).
-    pub monitor: String,
-    /// Monitored events in the prefix.
-    pub events: u64,
-    /// Trace records in the prefix (instructions + stack + high-level).
-    pub records: u64,
-    /// Application instructions in the prefix.
-    pub instrs: u64,
-    /// In-memory footprint of the record buffer.
-    pub raw_bytes: u64,
-    /// Encoded `.fadet` size (header + chunks + trailer).
-    pub encoded_bytes: u64,
-    /// Wall-clock seconds to generate the records live.
-    pub gen_s: f64,
-    /// Wall-clock seconds to encode them.
-    pub encode_s: f64,
-    /// Wall-clock seconds to decode (replay) them.
-    pub decode_s: f64,
-}
-
-impl TraceCodecReport {
-    /// Raw-over-encoded size ratio (bigger is better; ≥3 is the bar).
-    pub fn compression_ratio(&self) -> f64 {
-        self.raw_bytes as f64 / self.encoded_bytes.max(1) as f64
-    }
-
-    /// Monitored events per second of live generation.
-    pub fn gen_rate(&self) -> f64 {
-        self.events as f64 / self.gen_s.max(1e-12)
-    }
-
-    /// Monitored events per second of encoding.
-    pub fn encode_rate(&self) -> f64 {
-        self.events as f64 / self.encode_s.max(1e-12)
-    }
-
-    /// Monitored events per second of decoding — the rate a replayed
-    /// trace feeds the engine at, to compare against [`Self::gen_rate`].
-    pub fn replay_rate(&self) -> f64 {
-        self.events as f64 / self.decode_s.max(1e-12)
-    }
-}
-
-/// Measures trace-codec throughput for one (benchmark, monitor) point:
-/// the prefix holding the first `n_events` monitored events is
-/// generated once untimed, then (a) re-generated live, (b) encoded to
-/// `.fadet` bytes, and (c) decoded back — each stage run twice with the
-/// faster pass reported, so first-touch allocation and cold caches
-/// don't masquerade as codec cost. The decode is asserted
-/// bit-identical to the original records, so every measurement doubles
-/// as a round-trip check.
-///
-/// # Panics
-///
-/// Panics if the monitor is unknown or the codec round-trip is not the
-/// identity (which would be a codec bug).
-pub fn measure_trace_codec(
-    bench: &BenchProfile,
-    monitor_name: &str,
-    seed: u64,
-    n_events: u64,
-) -> TraceCodecReport {
-    let (records, instrs) = record_trace_prefix(bench, monitor_name, seed, n_events);
-    measure_trace_codec_records(bench, monitor_name, seed, &records, instrs, n_events)
-}
-
-/// [`measure_trace_codec`] over an already-captured prefix (the
-/// records [`record_trace_prefix`] returned for this seed), so callers
-/// measuring several things about one point don't regenerate it.
-///
-/// # Panics
-///
-/// See [`measure_trace_codec`]; additionally panics if `records` is
-/// not this seed's generator output (the timed regeneration is
-/// compared against it).
-pub fn measure_trace_codec_records(
-    bench: &BenchProfile,
-    monitor_name: &str,
-    seed: u64,
-    records: &[TraceRecord],
-    instrs: u64,
-    n_events: u64,
-) -> TraceCodecReport {
-    fn best_of_two<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-        let start = Instant::now();
-        let first = f();
-        let t1 = start.elapsed().as_secs_f64();
-        // Free the first pass's output before the second runs, so the
-        // allocator hands the second pass warm pages: otherwise every
-        // pass pays tens of ms of first-touch page faults on the
-        // multi-MB output buffers and neither measures the codec.
-        drop(first);
-        let start = Instant::now();
-        let second = f();
-        let t2 = start.elapsed().as_secs_f64();
-        (t1.min(t2), second)
-    }
-
-    let (gen_s, regenerated) = best_of_two(|| {
-        let mut gen = fade_trace::SyntheticProgram::new(bench, seed);
-        let mut out = Vec::with_capacity(records.len());
-        gen.next_records_into(&mut out, records.len());
-        out
-    });
-    assert_eq!(regenerated.as_slice(), records, "generator must be deterministic");
-    drop(regenerated);
-
-    let meta = fade_trace::TraceMeta::new(bench.name, seed);
-    let (encode_s, bytes) = best_of_two(|| fade_trace::encode_trace(&meta, records));
-
-    let (decode_s, decoded) = best_of_two(|| {
-        fade_trace::decode_trace(&bytes)
-            .unwrap_or_else(|e| panic!("fresh encoding failed to decode: {e}"))
-    });
-    let (meta2, decoded) = decoded;
-    assert_eq!(meta2, meta, "trace metadata round-trip");
-    assert_eq!(decoded.as_slice(), records, "trace record round-trip");
-
-    TraceCodecReport {
-        benchmark: bench.name.to_string(),
-        monitor: monitor_name.to_string(),
-        events: n_events,
-        records: records.len() as u64,
-        instrs,
-        raw_bytes: std::mem::size_of_val(records) as u64,
-        encoded_bytes: bytes.len() as u64,
-        gen_s,
-        encode_s,
-        decode_s,
-    }
-}
-
-/// [`measure_throughput_matrix`] for a single batch size.
-pub fn measure_throughput(
-    bench: &BenchProfile,
-    monitor_name: &str,
-    batch_size: usize,
-    n_events: u64,
-) -> ThroughputReport {
-    measure_throughput_matrix(bench, monitor_name, &[batch_size], n_events)
-        .pop()
-        .expect("one batch size in, one report out")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fade_trace::bench;
-
-    #[test]
-    fn paths_agree_and_fast_path_dominates_for_high_filter_monitors() {
-        let b = bench::by_name("hmmer").unwrap();
-        let r = measure_throughput(&b, "AddrCheck", 32, 20_000);
-        assert_eq!(r.events, 20_000);
-        // Real traces hop between pages/lines, so not every filterable
-        // event is MRU-warm; locality still keeps a solid majority on
-        // the short-circuit path.
-        assert!(r.fast_path_fraction() > 0.5, "got {}", r.fast_path_fraction());
-        assert!(r.batched_rate() > 0.0 && r.per_event_rate() > 0.0);
-    }
-
-    #[test]
-    fn low_filter_monitors_still_agree() {
-        let b = bench::by_name("gcc").unwrap();
-        let r = measure_throughput(&b, "MemLeak", 32, 20_000);
-        // measure_throughput asserts stats equality internally.
-        assert_eq!(r.batch.events, 20_000);
-        assert!(r.batch.dispatched > 0, "MemLeak dispatches complex events");
-    }
 
     #[test]
     fn system_throughput_modes_agree_and_estimate_cycles() {
@@ -621,22 +269,6 @@ mod tests {
         // Coarse sanity here; the differential harness pins the ±5%
         // tolerance on full-size traces.
         assert!(r.cycle_error() < 0.25, "cycle error {}", r.cycle_error());
-    }
-
-    #[test]
-    fn trace_codec_compresses_3x_and_round_trips() {
-        let b = bench::by_name("gcc").unwrap();
-        // measure_trace_codec asserts the decode==records identity
-        // internally; here we pin the size bar.
-        let r = measure_trace_codec(&b, "MemLeak", 0x5eed, 20_000);
-        assert_eq!(r.events, 20_000);
-        assert!(r.records > 0 && r.instrs > 0);
-        assert!(
-            r.compression_ratio() >= 3.0,
-            "encoded size must be >=3x smaller than raw records, got {:.2}x",
-            r.compression_ratio()
-        );
-        assert!(r.gen_rate() > 0.0 && r.replay_rate() > 0.0);
     }
 
     #[test]
@@ -694,34 +326,5 @@ mod tests {
             assert!(v.is_finite(), "degenerate report leaked {v}");
         }
         assert_eq!(r.fast_path_fraction(), 0.0);
-
-        let p = ThroughputReport {
-            benchmark: "none".into(),
-            monitor: "none".into(),
-            batch_size: 0,
-            events: 0,
-            per_event_s: 0.0,
-            batched_s: 0.0,
-            batch: BatchStats::default(),
-            fade: FadeStats::default(),
-        };
-        for v in [
-            p.fast_path_fraction(),
-            p.per_event_rate(),
-            p.batched_rate(),
-            p.speedup(),
-        ] {
-            assert!(v.is_finite(), "degenerate report leaked {v}");
-        }
-    }
-
-    #[test]
-    fn parallel_benchmark_with_invariant_writes_agrees() {
-        // AtomCheck rewrites invariant registers on thread switches —
-        // the batched driver must apply them at the same points.
-        let b = bench::by_name("water").unwrap();
-        let r = measure_throughput(&b, "AtomCheck", 64, 20_000);
-        assert_eq!(r.events, 20_000);
-        assert!(r.fade.partial_hits > 0);
     }
 }

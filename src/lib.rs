@@ -53,7 +53,7 @@ pub mod prelude {
     pub use fade_monitors::{monitor_by_name, Monitor};
     pub use fade_shadow::MetadataState;
     pub use fade_system::{
-        measure_system_throughput, measure_trace_codec, record_trace_prefix, Engine,
+        measure_system_throughput, record_trace_prefix, Engine,
         MonitorRegistry, ReplayBuffer, RunReport, RunStats, Session, SessionBuilder,
         SessionError, SessionRunError, SourceError, SystemConfig, TraceSource,
     };

@@ -92,8 +92,8 @@ fn batched_matches_cycle_in_blocking_mode() {
 /// acceptance bar of the batched system mode, and the regression guard
 /// for the estimator. Each point also demonstrates a real wall-clock
 /// speedup over cycle-accurate execution (asserted conservatively:
-/// wall-clock is noisy in CI; the measured ratios — ~2× on
-/// hmmer/AddrCheck, ~2.4–2.7× on gcc/MemLeak at the default sampling
+/// wall-clock is noisy in CI; the measured ratios — the `speedup`
+/// column of the `system_results` rows, at the default sampling
 /// configuration — are reported by `reproduce_all`).
 /// (`measure_system_throughput` also re-checks bit-exactness.)
 #[test]
