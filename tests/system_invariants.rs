@@ -274,6 +274,65 @@ fn live_estimate_equals_reported_estimate() {
     }
 }
 
+/// `run_measured` is exactly the manual protocol: `run(warmup)`,
+/// `start_measure`, `run(measure)`, a `drain` when batched, then
+/// `finish` with the matching baseline. Both report the same stats,
+/// violations, batch counters and degradation on every engine (only
+/// the wall clock differs).
+#[test]
+fn incremental_driving_matches_run_measured() {
+    let b = bench::by_name("gcc").unwrap();
+    let (warmup, measure) = (WARM, MEAS / 2);
+    for engine in [
+        Engine::Cycle,
+        Engine::batched_with(2048, 512),
+        Engine::Unaccelerated,
+    ] {
+        let build = || {
+            Session::builder()
+                .monitor("MemLeak")
+                .source(&b)
+                .engine(engine)
+                .build()
+                .unwrap()
+        };
+        let oneshot = build().run_measured(warmup, measure).unwrap();
+
+        let mut s = build();
+        s.run(warmup).unwrap();
+        s.start_measure();
+        s.run(measure).unwrap();
+        if let Engine::Batched { .. } = engine {
+            s.drain().unwrap();
+        }
+        let cfg = *s.config();
+        let baseline =
+            fade_repro::system::baseline_cycles(&b, cfg.core, cfg.seed, warmup, measure);
+        let manual = s.finish(baseline).unwrap();
+
+        assert_eq!(
+            format!("{:?}", oneshot.stats),
+            format!("{:?}", manual.stats),
+            "{engine:?}: stats"
+        );
+        assert_eq!(
+            format!("{:?}", oneshot.violations),
+            format!("{:?}", manual.violations),
+            "{engine:?}: violations"
+        );
+        assert_eq!(
+            format!("{:?}", oneshot.batch),
+            format!("{:?}", manual.batch),
+            "{engine:?}: batch"
+        );
+        assert_eq!(
+            format!("{:?}", oneshot.degradation),
+            format!("{:?}", manual.degradation),
+            "{engine:?}: degradation"
+        );
+    }
+}
+
 /// Every simulated cycle of a measured cycle-engine window is charged
 /// exactly once: one occupancy sample and one utilization class per
 /// cycle, on every organization and core — including the cycles the
