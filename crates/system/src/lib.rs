@@ -3,7 +3,8 @@
 //! Composed monitoring systems and the experiment harness — the crate
 //! that produces every number in the paper's evaluation (Section 7).
 //!
-//! A [`Session`] runs one monitoring system, which wires together:
+//! A [`Session`] is one monitoring system — the engine and its public
+//! handle are the same type — and it wires together:
 //!
 //! * an application hardware thread (a [`fade_trace::SyntheticProgram`]
 //!   retiring through a [`fade_sim::CommitModel`]),

@@ -306,8 +306,7 @@ fn incremental_driving_matches_run_measured() {
             s.drain().unwrap();
         }
         let cfg = *s.config();
-        let baseline =
-            fade_repro::system::baseline_cycles(&b, cfg.core, cfg.seed, warmup, measure);
+        let baseline = fade_repro::system::baseline_cycles(&b, cfg.core, cfg.seed, warmup, measure);
         let manual = s.finish(baseline).unwrap();
 
         assert_eq!(
