@@ -327,16 +327,16 @@ impl CommitModel {
 
 /// Executes software handlers on the monitor's hardware context.
 ///
-/// A handler is a straight-line instruction count; the executor retires
-/// `ipc × scale` instructions per cycle, where `scale` models SMT
-/// contention (1.0 when the monitor thread has the core to itself).
+/// A handler is a straight-line instruction count; each cycle the
+/// executor retires `min(ipc, slots)` of its instructions, where
+/// `slots` is the issue slots the monitor thread got that cycle (the
+/// whole width when it has the core to itself, fewer under SMT
+/// contention — see [`SmtArbiter`]).
 #[derive(Clone, Debug)]
 pub struct HandlerExec {
     ipc: f64,
     credit: f64,
     remaining: f64,
-    busy_cycles: u64,
-    completed: u64,
 }
 
 impl HandlerExec {
@@ -346,8 +346,6 @@ impl HandlerExec {
             ipc: kind.handler_ipc(),
             credit: 0.0,
             remaining: 0.0,
-            busy_cycles: 0,
-            completed: 0,
         }
     }
 
@@ -368,30 +366,6 @@ impl HandlerExec {
         self.credit = 0.0;
     }
 
-    /// Adds extra work to the in-flight handler (used for handler chains
-    /// that the consumer fuses, e.g. draining a burst).
-    pub fn add_work(&mut self, instrs: u32) {
-        self.remaining += instrs as f64;
-    }
-
-    /// Advances one cycle at the given SMT scale; returns `true` if the
-    /// handler completed this cycle.
-    pub fn tick(&mut self, scale: f64) -> bool {
-        if !self.busy() {
-            return false;
-        }
-        self.busy_cycles += 1;
-        self.credit += self.ipc * scale.clamp(0.0, 1.0);
-        if self.credit >= self.remaining {
-            self.remaining = 0.0;
-            self.credit = 0.0;
-            self.completed += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Advances one cycle with `slots` issue slots available to the
     /// monitor thread this cycle (SMT slot-level sharing): the handler
     /// retires `min(ipc, slots)` instructions. Returns `true` on
@@ -400,26 +374,14 @@ impl HandlerExec {
         if !self.busy() {
             return false;
         }
-        self.busy_cycles += 1;
         self.credit += self.ipc.min(slots as f64);
         if self.credit >= self.remaining {
             self.remaining = 0.0;
             self.credit = 0.0;
-            self.completed += 1;
             true
         } else {
             false
         }
-    }
-
-    /// Total cycles spent with a handler in flight.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Total handlers completed.
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 }
 
@@ -534,30 +496,33 @@ mod tests {
         m.retire(1);
     }
 
-    #[test]
-    fn handler_exec_takes_expected_cycles() {
-        let mut h = HandlerExec::new(CoreKind::AggrOoO4); // IPC 3
-        h.start(9);
-        let mut cycles = 0;
-        while !h.tick(1.0) {
+    /// Cycles `h` takes to finish a fresh `instrs`-instruction handler
+    /// with `slots` issue slots every cycle.
+    fn handler_cycles(h: &mut HandlerExec, instrs: u32, slots: u32) -> u32 {
+        h.start(instrs);
+        let mut cycles = 1;
+        while !h.tick_slots(slots) {
             cycles += 1;
         }
-        cycles += 1;
-        assert_eq!(cycles, 3);
-        assert_eq!(h.completed(), 1);
-        assert_eq!(h.busy_cycles(), 3);
+        assert!(!h.busy(), "completion leaves the executor idle");
+        cycles
+    }
+
+    #[test]
+    fn handler_exec_takes_expected_cycles() {
+        // IPC 3 on the whole 4-wide core: IPC is the limit.
+        let mut h = HandlerExec::new(CoreKind::AggrOoO4);
+        assert_eq!(handler_cycles(&mut h, 9, CoreKind::AggrOoO4.width()), 3);
+        // An idle executor ignores ticks.
+        assert!(!h.tick_slots(4));
     }
 
     #[test]
     fn handler_exec_smt_scale_slows_execution() {
+        // One slot per cycle (SMT contention): one instruction a cycle,
+        // below the core's handler IPC of 3.
         let mut h = HandlerExec::new(CoreKind::AggrOoO4);
-        h.start(9);
-        let mut cycles = 0;
-        while !h.tick(0.5) {
-            cycles += 1;
-        }
-        cycles += 1;
-        assert_eq!(cycles, 6);
+        assert_eq!(handler_cycles(&mut h, 9, 1), 9);
     }
 
     #[test]
