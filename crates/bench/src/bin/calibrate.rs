@@ -9,13 +9,36 @@ use fade_bench::{experiments::suite_for, Experiment, ExperimentMatrix, Table};
 use fade_monitors::all_monitors;
 use fade_system::SystemConfig;
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: calibrate [MONITOR]\n\
+         \n\
+         Print the calibration table of one monitor (default: all five)."
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > 1 {
+        eprintln!("calibrate: unexpected argument {:?}", args[1]);
+        usage();
+    }
     let only_monitor = args.first().cloned();
     let selected = |name: &str| match &only_monitor {
         Some(m) => name.eq_ignore_ascii_case(m),
         None => true,
     };
+    let monitors = all_monitors();
+    if !monitors.iter().any(|m| selected(m.name())) {
+        let known: Vec<&str> = monitors.iter().map(|m| m.name()).collect();
+        eprintln!(
+            "calibrate: unknown monitor {:?} (known: {})",
+            only_monitor.as_deref().unwrap_or_default(),
+            known.join(", ")
+        );
+        usage();
+    }
 
     let mut matrix = ExperimentMatrix::new();
     for mon in all_monitors() {
