@@ -34,14 +34,14 @@ fn main() {
         let known: Vec<&str> = monitors.iter().map(|m| m.name()).collect();
         eprintln!(
             "calibrate: unknown monitor {:?} (known: {})",
-            only_monitor.as_deref().unwrap_or_default(),
+            args[0],
             known.join(", ")
         );
         usage();
     }
 
     let mut matrix = ExperimentMatrix::new();
-    for mon in all_monitors() {
+    for mon in &monitors {
         if !selected(mon.name()) {
             continue;
         }
@@ -56,7 +56,7 @@ fn main() {
     }
     let mut runs = matrix.run_stats().into_iter();
 
-    for mon in all_monitors() {
+    for mon in &monitors {
         if !selected(mon.name()) {
             continue;
         }
