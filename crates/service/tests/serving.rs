@@ -444,6 +444,31 @@ fn protocol_and_session_errors_are_typed_replies() {
     daemon.shutdown();
 }
 
+/// A tenant that is wrong in two ways gets the trace-side error: the
+/// stream is opened (header, then its benchmark) before the monitor
+/// name is resolved.
+#[test]
+fn trace_errors_precede_monitor_errors() {
+    let socket = temp_socket_path("order");
+    let daemon = Faded::spawn(ServerConfig::new(&socket).workers(1)).expect("daemon spawns");
+    let b = bench::by_name("mcf").unwrap();
+    let (records, _) = record_trace_prefix(&b, "AddrCheck", 61, 1_000);
+    let unknown_bench = encode_trace(&TraceMeta::new("no-such-bench", 61), &records);
+    for (bytes, tag) in [
+        (&b"not a trace at all"[..], "trace"),
+        (&unknown_bench[..], "unknown_benchmark"),
+    ] {
+        match stream_session(&socket, &Hello::new("t", "NoSuchMonitor"), bytes, |_| {}) {
+            Err(ClientError::Server(line)) => {
+                let want = format!(r#""error": "{tag}""#);
+                assert!(line.contains(&want), "want {want}, line: {line}");
+            }
+            other => panic!("expected a {tag} error, got {other:?}"),
+        }
+    }
+    daemon.shutdown();
+}
+
 /// The admin SHUTDOWN frame stops the daemon and removes the socket
 /// file; in-flight sessions drain first.
 #[test]
