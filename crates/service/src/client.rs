@@ -71,10 +71,22 @@ pub fn stream_session(
     socket: &Path,
     hello: &Hello,
     trace: &[u8],
-    mut on_report: impl FnMut(&str),
+    on_report: impl FnMut(&str),
 ) -> Result<EndSummary, ClientError> {
+    replies(&mut send(socket, hello, trace)?, on_report)
+}
+
+/// The sending half of [`stream_session`]: connect, then HELLO, TRACE
+/// frames and FINISH. Returns the reply side of the connection once
+/// FINISH is written, or the server's typed ERROR if it rejected the
+/// upload midway.
+pub(crate) fn send(
+    socket: &Path,
+    hello: &Hello,
+    trace: &[u8],
+) -> Result<BufReader<UnixStream>, ClientError> {
     let mut stream = UnixStream::connect(socket)?;
-    let send = (|| -> io::Result<()> {
+    let sent = (|| -> io::Result<()> {
         write_frame(&mut stream, FRAME_HELLO, &hello.encode())?;
         for chunk in trace.chunks(TRACE_CHUNK) {
             write_frame(&mut stream, FRAME_TRACE, chunk)?;
@@ -82,7 +94,7 @@ pub fn stream_session(
         write_frame(&mut stream, FRAME_FINISH, &[])
     })();
     let mut reader = BufReader::new(stream);
-    if let Err(send_err) = send {
+    if let Err(send_err) = sent {
         // Surface the server's typed reply if one is pending.
         if let Ok(Some((FRAME_ERROR, payload))) = read_frame(&mut reader) {
             return Err(ClientError::Server(
@@ -91,8 +103,17 @@ pub fn stream_session(
         }
         return Err(send_err.into());
     }
+    Ok(reader)
+}
+
+/// The reply half of [`stream_session`]: REPORT lines to `on_report`
+/// until END or ERROR.
+pub(crate) fn replies(
+    reader: &mut BufReader<UnixStream>,
+    mut on_report: impl FnMut(&str),
+) -> Result<EndSummary, ClientError> {
     loop {
-        match read_frame(&mut reader)? {
+        match read_frame(reader)? {
             Some((FRAME_REPORT, payload)) => {
                 on_report(&String::from_utf8_lossy(&payload));
             }

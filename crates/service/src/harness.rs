@@ -5,6 +5,11 @@
 //! temporary socket; [`measure_service_throughput_at`] points the same
 //! load at an already-running daemon (what the CI smoke step does with
 //! the real `faded` binary).
+//!
+//! Each tenant speaks the client's own conversation — the send and
+//! reply halves of [`crate::stream_session`], so a rejected upload
+//! surfaces as the daemon's typed ERROR here too — with a clock started
+//! between them: report latency runs from FINISH sent to END received.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -13,11 +18,8 @@ use std::time::Instant;
 use fade_system::record_trace_prefix;
 use fade_trace::{bench, encode_trace, TraceMeta};
 
-use crate::client::ClientError;
-use crate::protocol::{
-    read_frame, write_frame, EngineSel, Hello, FRAME_END, FRAME_ERROR, FRAME_FINISH, FRAME_HELLO,
-    FRAME_REPORT, FRAME_TRACE,
-};
+use crate::client::{self, ClientError};
+use crate::protocol::{EngineSel, Hello};
 use crate::server::{engine_name, Faded, ServerConfig};
 
 /// The (benchmark, monitor) mix tenants cycle through — one point per
@@ -93,43 +95,6 @@ pub fn temp_socket_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("faded-{tag}-{}-{seq}.sock", std::process::id()))
 }
 
-/// One tenant's full conversation, timing FINISH-sent → END-received
-/// (the report latency the user of a busy daemon observes: how long
-/// after submitting a complete trace the verdict arrives).
-fn timed_conversation(
-    socket: &Path,
-    hello: &Hello,
-    trace: &[u8],
-) -> Result<(u64, u64, u64, f64), ClientError> {
-    let mut stream = std::os::unix::net::UnixStream::connect(socket)?;
-    write_frame(&mut stream, FRAME_HELLO, &hello.encode()).map_err(ClientError::Io)?;
-    for chunk in trace.chunks(crate::client::TRACE_CHUNK) {
-        write_frame(&mut stream, FRAME_TRACE, chunk).map_err(ClientError::Io)?;
-    }
-    write_frame(&mut stream, FRAME_FINISH, &[]).map_err(ClientError::Io)?;
-    let finish_at = Instant::now();
-    let mut reader = std::io::BufReader::new(stream);
-    let mut reports = 0u64;
-    loop {
-        match read_frame(&mut reader)? {
-            Some((FRAME_REPORT, _)) => reports += 1,
-            Some((FRAME_END, payload)) => {
-                let end = crate::protocol::EndSummary::decode(&payload)
-                    .map_err(|e| ClientError::Frame(e.into()))?;
-                let latency = finish_at.elapsed().as_secs_f64();
-                return Ok((end.events, end.instrs, reports, latency));
-            }
-            Some((FRAME_ERROR, payload)) => {
-                return Err(ClientError::Server(
-                    String::from_utf8_lossy(&payload).into_owned(),
-                ))
-            }
-            Some((kind, _)) => return Err(ClientError::UnexpectedFrame(kind)),
-            None => return Err(ClientError::ClosedEarly),
-        }
-    }
-}
-
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -172,7 +137,16 @@ pub fn measure_service_throughput_at(
             let handles: Vec<_> = sessions
                 .iter()
                 .map(|(hello, trace)| {
-                    scope.spawn(move || timed_conversation(socket, hello, trace))
+                    scope.spawn(move || {
+                        // Report latency runs from FINISH sent to END
+                        // received: how long after submitting a complete
+                        // trace the verdict arrives.
+                        let mut reader = client::send(socket, hello, trace)?;
+                        let finish_at = Instant::now();
+                        let mut reports = 0u64;
+                        let end = client::replies(&mut reader, |_| reports += 1)?;
+                        Ok((end.events, end.instrs, reports, finish_at.elapsed().as_secs_f64()))
+                    })
                 })
                 .collect();
             handles

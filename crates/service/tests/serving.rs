@@ -19,8 +19,9 @@ use fade_service::protocol::{
     read_frame, write_frame, Hello, FRAME_ERROR, FRAME_FINISH, FRAME_HELLO, FRAME_TRACE,
 };
 use fade_service::{
-    engine_name, report, send_shutdown, stream_session, temp_socket_path, ClientError, EndSummary,
-    EngineSel, Faded, ServerConfig, SERVE_SLICE,
+    engine_name, measure_service_throughput_at, report, send_shutdown, stream_session,
+    temp_socket_path, ClientError, EndSummary, EngineSel, Faded, LoadOptions, ServerConfig,
+    SERVE_SLICE,
 };
 use fade_system::{
     baseline_cycles, record_trace_prefix, MonitorRegistry, Session, SystemConfig,
@@ -465,6 +466,29 @@ fn trace_errors_precede_monitor_errors() {
             }
             other => panic!("expected a {tag} error, got {other:?}"),
         }
+    }
+    daemon.shutdown();
+}
+
+/// A load-harness tenant rejected mid-upload sees the daemon's typed
+/// reply, not the broken pipe its unfinished upload runs into.
+#[test]
+fn load_harness_surfaces_mid_upload_rejections() {
+    let socket = temp_socket_path("loadcap");
+    let daemon =
+        Faded::spawn(ServerConfig::new(&socket).workers(1).max_trace_bytes(4096))
+            .expect("daemon spawns");
+    let opts = LoadOptions {
+        tenants: 1,
+        workers: 1,
+        events_per_tenant: 20_000,
+        engine: EngineSel::Batched,
+    };
+    match measure_service_throughput_at(&socket, &opts) {
+        Err(ClientError::Server(line)) => {
+            assert!(line.contains(r#""error": "trace_too_large""#), "line: {line}")
+        }
+        other => panic!("expected a trace_too_large server error, got {other:?}"),
     }
     daemon.shutdown();
 }
