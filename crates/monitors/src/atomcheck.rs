@@ -64,11 +64,6 @@ impl AtomCheck {
             last_owner: HashMap::new(),
         }
     }
-
-    /// The thread the monitor currently believes is running.
-    pub fn current_tid(&self) -> u8 {
-        self.cur_tid
-    }
 }
 
 impl Default for AtomCheck {
@@ -279,7 +274,6 @@ mod tests {
         let mut m = AtomCheck::new();
         let writes = m.on_thread_switch(2);
         assert_eq!(writes, vec![(INV_SIG, signature(2) as u64)]);
-        assert_eq!(m.current_tid(), 2);
     }
 
     #[test]

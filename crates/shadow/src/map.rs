@@ -59,11 +59,6 @@ impl MetadataMap {
         MetadataMap::new(Self::DEFAULT_BASE, 2, 1)
     }
 
-    /// One metadata byte per application byte (Valgrind-style layouts).
-    pub fn per_byte() -> Self {
-        MetadataMap::new(Self::DEFAULT_BASE, 0, 1)
-    }
-
     /// Application bytes covered by one metadata unit.
     #[inline]
     pub const fn granularity(&self) -> u32 {
@@ -135,13 +130,6 @@ mod tests {
         assert_eq!(m.md_addr(VirtAddr::new(3)), a);
         assert_eq!(m.md_addr(VirtAddr::new(4)), a + 1);
         assert_eq!(m.md_addr(VirtAddr::new(400)), a + 100);
-    }
-
-    #[test]
-    fn per_byte_is_identity_shaped() {
-        let m = MetadataMap::per_byte();
-        let a = m.md_addr(VirtAddr::new(0));
-        assert_eq!(m.md_addr(VirtAddr::new(1)), a + 1);
     }
 
     #[test]

@@ -60,13 +60,6 @@ impl MetadataState {
         self.mem.read_bytes(self.map.md_addr(app), units as usize)
     }
 
-    /// Writes `value` to every metadata unit spanned by an access of
-    /// `size` bytes at `app`.
-    pub fn set_mem_meta_span(&mut self, app: VirtAddr, size: u8, value: u8) {
-        let (start, len) = self.map.md_range(app, size as u32);
-        self.mem.fill(start, len, value);
-    }
-
     /// Bulk-sets the metadata covering `[app_base, app_base+len)` to
     /// `value` — what stack updates and allocation handlers do.
     pub fn fill_app_range(&mut self, app_base: VirtAddr, len: u32, value: u8) {
@@ -112,15 +105,6 @@ mod tests {
         assert_eq!(st.mem_meta_span(VirtAddr::new(0x102), 4), 0x0201);
         // Zero-size access reads nothing.
         assert_eq!(st.mem_meta_span(VirtAddr::new(0x100), 0), 0);
-    }
-
-    #[test]
-    fn span_write_covers_all_units() {
-        let mut st = MetadataState::new(MetadataMap::per_word());
-        st.set_mem_meta_span(VirtAddr::new(0x102), 4, 7);
-        assert_eq!(st.mem_meta(VirtAddr::new(0x100)), 7);
-        assert_eq!(st.mem_meta(VirtAddr::new(0x104)), 7);
-        assert_eq!(st.mem_meta(VirtAddr::new(0x108)), 0);
     }
 
     #[test]

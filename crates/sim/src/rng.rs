@@ -63,12 +63,6 @@ impl Rng {
         result
     }
 
-    /// Next 32 uniformly random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)` (Lemire's method).
     ///
     /// # Panics
@@ -113,12 +107,6 @@ impl Rng {
         let p = p.max(1e-12);
         let u = self.unit_f64().max(1e-300);
         (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
-    /// Exponential draw with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = self.unit_f64().max(1e-300);
-        -mean * u.ln()
     }
 
     /// Picks an index from a slice of non-negative weights.
@@ -231,14 +219,5 @@ mod tests {
         assert!(counts[1] > counts[2]);
         let frac = counts[1] as f64 / 30_000.0;
         assert!((frac - 0.5).abs() < 0.02, "got {frac}");
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut r = Rng::seed_from(41);
-        let n = 100_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(8.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 8.0).abs() < 0.2, "got {mean}");
     }
 }

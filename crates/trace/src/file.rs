@@ -378,11 +378,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.total
-    }
-
     fn flush_chunk(&mut self) -> io::Result<()> {
         if self.chunk_records == 0 {
             return Ok(());
@@ -492,12 +487,6 @@ impl TraceReader<io::BufReader<std::fs::File>> {
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
         let f = std::fs::File::open(path)?;
         TraceReader::new(io::BufReader::new(f))
-    }
-
-    /// Opens a trace file from disk in recover mode (see
-    /// [`TraceReader::with_recovery`]).
-    pub fn open_recovering(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
-        Ok(Self::open(path)?.with_recovery())
     }
 }
 

@@ -59,12 +59,6 @@ impl InstrMix {
             self.nop,
         ]
     }
-
-    /// Fraction of instructions that access memory.
-    pub fn memory_fraction(&self) -> f64 {
-        let total: f64 = self.weights().iter().sum();
-        (self.load + self.store) / total
-    }
 }
 
 /// Everything that makes one benchmark behave like itself.
@@ -155,12 +149,6 @@ mod tests {
     fn mix_weights_sum_to_one() {
         let total: f64 = InstrMix::spec_int().weights().iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "got {total}");
-    }
-
-    #[test]
-    fn memory_fraction_matches_mix() {
-        let m = InstrMix::spec_int();
-        assert!((m.memory_fraction() - 0.30).abs() < 1e-9);
     }
 
     #[test]

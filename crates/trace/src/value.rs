@@ -122,13 +122,6 @@ impl ValueState {
             .filter(|&r| self.reg(r).contains(ValueTags::POINTER))
             .collect()
     }
-
-    /// Registers currently holding tainted values.
-    pub fn tainted_regs(&self) -> Vec<Reg> {
-        Reg::all()
-            .filter(|&r| self.reg(r).contains(ValueTags::TAINT))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -179,6 +172,5 @@ mod tests {
         s.set_reg(Reg::new(8), ValueTags::POINTER);
         s.set_reg(Reg::new(9), ValueTags::TAINT);
         assert_eq!(s.pointer_regs(), vec![Reg::new(8)]);
-        assert_eq!(s.tainted_regs(), vec![Reg::new(9)]);
     }
 }
