@@ -76,10 +76,8 @@ pub fn stream_session(
     replies(&mut send(socket, hello, trace)?, on_report)
 }
 
-/// The sending half of [`stream_session`]: connect, then HELLO, TRACE
-/// frames and FINISH. Returns the reply side of the connection once
-/// FINISH is written, or the server's typed ERROR if it rejected the
-/// upload midway.
+/// [`stream_session`]'s sending half, ERROR drain included: returns
+/// the reply side of the connection once FINISH is written.
 pub(crate) fn send(
     socket: &Path,
     hello: &Hello,
@@ -106,8 +104,7 @@ pub(crate) fn send(
     Ok(reader)
 }
 
-/// The reply half of [`stream_session`]: REPORT lines to `on_report`
-/// until END or ERROR.
+/// [`stream_session`]'s reply half: REPORT lines until END or ERROR.
 pub(crate) fn replies(
     reader: &mut BufReader<UnixStream>,
     mut on_report: impl FnMut(&str),

@@ -6,10 +6,10 @@
 //! load at an already-running daemon (what the CI smoke step does with
 //! the real `faded` binary).
 //!
-//! Each tenant speaks the client's own conversation — the send and
-//! reply halves of [`crate::stream_session`], so a rejected upload
-//! surfaces as the daemon's typed ERROR here too — with a clock started
-//! between them: report latency runs from FINISH sent to END received.
+//! Each tenant speaks [`crate::stream_session`]'s own send and reply
+//! halves (a rejected upload surfaces as the daemon's typed ERROR) with
+//! a clock between them: report latency runs from FINISH sent to END
+//! received, how long after submitting a trace the verdict arrives.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,9 +138,6 @@ pub fn measure_service_throughput_at(
                 .iter()
                 .map(|(hello, trace)| {
                     scope.spawn(move || {
-                        // Report latency runs from FINISH sent to END
-                        // received: how long after submitting a complete
-                        // trace the verdict arrives.
                         let mut reader = client::send(socket, hello, trace)?;
                         let finish_at = Instant::now();
                         let mut reports = 0u64;

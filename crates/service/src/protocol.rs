@@ -16,7 +16,7 @@
 
 use std::io::{self, Read, Write};
 
-use fade_system::{Engine, SystemConfig};
+use fade_system::{Accel, Engine, SystemConfig};
 
 /// Protocol version carried in the first byte of every HELLO payload.
 /// A server refuses versions it does not speak with a typed error
@@ -110,7 +110,7 @@ pub enum EngineSel {
     /// monitor-visible results.
     #[default]
     Batched,
-    /// No accelerator ([`Engine::Unaccelerated`]).
+    /// No accelerator: [`Engine::Cycle`] on a config without FADE.
     Unaccelerated,
 }
 
@@ -137,12 +137,11 @@ impl EngineSel {
     /// stays one byte.
     pub fn engine(self) -> Engine {
         match self {
-            EngineSel::Cycle => Engine::Cycle,
+            EngineSel::Cycle | EngineSel::Unaccelerated => Engine::Cycle,
             EngineSel::Batched => Engine::Batched {
                 period: None,
                 window: None,
             },
-            EngineSel::Unaccelerated => Engine::Unaccelerated,
         }
     }
 
@@ -197,9 +196,12 @@ impl Hello {
     }
 
     /// Applies this handshake's knobs on top of `base` — the server's
-    /// default configuration.
+    /// default configuration — with [`Accel::None`] when unaccelerated.
     pub fn config(&self, base: SystemConfig) -> SystemConfig {
         let mut cfg = base;
+        if self.engine == EngineSel::Unaccelerated {
+            cfg.accel = Accel::None;
+        }
         if let Some(pages) = self.shadow_page_budget {
             cfg = cfg.with_shadow_page_budget(pages as usize);
         }

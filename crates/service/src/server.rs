@@ -15,11 +15,12 @@
 //! streams violation lines, a summary line, and an END frame back.
 //!
 //! Store-and-forward (rather than decoding mid-stream) is a deliberate
-//! choice: the session consumes the bytes through the *same*
-//! [`fade_trace::TraceReader`] path — recovery accounting included —
-//! that an in-process replay uses, so per-tenant results are bit-exact
-//! with a local [`Session`] by construction, and a slow client can
-//! never pin one of the pool's workers.
+//! choice: the bytes become a [`SourceSpec::TraceBytes`] source, which
+//! the session builder opens with the *same* routine it opens a
+//! `.fadet` file with — header, benchmark lookup and recovery
+//! accounting included — so per-tenant results are bit-exact with a
+//! local [`Session`] by construction, and a slow client can never pin
+//! one of the pool's workers.
 //!
 //! # Isolation
 //!
@@ -39,10 +40,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fade_system::{
-    baseline_cycles, MonitorRegistry, Session, SessionError, SessionRunError, SystemConfig,
-    WorkerPool,
+    baseline_cycles, MonitorRegistry, Session, SessionError, SessionRunError, SourceSpec,
+    SystemConfig, WorkerPool,
 };
-use fade_trace::{TraceFileError, TraceReader};
 
 use crate::protocol::{
     read_frame, write_frame, EndSummary, EngineSel, Hello, ProtocolError,
@@ -330,17 +330,13 @@ fn run_tenant(hello: &Hello, trace: Vec<u8>, stream: UnixStream, shared: &Shared
     let _ = out.flush();
 }
 
-/// Why one tenant's session failed. Maps 1:1 to the `error` field of
-/// the ERROR reply (see [`TenantError::kind`]).
+/// Why one tenant's session failed. Maps to the `error` field of the
+/// ERROR reply (see [`TenantError::kind`]).
 #[derive(Debug)]
 pub enum TenantError {
-    /// The streamed bytes are not a readable `.fadet` stream (a
-    /// corrupt header is unrecoverable even in recovery mode).
-    Trace(TraceFileError),
-    /// The trace header names a benchmark this build does not know.
-    UnknownBench(String),
-    /// The session failed to build (unknown monitor, invalid
-    /// program).
+    /// The session failed to build: unreadable `.fadet` bytes (a corrupt
+    /// header is unrecoverable even in recovery mode), an unknown
+    /// benchmark in its header, an unknown monitor, an invalid program.
     Build(SessionError),
     /// The session failed mid-run: monitor panic, source failure, or
     /// shadow-budget overrun.
@@ -351,8 +347,8 @@ impl TenantError {
     /// The stable machine-matchable error tag of the ERROR reply.
     pub fn kind(&self) -> &'static str {
         match self {
-            TenantError::Trace(_) => "trace",
-            TenantError::UnknownBench(_) => "unknown_benchmark",
+            TenantError::Build(SessionError::Trace(_)) => "trace",
+            TenantError::Build(SessionError::UnknownBench(_)) => "unknown_benchmark",
             TenantError::Build(_) => "build",
             TenantError::Run(SessionRunError::MonitorPanicked { .. }) => "monitor_panicked",
             TenantError::Run(SessionRunError::Source(_)) => "source",
@@ -364,8 +360,6 @@ impl TenantError {
 impl std::fmt::Display for TenantError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TenantError::Trace(e) => write!(f, "unreadable trace stream: {e}"),
-            TenantError::UnknownBench(name) => write!(f, "unknown benchmark {name:?} in trace header"),
             TenantError::Build(e) => write!(f, "session build failed: {e}"),
             TenantError::Run(e) => write!(f, "session run failed: {e}"),
         }
@@ -380,9 +374,9 @@ impl std::error::Error for TenantError {}
 ///
 /// This is *the* serving procedure (the daemon calls exactly this),
 /// written against the public [`Session`] API so its equivalence with
-/// an in-process session is structural: build with
-/// [`fade_system::SessionBuilder::trace_source`] over a
-/// [`TraceReader`] (recovering when the HELLO asked), step
+/// an in-process session is structural: build over the bytes as a
+/// [`SourceSpec::TraceBytes`] source (recovering when the HELLO asked —
+/// the builder opens it exactly as it opens a `.fadet` file), step
 /// [`SERVE_SLICE`] instructions at a time, drain, and finish against
 /// [`baseline_cycles`].
 pub fn serve_session(
@@ -392,22 +386,17 @@ pub fn serve_session(
     base_config: SystemConfig,
     emit: &mut dyn FnMut(&str),
 ) -> Result<EndSummary, TenantError> {
-    let mut reader = TraceReader::new(io::Cursor::new(trace)).map_err(TenantError::Trace)?;
-    if hello.recover {
-        reader = reader.with_recovery();
-    }
-    let bench_name = reader.meta().bench.clone();
-    let bench = fade_trace::bench::by_name(&bench_name)
-        .ok_or(TenantError::UnknownBench(bench_name))?;
     let cfg = hello.config(base_config);
-    let mut session = Session::builder()
+    let mut builder = Session::builder()
         .registry(Arc::clone(registry))
         .monitor(hello.monitor.as_str())
-        .trace_source(bench.clone(), Box::new(reader))
+        .source(SourceSpec::TraceBytes(trace))
         .engine(hello.engine.engine())
-        .config(cfg)
-        .build()
-        .map_err(TenantError::Build)?;
+        .config(cfg);
+    if hello.recover {
+        builder = builder.recover_faults();
+    }
+    let mut session = builder.build().map_err(TenantError::Build)?;
     session.start_measure();
 
     let mut streamed = 0usize;
@@ -430,7 +419,7 @@ pub fn serve_session(
     let instrs = session.instrs();
     let events = session.events_seen();
     let usage = session.shadow_bytes_in_use();
-    let baseline = baseline_cycles(&bench, cfg.core, cfg.seed, 0, instrs);
+    let baseline = baseline_cycles(session.bench(), cfg.core, cfg.seed, 0, instrs);
     let run_report = session.finish(baseline).map_err(TenantError::Run)?;
     for text in run_report.violations.iter().skip(streamed) {
         emit(&report::violation_line(&hello.tenant, seq, text));

@@ -8,13 +8,14 @@
 //!
 //! * **monitor** — a registered name, a boxed [`Monitor`] trait object,
 //!   or anything in a custom [`MonitorRegistry`];
-//! * **source** — a synthetic [`BenchProfile`] workload, an in-memory
-//!   record buffer, a recorded `.fadet` trace file, or a caller-built
-//!   [`TraceSource`];
-//! * **engine** — [`Engine::Cycle`] (exact timing),
+//! * **source** — a synthetic [`BenchProfile`] workload, a recorded
+//!   `.fadet` stream (a file or its bytes, opened by one routine), or a
+//!   caller-built [`TraceSource`];
+//! * **engine** — [`Engine::Cycle`] (exact timing) or
 //!   [`Engine::Batched`] (fast path + sampled timing, bit-exact monitor
-//!   results), or [`Engine::Unaccelerated`] (no FADE at all);
-//! * **config** — the [`SystemConfig`] hardware description.
+//!   results);
+//! * **config** — the [`SystemConfig`] hardware description, including
+//!   whether FADE is present at all ([`SystemConfig::accel`]).
 //!
 //! Every combination is valid, every combination is assembled by the
 //! one constructor, [`SessionBuilder::build`] (so variants cannot drift
@@ -49,6 +50,7 @@
 //! assert!(report.stats.sampling.is_some()); // batched timing is sampled
 //! ```
 
+use std::io::{BufReader, Cursor, Read};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -62,14 +64,16 @@ use fade_sim::{
     congestion_stratum, BoundedQueue, CommitModel, CongestionCarry, HandlerExec, LogHistogram, Rng,
     SmtArbiter, StratifiedEstimator, StratumStat, WindowSample,
 };
-use fade_trace::{BenchProfile, DegradationReport, SyntheticProgram, TraceRecord};
+use fade_trace::{
+    BenchProfile, DegradationReport, SyntheticProgram, TraceFileError, TraceReader, TraceRecord,
+};
 
 use crate::config::{Accel, SystemConfig, Topology};
 use crate::registry::{MonitorRegistry, UnknownMonitor};
 use crate::run::{ClassInstrs, RunStats, SamplingSummary, UtilBreakdown};
 use crate::system::{
     apply_unfiltered, baseline_cycles, dispatch_cost, fade_stats_delta, handler_cycle_est,
-    handler_ipc, select_event, ReplayBuffer, SourceError, TraceSource,
+    handler_ipc, select_event, SourceError, TraceSource,
 };
 
 /// How a [`Session`] executes its trace.
@@ -95,10 +99,6 @@ pub enum Engine {
         /// exactly per period).
         window: Option<u64>,
     },
-    /// No accelerator: every monitored event runs a software handler on
-    /// the monitor thread (forces [`Accel::None`] regardless of the
-    /// config), cycle-accurately.
-    Unaccelerated,
 }
 
 impl Engine {
@@ -166,11 +166,12 @@ pub enum SourceSpec {
     /// Generate the workload on the fly from a benchmark profile
     /// (seeded by the config).
     Synthetic(BenchProfile),
-    /// Replay an in-memory record buffer captured for this profile.
-    Records(BenchProfile, Vec<TraceRecord>),
     /// Stream a recorded `.fadet` trace file; the benchmark profile
     /// comes from the file's own header metadata.
     TraceFile(PathBuf),
+    /// Stream a recorded `.fadet` trace held in memory, exactly as
+    /// [`SourceSpec::TraceFile`] streams it from disk.
+    TraceBytes(Vec<u8>),
     /// A caller-built [`TraceSource`] feeding this profile's workload.
     Custom(BenchProfile, Box<dyn TraceSource>),
 }
@@ -184,12 +185,6 @@ impl From<BenchProfile> for SourceSpec {
 impl From<&BenchProfile> for SourceSpec {
     fn from(bench: &BenchProfile) -> Self {
         SourceSpec::Synthetic(bench.clone())
-    }
-}
-
-impl From<(BenchProfile, Vec<TraceRecord>)> for SourceSpec {
-    fn from((bench, records): (BenchProfile, Vec<TraceRecord>)) -> Self {
-        SourceSpec::Records(bench, records)
     }
 }
 
@@ -209,8 +204,8 @@ impl std::fmt::Debug for SourceSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SourceSpec::Synthetic(b) => write!(f, "Synthetic({:?})", b.name),
-            SourceSpec::Records(b, r) => write!(f, "Records({:?}, {} records)", b.name, r.len()),
             SourceSpec::TraceFile(p) => write!(f, "TraceFile({p:?})"),
+            SourceSpec::TraceBytes(b) => write!(f, "TraceBytes({} bytes)", b.len()),
             SourceSpec::Custom(b, _) => write!(f, "Custom({:?})", b.name),
         }
     }
@@ -225,17 +220,17 @@ pub enum SessionError {
     NoSource,
     /// The monitor name is not in the builder's registry.
     UnknownMonitor(UnknownMonitor),
-    /// The `.fadet` trace file failed to open or decode.
-    Trace(fade_trace::TraceFileError),
-    /// The trace file's header names a benchmark profile this build
-    /// does not know.
+    /// The recorded `.fadet` stream (file or bytes) failed to open or
+    /// decode.
+    Trace(TraceFileError),
+    /// The recorded stream's header names a benchmark profile this
+    /// build does not know.
     UnknownBench(String),
     /// The (custom or monitor-provided) FADE program failed structural
     /// validation.
     Program(fade::ProgramError),
-    /// A custom FADE program was supplied together with
-    /// [`Engine::Unaccelerated`] (or an unaccelerated config): there is
-    /// no accelerator to load it into.
+    /// A custom FADE program was supplied together with an
+    /// unaccelerated config: there is no accelerator to load it into.
     ProgramWithoutAccel,
 }
 
@@ -245,9 +240,9 @@ impl std::fmt::Display for SessionError {
             SessionError::NoMonitor => f.write_str("no monitor selected (call .monitor(...))"),
             SessionError::NoSource => f.write_str("no trace source selected (call .source(...))"),
             SessionError::UnknownMonitor(e) => e.fmt(f),
-            SessionError::Trace(e) => write!(f, "trace file: {e}"),
+            SessionError::Trace(e) => write!(f, "trace stream: {e}"),
             SessionError::UnknownBench(name) => {
-                write!(f, "trace file header names unknown benchmark {name:?}")
+                write!(f, "trace header names unknown benchmark {name:?}")
             }
             SessionError::Program(e) => write!(f, "FADE program failed validation: {e:?}"),
             SessionError::ProgramWithoutAccel => {
@@ -273,8 +268,8 @@ impl From<UnknownMonitor> for SessionError {
     }
 }
 
-impl From<fade_trace::TraceFileError> for SessionError {
-    fn from(e: fade_trace::TraceFileError) -> Self {
+impl From<TraceFileError> for SessionError {
+    fn from(e: TraceFileError) -> Self {
         SessionError::Trace(e)
     }
 }
@@ -378,23 +373,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects a concrete monitor instance without boxing ceremony —
-    /// `builder.monitor_object(MyCheck::new())`.
-    pub fn monitor_object(mut self, monitor: impl Monitor + 'static) -> Self {
-        self.monitor = Some(MonitorSel::Instance(Box::new(monitor)));
-        self
-    }
-
     /// Selects the trace source: a [`BenchProfile`] (synthetic
-    /// generation), a `(BenchProfile, Vec<TraceRecord>)` pair
-    /// (in-memory replay), or a `.fadet` path (file replay).
+    /// generation), a `.fadet` path, or any [`SourceSpec`].
     pub fn source(mut self, source: impl Into<SourceSpec>) -> Self {
         self.source = Some(source.into());
         self
     }
 
     /// Selects a caller-built [`TraceSource`] that feeds `bench`'s
-    /// workload (the escape hatch custom capture frontends plug into).
+    /// workload (custom capture frontends, [`crate::ReplayBuffer`]).
     pub fn trace_source(mut self, bench: BenchProfile, source: Box<dyn TraceSource>) -> Self {
         self.source = Some(SourceSpec::Custom(bench, source));
         self
@@ -428,11 +415,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Opens `.fadet` trace-file sources in *recovering* mode: corrupt
-    /// or truncated chunks are skipped with the loss accounted in a
-    /// [`DegradationReport`] (see [`Session::degradation`]) instead of
-    /// failing the whole replay. Bit-exact on fault-free files; no
-    /// effect on non-file sources.
+    /// Opens recorded `.fadet` sources, files and bytes alike, in
+    /// *recovering* mode: corrupt or truncated chunks are skipped with
+    /// the loss accounted in a [`DegradationReport`] (see
+    /// [`Session::degradation`]) instead of failing the whole replay.
+    /// Bit-exact on fault-free streams; no effect on other sources.
     pub fn recover_faults(mut self) -> Self {
         self.recover = true;
         self
@@ -442,26 +429,39 @@ impl SessionBuilder {
     ///
     /// # Errors
     ///
-    /// Every failure is a typed [`SessionError`]: missing monitor or
-    /// source, unknown monitor name, unreadable trace file, unknown
-    /// benchmark in a trace header, invalid FADE program, or a custom
-    /// program without an accelerator to load it into.
+    /// Every failure is a typed [`SessionError`], first one wins: missing
+    /// monitor or source, unreadable recorded stream, unknown benchmark
+    /// in its header, unknown monitor name, invalid FADE program, or a
+    /// custom program without an accelerator to load it into.
     pub fn build(self) -> Result<Session, SessionError> {
         let mut cfg = self.config;
-        match self.engine {
-            Engine::Cycle => {}
-            Engine::Unaccelerated => cfg.accel = Accel::None,
-            Engine::Batched { period, window } => {
-                if let Some(p) = period {
-                    cfg.sample_period = p;
-                }
-                if let Some(w) = window {
-                    cfg.sample_window = w;
-                }
+        if let Engine::Batched { period, window } = self.engine {
+            if let Some(p) = period {
+                cfg.sample_period = p;
+            }
+            if let Some(w) = window {
+                cfg.sample_window = w;
             }
         }
 
-        let monitor = match self.monitor.ok_or(SessionError::NoMonitor)? {
+        let monitor = self.monitor.ok_or(SessionError::NoMonitor)?;
+        // The source opens before the monitor resolves, so a recorded
+        // stream's own faults take precedence over a bad monitor name.
+        let (bench, source): (BenchProfile, Box<dyn TraceSource>) =
+            match self.source.ok_or(SessionError::NoSource)? {
+                SourceSpec::Synthetic(bench) => {
+                    let program = SyntheticProgram::new(&bench, cfg.seed);
+                    (bench, Box::new(program))
+                }
+                SourceSpec::TraceFile(path) => {
+                    let file = std::fs::File::open(path).map_err(TraceFileError::from)?;
+                    open_recorded(BufReader::new(file), self.recover)?
+                }
+                SourceSpec::TraceBytes(bytes) => open_recorded(Cursor::new(bytes), self.recover)?,
+                SourceSpec::Custom(bench, source) => (bench, source),
+            };
+
+        let monitor = match monitor {
             MonitorSel::Instance(m) => m,
             MonitorSel::Named(name) => match &self.registry {
                 Some(r) => r.create(&name)?,
@@ -481,26 +481,6 @@ impl SessionBuilder {
             // a broken one as a typed error instead of a late panic.
             mon_program.validate().map_err(SessionError::Program)?;
         }
-
-        let spec = self.source.ok_or(SessionError::NoSource)?;
-        let (bench, source): (BenchProfile, Box<dyn TraceSource>) = match spec {
-            SourceSpec::Synthetic(bench) => {
-                let program = SyntheticProgram::new(&bench, cfg.seed);
-                (bench, Box::new(program))
-            }
-            SourceSpec::Records(bench, records) => (bench, Box::new(ReplayBuffer::new(records))),
-            SourceSpec::TraceFile(path) => {
-                let mut reader = fade_trace::TraceReader::open(path)?;
-                if self.recover {
-                    reader = reader.with_recovery();
-                }
-                let name = reader.meta().bench.clone();
-                let bench =
-                    fade_trace::bench::by_name(&name).ok_or(SessionError::UnknownBench(name))?;
-                (bench, Box::new(reader))
-            }
-            SourceSpec::Custom(bench, source) => (bench, source),
-        };
 
         let mut state = MetadataState::new(mon_program.md_map());
         if cfg.shadow_page_budget.is_some() || cfg.shadow_mem_cap_bytes.is_some() {
@@ -562,6 +542,22 @@ impl SessionBuilder {
             poisoned: None,
         })
     }
+}
+
+/// Opens a recorded `.fadet` byte stream as a session source: parses
+/// its header, resolves the benchmark profile the header names, and
+/// applies [`SessionBuilder::recover_faults`].
+fn open_recorded(
+    stream: impl Read + Send + 'static,
+    recover: bool,
+) -> Result<(BenchProfile, Box<dyn TraceSource>), SessionError> {
+    let mut reader = TraceReader::new(stream)?;
+    if recover {
+        reader = reader.with_recovery();
+    }
+    let name = reader.meta().bench.clone();
+    let bench = fade_trace::bench::by_name(&name).ok_or(SessionError::UnknownBench(name))?;
+    Ok((bench, Box::new(reader)))
 }
 
 /// The accelerator a session's config asks for (`None` when
@@ -793,9 +789,7 @@ impl Session {
     /// state exceeded the configured byte cap.
     pub fn run(&mut self, n: u64) -> Result<(), SessionRunError> {
         self.guard(|s| match s.engine {
-            Engine::Cycle | Engine::Unaccelerated => {
-                s.step_until(s.counts.instrs + n, u64::MAX, false)
-            }
+            Engine::Cycle => s.step_until(s.counts.instrs + n, u64::MAX, false),
             Engine::Batched { .. } => s.run_batched(n),
         })
     }
@@ -810,9 +804,7 @@ impl Session {
     /// As for [`Session::run`].
     pub fn run_exact(&mut self, n: u64) -> Result<(), SessionRunError> {
         self.guard(|s| match s.engine {
-            Engine::Cycle | Engine::Unaccelerated => {
-                s.step_until(s.counts.instrs + n, u64::MAX, true)
-            }
+            Engine::Cycle => s.step_until(s.counts.instrs + n, u64::MAX, true),
             Engine::Batched { .. } => s.run_batched(n),
         })
     }
@@ -2044,35 +2036,19 @@ mod tests {
     #[test]
     fn program_without_accel_is_rejected() {
         let program = fade_monitors::AddrCheck::new().program();
-        let e = Session::builder()
-            .monitor("AddrCheck")
-            .source(mcf())
-            .program(program.clone())
-            .engine(Engine::Unaccelerated)
-            .build()
-            .unwrap_err();
-        assert!(matches!(e, SessionError::ProgramWithoutAccel));
-        let e = Session::builder()
-            .monitor("AddrCheck")
-            .source(mcf())
-            .program(program)
-            .config(SystemConfig::unaccelerated_single_core())
-            .build()
-            .unwrap_err();
-        assert!(matches!(e, SessionError::ProgramWithoutAccel));
-    }
-
-    #[test]
-    fn unaccelerated_engine_overrides_config() {
-        let mut s = Session::builder()
-            .monitor("MemLeak")
-            .source(bench::by_name("gcc").unwrap())
-            .engine(Engine::Unaccelerated)
-            .config(SystemConfig::fade_single_core())
-            .build()
-            .unwrap();
-        s.run(2_000).unwrap();
-        assert!(s.fade_stats().is_none(), "engine must strip the accelerator");
+        for cfg in [
+            SystemConfig::unaccelerated_single_core(),
+            SystemConfig::unaccelerated_two_core(),
+        ] {
+            let e = Session::builder()
+                .monitor("AddrCheck")
+                .source(mcf())
+                .program(program.clone())
+                .config(cfg)
+                .build()
+                .unwrap_err();
+            assert!(matches!(e, SessionError::ProgramWithoutAccel));
+        }
     }
 
     #[test]

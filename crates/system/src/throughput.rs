@@ -15,7 +15,7 @@ use fade_trace::{BenchProfile, SyntheticProgram, TraceRecord};
 
 use crate::config::SystemConfig;
 use crate::session::{Engine, Session};
-use crate::system::select_event;
+use crate::system::{select_event, ReplayBuffer};
 
 /// Measured throughput of the *full system* (commit process, queues,
 /// monitor thread) in cycle-accurate vs batched execution mode — the
@@ -90,7 +90,7 @@ impl SystemThroughputReport {
 /// record/replay: write the records to a `.fadet` file with
 /// [`fade_trace::write_trace_file`] and any later run can replay them
 /// through [`measure_system_throughput_records`] or a
-/// record-buffer [`crate::Session`] without a generator.
+/// [`crate::Session`] over a [`ReplayBuffer`] without a generator.
 ///
 /// # Panics
 ///
@@ -176,7 +176,7 @@ pub fn measure_system_throughput_records(
     let replay = |records: Vec<TraceRecord>, engine: Engine| -> Session {
         Session::builder()
             .monitor(monitor_name)
-            .source((bench.clone(), records))
+            .trace_source(bench.clone(), Box::new(ReplayBuffer::new(records)))
             .engine(engine)
             .config(*cfg)
             .build()

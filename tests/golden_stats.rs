@@ -6,8 +6,8 @@
 //!   violations, metadata fingerprint) into
 //!   `tests/golden/batched_stats.txt`.
 //! * `run_stats_match_golden_snapshot` runs the same two workloads
-//!   through `Session::run_measured` on the cycle, batched and
-//!   unaccelerated engines and snapshots every scalar of the measured
+//!   through `Session::run_measured` on the cycle and batched engines
+//!   and on the unaccelerated system, and snapshots every scalar of the measured
 //!   window's `RunStats` (timing, handler classes, histograms, sampling
 //!   summary) into `tests/golden/run_stats.txt`, plus gcc/MemLeak on
 //!   the two-core systems and on the in-order and 2-way cores.
@@ -30,6 +30,7 @@ use std::path::PathBuf;
 use fade_repro::isa::{layout, Reg, VirtAddr};
 use fade_repro::prelude::*;
 use fade_repro::sim::{CoreKind, LogHistogram};
+use fade_repro::system::Accel;
 use fade_repro::trace::bench;
 
 /// Instructions per workload: enough to cross several sampling periods.
@@ -154,35 +155,36 @@ fn write_histogram(out: &mut String, name: &str, h: &LogHistogram) {
     .unwrap();
 }
 
-/// Snapshots one `run_measured` report. `cfg` defaults to the FADE
-/// single-core 4-way system; other systems are named in the section
-/// header by topology and core.
+/// Snapshots one `run_measured` report under the section header
+/// `[bench/monitor/engine]`, extended by `/topology core` when
+/// `name_system`. An unaccelerated system is headed `Unaccelerated` in
+/// the engine's place (the name its runs have always carried here).
 fn run_stats_one(
     bench_name: &str,
     monitor: &str,
     engine: Engine,
-    cfg: Option<SystemConfig>,
+    cfg: SystemConfig,
+    name_system: bool,
     out: &mut String,
 ) {
     let report = Session::builder()
         .monitor(monitor)
         .source(bench::by_name(bench_name).unwrap())
         .engine(engine)
-        .config(cfg.unwrap_or_else(SystemConfig::fade_single_core))
+        .config(cfg)
         .build()
         .unwrap()
         .run_measured(RUN_WARMUP, RUN_MEASURE)
         .unwrap();
     let s = &report.stats;
-    match cfg {
-        None => writeln!(out, "[{bench_name}/{monitor}/{engine:?}]").unwrap(),
-        Some(c) => writeln!(
-            out,
-            "[{bench_name}/{monitor}/{engine:?}/{} {}]",
-            c.topology, c.core
-        )
-        .unwrap(),
+    let mut label = match cfg.accel {
+        Accel::None => "Unaccelerated".to_string(),
+        Accel::Fade(_) => format!("{engine:?}"),
+    };
+    if name_system {
+        label = format!("{label}/{} {}", cfg.topology, cfg.core);
     }
+    writeln!(out, "[{bench_name}/{monitor}/{label}]").unwrap();
     writeln!(out, "system = {}", s.system).unwrap();
     writeln!(out, "app_instrs = {}", s.app_instrs).unwrap();
     writeln!(out, "monitored_events = {}", s.monitored_events).unwrap();
@@ -206,16 +208,17 @@ fn run_stats_match_golden_snapshot() {
         "# Golden measured-window RunStats snapshot (see tests/golden_stats.rs;\n\
          # regenerate with UPDATE_GOLDEN=1 after intentional changes).\n\n",
     );
+    let fade = SystemConfig::fade_single_core();
     for (bench_name, monitor) in [("gcc", "MemLeak"), ("hmmer", "AddrCheck")] {
         // The 8192/2048 batched point has windows long enough to seed
         // carried congestion; the 2048/512 one never seeds.
-        for engine in [
-            Engine::Cycle,
-            Engine::batched_with(2048, 512),
-            Engine::batched_with(8192, 2048),
-            Engine::Unaccelerated,
+        for (engine, cfg) in [
+            (Engine::Cycle, fade),
+            (Engine::batched_with(2048, 512), fade),
+            (Engine::batched_with(8192, 2048), fade),
+            (Engine::Cycle, SystemConfig::unaccelerated_single_core()),
         ] {
-            run_stats_one(bench_name, monitor, engine, None, &mut snapshot);
+            run_stats_one(bench_name, monitor, engine, cfg, false, &mut snapshot);
         }
     }
     // Systems off the default single-core 4-way point, on one workload:
@@ -229,13 +232,13 @@ fn run_stats_match_golden_snapshot() {
     for (engine, cfg) in [
         (Engine::Cycle, two_core),
         (batched, two_core),
-        (Engine::Unaccelerated, two_core),
+        (Engine::Cycle, SystemConfig::unaccelerated_two_core()),
         (Engine::Cycle, in_order),
         (batched, in_order),
         (Engine::Cycle, two_way),
         (batched, two_way),
     ] {
-        run_stats_one("gcc", "MemLeak", engine, Some(cfg), &mut snapshot);
+        run_stats_one("gcc", "MemLeak", engine, cfg, true, &mut snapshot);
     }
     check_golden("run_stats.txt", &snapshot);
 }

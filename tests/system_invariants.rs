@@ -278,21 +278,23 @@ fn live_estimate_equals_reported_estimate() {
 /// `start_measure`, `run(measure)`, a `drain` when batched, then
 /// `finish` with the matching baseline. Both report the same stats,
 /// violations, batch counters and degradation on every engine (only
-/// the wall clock differs).
+/// the wall clock differs), and on the unaccelerated system.
 #[test]
 fn incremental_driving_matches_run_measured() {
     let b = bench::by_name("gcc").unwrap();
     let (warmup, measure) = (WARM, MEAS / 2);
-    for engine in [
-        Engine::Cycle,
-        Engine::batched_with(2048, 512),
-        Engine::Unaccelerated,
+    let fade = SystemConfig::fade_single_core();
+    for (engine, cfg) in [
+        (Engine::Cycle, fade),
+        (Engine::batched_with(2048, 512), fade),
+        (Engine::Cycle, SystemConfig::unaccelerated_single_core()),
     ] {
         let build = || {
             Session::builder()
                 .monitor("MemLeak")
                 .source(&b)
                 .engine(engine)
+                .config(cfg)
                 .build()
                 .unwrap()
         };
