@@ -72,7 +72,7 @@ pub enum ProtocolError {
     },
     /// A frame's length word exceeded [`MAX_FRAME_PAYLOAD`].
     OversizedFrame(u64),
-    /// HELLO's engine selector byte is not one of the three engines.
+    /// HELLO's engine selector byte is not one of the three engine selectors.
     UnknownEngine(u8),
     /// A HELLO string field is not UTF-8.
     BadUtf8(&'static str),

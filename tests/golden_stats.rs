@@ -7,10 +7,11 @@
 //!   `tests/golden/batched_stats.txt`.
 //! * `run_stats_match_golden_snapshot` runs the same two workloads
 //!   through `Session::run_measured` on the cycle and batched engines
-//!   and on the unaccelerated system, and snapshots every scalar of the measured
-//!   window's `RunStats` (timing, handler classes, histograms, sampling
-//!   summary) into `tests/golden/run_stats.txt`, plus gcc/MemLeak on
-//!   the two-core systems and on the in-order and 2-way cores.
+//!   and on the unaccelerated system, and snapshots every scalar of the
+//!   measured window's `RunStats` (timing, handler classes, histograms,
+//!   sampling summary) into `tests/golden/run_stats.txt`, plus
+//!   gcc/MemLeak on the two-core systems and on the in-order and 2-way
+//!   cores.
 //!
 //! Every quantity in either snapshot is deterministic — same seed, same
 //! trace, same filtering and timing decisions — so any diff is a real
@@ -158,7 +159,7 @@ fn write_histogram(out: &mut String, name: &str, h: &LogHistogram) {
 /// Snapshots one `run_measured` report under the section header
 /// `[bench/monitor/engine]`, extended by `/topology core` when
 /// `name_system`. An unaccelerated system is headed `Unaccelerated` in
-/// the engine's place (the name its runs have always carried here).
+/// the engine's place: `run_stats.txt` keys those sections by it.
 fn run_stats_one(
     bench_name: &str,
     monitor: &str,
