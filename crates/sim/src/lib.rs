@@ -7,8 +7,8 @@
 //!
 //! * [`Rng`] — deterministic in-crate RNG (SplitMix64 seeding +
 //!   xoshiro256++ stream) so every experiment is bit-reproducible,
-//! * [`BoundedQueue`] — the decoupling queues of Figure 1 with occupancy
-//!   accounting,
+//! * [`BoundedQueue`] — the decoupling queues of Figure 1: FIFOs with
+//!   an optional bound that hand a rejected value back (backpressure),
 //! * [`CoreKind`] / [`CommitModel`] / [`HandlerExec`] — the three core
 //!   microarchitectures of Table 1 (in-order 1-way, lean OoO 2-way/48-ROB,
 //!   aggressive OoO 4-way/96-ROB), modelled at the level FADE cares

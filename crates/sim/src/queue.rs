@@ -25,7 +25,7 @@ impl QueueDepth {
     }
 }
 
-/// A FIFO with an optional bound and occupancy accounting.
+/// A FIFO with an optional bound.
 ///
 /// # Example
 ///
@@ -41,9 +41,6 @@ impl QueueDepth {
 pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     depth: QueueDepth,
-    max_occupancy: usize,
-    total_pushed: u64,
-    rejected: u64,
 }
 
 impl<T> BoundedQueue<T> {
@@ -52,9 +49,6 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             items: VecDeque::new(),
             depth,
-            max_occupancy: 0,
-            total_pushed: 0,
-            rejected: 0,
         }
     }
 
@@ -66,12 +60,9 @@ impl<T> BoundedQueue<T> {
     /// on the producer.
     pub fn push(&mut self, value: T) -> Result<(), T> {
         if self.is_full() {
-            self.rejected += 1;
             return Err(value);
         }
         self.items.push_back(value);
-        self.total_pushed += 1;
-        self.max_occupancy = self.max_occupancy.max(self.items.len());
         Ok(())
     }
 
@@ -113,31 +104,6 @@ impl<T> BoundedQueue<T> {
             QueueDepth::Unbounded => usize::MAX,
         }
     }
-
-    /// Highest occupancy ever observed.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-
-    /// Total successful enqueues.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Total rejected (backpressured) enqueue attempts.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// The configured depth.
-    pub fn depth(&self) -> QueueDepth {
-        self.depth
-    }
-
-    /// Iterates over queued items, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +127,6 @@ mod tests {
         let mut q = BoundedQueue::new(QueueDepth::Bounded(1));
         q.push('a').unwrap();
         assert_eq!(q.push('b'), Err('b'));
-        assert_eq!(q.rejected(), 1);
         assert!(q.is_full());
         assert_eq!(q.free(), 0);
     }
@@ -174,7 +139,6 @@ mod tests {
         }
         assert!(!q.is_full());
         assert_eq!(q.len(), 10_000);
-        assert_eq!(q.max_occupancy(), 10_000);
         assert_eq!(q.free(), usize::MAX);
     }
 
@@ -185,8 +149,7 @@ mod tests {
         q.push(2).unwrap();
         q.pop();
         q.push(3).unwrap();
-        assert_eq!(q.max_occupancy(), 2);
-        assert_eq!(q.total_pushed(), 3);
+        assert_eq!(q.len(), 2);
         assert_eq!(q.front(), Some(&2));
     }
 

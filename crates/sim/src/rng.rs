@@ -108,27 +108,6 @@ impl Rng {
         let u = self.unit_f64().max(1e-300);
         (u.ln() / (1.0 - p).ln()).floor() as u64
     }
-
-    /// Picks an index from a slice of non-negative weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            !weights.is_empty() && total > 0.0,
-            "weights must be non-empty with positive sum"
-        );
-        let mut x = self.unit_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -206,18 +185,5 @@ mod tests {
     fn geometric_with_certain_success_is_zero() {
         let mut r = Rng::seed_from(1);
         assert_eq!(r.geometric(1.0), 0);
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut r = Rng::seed_from(31);
-        let mut counts = [0u32; 3];
-        for _ in 0..30_000 {
-            counts[r.weighted_index(&[1.0, 2.0, 1.0])] += 1;
-        }
-        assert!(counts[1] > counts[0]);
-        assert!(counts[1] > counts[2]);
-        let frac = counts[1] as f64 / 30_000.0;
-        assert!((frac - 0.5).abs() < 0.02, "got {frac}");
     }
 }

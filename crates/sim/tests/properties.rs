@@ -27,8 +27,6 @@ proptest! {
     ) {
         let mut q = BoundedQueue::new(QueueDepth::Bounded(cap));
         let mut reference: VecDeque<u32> = VecDeque::new();
-        let mut pushed = 0u64;
-        let mut rejected = 0u64;
         for op in ops {
             match op {
                 QueueOp::Push(v) => {
@@ -36,10 +34,8 @@ proptest! {
                     if reference.len() < cap {
                         prop_assert!(ok);
                         reference.push_back(v);
-                        pushed += 1;
                     } else {
                         prop_assert!(!ok);
-                        rejected += 1;
                     }
                 }
                 QueueOp::Pop => {
@@ -49,8 +45,6 @@ proptest! {
             prop_assert_eq!(q.len(), reference.len());
             prop_assert!(q.len() <= cap);
         }
-        prop_assert_eq!(q.total_pushed(), pushed);
-        prop_assert_eq!(q.rejected(), rejected);
     }
 
     /// The CDF is monotone, ends at 100%, and percentile() inverts it.

@@ -570,7 +570,7 @@ fn accelerator(
     cfg: &SystemConfig,
     mon_program: FadeProgram,
     program: Option<FadeProgram>,
-) -> Option<Fade> {
+) -> Option<Box<Fade>> {
     let Accel::Fade(mode) = cfg.accel else {
         return None;
     };
@@ -601,7 +601,7 @@ fn accelerator(
             fc.unfiltered_queue = fade_sim::QueueDepth::Unbounded;
         }
     }
-    Some(Fade::new(fc, program.unwrap_or(mon_program)))
+    Some(Box::new(Fade::new(fc, program.unwrap_or(mon_program))))
 }
 
 /// A ready-to-run monitoring session: one monitor, one trace source,
@@ -632,7 +632,9 @@ pub struct Session {
     arbiter: SmtArbiter,
     handler: HandlerExec,
     state: MetadataState,
-    fade: Option<Fade>,
+    /// Boxed so that `step`'s per-cycle `take` and put-back move a
+    /// pointer, not the whole accelerator (over 1 KiB).
+    fade: Option<Box<Fade>>,
     sw_queue: BoundedQueue<AppEvent>,
     cur_token: Option<u64>,
     /// Batch-refilled trace records (consumed from `record_pos`). A

@@ -47,7 +47,7 @@ pub mod file;
 pub mod heap;
 pub mod profile;
 pub mod program;
-pub mod value;
+mod value;
 
 pub use bench::{by_name, parallel_suite, spec_int_suite, taint_suite};
 pub use faultinject::{FaultKind, FaultPlan, FaultyReader};
@@ -58,4 +58,3 @@ pub use file::{
 pub use heap::HeapModel;
 pub use profile::{BenchProfile, InstrMix};
 pub use program::{SyntheticProgram, TraceRecord};
-pub use value::{ValueState, ValueTags};

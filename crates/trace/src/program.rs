@@ -5,6 +5,14 @@
 //! stack, heap allocation with reuse and (optionally) misuse, pointer
 //! and taint dataflow through registers and memory, temporal locality,
 //! and multi-threaded time-slicing for the parallel suite.
+//!
+//! Live generation feeds the cycle-accurate figure runs record by
+//! record, so the per-record path keeps bookkeeping small: the
+//! instruction-class weights are summed once at construction, register
+//! and memory value tags live in the array-backed stores of
+//! `crate::value`, and picking a pointer register allocates nothing.
+//! None of this changes a random draw: the stream is pinned by the
+//! golden generator digests.
 
 use std::collections::VecDeque;
 
@@ -16,7 +24,7 @@ use fade_sim::Rng;
 
 use crate::heap::HeapModel;
 use crate::profile::BenchProfile;
-use crate::value::{ValueState, ValueTags};
+use crate::value::{RegTags, ValueTags, WordTags};
 
 /// One element of the generated trace.
 ///
@@ -41,7 +49,7 @@ struct Frame {
 
 #[derive(Clone, Debug)]
 struct ThreadCtx {
-    regs: ValueState, // only the register half is used
+    regs: RegTags,
     frames: Vec<Frame>,
     sp: u32,
     /// Recently *stored* (thus initialized) non-stack addresses.
@@ -58,7 +66,7 @@ impl ThreadCtx {
     fn new(tid: u8) -> Self {
         let stack_base = layout::STACK_TOP - (tid as u32) * (8 << 20);
         ThreadCtx {
-            regs: ValueState::new(),
+            regs: RegTags::default(),
             frames: vec![Frame {
                 base: VirtAddr::new(stack_base - 4096),
                 len: 4096,
@@ -75,12 +83,17 @@ impl ThreadCtx {
 /// Deterministic synthetic program for one benchmark profile.
 pub struct SyntheticProgram {
     profile: BenchProfile,
+    /// `profile.mix.weights()` and their sum, fixed at construction:
+    /// every instruction draws its class from them.
+    mix_weights: [f64; 9],
+    mix_total: f64,
     rng: Rng,
     threads: Vec<ThreadCtx>,
     cur_tid: usize,
     slice_left: u32,
     heap: HeapModel,
-    mem_tags: ValueState, // only the memory half is used (shared)
+    /// Memory word tags, shared by every thread.
+    mem_tags: WordTags,
     pending: VecDeque<TraceRecord>,
     /// Words of fresh allocations awaiting their first write.
     to_init: VecDeque<VirtAddr>,
@@ -98,18 +111,31 @@ const GENERAL_REGS: [u8; 24] = [
 
 impl SyntheticProgram {
     /// Creates the program with a deterministic seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile's instruction mix has no positive total
+    /// weight.
     pub fn new(profile: &BenchProfile, seed: u64) -> Self {
+        let mix_weights = profile.mix.weights();
+        let mix_total: f64 = mix_weights.iter().sum();
+        assert!(
+            mix_total > 0.0,
+            "weights must be non-empty with positive sum"
+        );
         let threads = (0..profile.threads.max(1))
             .map(ThreadCtx::new)
             .collect::<Vec<_>>();
         let mut prog = SyntheticProgram {
             profile: profile.clone(),
+            mix_weights,
+            mix_total,
             rng: Rng::seed_from(seed ^ 0xfade_0000_0000_0000),
             threads,
             cur_tid: 0,
             slice_left: profile.timeslice,
             heap: HeapModel::new(),
-            mem_tags: ValueState::new(),
+            mem_tags: WordTags::new(),
             pending: VecDeque::new(),
             to_init: VecDeque::new(),
             tainted: VecDeque::new(),
@@ -224,7 +250,7 @@ impl SyntheticProgram {
         let tid = self.cur_tid;
         self.threads[tid]
             .regs
-            .set_reg(Reg::RET, ValueTags::POINTER | ValueTags::INIT);
+            .set(Reg::RET, ValueTags::POINTER | ValueTags::INIT);
         // Queue the block's words for first-write targeting.
         for w in (0..block.len.min(512)).step_by(4) {
             self.to_init.push_back(block.base.wrapping_add(w));
@@ -288,8 +314,7 @@ impl SyntheticProgram {
         let len = 32 + self.rng.below(96) as u32;
         for w in (0..len).step_by(4) {
             let a = addr.wrapping_add(w);
-            self.mem_tags
-                .set_mem(a, ValueTags::TAINT | ValueTags::INIT);
+            self.mem_tags.set(a, ValueTags::TAINT | ValueTags::INIT);
             self.tainted.push_back(a);
             if self.tainted.len() > 1024 {
                 self.tainted.pop_front();
@@ -361,7 +386,7 @@ impl SyntheticProgram {
         self.instrs += 1;
         let pc = self.next_pc();
         let tid = self.cur_tid as u8;
-        let class = match self.rng.weighted_index(&self.profile.mix.weights()) {
+        let class = match self.pick_class() {
             0 => InstrClass::Load,
             1 => InstrClass::Store,
             2 => InstrClass::IntAlu,
@@ -397,8 +422,8 @@ impl SyntheticProgram {
     fn gen_load(&mut self, pc: VirtAddr, tid: u8) -> AppInstr {
         let (addr, wild) = self.pick_addr(false);
         let dest = self.pick_reg();
-        let tags = self.mem_tags.mem(addr);
-        self.threads[self.cur_tid].regs.set_reg(dest, tags);
+        let tags = self.mem_tags.get(addr);
+        self.threads[self.cur_tid].regs.set(dest, tags);
         // Only initialized, valid data enters the reuse set: wild or
         // uninitialized reads are one-off events, not new hot data.
         if !wild && tags.contains(ValueTags::INIT) {
@@ -416,8 +441,8 @@ impl SyntheticProgram {
         let src = self.pick_store_src();
         // Defined-ness propagates as-is: storing an undefined value
         // leaves the word written-but-undefined.
-        let tags = self.threads[self.cur_tid].regs.reg(src);
-        self.mem_tags.set_mem(addr, tags);
+        let tags = self.threads[self.cur_tid].regs.get(src);
+        self.mem_tags.set(addr, tags);
         // Tainted output is written and rarely read back (output
         // buffers), so it mostly stays out of the reuse set; everything
         // else initialized and valid becomes reusable.
@@ -464,8 +489,8 @@ impl SyntheticProgram {
         let dest = self.pick_reg();
         let keep_ptr = self.rng.chance(0.4);
         let t = &mut self.threads[self.cur_tid];
-        let s1_tags = t.regs.reg(s1);
-        let s2_tags = s2.map(|r| t.regs.reg(r)).unwrap_or(ValueTags::INIT);
+        let s1_tags = t.regs.get(s1);
+        let s2_tags = s2.map(|r| t.regs.get(r)).unwrap_or(ValueTags::INIT);
         // The result is defined only if every register source is.
         let defined = s1_tags.contains(ValueTags::INIT) && s2_tags.contains(ValueTags::INIT);
         let mut tags = (s1_tags | s2_tags).without(ValueTags::INIT);
@@ -481,7 +506,7 @@ impl SyntheticProgram {
             // spread virally through the register file.
             tags = tags.without(ValueTags::POINTER);
         }
-        t.regs.set_reg(dest, tags);
+        t.regs.set(dest, tags);
         let mut i = AppInstr::new(pc, class)
             .with_src1(s1)
             .with_dest(dest)
@@ -500,20 +525,33 @@ impl SyntheticProgram {
         // keep most registers free of pointers/taint/undef values.
         if self.rng.chance(0.55) {
             let t = &mut self.threads[self.cur_tid];
-            t.regs.set_reg(dest, ValueTags::INIT);
+            t.regs.set(dest, ValueTags::INIT);
             return AppInstr::new(pc, InstrClass::IntMove)
                 .with_dest(dest)
                 .with_tid(tid);
         }
         let s1 = self.pick_alu_src();
         let t = &mut self.threads[self.cur_tid];
-        let tags = t.regs.reg(s1);
-        t.regs.set_reg(dest, tags);
+        let tags = t.regs.get(s1);
+        t.regs.set(dest, tags);
         AppInstr::new(pc, InstrClass::IntMove)
             .with_src1(s1)
             .with_dest(dest)
             .with_tid(tid)
             .with_result_ptr(tags.contains(ValueTags::POINTER))
+    }
+
+    /// Index of the next instruction's class in the mix, drawn in
+    /// proportion to its weight.
+    fn pick_class(&mut self) -> usize {
+        let mut x = self.rng.unit_f64() * self.mix_total;
+        for (i, &w) in self.mix_weights.iter().enumerate() {
+            if x < w {
+                return i;
+            }
+            x -= w;
+        }
+        self.mix_weights.len() - 1
     }
 
     fn touch_hot(&mut self, addr: VirtAddr) {
@@ -545,9 +583,8 @@ impl SyntheticProgram {
     /// per the profile's pointer density.
     fn pick_alu_src(&mut self) -> Reg {
         if self.rng.chance(self.profile.pointer_density) {
-            let ptrs = self.threads[self.cur_tid].regs.pointer_regs();
-            if !ptrs.is_empty() {
-                return ptrs[self.rng.below(ptrs.len() as u64) as usize];
+            if let Some(r) = self.pick_pointer_reg() {
+                return r;
             }
         }
         self.pick_reg()
@@ -558,12 +595,23 @@ impl SyntheticProgram {
     /// data, not pointer spills).
     fn pick_store_src(&mut self) -> Reg {
         if self.rng.chance(self.profile.pointer_density * 0.5) {
-            let ptrs = self.threads[self.cur_tid].regs.pointer_regs();
-            if !ptrs.is_empty() {
-                return ptrs[self.rng.below(ptrs.len() as u64) as usize];
+            if let Some(r) = self.pick_pointer_reg() {
+                return r;
             }
         }
         self.pick_reg()
+    }
+
+    /// A uniformly random pointer-holding register of the current
+    /// thread, or `None` (drawing nothing) when none holds a pointer.
+    fn pick_pointer_reg(&mut self) -> Option<Reg> {
+        let regs = &self.threads[self.cur_tid].regs;
+        let n = regs.pointer_count();
+        if n == 0 {
+            return None;
+        }
+        let k = self.rng.below(n as u64) as u32;
+        Some(self.threads[self.cur_tid].regs.nth_pointer(k))
     }
 
     /// Address selection, the heart of the workload's behaviour.
@@ -712,6 +760,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "weights must be non-empty with positive sum")]
+    fn mix_without_positive_total_is_rejected() {
+        let mut p = bench::by_name("gcc").unwrap();
+        p.mix = crate::InstrMix {
+            load: 0.0,
+            store: 0.0,
+            int_alu: 0.0,
+            int_move: 0.0,
+            int_mul: 0.0,
+            fp_alu: 0.0,
+            branch: 0.0,
+            jump: 0.0,
+            nop: 0.0,
+        };
+        SyntheticProgram::new(&p, 1);
+    }
+
+    #[test]
     fn calls_and_returns_emit_stack_updates() {
         let (records, prog) = run("gcc", 50_000, 11);
         let calls = records
@@ -813,7 +879,7 @@ mod tests {
             prog.next_record();
             if i % 1000 == 0 {
                 samples += 1;
-                if !prog.threads[prog.cur_tid].regs.pointer_regs().is_empty() {
+                if prog.threads[prog.cur_tid].regs.pointer_count() > 0 {
                     with_ptrs += 1;
                 }
             }
