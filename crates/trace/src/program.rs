@@ -605,8 +605,7 @@ impl SyntheticProgram {
     /// A uniformly random pointer-holding register of the current
     /// thread, or `None` (drawing nothing) when none holds a pointer.
     fn pick_pointer_reg(&mut self) -> Option<Reg> {
-        let regs = &self.threads[self.cur_tid].regs;
-        let n = regs.pointer_count();
+        let n = self.threads[self.cur_tid].regs.pointer_count();
         if n == 0 {
             return None;
         }

@@ -128,11 +128,12 @@ impl RegTags {
     }
 }
 
-/// Words per page of [`WordTags`].
-const PAGE_WORDS: usize = 1 << 10;
-/// Bits of a word index below the directory index: one directory block
-/// holds `1 << BLOCK_SHIFT` words, `1 << (BLOCK_SHIFT - 10)` pages.
+/// Log2 of the words per page of [`WordTags`].
+const PAGE_SHIFT: u32 = 10;
+const PAGE_WORDS: usize = 1 << PAGE_SHIFT;
+/// Log2 of the words per directory block (4 MiB of address space).
 const BLOCK_SHIFT: u32 = 20;
+const BLOCK_PAGES: usize = 1 << (BLOCK_SHIFT - PAGE_SHIFT);
 /// Directory blocks covering the 2^30 words of the 32-bit address
 /// space.
 const DIR_BLOCKS: usize = 1 << (30 - BLOCK_SHIFT);
@@ -154,7 +155,7 @@ pub(crate) struct WordTags {
 fn split(word: u32) -> (usize, usize, usize) {
     (
         (word >> BLOCK_SHIFT) as usize,
-        ((word as usize) >> 10) & ((1 << (BLOCK_SHIFT - 10)) - 1),
+        (word >> PAGE_SHIFT) as usize & (BLOCK_PAGES - 1),
         word as usize & (PAGE_WORDS - 1),
     )
 }
@@ -186,7 +187,7 @@ impl WordTags {
             if t.is_empty() {
                 return;
             }
-            block.resize_with(1 << (BLOCK_SHIFT - 10), || None);
+            block.resize_with(BLOCK_PAGES, || None);
         }
         match &mut block[p] {
             Some(page) => page[o] = t,
