@@ -1,4 +1,4 @@
-//! Ablations of FADE's design choices (DESIGN.md section 4):
+//! Ablations of FADE's design choices:
 //!
 //! 1. **Stack-Update Unit** (Section 4.2): with the SUU removed, stack
 //!    updates run as software handlers on the monitor core.
@@ -31,7 +31,7 @@ fn edited_program(monitor: &str, edit: impl FnOnce(&mut FadeProgram)) -> FadePro
 
 /// Clears the partial bit on AtomCheck's load/store entries and makes
 /// the clean check unsatisfiable, so every dispatch runs the long
-/// handler (see DESIGN.md on why plain bit-clearing would over-filter).
+/// handler (clearing the bit alone would over-filter, see below).
 fn no_partial(p: &mut FadeProgram) {
     for id in [event_ids::LOAD, event_ids::STORE] {
         let e = *p.table().entry(id).expect("AtomCheck programs loads/stores");

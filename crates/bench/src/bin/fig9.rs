@@ -1,4 +1,4 @@
-//! Regenerates the paper's Figure 9 (see DESIGN.md section 4).
+//! Regenerates the paper's Figure 9.
 
 fn main() {
     print!("{}", fade_bench::experiments::fig9());

@@ -158,23 +158,6 @@ fn system_json(replay_dir: Option<&Path>, prefixes: Vec<PointPrefix>) -> Vec<Str
             100.0 * r.fast_path_fraction(),
             100.0 * r.cycle_error(),
         );
-        // Since schema v7 each system row carries the estimator's
-        // per-congestion-stratum interval breakdown alongside the
-        // whole-run (production-rate) `rel_half_width`.
-        let strata: Vec<String> = r
-            .strata
-            .iter()
-            .map(|s| {
-                JsonObject::new()
-                    .uint("stratum", u64::from(s.stratum))
-                    .uint("windows", s.windows as u64)
-                    .uint("events", s.events)
-                    .float("cpi", s.cpi, 4)
-                    .opt_float("rel_half_width", s.rel_half_width, 4)
-                    .opt_float("beta", s.beta, 4)
-                    .render()
-            })
-            .collect();
         rows.push(
             JsonObject::new()
                 .str("benchmark", &r.benchmark)
@@ -189,10 +172,10 @@ fn system_json(replay_dir: Option<&Path>, prefixes: Vec<PointPrefix>) -> Vec<Str
                 .uint("estimated_cycles", r.estimated_cycles)
                 .float("cycle_error", r.cycle_error(), 4)
                 .opt_float("rel_half_width", r.rel_half_width, 4)
+                .uint("sampling_windows", r.windows as u64)
                 .uint("carried_seed_cycles", r.carried_seed_cycles)
                 .uint("sample_period", r.sample_period)
                 .uint("sample_window", r.sample_window)
-                .array("strata", &strata)
                 .render(),
         );
     }
@@ -322,7 +305,7 @@ fn main() {
     println!("================================================================");
     let service_rows = service_json();
     let matrix_rows = matrix_json(&matrix_rows);
-    let json = JsonDocument::new("fade-pipeline-throughput/v11")
+    let json = JsonDocument::new("fade-pipeline-throughput/v12")
         .section("system_results", system_rows)
         .section("matrix_results", matrix_rows)
         .section("service_results", service_rows)

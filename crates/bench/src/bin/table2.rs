@@ -1,4 +1,4 @@
-//! Regenerates the paper's table2 (see DESIGN.md section 4).
+//! Regenerates the paper's Table 2.
 
 fn main() {
     print!("{}", fade_bench::experiments::table2());

@@ -25,8 +25,9 @@
 //! critical updates are applied by the update logic the cycle the event
 //! resolves, which is also what the paper's hardware guarantees
 //! dependent events will observe (via MD-RF write or FSQ forwarding).
-//! Software handlers later apply the *same* critical values (DESIGN.md
-//! invariant 2), so eager application keeps the functional stream
+//! Software handlers later apply the *same* critical values (the update
+//! rules and the handlers agree on critical metadata), so eager
+//! application keeps the functional stream
 //! identical in blocking mode, non-blocking mode, and software-only
 //! runs.
 

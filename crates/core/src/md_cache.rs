@@ -5,7 +5,7 @@
 //! L2. The model is *tag-only*: data always live in the functional
 //! [`fade_shadow::ShadowMemory`]; the cache decides hit/miss timing.
 //! This keeps the functional metadata stream identical whether or not
-//! the cache is present (DESIGN.md invariant 7).
+//! the cache is present.
 
 /// Geometry of a tag cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! Cross-cutting property tests: for every monitor, the FADE hardware
 //! path and the pure-software path are *functionally equivalent*.
 //!
-//! DESIGN.md invariants exercised here:
+//! Invariants exercised here:
 //!
 //! 1. **Filtering soundness** — events FADE filters are exactly the
 //!    events the software monitor classifies as clean-check /
@@ -9,7 +9,7 @@
 //! 2. **Non-blocking equivalence** — after any event sequence, critical
 //!    metadata produced by the FADE path (non-blocking update rules +
 //!    handlers for unfiltered events) equals the software-only path.
-//! 5. **Blocking/NB functional equality** — both FADE modes classify
+//! 3. **Blocking/NB functional equality** — both FADE modes classify
 //!    and update identically.
 
 use fade::{Fade, FadeConfig, FilterMode};
@@ -400,7 +400,7 @@ proptest! {
 
     #[test]
     fn blocking_mode_is_functionally_identical(ops in prop::collection::vec(op_strategy(), 0..80)) {
-        // Invariant 5: blocking and non-blocking FADE agree.
+        // Invariant 3: blocking and non-blocking FADE agree.
         check_monitor("memleak", &ops, FilterMode::Blocking)?;
         check_monitor("atomcheck", &ops, FilterMode::Blocking)?;
     }

@@ -226,14 +226,14 @@ mod tests {
 
     #[test]
     fn arrays_and_raw_nest_prerendered_values() {
-        let inner = JsonObject::new().uint("stratum", 0).render();
+        let inner = JsonObject::new().uint("offset", 0).render();
         let row = JsonObject::new()
-            .array("strata", &[inner.clone(), inner])
+            .array("faults", &[inner.clone(), inner])
             .raw("degradation", "null")
             .render();
         assert_eq!(
             row,
-            r#"{"strata": [{"stratum": 0}, {"stratum": 0}], "degradation": null}"#
+            r#"{"faults": [{"offset": 0}, {"offset": 0}], "degradation": null}"#
         );
     }
 

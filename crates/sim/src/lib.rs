@@ -16,7 +16,8 @@
 //! * [`MemLatency`] — Table 1 memory-hierarchy latencies,
 //! * statistics helpers ([`LogHistogram`], [`gmean`]),
 //! * the sampling estimator behind batched timing
-//!   ([`StratifiedEstimator`], fed by [`CongestionCarry`]).
+//!   ([`RatioEstimator`]) and the [`CongestionCarry`] that seeds its
+//!   windows.
 
 pub mod cache;
 pub mod core_model;
@@ -29,8 +30,8 @@ pub use core_model::{CommitModel, CommitProfile, CoreKind, HandlerExec, SmtArbit
 pub use queue::{BoundedQueue, QueueDepth};
 pub use rng::Rng;
 pub use stats::{
-    congestion_stratum, gmean, t_critical_975, Cdf, CongestionCarry, CycleCi, CycleEstimate,
-    LogHistogram, StratifiedEstimator, StratumStat, WindowSample,
+    gmean, t_critical_975, Cdf, CongestionCarry, CycleCi, CycleEstimate, LogHistogram,
+    RatioEstimator, WindowSample,
 };
 
 /// Simulation time, in core clock cycles.

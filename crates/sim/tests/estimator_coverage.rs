@@ -6,29 +6,29 @@
 //! that the nominal 95% interval empirically covers the truth in at
 //! least 90% of runs — for the pooled ratio estimator
 //! ([`SampleEstimator`], defined here as the reference) and the
-//! stratified, control-variate one the library ships
-//! ([`StratifiedEstimator`]). The tolerance (90% vs the nominal 95%)
+//! control-variate one the library ships ([`RatioEstimator`]). The
+//! tolerance (90% vs the nominal 95%)
 //! absorbs Monte-Carlo noise and the Taylor linearization's small-n
 //! optimism without letting a broken interval (the old unweighted-CPI
 //! z-interval under-covered small runs badly) slip through.
 //!
 //! Unit tests pin the pooled interval's closed forms and degenerate
-//! cases, and compare the stratified estimator against it. A proptest
-//! pins the structural invariant the system relies on: stratum labels
-//! and covariates may change the *interval*, never the *point
-//! estimate*.
+//! cases, and compare the library estimator against it. Proptests pin
+//! that without a covariate the library interval *is* the pooled one,
+//! and the structural invariant the system relies on: covariates may
+//! change the *interval*, never the *point estimate*.
 
-use fade_sim::{t_critical_975, CycleCi, CycleEstimate, Rng, StratifiedEstimator, WindowSample};
+use fade_sim::{t_critical_975, CycleCi, CycleEstimate, RatioEstimator, Rng, WindowSample};
 use proptest::prelude::*;
 
-/// The pooled ratio estimator — the reference the stratified,
-/// control-variate [`StratifiedEstimator`] is checked against.
+/// The pooled ratio estimator — the reference the control-variate
+/// [`RatioEstimator`] is checked against.
 ///
 /// Each window contributes an `(instructions, cycles)` pair; unsampled
 /// stretches are charged the ratio-estimator CPI `Σcycles / Σinstrs`.
 /// The error bound is a 95% confidence interval on that *same ratio* —
 /// Taylor-linearized (instruction-weighted) variance with a Student-t
-/// critical value — with no strata and no covariate. Cycles are `f64`
+/// critical value — with no covariate. Cycles are `f64`
 /// because the batched system mode samples signed residual overheads.
 #[derive(Clone, Debug, Default)]
 struct SampleEstimator {
@@ -157,8 +157,8 @@ fn gaussian(rng: &mut Rng) -> f64 {
 }
 
 /// One simulated run: fixed window lengths, per-window cycles
-/// `mu_j·e_j + noise`, where `mu_j` depends on the (deterministic)
-/// stratum assignment and the noise is optionally correlated with a
+/// `mu_j·e_j + noise`, where `mu_j` alternates between two regimes
+/// and the noise is optionally correlated with a
 /// covariate. The composition is deterministic so the pooled ratio has
 /// a well-defined true value across runs.
 fn simulate(seed: u64, beta: f64) -> (Vec<WindowSample>, f64) {
@@ -170,14 +170,12 @@ fn simulate(seed: u64, beta: f64) -> (Vec<WindowSample>, f64) {
     let mut events_total = 0.0;
     for j in 0..WINDOWS {
         let events = 3_000 + 500 * (j as u64 % 3); // 3000/3500/4000
-        let stratum = (j % 2) as u8;
-        let mu = mus[stratum as usize];
+        let mu = mus[j % 2];
         let z = 2.0 + rng.unit_f64(); // covariate, mean ~2.5
         let noise = beta * (z - 2.5) + sd * gaussian(&mut rng);
         samples.push(WindowSample {
             events,
             cycles: mu * events as f64 + noise,
-            stratum,
             covariate: z,
         });
         true_cycles += mu * events as f64;
@@ -216,7 +214,7 @@ fn stratified_interval_covers_at_nominal_rate() {
     let mut hits = 0u64;
     for seed in 0..RUNS {
         let (samples, truth) = simulate(seed, 800.0);
-        let e = StratifiedEstimator::from_samples(&samples);
+        let e = RatioEstimator::from_samples(&samples);
         let est = e.estimate(1_000_000);
         assert!(est.ci.is_some());
         if covers(est.lo(), est.hi(), truth, 1_000_000) {
@@ -224,79 +222,69 @@ fn stratified_interval_covers_at_nominal_rate() {
         }
     }
     let rate = hits as f64 / RUNS as f64;
-    assert!(rate >= 0.90, "stratified 95% CI covered only {rate:.3}");
-}
-
-#[test]
-fn stratified_interval_is_tighter_on_regime_mixtures() {
-    // On a stream whose windows alternate between two residual regimes
-    // keyed by the stratum, the stratified interval should beat the
-    // pooled one in aggregate — that is the whole point of carrying
-    // the congestion key.
-    let mut tighter = 0u64;
-    let mut defined = 0u64;
-    for seed in 0..RUNS {
-        let (samples, _) = simulate(seed, 0.0);
-        let windows: Vec<(u64, f64)> = samples.iter().map(|s| (s.events, s.cycles)).collect();
-        let pooled = SampleEstimator::from_windows(&windows).rel_half_width();
-        let strat = StratifiedEstimator::from_samples(&samples).rel_half_width();
-        if let (Some(p), Some(s)) = (pooled, strat) {
-            defined += 1;
-            if s < p {
-                tighter += 1;
-            }
-        }
-    }
-    assert_eq!(defined, RUNS);
-    let rate = tighter as f64 / defined as f64;
-    assert!(
-        rate >= 0.80,
-        "stratified beat pooled in only {rate:.3} of regime-mixture runs"
-    );
+    assert!(rate >= 0.90, "control-variate 95% CI covered only {rate:.3}");
 }
 
 proptest! {
-    /// Stratum labels and covariates never move the point estimate:
-    /// the stratified estimator's CPI (and hence its extrapolated
-    /// cycles) equals the pooled ratio of the same windows exactly,
-    /// whatever the labels — only the interval may differ.
+    /// Covariates never move the point estimate: the library
+    /// estimator's CPI (and hence its extrapolated cycles) equals the
+    /// pooled ratio of the same windows exactly, whatever the
+    /// covariates — only the interval may differ.
     #[test]
-    fn stratification_only_changes_the_interval(
+    fn covariate_only_changes_the_interval(
         windows in prop::collection::vec(
-            // (events, milli-cycles, stratum, milli-covariate) — the
-            // shim has no f64 range strategy, so integers scale down.
-            (1u64..10_000, 0u64..1_000_000_000, 0u8..5, 0u64..100_000),
+            // (events, milli-cycles, milli-covariate) — the shim has no
+            // f64 range strategy, so integers scale down.
+            (1u64..10_000, 0u64..1_000_000_000, 0u64..100_000),
             2..40,
         ),
         extrapolate in 1u64..10_000_000,
     ) {
         let samples: Vec<WindowSample> = windows
             .iter()
-            .map(|&(events, mcycles, stratum, mcov)| WindowSample {
+            .map(|&(events, mcycles, mcov)| WindowSample {
                 events,
                 cycles: mcycles as f64 / 1e3 - 10_000.0, // residuals can be negative
-                stratum,
                 covariate: mcov as f64 / 1e3,
             })
             .collect();
         let pooled = SampleEstimator::from_windows(
             &samples.iter().map(|s| (s.events, s.cycles)).collect::<Vec<_>>(),
         );
-        let strat = StratifiedEstimator::from_samples(&samples);
-        // Also relabel everything to one stratum: same point estimate.
-        let flat = StratifiedEstimator::from_samples(
-            &samples
-                .iter()
-                .map(|s| WindowSample { stratum: 0, covariate: 0.0, ..*s })
-                .collect::<Vec<_>>(),
-        );
+        let lib = RatioEstimator::from_samples(&samples);
         let tol = 1e-9 * (1.0 + pooled.cpi().abs());
-        prop_assert!((strat.cpi() - pooled.cpi()).abs() <= tol);
-        prop_assert!((flat.cpi() - pooled.cpi()).abs() <= tol);
+        prop_assert!((lib.cpi() - pooled.cpi()).abs() <= tol);
         let ep = pooled.estimate(extrapolate).cycles;
-        let es = strat.estimate(extrapolate).cycles;
+        let el = lib.estimate(extrapolate).cycles;
         let ctol = 1e-9 * (1.0 + ep.abs());
-        prop_assert!((es - ep).abs() <= ctol);
+        prop_assert!((el - ep).abs() <= ctol);
+    }
+
+    /// Without a covariate signal the library interval is the pooled
+    /// ratio interval: same residuals, `n − 1` degrees of freedom.
+    #[test]
+    fn interval_matches_pooled_reference(
+        windows in prop::collection::vec(
+            (1u64..10_000, 0u64..1_000_000_000),
+            2..40,
+        ),
+    ) {
+        let wins: Vec<(u64, f64)> = windows
+            .iter()
+            .map(|&(events, mcycles)| (events, mcycles as f64 / 1e3 - 10_000.0))
+            .collect();
+        let pooled = SampleEstimator::from_windows(&wins).rel_half_width();
+        let lib = RatioEstimator::from_samples(
+            &wins
+                .iter()
+                .map(|&(events, cycles)| WindowSample { events, cycles, covariate: 0.0 })
+                .collect::<Vec<_>>(),
+        )
+        .rel_half_width();
+        match (pooled, lib) {
+            (Some(a), Some(b)) => prop_assert!((a - b).abs() <= 1e-12 * (1.0 + a), "{} vs {}", a, b),
+            (a, b) => prop_assert_eq!(a, b),
+        }
     }
 }
 
@@ -432,10 +420,9 @@ fn ci_weighs_windows_by_instruction_count() {
 
 #[test]
 fn stratification_never_moves_the_point_estimate() {
-    // Identical windows fed to the pooled and stratified
-    // estimators: the point estimates agree exactly, whatever the
-    // stratum labels, because sample-share weights telescope back
-    // to the pooled ratio.
+    // Identical windows from two alternating CPI regimes fed to the
+    // pooled reference and the library estimator: the point
+    // estimates agree exactly.
     let wins: Vec<(u64, f64)> = vec![
         (1_000, 1_500.0),
         (900, 4_000.0),
@@ -447,50 +434,18 @@ fn stratification_never_moves_the_point_estimate() {
         (1_000, 4_100.0),
     ];
     let pooled = SampleEstimator::from_windows(&wins);
-    let strat = StratifiedEstimator::from_samples(
-        &wins
-            .iter()
-            .enumerate()
-            .map(|(k, &(e, c))| WindowSample {
-                events: e,
-                cycles: c,
-                stratum: (k % 2) as u8,
-                covariate: 0.0,
-            })
-            .collect::<Vec<_>>(),
-    );
-    assert!((pooled.cpi() - strat.cpi()).abs() < 1e-12);
-    let est_p = pooled.estimate(100_000);
-    let est_s = strat.estimate(100_000);
-    assert!((est_p.cycles - est_s.cycles).abs() < 1e-6);
-    // The windows alternate between a ~1.4 and a ~4.0 CPI regime;
-    // stratifying on that regime must tighten the interval.
-    assert!(
-        strat.rel_half_width().unwrap() < pooled.rel_half_width().unwrap(),
-        "stratified {:?} !< pooled {:?}",
-        strat.rel_half_width(),
-        pooled.rel_half_width()
-    );
-}
-
-#[test]
-fn stratified_single_stratum_matches_pooled_interval() {
-    // With every window in one stratum and no covariate signal, the
-    // stratified interval degenerates to the pooled ratio interval.
-    let wins = [(100u64, 200.0), (120, 310.0), (90, 180.0), (110, 260.0)];
-    let pooled = SampleEstimator::from_windows(&wins);
-    let strat = StratifiedEstimator::from_samples(
+    let lib = RatioEstimator::from_samples(
         &wins
             .iter()
             .map(|&(e, c)| WindowSample {
                 events: e,
                 cycles: c,
-                stratum: 0,
                 covariate: 0.0,
             })
             .collect::<Vec<_>>(),
     );
-    let a = pooled.rel_half_width().unwrap();
-    let b = strat.rel_half_width().unwrap();
-    assert!((a - b).abs() < 1e-12, "{a} vs {b}");
+    assert!((pooled.cpi() - lib.cpi()).abs() < 1e-12);
+    let est_p = pooled.estimate(100_000);
+    let est_l = lib.estimate(100_000);
+    assert!((est_p.cycles - est_l.cycles).abs() < 1e-6);
 }

@@ -69,7 +69,7 @@ impl UtilBreakdown {
 
 /// How a batched run's cycle count was estimated: the sampled
 /// cycle-accurate windows and the extrapolation's 95% confidence bound
-/// (see [`fade_sim::StratifiedEstimator`]).
+/// (see [`fade_sim::RatioEstimator`]).
 #[derive(Clone, Debug)]
 pub struct SamplingSummary {
     /// Cycle-accurate windows the estimate is built from.
@@ -109,10 +109,6 @@ pub struct SamplingSummary {
     pub cycles_lo: u64,
     /// Upper confidence bound on the total cycle count.
     pub cycles_hi: u64,
-    /// Per-congestion-stratum interval breakdown (one row per merged
-    /// stratum, ascending key order): the windows, the stratum's own
-    /// ratio and CI, and its control-variate coefficient when fitted.
-    pub strata: Vec<fade_sim::StratumStat>,
 }
 
 /// Everything measured in one experiment run.

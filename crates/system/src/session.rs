@@ -61,8 +61,8 @@ use fade_isa::{AppEvent, HighLevelEvent};
 use fade_monitors::{EventClass, Monitor};
 use fade_shadow::{BudgetExceeded, MetadataState, ShadowCounters};
 use fade_sim::{
-    congestion_stratum, BoundedQueue, CommitModel, CongestionCarry, HandlerExec, LogHistogram, Rng,
-    SmtArbiter, StratifiedEstimator, StratumStat, WindowSample,
+    BoundedQueue, CommitModel, CongestionCarry, HandlerExec, LogHistogram, RatioEstimator, Rng,
+    SmtArbiter, WindowSample,
 };
 use fade_trace::{
     BenchProfile, DegradationReport, SyntheticProgram, TraceFileError, TraceReader, TraceRecord,
@@ -503,7 +503,7 @@ impl SessionBuilder {
             record_pos: 0,
             producer_paused: false,
             instr_cap: None,
-            estimator: StratifiedEstimator::new(),
+            estimator: RatioEstimator::new(),
             measure_from: 0,
             stretch_base_cycles: 0,
             stretch_events: 0,
@@ -655,11 +655,9 @@ pub struct Session {
     /// Overhead scales with monitored events (handler and stall work is
     /// per event), so extrapolation is per event — per-instruction
     /// extrapolation would harmonically under-weight event-sparse
-    /// regions. Windows are keyed by their congestion stratum at entry
-    /// and carry the adjacent stretch's base cycles per event as a
-    /// control covariate, so the interval (never the point estimate)
-    /// tightens with both structures.
-    estimator: StratifiedEstimator,
+    /// regions. Windows carry the adjacent stretch's base cycles per
+    /// event as a control covariate, which tightens the interval.
+    estimator: RatioEstimator,
     /// Index into `estimator` windows at `start_measure`.
     measure_from: usize,
     /// Base cycles of the batched stretch since the last sampling
@@ -937,8 +935,8 @@ impl Session {
     /// error bound (`None` with fewer than two sampled windows). Only
     /// the sampled residual is uncertain; the simulated cycles and the
     /// deterministic base of batched stretches are exact. The interval
-    /// on the residual (stratified, control-variate-adjusted ratio
-    /// estimator, Student-t) is therefore an *absolute* cycle band,
+    /// on the residual (control-variate-adjusted ratio estimator,
+    /// Student-t) is therefore an *absolute* cycle band,
     /// and the relative width divides it by the full cycle estimate —
     /// the same integer bounds [`crate::SamplingSummary::rel_half_width`]
     /// is computed from.
@@ -972,17 +970,10 @@ impl Session {
     /// per window, the measured cycles minus the unimpeded commit-model
     /// cycles for the same instructions and minus the handler-execution
     /// cycles — what is left is queueing, SMT interference and
-    /// accelerator stalls. Each carries its congestion stratum and
-    /// control covariate (empty for cycle-accurate sessions).
+    /// accelerator stalls. Each carries its control covariate (empty
+    /// for cycle-accurate sessions).
     pub fn sampled_windows(&self) -> &[WindowSample] {
         self.estimator.samples()
-    }
-
-    /// Per-congestion-stratum breakdown of the sampling interval, one
-    /// row per merged stratum in ascending key order (empty for
-    /// cycle-accurate sessions).
-    pub fn sampling_strata(&self) -> Vec<StratumStat> {
-        self.estimator.strata()
     }
 
     /// Carried-congestion handler cycles seeded into sampling windows
@@ -1197,7 +1188,7 @@ impl Counts {
     /// and the production-rate bound `rel_half_width` is that band's
     /// half-width relative to the whole estimate (`None` without an
     /// interval or with a zero total).
-    fn sampled_estimate(&self, est: &StratifiedEstimator) -> (u64, u64, u64, Option<f64>) {
+    fn sampled_estimate(&self, est: &RatioEstimator) -> (u64, u64, u64, Option<f64>) {
         let pop_mean = if self.batch_events > 0 {
             self.batch_base_cycles as f64 / self.batch_events as f64
         } else {
@@ -1277,9 +1268,8 @@ impl Session {
     /// with the front half re-establishing steady-state queue pressure
     /// — so long congestion episodes survive sampling instead of being
     /// truncated by a drained-queue restart. The measured window
-    /// (including its trailing queue drain) feeds a
-    /// [`StratifiedEstimator`] keyed by the window's congestion-seed
-    /// stratum, and batched stretches are charged the sampled CPI in
+    /// (including its trailing queue drain) feeds a [`RatioEstimator`],
+    /// and batched stretches are charged the sampled CPI in
     /// [`Session::estimated_total_cycles`] and
     /// [`Session::measured_stats`].
     ///
@@ -1343,12 +1333,11 @@ impl Session {
                 // Captured before seeding: the seed's estimated cycles
                 // join the window's handler term, offsetting the
                 // seeded work's simulated cycles in the residual. The
-                // returned seed keys the window's congestion stratum,
-                // and the preceding stretch's deterministic base
-                // cycles per event become its control covariate (the
+                // preceding stretch's deterministic base cycles per
+                // event become the window's control covariate (the
                 // estimator regresses the residual on it and
                 // extrapolates at the population covariate mean — see
-                // `StratifiedEstimator::estimate_with_covariate_mean`).
+                // `RatioEstimator::estimate_with_covariate_mean`).
                 let cov = if self.stretch_events > 0 {
                     self.stretch_base_cycles as f64 / self.stretch_events as f64
                 } else {
@@ -1356,8 +1345,7 @@ impl Session {
                 };
                 self.stretch_base_cycles = 0;
                 self.stretch_events = 0;
-                let seed = self.seed_congestion(window_events);
-                let stratum = congestion_stratum(seed);
+                self.seed_congestion(window_events);
                 // Congestion warmup: the first half of the window
                 // rebuilds the queue state the batched stretch skipped
                 // (the carried seed starts it congested; the warmup
@@ -1419,7 +1407,7 @@ impl Session {
                     } else {
                         (self.counts.events() - events0, dc_whole - ff_whole.max(dh_whole))
                     };
-                    self.estimator.record_window(ev_rec, resid, stratum, cov);
+                    self.estimator.record_window(ev_rec, resid, cov);
                 }
             }
         }
@@ -1458,24 +1446,21 @@ impl Session {
     /// tail-record gets no seed either — repeated seeding into short
     /// whole-recorded windows just piles fixed boundary costs onto too
     /// few events and flips the bias high.
-    ///
-    /// Returns the backlog cycles actually seeded (0 when nothing was),
-    /// which doubles as the window's congestion-stratum key.
-    fn seed_congestion(&mut self, window_events: u64) -> u64 {
+    fn seed_congestion(&mut self, window_events: u64) {
         if !Self::congestion_window_ok(window_events) {
             // The carry still describes only the stretch that just
             // ended: drop it rather than letting it go stale.
             self.congestion.take();
-            return 0;
+            return;
         }
         if !self.quiesced() {
             // Mid-window resume (composition): the previous entry
             // consumed the carry already.
-            return 0;
+            return;
         }
         let seed = self.congestion.take();
         if seed == 0 {
-            return 0;
+            return;
         }
         let cost = ((seed as f64) * handler_ipc(self.cfg.core)).round().max(1.0) as u32;
         self.handler.start(cost);
@@ -1483,7 +1468,6 @@ impl Session {
         self.handler_est_cycles += est;
         self.counts.batch_base_cycles = self.counts.batch_base_cycles.saturating_sub(seed);
         self.counts.seeded_cycles += est;
-        seed
     }
 
     /// The unguarded body of [`Session::drain`]: steps the monitoring
@@ -1954,7 +1938,7 @@ impl Session {
             let est = if measured.is_empty() {
                 self.estimator.clone()
             } else {
-                StratifiedEstimator::from_samples(measured)
+                RatioEstimator::from_samples(measured)
             };
             let (total, lo, hi, rel) = m.sampled_estimate(&est);
             (
@@ -1971,7 +1955,6 @@ impl Session {
                     rel_half_width: rel,
                     cycles_lo: lo,
                     cycles_hi: hi,
-                    strata: est.strata(),
                 }),
             )
         };

@@ -50,9 +50,9 @@ pub struct SystemThroughputReport {
     pub rel_half_width: Option<f64>,
     /// Carried-congestion handler cycles seeded into sampling windows.
     pub carried_seed_cycles: u64,
-    /// Per-congestion-stratum interval breakdown of the batched run's
-    /// sampling estimator (empty when nothing was sampled).
-    pub strata: Vec<fade_sim::StratumStat>,
+    /// Cycle-accurate windows the batched run's sampling estimator
+    /// recorded (0 when nothing was sampled).
+    pub windows: usize,
 }
 
 impl SystemThroughputReport {
@@ -245,7 +245,7 @@ pub fn measure_system_throughput_records(
         sample_window: cfg.sample_window,
         rel_half_width: batched_sys.rel_half_width(),
         carried_seed_cycles: batched_sys.carried_seed_cycles(),
-        strata: batched_sys.sampling_strata(),
+        windows: batched_sys.sampled_windows().len(),
     }
 }
 
@@ -314,7 +314,7 @@ mod tests {
             sample_window: 0,
             rel_half_width: None,
             carried_seed_cycles: 0,
-            strata: Vec::new(),
+            windows: 0,
         };
         for v in [
             r.fast_path_fraction(),

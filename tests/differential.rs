@@ -173,17 +173,16 @@ const RATE_CI_APP_BOUND: f64 = 0.10;
 /// spread is genuine long-wave queueing (queue-full commit stalls
 /// alternating with handler idle — burst-phase episodes that no
 /// batched-path-observable covariate predicts), so with 12 windows the
-/// honest interval sits near ±17%; the ≤10% ROADMAP goal would need
+/// honest interval sits near ±18%; the ≤10% ROADMAP goal would need
 /// denser sampling, which the cycle-accuracy bound forbids at 25%.
 /// This guard keeps the interval from regressing while the gap stays
 /// an open ROADMAP item.
 const RATE_CI_MONITOR_BOUND: f64 = 0.25;
 
 /// The production-rate confidence interval stays inside the documented
-/// bounds at the default sampling configuration, and the estimator
-/// publishes its per-stratum breakdown (the schema-v7 columns). This is
-/// the release-CI accuracy step's second gate, next to the
-/// [`CYCLE_TOLERANCE`] bound on the point estimate.
+/// bounds at the default sampling configuration, built from at least
+/// two sampled windows. This is the release-CI accuracy step's second
+/// gate, next to the [`CYCLE_TOLERANCE`] bound on the point estimate.
 #[test]
 fn sampled_rate_ci_within_bounds() {
     let points = [
@@ -201,21 +200,11 @@ fn sampled_rate_ci_within_bounds() {
             rel <= bound,
             "{bench_name}/{monitor}: production-rate CI half-width {rel:.3} over bound {bound}",
         );
-        // The per-stratum breakdown must be present and well-formed:
-        // every merged stratum holds enough windows for its own
-        // variance estimate, and the windows add up.
-        assert!(!r.strata.is_empty(), "{bench_name}/{monitor}: no stratum rows");
-        let windows: usize = r.strata.iter().map(|s| s.windows).sum();
-        for s in &r.strata {
-            assert!(
-                s.windows >= fade_repro::sim::StratifiedEstimator::MIN_STRATUM_WINDOWS
-                    || r.strata.len() == 1,
-                "{bench_name}/{monitor}: stratum {} kept only {} windows",
-                s.stratum,
-                s.windows,
-            );
-        }
-        assert!(windows >= 2, "{bench_name}/{monitor}: too few windows: {windows}");
+        assert!(
+            r.windows >= 2,
+            "{bench_name}/{monitor}: too few windows: {}",
+            r.windows
+        );
     }
 }
 

@@ -1,5 +1,5 @@
 //! Cross-crate integration tests: end-to-end invariants over the full
-//! simulation stack (DESIGN.md section 5).
+//! simulation stack.
 
 use fade_repro::accel::FilterMode;
 use fade_repro::isa::{layout, Reg, VirtAddr};
