@@ -31,7 +31,7 @@
 //! identical in blocking mode, non-blocking mode, and software-only
 //! runs.
 
-use fade_isa::{AppEvent, EventId, HighLevelEvent, InstrEvent, StackUpdateEvent};
+use fade_isa::{AppEvent, HighLevelEvent, InstrEvent, StackUpdateEvent};
 use fade_shadow::MetadataState;
 use fade_sim::{BoundedQueue, MemLatency, QueueDepth};
 
@@ -220,12 +220,12 @@ pub struct BatchStats {
     pub events: u64,
     /// Events that took the short-circuit fast path: single-shot
     /// instruction events whose metadata structures were warm (M-TLB
-    /// and MD-cache hits, by the MRU window or a real lookup), i.e.
-    /// that paid no miss penalty.
+    /// and MD-cache hits), i.e. that paid no miss penalty.
     pub fast_path: u64,
-    /// Events off the fast path: stack updates, high-level events and
-    /// multi-shot chains (the cycle-accurate [`Fade::tick`] machinery),
-    /// plus single-shot events that missed in the M-TLB or MD cache.
+    /// Events off the fast path: stack updates and high-level events
+    /// (the cycle-accurate [`Fade::tick`] machinery), multi-shot
+    /// chains, and single-shot events that missed in the M-TLB or MD
+    /// cache.
     pub fallback: u64,
     /// Events dispatched to the software consumer during the batch.
     pub dispatched: u64,
@@ -248,52 +248,6 @@ impl BatchStats {
             return 0.0;
         }
         self.fast_path as f64 / self.events as f64
-    }
-}
-
-/// Slots in the set-aware MD window of [`BatchCtx`]. Must be a power of
-/// two no larger than any MD-cache set count it is used with (the slot
-/// index is `line % min(MD_WINDOW_SLOTS, sets)`, so two lines of the
-/// same cache set always collide in the window and a stale "line X is
-/// at MRU of its set" entry can never survive a same-set access).
-const MD_WINDOW_SLOTS: usize = 8;
-
-/// Hot-path context for [`Fade::run_batch`].
-///
-/// Remembers what recent Metadata Read stages left at the MRU position
-/// of the M-TLB and the MD cache, plus a decoded "plan" for the last
-/// event ID, so the common warm single-shot case can skip the
-/// associative lookups entirely. The MD side is a small *set-aware*
-/// window rather than a single line: each slot records a line known to
-/// sit at the MRU way of *its own* cache set, so streams that alternate
-/// between lines in different sets (strides, producer/consumer pairs)
-/// stay on the zero-search path. The shortcut is *exact*: it fires only
-/// when the access provably hits at MRU of its set, where a real access
-/// would bump the hit counter and leave the LRU order unchanged. Any
-/// cycle-accurate `tick` invalidates the MRU fields.
-#[derive(Clone, Copy, Debug, Default)]
-struct BatchCtx {
-    /// Event ID the decoded plan below describes.
-    plan_id: Option<EventId>,
-    /// The plan's entry has no multi-shot continuation.
-    plan_single_shot: bool,
-    /// The plan's entry has a memory operand (Metadata Read stage does
-    /// one M-TLB + one MD-cache access).
-    plan_has_mem: bool,
-    /// Application page number at the M-TLB's MRU slot.
-    mru_page: Option<u32>,
-    /// Metadata lines known to sit at the MRU way of their MD-cache
-    /// set, keyed by `line % min(MD_WINDOW_SLOTS, sets)`.
-    md_window: [Option<u64>; MD_WINDOW_SLOTS],
-}
-
-impl BatchCtx {
-    /// Drops all MRU knowledge (cycle-accurate operation can reorder
-    /// the TLB / MD-cache LRU state arbitrarily).
-    #[inline]
-    fn invalidate_mru(&mut self) {
-        self.mru_page = None;
-        self.md_window = [None; MD_WINDOW_SLOTS];
     }
 }
 
@@ -348,7 +302,6 @@ pub struct Fade {
     outstanding: Vec<u64>,
     next_token: u64,
     stats: FadeStats,
-    batch: BatchCtx,
 }
 
 impl std::fmt::Debug for Fade {
@@ -386,7 +339,6 @@ impl Fade {
             outstanding: Vec::new(),
             next_token: 0,
             stats: FadeStats::default(),
-            batch: BatchCtx::default(),
             config,
             program,
         }
@@ -510,9 +462,6 @@ impl Fade {
 
     /// Advances the accelerator one cycle.
     pub fn tick(&mut self, st: &mut MetadataState) -> FadeTick {
-        // Cycle-accurate operation can reorder the TLB / MD-cache LRU
-        // state arbitrarily: drop the batch fast path's MRU knowledge.
-        self.batch.invalidate_mru();
         let mut out = FadeTick::default();
         // The SUU owns the MD cache port while busy.
         if self.suu.busy() {
@@ -564,33 +513,28 @@ impl Fade {
 
     /// Advances a quiesced accelerator `cycles` cycles at once, exactly
     /// as that many [`Fade::tick`] calls would with nothing in flight:
-    /// each is an idle cycle, and the batch fast path's MRU knowledge is
-    /// dropped.
+    /// each is an idle cycle.
     ///
     /// # Panics
     ///
     /// Panics unless the accelerator is [`Fade::quiesced`].
     pub fn skip_idle(&mut self, cycles: u64) {
         assert!(self.quiesced(), "only a quiesced accelerator idles in bulk");
-        self.batch.invalidate_mru();
         self.stats.idle_cycles += cycles;
     }
 
     /// Drains a slice of events through the four-stage pipeline without
     /// per-event `enqueue`/`tick` round trips.
     ///
-    /// Single-shot instruction events run the pipeline stages inline,
-    /// skipping the event queue and the cycle state machine entirely:
-    /// accesses provably at the MRU of the M-TLB and of their MD-cache
-    /// set (a small set-aware window of recent lines) skip even the
-    /// associative lookups, and every other single-shot event does the
-    /// real lookups — warm events (no miss penalty) are the
-    /// short-circuit fast path. Everything else — stack updates,
-    /// high-level events, multi-shot chains — falls back to the
-    /// cycle-accurate [`Fade::tick`]
-    /// loop. Dispatched events are consumed immediately (their handlers
-    /// complete the same cycle), which is the same contract as driving
-    /// the accelerator per event with an always-ready consumer:
+    /// Instruction events run the same pipeline stages as
+    /// [`Fade::tick`] inline, skipping the event queue and the cycle
+    /// state machine; single-shot events whose M-TLB and MD-cache
+    /// accesses hit (no miss penalty) are the short-circuit fast path.
+    /// Stack updates and high-level events fall back to the
+    /// cycle-accurate [`Fade::tick`] loop. Dispatched events are
+    /// consumed immediately (their handlers complete the same cycle),
+    /// which is the same contract as driving the accelerator per event
+    /// with an always-ready consumer:
     /// [`FadeStats`], the metadata state, and every cache/TLB counter
     /// come out bit-identical to that reference execution.
     ///
@@ -642,10 +586,11 @@ impl Fade {
         out
     }
 
-    /// One instruction event of a batch: tier A (the inline single-shot
-    /// pipeline, fast-path when its metadata structures are warm) when
-    /// the decoded plan allows it, tier B (the full pipeline stages
-    /// without queue churn) for multi-shot chains and unknown events.
+    /// One instruction event of a batch: the pipeline stages of
+    /// [`Fade::tick`] (`resolve_instr`), without the event-queue round
+    /// trip. A dispatch commits through `finalize` — the UFQ and FSQ
+    /// are empty, so it cannot stall — and its handler completes at
+    /// once.
     fn batch_instr<F>(
         &mut self,
         ev: &InstrEvent,
@@ -656,139 +601,22 @@ impl Fade {
         F: FnMut(UnfilteredEvent, &mut MetadataState),
     {
         debug_assert!(self.is_idle() && self.ufq.is_empty() && self.fsq.is_empty());
-        // Refresh the decoded plan when the stream changes event ID.
-        if self.batch.plan_id != Some(ev.id) {
-            let Some(e) = self.program.table().entry(ev.id) else {
-                // No entry: resolve_instr's defensive path handles it.
-                self.batch.plan_id = None;
-                self.batch_instr_slow(ev, st, out, consumer);
-                return;
-            };
-            self.batch.plan_id = Some(ev.id);
-            self.batch.plan_single_shot = e.next_entry.is_none();
-            self.batch.plan_has_mem = OperandSel::ALL
-                .iter()
-                .any(|&s| e.operand(s).valid && e.operand(s).mem);
-            // The MRU fields describe the previous events' accesses and
-            // stay valid across a plan change.
-        }
-        if !self.batch.plan_single_shot {
-            self.batch_instr_slow(ev, st, out, consumer);
-            return;
-        }
-
-        // ---- Tier A: the single-shot pipeline inline. The Metadata
-        // Read stage runs first, through the zero-search MRU window
-        // when the access provably hits at MRU of its structures, and
-        // through the real associative lookups otherwise — bit-exact
-        // with `resolve_instr`'s read either way (same hit/miss
-        // counters, LRU motion, fills and stall cycles). Warm events
-        // (no miss penalty) are the short-circuit fast path; cold ones
-        // count as fallback but still skip the queue round trip.
-        let mut penalty = 0u32;
-        if self.batch.plan_has_mem {
-            let md_addr = self.program.md_map().md_addr(ev.app_addr);
-            let line = self.md_line(md_addr);
-            let slot = self.md_window_slot(line);
-            if self.batch.mru_page == Some(ev.app_addr.page())
-                && self.batch.md_window[slot] == Some(line)
-            {
-                self.tlb.record_mru_hit(ev.app_addr);
-                self.md_cache.record_mru_hit(md_addr);
-            } else {
-                if !self.tlb.access(ev.app_addr) {
-                    penalty += self.config.tlb_miss_penalty;
-                    self.stats.tlb_miss_stall_cycles += self.config.tlb_miss_penalty as u64;
-                }
-                if !self.md_cache.access(md_addr) {
-                    let fill = if self.md_l2.access(md_addr) {
-                        self.config.mem_lat.l2
-                    } else {
-                        self.config.mem_lat.dram
-                    };
-                    penalty += fill;
-                    self.stats.md_miss_stall_cycles += fill as u64;
-                }
-                // Both structures now hold this access at MRU.
-                self.batch.mru_page = Some(ev.app_addr.page());
-                self.batch.md_window[slot] = Some(line);
-            }
-        }
-        if penalty == 0 {
+        let (resolution, cycles) = self.resolve_instr(ev, st);
+        self.stats.busy_cycles += cycles as u64;
+        // One shot and no miss penalty, from a real entry (the no-entry
+        // path also takes one cycle): the fast path.
+        if cycles == 1 && self.program.table().entry(ev.id).is_some() {
             out.fast_path += 1;
         } else {
             out.fallback += 1;
-        }
-        self.stats.instr_events += 1;
-        self.stats.shots += 1;
-        self.stats.busy_cycles += 1 + penalty as u64;
-        let entry = self.program.table().entry(ev.id).expect("plan implies an entry");
-        let ops = self.fetch_operands(entry, ev, st);
-        let d = evaluate_shot(entry, &ops, self.program.invariants());
-        if d.condition_holds && !entry.partial {
-            self.stats.filtered += 1;
-            return;
-        }
-        // Unfiltered (or partial hit): same dispatch machinery as the
-        // pipeline; the UFQ and FSQ are empty, so finalize cannot stall.
-        // The dispatch's metadata write (if any) fills the same line the
-        // read just touched, so the MD window stays exact.
-        let entry = *entry;
-        let resolution = self.dispatch_resolution(ev, &entry, d.condition_holds, st);
-        let mut tk = FadeTick::default();
-        self.finalize(resolution, st, &mut tk);
-        debug_assert!(tk.dispatched.is_some(), "empty UFQ/FSQ cannot stall");
-        self.drain_dispatched(st, out, consumer);
-        self.settle_batch(st, out, consumer); // blocking-mode resume
-    }
-
-    /// Tier B: the full pipeline stages for one instruction event,
-    /// still skipping the event-queue round trip.
-    fn batch_instr_slow<F>(
-        &mut self,
-        ev: &InstrEvent,
-        st: &mut MetadataState,
-        out: &mut BatchStats,
-        consumer: &mut F,
-    ) where
-        F: FnMut(UnfilteredEvent, &mut MetadataState),
-    {
-        out.fallback += 1;
-        let (resolution, cycles) = self.resolve_instr(ev, st);
-        self.stats.busy_cycles += cycles as u64;
-        // Either way the event's Metadata Read (and, on dispatch, the
-        // metadata write-fill of the same line) left its page and line
-        // at MRU: warm the tier-A context.
-        if self.batch.plan_id == Some(ev.id) && self.batch.plan_has_mem {
-            self.batch.mru_page = Some(ev.app_addr.page());
-            let line = self.md_line(self.program.md_map().md_addr(ev.app_addr));
-            self.batch.md_window[self.md_window_slot(line)] = Some(line);
         }
         if let dispatch @ Resolution::Dispatch { .. } = resolution {
             let mut tk = FadeTick::default();
             self.finalize(dispatch, st, &mut tk);
             debug_assert!(tk.dispatched.is_some(), "empty UFQ/FSQ cannot stall");
             self.drain_dispatched(st, out, consumer);
-            self.settle_batch(st, out, consumer);
+            self.settle_batch(st, out, consumer); // blocking-mode resume
         }
-    }
-
-    /// The MD-cache line a metadata address falls in — the same line
-    /// indexing [`TagCache`] applies internally, kept in one place so
-    /// the tier-A MRU check can never drift from the cache geometry.
-    #[inline]
-    fn md_line(&self, md_addr: u64) -> u64 {
-        md_addr >> self.md_cache.config().line_shift()
-    }
-
-    /// The MD-window slot a cache line maps to. The slot count divides
-    /// the (power-of-two) set count, so lines of the same cache set
-    /// always share a slot and a same-set access can never leave a
-    /// stale MRU claim behind in another slot.
-    #[inline]
-    fn md_window_slot(&self, line: u64) -> usize {
-        let sets = self.md_cache.set_count() as u64;
-        (line & (sets.min(MD_WINDOW_SLOTS as u64) - 1)) as usize
     }
 
     /// Pops every dispatched event, completes its handler and hands it
@@ -917,7 +745,7 @@ impl Fade {
     /// the resolution and the cycles of filtering-unit occupancy.
     fn resolve_instr(&mut self, ev: &InstrEvent, st: &MetadataState) -> (Resolution, u32) {
         self.stats.instr_events += 1;
-        let Some(first) = self.program.table().entry(ev.id).copied() else {
+        let Some(primary) = self.program.table().entry(ev.id) else {
             // The producer only enqueues monitored events; an event
             // without an entry is a producer/program mismatch. Treat it
             // as filtered so software is never invoked spuriously.
@@ -931,7 +759,7 @@ impl Fade {
         let mut penalty = 0u32;
         let has_mem = OperandSel::ALL
             .iter()
-            .any(|&s| first.operand(s).valid && first.operand(s).mem);
+            .any(|&s| primary.operand(s).valid && primary.operand(s).mem);
         if has_mem {
             let md_addr = self.program.md_map().md_addr(ev.app_addr);
             if !self.tlb.access(ev.app_addr) {
@@ -952,17 +780,17 @@ impl Fade {
         // Filter stage: walk the (possibly multi-shot) chain.
         let mut chain = ShotChain::new();
         let mut shots = 0u32;
-        let mut entry = first;
+        let mut entry = primary;
         let mut holds;
         loop {
             shots += 1;
             self.stats.shots += 1;
-            let ops = self.fetch_operands(&entry, ev, st);
-            let d = evaluate_shot(&entry, &ops, self.program.invariants());
+            let ops = self.fetch_operands(entry, ev, st);
+            let d = evaluate_shot(entry, &ops, self.program.invariants());
             holds = chain.step(entry.ms, d.condition_holds);
             match entry.next_entry {
                 Some(next) => {
-                    entry = *self
+                    entry = self
                         .program
                         .table()
                         .entry(next)
@@ -973,18 +801,17 @@ impl Fade {
         }
 
         let cycles = shots + penalty;
-        let primary = first;
         if holds && !primary.partial {
             self.stats.filtered += 1;
             return (Resolution::Filtered, cycles);
         }
+        let primary = *primary;
         (self.dispatch_resolution(ev, &primary, holds, st), cycles)
     }
 
     /// Builds the Dispatch resolution for an unfiltered (or partial-hit)
     /// instruction event: handler selection plus the non-blocking
-    /// critical-metadata update from the primary entry's rule. Shared by
-    /// the cycle-accurate pipeline and the batched fast path.
+    /// critical-metadata update from the primary entry's rule.
     fn dispatch_resolution(
         &mut self,
         ev: &InstrEvent,

@@ -127,8 +127,22 @@ impl TagCache {
     /// Accesses the line containing `addr`; returns `true` on hit. On a
     /// miss the line is filled (allocate-on-miss for reads and writes:
     /// metadata is write-back, write-allocate).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let (set_idx, tag) = self.locate(addr);
+        // A hit at the MRU way leaves the recency order as it is.
+        if self.sets[set_idx].first() == Some(&tag) {
+            self.stats.hits += 1;
+            return true;
+        }
+        self.access_below_mru(set_idx, tag)
+    }
+
+    /// [`TagCache::access`] past the MRU way, kept out of line so the
+    /// MRU check inlines into its callers: a deeper hit moves the line
+    /// to the front, a miss installs it there (evicting the LRU way of
+    /// a full set).
+    fn access_below_mru(&mut self, set_idx: usize, tag: u64) -> bool {
         let set = &mut self.sets[set_idx];
         if let Some(pos) = set.iter().position(|&t| t == tag) {
             let t = set.remove(pos);
@@ -144,24 +158,6 @@ impl TagCache {
             false
         }
     }
-
-    /// Records a hit for an address whose line is known to sit at the
-    /// MRU way of its set, skipping the associative search — the
-    /// warm-path shortcut of the batched filtering loop. Equivalent to
-    /// [`TagCache::access`] for that case: the hit counter advances and
-    /// the set's recency order (the line is already in front) is
-    /// unchanged.
-    #[inline]
-    pub fn record_mru_hit(&mut self, addr: u64) {
-        #[cfg(debug_assertions)]
-        {
-            let (set_idx, tag) = self.locate(addr);
-            debug_assert_eq!(self.sets[set_idx].first(), Some(&tag));
-        }
-        let _ = addr;
-        self.stats.hits += 1;
-    }
-
 
     /// Probes without updating LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
@@ -185,28 +181,9 @@ impl TagCache {
         }
     }
 
-    /// Number of sets (a power of two), without recomputing the
-    /// geometry division.
-    #[inline]
-    pub fn set_count(&self) -> usize {
-        self.sets.len()
-    }
-
     /// Accumulated hit/miss statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// The cache geometry.
-    pub fn config(&self) -> TagCacheConfig {
-        self.config
-    }
-
-    /// Invalidates everything (used between measurement samples).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
     }
 }
 
@@ -264,14 +241,6 @@ mod tests {
         c.fill(0x3000);
         assert!(c.probe(0x3000));
         assert_eq!(c.stats().accesses(), 0);
-    }
-
-    #[test]
-    fn flush_invalidates() {
-        let mut c = TagCache::new(TagCacheConfig::md_cache());
-        c.access(0x100);
-        c.flush();
-        assert!(!c.probe(0x100));
     }
 
     #[test]

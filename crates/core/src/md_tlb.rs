@@ -5,13 +5,12 @@
 //! (Section 4.1, after LBA's M-TLB \[2\]). Misses are serviced in software.
 
 use fade_isa::VirtAddr;
-use fade_shadow::MetadataMap;
 
 /// A fully-associative, LRU, 16-entry (by default) M-TLB.
 ///
 /// Tag-only model: the actual translation is the deterministic
-/// [`MetadataMap`]; the TLB decides whether the translation was cached
-/// or needs the software fill handler.
+/// [`MetadataMap`](fade_shadow::MetadataMap); the TLB decides whether
+/// the translation was cached or needs the software fill handler.
 #[derive(Clone, Debug)]
 pub struct MdTlb {
     entries: Vec<u32>, // app page numbers, MRU first
@@ -42,8 +41,14 @@ impl MdTlb {
     /// Translates the application address's page; returns `true` on hit.
     /// On a miss the translation is installed (after the modelled
     /// software fill).
+    #[inline]
     pub fn access(&mut self, app: VirtAddr) -> bool {
         let page = app.page();
+        // A hit at the MRU slot leaves the recency order as it is.
+        if self.entries.first() == Some(&page) {
+            self.hits += 1;
+            return true;
+        }
         if let Some(pos) = self.entries.iter().position(|&p| p == page) {
             let p = self.entries.remove(pos);
             self.entries.insert(0, p);
@@ -59,25 +64,6 @@ impl MdTlb {
         }
     }
 
-    /// Records a hit for an address whose page is known to sit at the
-    /// MRU slot, skipping the associative search — the warm-path
-    /// shortcut of the batched filtering loop. Equivalent to
-    /// [`MdTlb::access`] for that case: the hit counter advances and
-    /// the recency order (the page is already in front) is unchanged.
-    #[inline]
-    pub fn record_mru_hit(&mut self, app: VirtAddr) {
-        debug_assert_eq!(self.entries.first(), Some(&app.page()));
-        let _ = app;
-        self.hits += 1;
-    }
-
-
-    /// The metadata frame an application page maps to (the translation
-    /// the hardware would return; delegated to the functional map).
-    pub fn translate(map: &MetadataMap, app: VirtAddr) -> u64 {
-        map.md_page_of_app_page(app.page())
-    }
-
     /// TLB hits so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -86,11 +72,6 @@ impl MdTlb {
     /// TLB misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Invalidates all entries.
-    pub fn flush(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -116,21 +97,5 @@ mod tests {
         tlb.access(VirtAddr::new(0x3000)); // evicts page 2
         assert!(tlb.access(VirtAddr::new(0x1000)));
         assert!(!tlb.access(VirtAddr::new(0x2000)));
-    }
-
-    #[test]
-    fn translation_delegates_to_map() {
-        let map = MetadataMap::per_word();
-        let t0 = MdTlb::translate(&map, VirtAddr::new(0));
-        let t4 = MdTlb::translate(&map, VirtAddr::new(4 << 12));
-        assert_eq!(t4, t0 + 1, "4 app pages per md page at 4:1 packing");
-    }
-
-    #[test]
-    fn flush_clears() {
-        let mut tlb = MdTlb::new(4);
-        tlb.access(VirtAddr::new(0x1000));
-        tlb.flush();
-        assert!(!tlb.access(VirtAddr::new(0x1000)));
     }
 }

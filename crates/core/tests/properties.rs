@@ -5,14 +5,14 @@
 use std::collections::VecDeque;
 
 use fade::{
-    BatchStats, Fade, FadeConfig, FadeStats, FilterMode, Fsq, InvId, InvRf, NbAction, NbCond,
-    NbCondOperand, NbUpdate, OperandMeta, TagCache, TagCacheConfig, UnfilteredEvent,
+    BatchStats, Fade, FadeConfig, FadeStats, FilterMode, Fsq, InvId, InvRf, MdTlb, NbAction,
+    NbCond, NbCondOperand, NbUpdate, OperandMeta, TagCache, TagCacheConfig, UnfilteredEvent,
 };
 use fade_isa::{
     instr_event_for, layout, AppEvent, AppInstr, HighLevelEvent, InstrClass, MemRef, Reg,
     StackUpdateEvent, StackUpdateKind, VirtAddr,
 };
-use fade_monitors::{monitor_by_name, Monitor};
+use fade_monitors::{monitor_by_name, MemCheck, Monitor};
 use fade_shadow::MetadataState;
 use fade_trace::{SyntheticProgram, TraceRecord};
 use proptest::prelude::*;
@@ -430,6 +430,56 @@ fn steady_state_retires_one_event_per_cycle() {
     assert_eq!(f_ref.stats(), fade.stats());
 }
 
+/// `BatchStats` sorts instruction events by what the pipeline paid, not
+/// by their outcome: one shot with no M-TLB or MD-cache miss is the
+/// fast path, filtered or dispatched; a cold miss or a chained shot is
+/// fallback, as are stack updates and high-level events.
+#[test]
+fn batch_stats_classify_by_shots_and_misses() {
+    let load = |addr: u32| {
+        let i = AppInstr::new(VirtAddr::new(0x400), InstrClass::Load)
+            .with_dest(Reg::new(3))
+            .with_mem(MemRef::word(VirtAddr::new(addr)));
+        AppEvent::Instr(instr_event_for(&i))
+    };
+    // Globals start allocated and defined; the heap starts unallocated.
+    let global = load(layout::GLOBALS_BASE + 0x40);
+    let heap = load(layout::HEAP_BASE + 0x40);
+    let run = |fade: &mut Fade, st: &mut MetadataState, events: &[AppEvent]| {
+        let b = fade.run_batch(events, st);
+        assert_eq!(b.events, events.len() as u64);
+        assert_eq!(b.fast_path + b.fallback, b.events);
+        (b.fast_path, b.fallback)
+    };
+
+    // Single shot: a cold M-TLB and MD cache cost a miss penalty, a
+    // repeat hits in both.
+    let (mut fade, mut st) = instance("addrcheck", FilterMode::NonBlocking);
+    assert_eq!(run(&mut fade, &mut st, &[global]), (0, 1));
+    assert_eq!(run(&mut fade, &mut st, &[global; 3]), (3, 0));
+    assert_eq!(fade.stats().filtered, 4);
+    assert_eq!(run(&mut fade, &mut st, &[heap]), (0, 1));
+    assert_eq!(run(&mut fade, &mut st, &[heap]), (1, 0));
+    assert_eq!(fade.stats().unfiltered_instr, 2);
+    let malloc = AppEvent::HighLevel(HighLevelEvent::Malloc {
+        base: VirtAddr::new(layout::HEAP_BASE + 0x1000),
+        len: 64,
+        ctx: 1,
+    });
+    assert_eq!(run(&mut fade, &mut st, &[malloc, global, global]), (2, 1));
+
+    // Multi-shot: every event pays a chained shot, warm or not.
+    let memcheck = MemCheck::new();
+    let program = memcheck.program_multi_shot();
+    let mut st = MetadataState::new(program.md_map());
+    memcheck.init_state(&mut st);
+    let mut fade = Fade::new(FadeConfig::paper(FilterMode::NonBlocking), program);
+    assert_eq!(run(&mut fade, &mut st, &[global; 4]), (0, 4));
+    assert_eq!(fade.stats().filtered, 4);
+    assert_eq!(fade.tlb_counts(), (3, 1), "warm after the first event");
+    assert_eq!(fade.md_cache_stats().hits, 3);
+}
+
 #[derive(Clone, Copy, Debug)]
 enum FsqOp {
     Push { addr: u64, value: u64, token: u64 },
@@ -480,9 +530,11 @@ proptest! {
         }
     }
 
-    /// The tag cache implements exact LRU per set.
+    /// The tag cache implements exact LRU per set. The pool holds 16
+    /// lines, 4 per set, so MRU re-hits, deeper hits and evictions are
+    /// all common.
     #[test]
-    fn tag_cache_matches_lru_reference(addrs in prop::collection::vec(0u64..(1u64 << 14), 1..400)) {
+    fn tag_cache_matches_lru_reference(addrs in prop::collection::vec(0u64..(1u64 << 10), 1..400)) {
         let cfg = TagCacheConfig {
             size_bytes: 8 * 64, // 4 sets x 2 ways
             ways: 2,
@@ -492,6 +544,7 @@ proptest! {
         let mut cache = TagCache::new(cfg);
         // Reference: per-set MRU-ordered list of lines.
         let mut reference: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
+        let (mut hits, mut misses) = (0u64, 0u64);
         for &a in &addrs {
             let line = a / 64;
             let set = (line % sets) as usize;
@@ -500,10 +553,52 @@ proptest! {
             prop_assert_eq!(hit, hit_ref, "addr {}", a);
             if let Some(pos) = reference[set].iter().position(|&l| l == line) {
                 reference[set].remove(pos);
-            } else if reference[set].len() == 2 {
-                reference[set].pop();
+                hits += 1;
+            } else {
+                if reference[set].len() == 2 {
+                    reference[set].pop();
+                }
+                misses += 1;
             }
             reference[set].insert(0, line);
+            prop_assert_eq!(cache.stats().hits, hits);
+            prop_assert_eq!(cache.stats().misses, misses);
+        }
+    }
+
+    /// The M-TLB implements exact LRU: the same hits, misses and
+    /// evictions as an MRU-ordered reference list. Six pages over four
+    /// entries make MRU re-hits, deeper hits and evictions all common.
+    #[test]
+    fn md_tlb_matches_lru_reference(pages in prop::collection::vec(0u32..6, 1..400)) {
+        const CAPACITY: usize = 4;
+        let mut tlb = MdTlb::new(CAPACITY);
+        let mut reference: Vec<u32> = Vec::new(); // MRU first
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let addr = |page: u32| VirtAddr::new(page * 4096 + 0x10);
+        for &p in &pages {
+            let hit_ref = reference.contains(&p);
+            prop_assert_eq!(tlb.access(addr(p)), hit_ref, "page {}", p);
+            let mut evicted = None;
+            if let Some(pos) = reference.iter().position(|&q| q == p) {
+                reference.remove(pos);
+                hits += 1;
+            } else {
+                if reference.len() == CAPACITY {
+                    evicted = reference.pop();
+                }
+                misses += 1;
+            }
+            reference.insert(0, p);
+            prop_assert_eq!((tlb.hits(), tlb.misses()), (hits, misses));
+            // Contents, probed on copies so the LRU order is untouched:
+            // every reference page is held and the evicted one is gone.
+            for &q in &reference {
+                prop_assert!(tlb.clone().access(addr(q)), "page {} should be held", q);
+            }
+            if let Some(q) = evicted {
+                prop_assert!(!tlb.clone().access(addr(q)), "page {} should be evicted", q);
+            }
         }
     }
 

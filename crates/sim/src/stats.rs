@@ -709,7 +709,7 @@ mod tests {
     }
 
     #[test]
-    fn stratified_degenerate_cases_mirror_pooled() {
+    fn ratio_degenerate_cases_mirror_pooled() {
         let mut e = RatioEstimator::new();
         assert!(e.is_empty());
         assert_eq!(e.cpi(), 0.0);

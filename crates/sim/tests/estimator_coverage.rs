@@ -207,7 +207,7 @@ fn pooled_interval_covers_at_nominal_rate() {
 }
 
 #[test]
-fn stratified_interval_covers_at_nominal_rate() {
+fn control_variate_interval_covers_at_nominal_rate() {
     // Noise partially explained by the covariate (β = 800 cycles per
     // unit): the control-variate fit tightens the interval, and the
     // tightened interval must still cover.
@@ -419,7 +419,7 @@ fn ci_weighs_windows_by_instruction_count() {
 }
 
 #[test]
-fn stratification_never_moves_the_point_estimate() {
+fn alternating_regimes_never_move_the_point_estimate() {
     // Identical windows from two alternating CPI regimes fed to the
     // pooled reference and the library estimator: the point
     // estimates agree exactly.
