@@ -12,6 +12,12 @@
 //! time (the sum of per-run wall clocks — what one worker would have
 //! paid), so the sharding win lands in the perf trajectory.
 //!
+//! Stdout carries only section banners, figures and tables, so at
+//! defaults it is the figure golden `tests/golden/figures.txt`. Every
+//! line with a wall-clock time or a host-dependent count (worker count,
+//! matrix timings, throughput rows) goes to stderr; those numbers are
+//! in `BENCH_pipeline.json` too.
+//!
 //! `--mode batched` (or `FADE_MODE=batched`) runs every experiment
 //! through the batched system engine: several times faster, bit-exact
 //! monitor results, sampled cycle estimates. `--mode cycle` (default)
@@ -150,7 +156,7 @@ fn system_json(replay_dir: Option<&Path>, prefixes: Vec<PointPrefix>) -> Vec<Str
         };
         let source = if replay_dir.is_some() { "replay" } else { "live" };
         let r = measure_system_throughput_records(&b, monitor, &cfg, records, instrs);
-        println!(
+        eprintln!(
             "  {bench_name}/{monitor} system ({source}): {:>6.2} Mev/s batched, {:>6.2} Mev/s cycle ({:.2}x, {:.0}% fast path, cycle est err {:.1}%)",
             r.batched_rate() / 1e6,
             r.cycle_rate() / 1e6,
@@ -215,7 +221,7 @@ fn service_json() -> Vec<String> {
     };
     let r = measure_service_throughput(&opts)
         .unwrap_or_else(|e| panic!("service load run failed: {e}"));
-    println!(
+    eprintln!(
         "  {} tenants on {} workers: {:>6.2} Mev/s aggregate, p50 {:.1} ms, max {:.1} ms latency ({} report lines, {:.2}s wall)",
         r.tenants,
         r.workers,
@@ -253,7 +259,7 @@ fn main() {
     if let Some(n) = args.workers {
         std::env::set_var("FADE_WORKERS", n.to_string());
     }
-    println!(
+    eprintln!(
         "execution mode: {:?}, {} workers (override with --mode batched|cycle, --workers N)",
         fade_bench::exec_mode(),
         fade_bench::default_workers(),
@@ -276,7 +282,7 @@ fn main() {
         println!("================================================================");
         println!("{}", f());
         for t in drain_timings() {
-            println!(
+            eprintln!(
                 "  [matrix {}: {} experiments on {} workers, {:.2}s sharded vs {:.2}s serial = {:.2}x]",
                 t.label,
                 t.experiments,
@@ -312,7 +318,7 @@ fn main() {
         .render();
     let path = "BENCH_pipeline.json";
     match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
+        Ok(()) => eprintln!("\nwrote {path}"),
         Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
 }
