@@ -18,10 +18,8 @@
 //! matrix timings, throughput rows) goes to stderr; those numbers are
 //! in `BENCH_pipeline.json` too.
 //!
-//! `--mode batched` (or `FADE_MODE=batched`) runs every experiment
-//! through the batched system engine: several times faster, bit-exact
-//! monitor results, sampled cycle estimates. `--mode cycle` (default)
-//! is the cycle-accurate reference.
+//! Every figure and table runs the exact cycle engine; the batched
+//! engine appears only in the system and service throughput rows.
 //!
 //! `--record-dir DIR` freezes each throughput point's trace prefix to
 //! `DIR/<bench>-<monitor>.fadet`; `--replay-dir DIR` drives the system
@@ -46,7 +44,6 @@ const PIPELINE_EVENTS: u64 = 200_000;
 
 #[derive(Debug, Default)]
 struct Args {
-    mode: Option<&'static str>,
     workers: Option<usize>,
     record_dir: Option<PathBuf>,
     replay_dir: Option<PathBuf>,
@@ -55,15 +52,12 @@ struct Args {
 /// Parses the arguments after the program name, rejecting unknown
 /// flags, missing values and flags given as values.
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    const FLAGS: [&str; 4] = ["--mode", "--workers", "--record-dir", "--replay-dir"];
+    const FLAGS: [&str; 3] = ["--workers", "--record-dir", "--replay-dir"];
     let mut out = Args::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let value = it.next().filter(|v| !v.starts_with("--"));
         match (flag.as_str(), value.map(String::as_str)) {
-            ("--mode", Some("batched")) => out.mode = Some("batched"),
-            ("--mode", Some("cycle")) => out.mode = Some("cycle"),
-            ("--mode", Some(m)) => return Err(format!("--mode expects batched|cycle, got {m:?}")),
             ("--workers", Some(n)) => match n.parse::<usize>() {
                 Ok(n) if n > 0 => out.workers = Some(n),
                 _ => return Err("--workers expects a positive integer".into()),
@@ -251,18 +245,14 @@ fn main() {
         eprintln!("reproduce_all: {e}");
         std::process::exit(2);
     });
-    // The env vars are how the experiment declarations (and any figure
-    // binary run standalone) pick up the mode and worker count.
-    if let Some(m) = args.mode {
-        std::env::set_var("FADE_MODE", m);
-    }
+    // The env var is how the experiment declarations (and any figure
+    // binary run standalone) pick up the worker count.
     if let Some(n) = args.workers {
         std::env::set_var("FADE_WORKERS", n.to_string());
     }
     eprintln!(
-        "execution mode: {:?}, {} workers (override with --mode batched|cycle, --workers N)",
-        fade_bench::exec_mode(),
-        fade_bench::default_workers(),
+        "{} workers (override with --workers N)",
+        fade_bench::default_workers()
     );
     let sections: [Section; 8] = [
         ("Figure 2", ex::fig2),
@@ -334,8 +324,8 @@ mod tests {
 
     #[test]
     fn full_command_line_parses() {
-        let a = parse("--mode batched --workers 4 --record-dir r --replay-dir p").unwrap();
-        assert_eq!((a.mode, a.workers), (Some("batched"), Some(4)));
+        let a = parse("--workers 4 --record-dir r --replay-dir p").unwrap();
+        assert_eq!(a.workers, Some(4));
         assert_eq!((a.record_dir, a.replay_dir), (Some("r".into()), Some("p".into())));
     }
 
@@ -345,9 +335,9 @@ mod tests {
             ("--mdoe batched", "--mdoe"),
             ("--help", "unknown argument"),
             ("--record-dir --replay-dir d", "--record-dir"),
-            ("--mode batched --replay-dir", "--replay-dir"),
+            ("--workers 2 --replay-dir", "--replay-dir"),
             ("--workers", "--workers"),
-            ("--mode fast", "fast"),
+            ("--mode batched", "unknown argument \"--mode\""),
             ("--workers 0", "--workers"),
         ] {
             let e = parse(line).unwrap_err();

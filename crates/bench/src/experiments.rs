@@ -31,7 +31,7 @@ pub fn suite_for(monitor: &str) -> Vec<BenchProfile> {
     }
 }
 
-/// One grid point with the harness-default window and engine.
+/// One grid point with the harness-default window.
 fn point(b: &BenchProfile, monitor: &str, cfg: &SystemConfig) -> Experiment {
     Experiment::new(b.clone(), monitor, *cfg)
 }

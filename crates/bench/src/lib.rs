@@ -50,8 +50,8 @@ pub fn warmup_len() -> u64 {
 /// # Panics
 ///
 /// Panics when the variable is set but does not parse (`what` names
-/// the expected value in the message) — like [`exec_mode`], silently
-/// running the default on a typo would be worse.
+/// the expected value in the message): silently running the default on
+/// a typo would be worse.
 pub(crate) fn env_setting<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
     match std::env::var(name) {
         Err(std::env::VarError::NotPresent) => None,
@@ -61,26 +61,6 @@ pub(crate) fn env_setting<T: std::str::FromStr>(name: &str, what: &str) -> Optio
             Err(_) => panic!("{name} must be {what}, got {v:?}"),
         },
         Err(e) => panic!("{name} must be {what}: {e}"),
-    }
-}
-
-/// Execution engine for the experiment binaries, honouring `FADE_MODE`
-/// (`cycle` — the default — or `batched`; `reproduce_all --mode ...`
-/// sets the variable for every experiment it runs). Batched runs are
-/// several times faster with bit-exact monitor results; cycle counts
-/// become sampled estimates (see the README's batched-system-mode
-/// section).
-///
-/// # Panics
-///
-/// Panics on an unrecognized `FADE_MODE` value — silently falling back
-/// to the (much slower, exactly-timed) cycle engine on a typo would be
-/// worse.
-pub fn exec_mode() -> fade_system::Engine {
-    match std::env::var("FADE_MODE").as_deref() {
-        Ok("batched") => fade_system::Engine::batched(),
-        Ok("cycle") | Ok("") | Err(_) => fade_system::Engine::Cycle,
-        Ok(other) => panic!("FADE_MODE must be 'batched' or 'cycle', got {other:?}"),
     }
 }
 

@@ -1,6 +1,7 @@
 //! The declarative experiment driver: an experiment is *data*
-//! (monitor × benchmark × config × engine), and a matrix of them is
-//! executed sharded across worker threads.
+//! (monitor × benchmark × config), and a matrix of them is executed
+//! sharded across worker threads. Every experiment runs the exact
+//! cycle engine ([`Engine::Cycle`]): the figures are its numbers.
 //!
 //! The paper's evaluation is an embarrassingly parallel grid — every
 //! (monitor, benchmark, configuration) point is an independent,
@@ -48,7 +49,7 @@ use fade::FadeProgram;
 use fade_system::{Engine, MonitorRegistry, RunReport, Session, SessionRunError, SystemConfig};
 use fade_trace::BenchProfile;
 
-use crate::{env_setting, exec_mode, measure_len, warmup_len};
+use crate::{env_setting, measure_len, warmup_len};
 
 /// One point of an experiment grid, as plain data.
 #[derive(Clone, Debug)]
@@ -61,8 +62,6 @@ pub struct Experiment {
     pub monitor: String,
     /// The hardware configuration.
     pub config: SystemConfig,
-    /// The execution engine.
-    pub engine: Engine,
     /// Warmup instructions before the measured window.
     pub warmup: u64,
     /// Measured instructions.
@@ -73,7 +72,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// An experiment with the harness defaults: warmup/measure from
-    /// `FADE_WARMUP`/`FADE_MEASURE`, engine from `FADE_MODE`.
+    /// `FADE_WARMUP`/`FADE_MEASURE`.
     pub fn new(bench: BenchProfile, monitor: impl Into<String>, config: SystemConfig) -> Self {
         let monitor = monitor.into();
         Experiment {
@@ -81,7 +80,6 @@ impl Experiment {
             bench,
             monitor,
             config,
-            engine: exec_mode(),
             warmup: warmup_len(),
             measure: measure_len(),
             program: None,
@@ -92,12 +90,6 @@ impl Experiment {
     pub fn window(mut self, warmup: u64, measure: u64) -> Self {
         self.warmup = warmup;
         self.measure = measure;
-        self
-    }
-
-    /// Replaces the execution engine.
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -120,7 +112,7 @@ impl Experiment {
             .registry(Arc::clone(registry))
             .monitor(self.monitor.as_str())
             .source(self.bench.clone())
-            .engine(self.engine)
+            .engine(Engine::Cycle)
             .config(self.config);
         if let Some(p) = &self.program {
             builder = builder.program(p.clone());
@@ -475,7 +467,6 @@ mod tests {
             monitor,
             SystemConfig::fade_single_core(),
         )
-        .engine(Engine::Cycle)
         .window(1_000, 4_000)
     }
 

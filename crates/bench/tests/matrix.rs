@@ -10,7 +10,7 @@
 //!    counts always produces the same result as running it alone.
 
 use fade_bench::{Experiment, ExperimentMatrix};
-use fade_system::{Engine, RunStats, SystemConfig};
+use fade_system::{RunStats, SystemConfig};
 use fade_trace::bench;
 use proptest::prelude::*;
 
@@ -20,32 +20,28 @@ const MEAS: u64 = 4_000;
 
 fn grid(seed: u64) -> Vec<Experiment> {
     let points = [
-        ("mcf", "AddrCheck", Engine::Cycle),
-        ("gcc", "MemLeak", Engine::Cycle),
-        ("hmmer", "MemCheck", Engine::batched()),
-        ("water", "AtomCheck", Engine::Cycle),
-        ("astar-taint", "TaintCheck", Engine::batched()),
-        ("gcc", "MemLeak", Engine::batched()),
+        ("mcf", "AddrCheck"),
+        ("gcc", "MemLeak"),
+        ("hmmer", "MemCheck"),
+        ("water", "AtomCheck"),
+        ("astar-taint", "TaintCheck"),
+        ("gcc", "MemLeak"),
     ];
     points
         .iter()
-        .map(|(b, m, engine)| {
+        .map(|(b, m)| {
             Experiment::new(
                 bench::by_name(b).unwrap(),
                 *m,
-                SystemConfig::fade_single_core()
-                    .with_seed(seed)
-                    .with_sample_period(1024)
-                    .with_sample_window(256),
+                SystemConfig::fade_single_core().with_seed(seed),
             )
-            .engine(*engine)
             .window(WARM, MEAS)
         })
         .collect()
 }
 
-/// The deterministic face of a run (cycle counts included: same engine,
-/// same seed, same schedule ⇒ same cycles, sharded or not).
+/// The deterministic face of a run (cycle counts included: same seed ⇒
+/// same cycles, sharded or not).
 fn fingerprint(s: &RunStats) -> (String, String, u64, u64, u64, u64, u64, Option<[u64; 7]>) {
     (
         s.benchmark.clone(),
@@ -93,7 +89,6 @@ fn seeds_do_not_alias_across_shards() {
             "MemLeak",
             SystemConfig::fade_single_core().with_seed(0xabcd),
         )
-        .engine(Engine::Cycle)
         .window(WARM, MEAS)
     };
     let mut solo_matrix = ExperimentMatrix::new().workers(1);
@@ -128,7 +123,6 @@ fn distinct_seeds_produce_distinct_runs() {
             "MemLeak",
             SystemConfig::fade_single_core().with_seed(seed),
         )
-        .engine(Engine::Cycle)
         .window(WARM, MEAS)
     };
     let mut m = ExperimentMatrix::new().workers(2);

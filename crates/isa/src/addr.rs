@@ -78,12 +78,6 @@ impl VirtAddr {
     pub const fn wrapping_sub(self, delta: u32) -> Self {
         VirtAddr(self.0.wrapping_sub(delta))
     }
-
-    /// Returns `true` if the address is null.
-    #[inline]
-    pub const fn is_null(self) -> bool {
-        self.0 == 0
-    }
 }
 
 impl fmt::Debug for VirtAddr {
@@ -177,12 +171,6 @@ mod tests {
     fn wrapping_add_wraps() {
         assert_eq!(VirtAddr::new(u32::MAX).wrapping_add(1), VirtAddr::NULL);
         assert_eq!(VirtAddr::new(0).wrapping_sub(4).raw(), u32::MAX - 3);
-    }
-
-    #[test]
-    fn null_is_null() {
-        assert!(VirtAddr::NULL.is_null());
-        assert!(!VirtAddr::new(1).is_null());
     }
 
     #[test]

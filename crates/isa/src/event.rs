@@ -119,22 +119,6 @@ impl InstrEvent {
             | ((self.src2.index() as u128) << 77)
             | ((self.dest.index() as u128) << 82)
     }
-
-    /// Unpacks a Figure 6(a) word produced by [`InstrEvent::pack`].
-    /// Side-band fields come back zeroed.
-    pub fn unpack(word: u128) -> Self {
-        InstrEvent {
-            id: EventId::new((word & 0x7f) as u8),
-            app_addr: VirtAddr::new((word >> 8) as u32),
-            app_pc: VirtAddr::new((word >> 40) as u32),
-            src1: Reg::new(((word >> 72) & 0x1f) as u8),
-            src2: Reg::new(((word >> 77) & 0x1f) as u8),
-            dest: Reg::new(((word >> 82) & 0x1f) as u8),
-            mem_size: 0,
-            tid: 0,
-            result_ptr: false,
-        }
-    }
 }
 
 /// Whether a stack update allocates (call) or deallocates (return) a frame.
@@ -224,35 +208,6 @@ pub enum AppEvent {
     HighLevel(HighLevelEvent),
 }
 
-impl AppEvent {
-    /// Returns the contained instruction event, if this is one.
-    #[inline]
-    pub fn as_instr(&self) -> Option<&InstrEvent> {
-        match self {
-            AppEvent::Instr(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` for instruction events.
-    #[inline]
-    pub const fn is_instr(&self) -> bool {
-        matches!(self, AppEvent::Instr(_))
-    }
-
-    /// Returns `true` for stack-update events.
-    #[inline]
-    pub const fn is_stack_update(&self) -> bool {
-        matches!(self, AppEvent::StackUpdate(_))
-    }
-
-    /// Returns `true` for high-level events.
-    #[inline]
-    pub const fn is_high_level(&self) -> bool {
-        matches!(self, AppEvent::HighLevel(_))
-    }
-}
-
 impl From<InstrEvent> for AppEvent {
     fn from(e: InstrEvent) -> Self {
         AppEvent::Instr(e)
@@ -286,6 +241,22 @@ mod tests {
         let _ = EventId::new(128);
     }
 
+    /// Unpacks a Figure 6(a) word produced by [`InstrEvent::pack`] — the
+    /// round-trip oracle for `pack`. Side-band fields come back zeroed.
+    fn unpack(word: u128) -> InstrEvent {
+        InstrEvent {
+            id: EventId::new((word & 0x7f) as u8),
+            app_addr: VirtAddr::new((word >> 8) as u32),
+            app_pc: VirtAddr::new((word >> 40) as u32),
+            src1: Reg::new(((word >> 72) & 0x1f) as u8),
+            src2: Reg::new(((word >> 77) & 0x1f) as u8),
+            dest: Reg::new(((word >> 82) & 0x1f) as u8),
+            mem_size: 0,
+            tid: 0,
+            result_ptr: false,
+        }
+    }
+
     #[test]
     fn pack_unpack_round_trips_architectural_fields() {
         let mut e = InstrEvent::new(EventId::new(5), VirtAddr::new(0xdead_beec));
@@ -293,7 +264,7 @@ mod tests {
         e.src1 = Reg::new(31);
         e.src2 = Reg::new(1);
         e.dest = Reg::new(17);
-        let back = InstrEvent::unpack(e.pack());
+        let back = unpack(e.pack());
         assert_eq!(back.id, e.id);
         assert_eq!(back.app_addr, e.app_addr);
         assert_eq!(back.app_pc, e.app_pc);
@@ -321,27 +292,5 @@ mod tests {
             tid: 0,
         };
         assert_eq!(e.end(), VirtAddr::new(0x1060));
-    }
-
-    #[test]
-    fn app_event_predicates() {
-        let i: AppEvent = InstrEvent::new(EventId::new(1), VirtAddr::new(4)).into();
-        assert!(i.is_instr());
-        assert!(i.as_instr().is_some());
-        let s: AppEvent = StackUpdateEvent {
-            base: VirtAddr::NULL,
-            len: 0,
-            kind: StackUpdateKind::Return,
-            tid: 0,
-        }
-        .into();
-        assert!(s.is_stack_update());
-        assert!(s.as_instr().is_none());
-        let h: AppEvent = HighLevelEvent::Free {
-            base: VirtAddr::NULL,
-            len: 16,
-        }
-        .into();
-        assert!(h.is_high_level());
     }
 }

@@ -57,16 +57,6 @@ impl InstrClass {
     pub const fn is_memory(self) -> bool {
         matches!(self, InstrClass::Load | InstrClass::Store)
     }
-
-    /// Returns `true` for classes that write an integer destination
-    /// register and therefore may propagate metadata.
-    #[inline]
-    pub const fn writes_int_dest(self) -> bool {
-        matches!(
-            self,
-            InstrClass::Load | InstrClass::IntAlu | InstrClass::IntMove | InstrClass::IntMul
-        )
-    }
 }
 
 impl fmt::Display for InstrClass {
@@ -226,9 +216,6 @@ mod tests {
         assert!(InstrClass::Load.is_memory());
         assert!(InstrClass::Store.is_memory());
         assert!(!InstrClass::IntAlu.is_memory());
-        assert!(InstrClass::Load.writes_int_dest());
-        assert!(!InstrClass::Store.writes_int_dest());
-        assert!(!InstrClass::FpAlu.writes_int_dest());
     }
 
     #[test]

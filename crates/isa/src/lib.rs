@@ -40,5 +40,5 @@ pub use event::{
     EVENT_TABLE_ENTRIES,
 };
 pub use instr::{AppInstr, InstrClass, MemRef};
-pub use opclass::{event_id_for, event_ids, instr_event_for, is_propagation_class};
+pub use opclass::{event_id_for, event_ids, instr_event_for};
 pub use reg::{Reg, NUM_REGS};

@@ -72,20 +72,6 @@ pub fn event_id_for(instr: &AppInstr) -> EventId {
     }
 }
 
-/// Returns `true` for instruction classes that propagation-tracking
-/// monitors (MemLeak, TaintCheck, MemCheck) may need to observe because
-/// they move metadata from sources to a destination.
-pub fn is_propagation_class(class: InstrClass) -> bool {
-    matches!(
-        class,
-        InstrClass::Load
-            | InstrClass::Store
-            | InstrClass::IntAlu
-            | InstrClass::IntMove
-            | InstrClass::IntMul
-    )
-}
-
 /// Builds the Figure 6(a) instruction event for a retired instruction.
 ///
 /// Register fields that the instruction does not use are encoded as the
@@ -144,13 +130,5 @@ mod tests {
         assert_eq!(e.src1, Reg::ZERO);
         assert_eq!(e.mem_size, 4);
         assert_eq!(e.tid, 3);
-    }
-
-    #[test]
-    fn propagation_classes() {
-        assert!(is_propagation_class(InstrClass::Load));
-        assert!(is_propagation_class(InstrClass::IntAlu));
-        assert!(!is_propagation_class(InstrClass::FpAlu));
-        assert!(!is_propagation_class(InstrClass::Branch));
     }
 }

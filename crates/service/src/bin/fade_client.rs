@@ -37,8 +37,7 @@ fn usage() -> ExitCode {
          \x20 --monitor NAME            monitor to run (default: AddrCheck)\n\
          \x20 --engine cycle|batched|unaccelerated   (default: batched)\n\
          \x20 --recover                 skip corrupt chunks, report degradation\n\
-         \x20 --shadow-page-budget N  --shadow-mem-cap N  --sample-period N\n\
-         \x20 --sample-window N  --seed N\n\
+         \x20 --shadow-page-budget N  --shadow-mem-cap N  --seed N\n\
          \n\
          loadtest options:\n\
          \x20 --tenants N               concurrent tenants (default: 8)\n\
@@ -61,8 +60,6 @@ struct Args {
     tenants: usize,
     shadow_page_budget: Option<u64>,
     shadow_mem_cap: Option<u64>,
-    sample_period: Option<u64>,
-    sample_window: Option<u64>,
     seed: Option<u64>,
 }
 
@@ -81,8 +78,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         tenants: 8,
         shadow_page_budget: None,
         shadow_mem_cap: None,
-        sample_period: None,
-        sample_window: None,
         seed: None,
     };
     let mut args = std::env::args().skip(1);
@@ -122,12 +117,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             }
             "--shadow-mem-cap" => {
                 a.shadow_mem_cap = Some(num("--shadow-mem-cap", value("--shadow-mem-cap")?)?)
-            }
-            "--sample-period" => {
-                a.sample_period = Some(num("--sample-period", value("--sample-period")?)?)
-            }
-            "--sample-window" => {
-                a.sample_window = Some(num("--sample-window", value("--sample-window")?)?)
             }
             "--seed" => a.seed = Some(num("--seed", value("--seed")?)?),
             "--help" | "-h" => return Err(usage()),
@@ -216,8 +205,6 @@ fn main() -> ExitCode {
         recover: a.recover,
         shadow_page_budget: a.shadow_page_budget,
         shadow_mem_cap: a.shadow_mem_cap,
-        sample_period: a.sample_period,
-        sample_window: a.sample_window,
         seed: a.seed,
         ..Hello::new(a.tenant.clone(), a.monitor.clone())
     };

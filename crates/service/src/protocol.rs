@@ -21,7 +21,7 @@ use fade_system::{Accel, Engine, SystemConfig};
 /// Protocol version carried in the first byte of every HELLO payload.
 /// A server refuses versions it does not speak with a typed error
 /// reply (never by guessing).
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard ceiling on one frame's payload (64 MiB). Anything larger is a
 /// protocol error: frames are buffered whole, so the bound is what
@@ -50,9 +50,6 @@ pub const FRAME_ERROR: u8 = 0x13;
 
 /// Sentinel meaning "knob not set" in HELLO's u64 fields.
 const U64_UNSET: u64 = u64::MAX;
-/// What encoders write into HELLO's reserved u32 word (decoders read
-/// and ignore it, whatever it holds).
-const RESERVED_WORD: u32 = u32::MAX;
 
 /// Why a frame or HELLO payload failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -132,9 +129,8 @@ impl EngineSel {
         }
     }
 
-    /// The [`Engine`] this selector names. Batched periods/windows are
-    /// carried as config knobs, not engine overrides, so the selector
-    /// stays one byte.
+    /// The [`Engine`] this selector names. A batched tenant always
+    /// gets the default sampling schedule.
     pub fn engine(self) -> Engine {
         match self {
             EngineSel::Cycle | EngineSel::Unaccelerated => Engine::Cycle,
@@ -177,10 +173,6 @@ pub struct Hello {
     /// Per-tenant shadow byte cap
     /// ([`SystemConfig::with_shadow_mem_cap`]).
     pub shadow_mem_cap: Option<u64>,
-    /// Batched sampling period ([`SystemConfig::with_sample_period`]).
-    pub sample_period: Option<u64>,
-    /// Batched sampling window ([`SystemConfig::with_sample_window`]).
-    pub sample_window: Option<u64>,
     /// Simulation seed ([`SystemConfig::with_seed`]).
     pub seed: Option<u64>,
 }
@@ -208,12 +200,6 @@ impl Hello {
         if let Some(bytes) = self.shadow_mem_cap {
             cfg = cfg.with_shadow_mem_cap(bytes as usize);
         }
-        if let Some(p) = self.sample_period {
-            cfg = cfg.with_sample_period(p);
-        }
-        if let Some(w) = self.sample_window {
-            cfg = cfg.with_sample_window(w);
-        }
         if let Some(s) = self.seed {
             cfg = cfg.with_seed(s);
         }
@@ -223,7 +209,7 @@ impl Hello {
     /// Encodes the HELLO payload (see `docs/PROTOCOL.md` for the
     /// layout).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.tenant.len() + self.monitor.len());
+        let mut out = Vec::with_capacity(32 + self.tenant.len() + self.monitor.len());
         out.push(PROTOCOL_VERSION);
         out.push(u8::from(self.recover));
         out.push(self.engine.to_byte());
@@ -232,9 +218,6 @@ impl Hello {
         put_str(&mut out, &self.monitor);
         put_u64(&mut out, self.shadow_page_budget.unwrap_or(U64_UNSET));
         put_u64(&mut out, self.shadow_mem_cap.unwrap_or(U64_UNSET));
-        put_u64(&mut out, self.sample_period.unwrap_or(U64_UNSET));
-        put_u64(&mut out, self.sample_window.unwrap_or(U64_UNSET));
-        out.extend_from_slice(&RESERVED_WORD.to_le_bytes());
         put_u64(&mut out, self.seed.unwrap_or(U64_UNSET));
         out
     }
@@ -253,9 +236,6 @@ impl Hello {
         let monitor = p.str("HELLO monitor name")?;
         let shadow_page_budget = opt64(p.u64("HELLO shadow page budget")?);
         let shadow_mem_cap = opt64(p.u64("HELLO shadow mem cap")?);
-        let sample_period = opt64(p.u64("HELLO sample period")?);
-        let sample_window = opt64(p.u64("HELLO sample window")?);
-        let _reserved = p.u32("HELLO reserved word")?;
         let seed = opt64(p.u64("HELLO seed")?);
         Ok(Hello {
             tenant,
@@ -264,8 +244,6 @@ impl Hello {
             recover,
             shadow_page_budget,
             shadow_mem_cap,
-            sample_period,
-            sample_window,
             seed,
         })
     }
@@ -430,37 +408,11 @@ mod tests {
             recover: true,
             shadow_page_budget: Some(64),
             shadow_mem_cap: Some(1 << 20),
-            sample_period: Some(8192),
-            sample_window: Some(2048),
             seed: Some(0x5eed),
         };
         assert_eq!(Hello::decode(&hello.encode()).unwrap(), hello);
         let bare = Hello::new("t", "AddrCheck");
         assert_eq!(Hello::decode(&bare.encode()).unwrap(), bare);
-    }
-
-    #[test]
-    fn hello_ignores_the_reserved_word() {
-        // Version-1 clients may put any value in the reserved word
-        // before the seed (older ones sent a lane width there); it must
-        // decode exactly like the value encoders write.
-        let hello = Hello {
-            seed: Some(9),
-            ..Hello::new("t", "AddrCheck")
-        };
-        let bytes = hello.encode();
-        let at = bytes.len() - 8 - 4;
-        assert_eq!(bytes[at..at + 4], RESERVED_WORD.to_le_bytes());
-        let mut old = bytes.clone();
-        old[at..at + 4].copy_from_slice(&16u32.to_le_bytes());
-        let decoded = Hello::decode(&old).unwrap();
-        assert_eq!(decoded, Hello::decode(&bytes).unwrap());
-        // SystemConfig has no PartialEq; its Debug form covers every knob.
-        let base = SystemConfig::fade_single_core();
-        assert_eq!(
-            format!("{:?}", decoded.config(base)),
-            format!("{:?}", hello.config(base))
-        );
     }
 
     #[test]
@@ -470,6 +422,13 @@ mod tests {
         assert_eq!(
             Hello::decode(&bytes).unwrap_err(),
             ProtocolError::UnsupportedVersion(9)
+        );
+        // A version-1 client (whose HELLO carried sampling knobs) gets
+        // the typed refusal, not a misparsed payload.
+        bytes[0] = 1;
+        assert_eq!(
+            Hello::decode(&bytes).unwrap_err(),
+            ProtocolError::UnsupportedVersion(1)
         );
         let bytes = Hello::new("t", "AddrCheck").encode();
         assert!(matches!(

@@ -101,15 +101,6 @@ impl MetadataMap {
         let last = (app.raw() as u64 + size as u64 - 1) >> self.gran_shift;
         (last - first + 1) as u8
     }
-
-    /// The metadata page (frame-granularity) an application page maps to;
-    /// this is exactly the translation the M-TLB caches.
-    #[inline]
-    pub fn md_page_of_app_page(&self, app_page: u32) -> u64 {
-        let app_base = (app_page as u64) << PAGE_SHIFT;
-        (self.base + (app_base >> self.gran_shift) * self.unit_bytes as u64)
-            >> crate::memory::SHADOW_PAGE_SHIFT
-    }
 }
 
 impl Default for MetadataMap {
@@ -151,15 +142,6 @@ mod tests {
         assert_eq!(m.units_for_access(VirtAddr::new(0x1000), 8), 2);
         assert_eq!(m.units_for_access(VirtAddr::new(0x1000), 1), 1);
         assert_eq!(m.units_for_access(VirtAddr::new(0x1000), 0), 0);
-    }
-
-    #[test]
-    fn md_page_translation_is_page_granular() {
-        let m = MetadataMap::per_word();
-        // Four consecutive app pages share one metadata page (4:1).
-        let p0 = m.md_page_of_app_page(0);
-        assert_eq!(m.md_page_of_app_page(3), p0);
-        assert_eq!(m.md_page_of_app_page(4), p0 + 1);
     }
 
     #[test]

@@ -507,11 +507,6 @@ impl ShadowMemory {
         }
     }
 
-    /// Number of materialized pages (diagnostics / footprint accounting).
-    pub fn resident_pages(&self) -> usize {
-        self.len
-    }
-
     /// Pages currently resident as full frames (the quantity a page
     /// budget bounds).
     pub fn resident_full_pages(&self) -> usize {
@@ -638,7 +633,7 @@ mod tests {
         assert_eq!(m.read_u8(0), 0);
         assert_eq!(m.read_u8(u64::MAX), 0);
         assert_eq!(m.read_bytes(0x4000, 8), 0);
-        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.len, 0);
     }
 
     #[test]
@@ -647,7 +642,7 @@ mod tests {
         m.write_u8(0x1234, 0xab);
         assert_eq!(m.read_u8(0x1234), 0xab);
         assert_eq!(m.read_u8(0x1235), 0);
-        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.len, 1);
     }
 
     #[test]
@@ -665,7 +660,7 @@ mod tests {
         let addr = (SHADOW_PAGE_SIZE - 2) as u64;
         m.write_bytes(addr, 4, 0xdead_beef);
         assert_eq!(m.read_bytes(addr, 4), 0xdead_beef);
-        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.len, 2);
     }
 
     #[test]
@@ -684,14 +679,14 @@ mod tests {
     fn fill_zero_length_is_noop() {
         let mut m = ShadowMemory::new();
         m.fill(0x100, 0, 0xff);
-        assert_eq!(m.resident_pages(), 0);
+        assert_eq!(m.len, 0);
     }
 
     #[test]
     fn whole_page_fill_stays_compact_and_reads_back() {
         let mut m = ShadowMemory::new();
         m.fill(SHADOW_PAGE_SIZE as u64, (3 * SHADOW_PAGE_SIZE) as u64, 0x7e);
-        assert_eq!(m.resident_pages(), 3);
+        assert_eq!(m.len, 3);
         assert_eq!(m.resident_full_pages(), 0, "uniform fills cost no frames");
         assert_eq!(m.read_u8(SHADOW_PAGE_SIZE as u64), 0x7e);
         assert_eq!(m.read_bytes(2 * SHADOW_PAGE_SIZE as u64 + 100, 8), u64::from_le_bytes([0x7e; 8]));
@@ -723,7 +718,7 @@ mod tests {
             let addr = i * (SHADOW_PAGE_SIZE as u64) * 3 + 7;
             m.write_u8(addr, (i % 251) as u8 + 1);
         }
-        assert_eq!(m.resident_pages(), 500);
+        assert_eq!(m.len, 500);
         for i in 0..500u64 {
             let addr = i * (SHADOW_PAGE_SIZE as u64) * 3 + 7;
             assert_eq!(m.read_u8(addr), (i % 251) as u8 + 1, "page {i}");

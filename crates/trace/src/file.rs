@@ -564,11 +564,6 @@ impl<R: Read> TraceReader<R> {
         &self.meta
     }
 
-    /// The schema version from the file header.
-    pub fn format_version(&self) -> u16 {
-        self.version
-    }
-
     /// Trailer frame length for this file's schema version.
     fn trailer_len(&self) -> usize {
         if self.version >= 2 {
@@ -1519,7 +1514,7 @@ mod tests {
         let v1 = downgrade_to_v1(&bytes);
         assert!(v1.len() < bytes.len(), "v1 drops the index frame");
         let mut r = TraceReader::new(&v1[..]).unwrap();
-        assert_eq!(r.format_version(), 1);
+        assert_eq!(r.version, 1);
         assert_eq!(r.read_all().unwrap(), records);
         // Recover mode too: the short trailer must be consumed whole.
         let (_, back, report) = decode_trace_recovering(&v1).unwrap();
