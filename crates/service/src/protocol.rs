@@ -103,8 +103,8 @@ pub enum EngineSel {
     /// Cycle-accurate simulation ([`Engine::Cycle`]).
     Cycle,
     /// Batched execution with sampled timing ([`Engine::Batched`]) —
-    /// the serving default: several times faster, bit-exact
-    /// monitor-visible results.
+    /// the serving default: faster than the cycle engine, with
+    /// bit-exact monitor-visible results.
     #[default]
     Batched,
     /// No accelerator: [`Engine::Cycle`] on a config without FADE.
