@@ -37,7 +37,7 @@ fn usage() -> ExitCode {
          \x20 --monitor NAME            monitor to run (default: AddrCheck)\n\
          \x20 --engine cycle|batched|unaccelerated   (default: batched)\n\
          \x20 --recover                 skip corrupt chunks, report degradation\n\
-         \x20 --shadow-page-budget N  --shadow-mem-cap N  --seed N\n\
+         \x20 --shadow-mem-cap N  --seed N\n\
          \n\
          loadtest options:\n\
          \x20 --tenants N               concurrent tenants (default: 8)\n\
@@ -58,7 +58,6 @@ struct Args {
     shutdown: bool,
     loadtest: bool,
     tenants: usize,
-    shadow_page_budget: Option<u64>,
     shadow_mem_cap: Option<u64>,
     seed: Option<u64>,
 }
@@ -76,7 +75,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         shutdown: false,
         loadtest: false,
         tenants: 8,
-        shadow_page_budget: None,
         shadow_mem_cap: None,
         seed: None,
     };
@@ -112,9 +110,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--shutdown" => a.shutdown = true,
             "--loadtest" => a.loadtest = true,
             "--tenants" => a.tenants = num("--tenants", value("--tenants")?)?,
-            "--shadow-page-budget" => {
-                a.shadow_page_budget = Some(num("--shadow-page-budget", value("--shadow-page-budget")?)?)
-            }
             "--shadow-mem-cap" => {
                 a.shadow_mem_cap = Some(num("--shadow-mem-cap", value("--shadow-mem-cap")?)?)
             }
@@ -203,7 +198,6 @@ fn main() -> ExitCode {
     let hello = Hello {
         engine: a.engine,
         recover: a.recover,
-        shadow_page_budget: a.shadow_page_budget,
         shadow_mem_cap: a.shadow_mem_cap,
         seed: a.seed,
         ..Hello::new(a.tenant.clone(), a.monitor.clone())

@@ -21,7 +21,7 @@ use fade_system::{Accel, Engine, SystemConfig};
 /// Protocol version carried in the first byte of every HELLO payload.
 /// A server refuses versions it does not speak with a typed error
 /// reply (never by guessing).
-pub const PROTOCOL_VERSION: u8 = 2;
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Hard ceiling on one frame's payload (64 MiB). Anything larger is a
 /// protocol error: frames are buffered whole, so the bound is what
@@ -58,8 +58,6 @@ pub enum ProtocolError {
     Truncated(&'static str),
     /// HELLO carried a protocol version this build does not speak.
     UnsupportedVersion(u8),
-    /// A frame kind outside the specification.
-    UnknownFrame(u8),
     /// A frame arrived out of order (e.g. TRACE before HELLO).
     UnexpectedFrame {
         /// The frame kind that arrived.
@@ -82,7 +80,6 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::UnsupportedVersion(v) => {
                 write!(f, "unsupported protocol version {v} (this build speaks {PROTOCOL_VERSION})")
             }
-            ProtocolError::UnknownFrame(k) => write!(f, "unknown frame kind {k:#04x}"),
             ProtocolError::UnexpectedFrame { got, expected } => {
                 write!(f, "unexpected frame {got:#04x} (expected {expected})")
             }
@@ -167,9 +164,6 @@ pub struct Hello {
     /// chunks are skipped and accounted in a `DegradationReport`
     /// instead of failing the session.
     pub recover: bool,
-    /// Per-tenant shadow page budget
-    /// ([`SystemConfig::with_shadow_page_budget`]).
-    pub shadow_page_budget: Option<u64>,
     /// Per-tenant shadow byte cap
     /// ([`SystemConfig::with_shadow_mem_cap`]).
     pub shadow_mem_cap: Option<u64>,
@@ -194,9 +188,6 @@ impl Hello {
         if self.engine == EngineSel::Unaccelerated {
             cfg.accel = Accel::None;
         }
-        if let Some(pages) = self.shadow_page_budget {
-            cfg = cfg.with_shadow_page_budget(pages as usize);
-        }
         if let Some(bytes) = self.shadow_mem_cap {
             cfg = cfg.with_shadow_mem_cap(bytes as usize);
         }
@@ -216,7 +207,6 @@ impl Hello {
         out.push(0); // reserved
         put_str(&mut out, &self.tenant);
         put_str(&mut out, &self.monitor);
-        put_u64(&mut out, self.shadow_page_budget.unwrap_or(U64_UNSET));
         put_u64(&mut out, self.shadow_mem_cap.unwrap_or(U64_UNSET));
         put_u64(&mut out, self.seed.unwrap_or(U64_UNSET));
         out
@@ -234,7 +224,6 @@ impl Hello {
         let _reserved = p.u8("HELLO reserved byte")?;
         let tenant = p.str("HELLO tenant id")?;
         let monitor = p.str("HELLO monitor name")?;
-        let shadow_page_budget = opt64(p.u64("HELLO shadow page budget")?);
         let shadow_mem_cap = opt64(p.u64("HELLO shadow mem cap")?);
         let seed = opt64(p.u64("HELLO seed")?);
         Ok(Hello {
@@ -242,7 +231,6 @@ impl Hello {
             monitor,
             engine,
             recover,
-            shadow_page_budget,
             shadow_mem_cap,
             seed,
         })
@@ -406,7 +394,6 @@ mod tests {
             monitor: "MemLeak".into(),
             engine: EngineSel::Cycle,
             recover: true,
-            shadow_page_budget: Some(64),
             shadow_mem_cap: Some(1 << 20),
             seed: Some(0x5eed),
         };
@@ -423,13 +410,16 @@ mod tests {
             Hello::decode(&bytes).unwrap_err(),
             ProtocolError::UnsupportedVersion(9)
         );
-        // A version-1 client (whose HELLO carried sampling knobs) gets
+        // A version-1 client (whose HELLO carried sampling knobs) and a
+        // version-2 client (whose HELLO carried a shadow page budget) get
         // the typed refusal, not a misparsed payload.
-        bytes[0] = 1;
-        assert_eq!(
-            Hello::decode(&bytes).unwrap_err(),
-            ProtocolError::UnsupportedVersion(1)
-        );
+        for old in [1, 2] {
+            bytes[0] = old;
+            assert_eq!(
+                Hello::decode(&bytes).unwrap_err(),
+                ProtocolError::UnsupportedVersion(old)
+            );
+        }
         let bytes = Hello::new("t", "AddrCheck").encode();
         assert!(matches!(
             Hello::decode(&bytes[..bytes.len() - 3]).unwrap_err(),
@@ -440,13 +430,11 @@ mod tests {
     #[test]
     fn hello_knobs_reach_the_config() {
         let hello = Hello {
-            shadow_page_budget: Some(8),
             shadow_mem_cap: Some(4096 * 9),
             seed: Some(77),
             ..Hello::new("t", "MemCheck")
         };
         let cfg = hello.config(SystemConfig::fade_single_core());
-        assert_eq!(cfg.shadow_page_budget, Some(8));
         assert_eq!(cfg.shadow_mem_cap_bytes, Some(4096 * 9));
         assert_eq!(cfg.seed, 77);
         let bare = Hello::new("t", "MemCheck").config(SystemConfig::fade_single_core());

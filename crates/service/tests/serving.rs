@@ -379,6 +379,22 @@ fn protocol_and_session_errors_are_typed_replies() {
         assert!(line.contains("unsupported protocol version 9"), "line: {line}");
     }
 
+    // A frame kind the protocol does not define (0x7f is SHUTDOWN, so
+    // use 0x42), as the first frame and mid-intake.
+    for after_hello in [false, true] {
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        if after_hello {
+            write_frame(&mut stream, FRAME_HELLO, &Hello::new("t", "AddrCheck").encode()).unwrap();
+            write_frame(&mut stream, FRAME_TRACE, b"some bytes").unwrap();
+        }
+        write_frame(&mut stream, 0x42, b"?").unwrap();
+        let (kind, payload) = read_frame(&mut stream).unwrap().expect("a reply");
+        assert_eq!(kind, FRAME_ERROR);
+        let line = String::from_utf8(payload).unwrap();
+        assert!(line.contains(r#""error": "protocol""#), "line: {line}");
+        assert!(line.contains("unexpected frame 0x42"), "line: {line}");
+    }
+
     // Bytes that are not a .fadet stream.
     {
         let err = stream_session(

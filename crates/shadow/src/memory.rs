@@ -8,22 +8,15 @@
 //! one-entry last-page cache that turns the dominant same-page access
 //! pattern into a single compare.
 //!
-//! # Bounded-memory operation
+//! # Memory cap
 //!
-//! By default the memory grows without limit, one 4 KiB frame per
-//! touched page. [`ShadowMemory::set_budget`] installs a *page budget*:
-//! whenever more than `budget` pages hold full frames, the
-//! least-recently-used full page is demoted — to a one-byte
-//! [uniform representation](ShadowCounters::compactions) when all its
-//! bytes are equal (the common case for cold clean pages), or to an
-//! [RLE-compressed frame](ShadowCounters::evictions) otherwise. Both
-//! demotions are lossless: reads are served from the compact form and
-//! a write *refaults* the page back to a full frame, so bounded and
-//! unbounded runs are bit-for-bit equal in every monitor-visible way.
-//!
-//! An optional byte cap bounds what even compressed dirty state may
-//! occupy; exceeding it latches a sticky, typed [`BudgetExceeded`]
-//! that the session layer surfaces.
+//! A written page holds a full 4 KiB frame; a page set whole by
+//! [`ShadowMemory::fill`] holds one byte until a partial write expands
+//! it. By default the memory grows without limit.
+//! [`ShadowMemory::set_mem_cap`] installs a cap on the bytes held in
+//! full frames: exceeding it latches a sticky, typed [`BudgetExceeded`]
+//! that the session layer surfaces. The memory keeps operating
+//! correctly past the cap; it only reports it.
 
 use std::cell::Cell;
 
@@ -44,40 +37,26 @@ enum PageRepr {
     Full(Box<[u8; SHADOW_PAGE_SIZE]>),
     /// Every byte of the page holds this value.
     Uniform(u8),
-    /// Run-length-encoded frame: `(value, run_length)` byte pairs.
-    Compressed(Box<[u8]>),
 }
 
-/// One materialized page: number, recency stamp, storage.
+/// One materialized page: number and storage.
 #[derive(Clone, Debug)]
 struct PageSlot {
     page: u64,
-    /// Recency stamp for LRU eviction (monotonic access tick).
-    last_used: Cell<u64>,
     repr: PageRepr,
 }
 
 type Slot = Option<PageSlot>;
 
-/// Eviction/compaction statistics for a bounded [`ShadowMemory`].
-///
-/// All counters stay zero when no budget is installed; a differential
-/// test can assert `evictions + compactions > 0` to prove a bounded
-/// run actually exercised eviction.
+/// Residency statistics of a [`ShadowMemory`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShadowCounters {
-    /// Full frames demoted to RLE-compressed form.
-    pub evictions: u64,
-    /// Full frames demoted to the one-byte uniform form.
-    pub compactions: u64,
-    /// Demoted pages expanded back to full frames by a write.
-    pub refaults: u64,
     /// High-water mark of simultaneously-resident full frames.
     pub peak_full_pages: usize,
 }
 
-/// Typed error latched when dirty shadow state exceeds the configured
-/// byte cap even after eviction compressed everything it could.
+/// Typed error latched when shadow state exceeds the configured byte
+/// cap.
 ///
 /// The memory keeps operating correctly past this point (no data is
 /// dropped); the error is *sticky* and reported through
@@ -87,21 +66,18 @@ pub struct ShadowCounters {
 pub struct BudgetExceeded {
     /// The configured cap on shadow bytes.
     pub cap_bytes: usize,
-    /// Bytes actually held (full frames plus compressed frames) when
-    /// the cap was first exceeded.
+    /// Bytes actually held when the cap was first exceeded.
     pub used_bytes: usize,
     /// Full frames resident at that moment.
     pub full_pages: usize,
-    /// Compressed bytes resident at that moment.
-    pub compressed_bytes: usize,
 }
 
 impl std::fmt::Display for BudgetExceeded {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shadow memory budget exceeded: {} bytes held ({} full pages + {} compressed bytes) > cap {}",
-            self.used_bytes, self.full_pages, self.compressed_bytes, self.cap_bytes
+            "shadow memory budget exceeded: {} bytes held ({} full pages) > cap {}",
+            self.used_bytes, self.full_pages, self.cap_bytes
         )
     }
 }
@@ -126,18 +102,11 @@ pub struct ShadowMemory {
     len: usize,
     /// Pages currently held as full frames.
     full_pages: usize,
-    /// Bytes currently held in compressed frames.
-    compressed_bytes: usize,
-    /// Maximum full frames before LRU demotion (None = unbounded).
-    page_budget: Option<usize>,
-    /// Cap on total shadow bytes (full + compressed); exceeding it
-    /// latches `exceeded`.
+    /// Cap on shadow bytes; exceeding it latches `exceeded`.
     mem_cap_bytes: Option<usize>,
     /// Sticky budget-exceeded record.
     exceeded: Option<BudgetExceeded>,
     counters: ShadowCounters,
-    /// Monotonic access tick driving `PageSlot::last_used`.
-    tick: Cell<u64>,
     /// Last page number looked up (read or write), `NO_PAGE` if none.
     last_page: Cell<u64>,
     /// Slot index of `last_page`.
@@ -151,36 +120,30 @@ impl Default for ShadowMemory {
 }
 
 impl ShadowMemory {
-    /// Creates an empty, unbounded shadow memory.
+    /// Creates an empty, uncapped shadow memory.
     pub fn new() -> Self {
         ShadowMemory {
             slots: Vec::new(),
             mask: 0,
             len: 0,
             full_pages: 0,
-            compressed_bytes: 0,
-            page_budget: None,
             mem_cap_bytes: None,
             exceeded: None,
             counters: ShadowCounters::default(),
-            tick: Cell::new(0),
             last_page: Cell::new(NO_PAGE),
             last_slot: Cell::new(0),
         }
     }
 
-    /// Installs (or clears) the memory budget: at most `page_budget`
-    /// full frames stay resident (colder pages are demoted losslessly),
-    /// and exceeding `mem_cap_bytes` of total shadow bytes latches a
-    /// sticky [`BudgetExceeded`]. A page budget of 0 is treated as 1 —
-    /// the page being written always needs a frame.
-    pub fn set_budget(&mut self, page_budget: Option<usize>, mem_cap_bytes: Option<usize>) {
-        self.page_budget = page_budget.map(|b| b.max(1));
+    /// Installs (or clears) the byte cap: holding more than
+    /// `mem_cap_bytes` of shadow bytes latches a sticky
+    /// [`BudgetExceeded`].
+    pub fn set_mem_cap(&mut self, mem_cap_bytes: Option<usize>) {
         self.mem_cap_bytes = mem_cap_bytes;
-        self.enforce_budget();
+        self.note_full_pages();
     }
 
-    /// Eviction/compaction statistics (all zero when unbounded).
+    /// Residency statistics.
     pub fn counters(&self) -> ShadowCounters {
         self.counters
     }
@@ -190,9 +153,9 @@ impl ShadowMemory {
         self.exceeded.as_ref()
     }
 
-    /// Bytes currently held by page frames (full + compressed).
+    /// Bytes currently held by full page frames.
     pub fn shadow_bytes(&self) -> usize {
-        self.full_pages * SHADOW_PAGE_SIZE + self.compressed_bytes
+        self.full_pages * SHADOW_PAGE_SIZE
     }
 
     /// Fibonacci multiplicative hash: spreads consecutive page numbers
@@ -226,14 +189,10 @@ impl ShadowMemory {
         }
     }
 
-    /// Stamps slot `i` as most recently used.
+    /// The representation of the page in slot `i`.
     #[inline]
-    fn touch(&self, i: usize) {
-        let t = self.tick.get().wrapping_add(1);
-        self.tick.set(t);
-        if let Some(s) = &self.slots[i] {
-            s.last_used.set(t);
-        }
+    fn repr(&self, i: usize) -> &PageRepr {
+        &self.slots[i].as_ref().expect("found slot is occupied").repr
     }
 
     /// Grows (or initializes) the table to at least double capacity and
@@ -266,57 +225,16 @@ impl ShadowMemory {
         while self.slots[i].is_some() {
             i = (i + 1) & self.mask;
         }
-        self.slots[i] = Some(PageSlot {
-            page,
-            last_used: Cell::new(0),
-            repr,
-        });
+        self.slots[i] = Some(PageSlot { page, repr });
         self.len += 1;
         self.last_page.set(page);
         self.last_slot.set(i);
         i
     }
 
-    /// Demotes cold full frames until the page budget is met, then
-    /// checks the byte cap. Lossless: demoted pages keep reading the
-    /// same bytes and refault on write.
-    fn enforce_budget(&mut self) {
-        if let Some(budget) = self.page_budget {
-            while self.full_pages > budget {
-                // LRU scan. O(table), but only on the bounded path and
-                // only when a new full frame pushed us over budget.
-                let mut coldest: Option<(usize, u64)> = None;
-                for (i, s) in self.slots.iter().enumerate() {
-                    if let Some(s) = s {
-                        if matches!(s.repr, PageRepr::Full(_))
-                            && coldest.is_none_or(|(_, t)| s.last_used.get() < t)
-                        {
-                            coldest = Some((i, s.last_used.get()));
-                        }
-                    }
-                }
-                let Some((i, _)) = coldest else { break };
-                let slot = self.slots[i].as_mut().expect("coldest slot is occupied");
-                let PageRepr::Full(frame) = &slot.repr else {
-                    unreachable!("coldest scan only selects full frames")
-                };
-                let first = frame[0];
-                if frame.iter().all(|&b| b == first) {
-                    slot.repr = PageRepr::Uniform(first);
-                    self.counters.compactions += 1;
-                } else {
-                    let rle = rle_compress(frame);
-                    self.compressed_bytes += rle.len();
-                    slot.repr = PageRepr::Compressed(rle);
-                    self.counters.evictions += 1;
-                }
-                self.full_pages -= 1;
-            }
-        }
-        // Record the peak *after* demotion: the high-water mark is
-        // post-enforcement residency, so a bounded run's peak never
-        // exceeds its budget (the transient budget+1 during the demote
-        // itself is an implementation detail, not residency).
+    /// Records the full-frame high-water mark and checks the byte cap;
+    /// runs whenever a page gains a full frame.
+    fn note_full_pages(&mut self) {
         self.counters.peak_full_pages = self.counters.peak_full_pages.max(self.full_pages);
         if let Some(cap) = self.mem_cap_bytes {
             let used = self.shadow_bytes();
@@ -325,57 +243,34 @@ impl ShadowMemory {
                     cap_bytes: cap,
                     used_bytes: used,
                     full_pages: self.full_pages,
-                    compressed_bytes: self.compressed_bytes,
                 });
             }
         }
     }
 
-    /// Promotes slot `i` to a full frame (refault / first write).
-    fn expand_slot(&mut self, i: usize) {
-        let slot = self.slots[i].as_mut().expect("slot is occupied");
-        match &slot.repr {
-            PageRepr::Full(_) => return,
-            PageRepr::Uniform(v) => {
-                slot.repr = PageRepr::Full(Box::new([*v; SHADOW_PAGE_SIZE]));
-            }
-            PageRepr::Compressed(c) => {
-                let frame = rle_expand(c);
-                self.compressed_bytes -= c.len();
-                slot.repr = PageRepr::Full(frame);
-            }
-        }
-        self.counters.refaults += 1;
-        self.full_pages += 1;
-    }
-
-    /// The page's storage as a full frame, materializing or refaulting
-    /// it as needed.
+    /// The page's storage as a full frame, materializing it or expanding
+    /// its uniform form as needed.
     fn page_mut(&mut self, page: u64) -> &mut [u8; SHADOW_PAGE_SIZE] {
         let i = match self.find(page) {
             Some(i) => {
-                if !matches!(
-                    self.slots[i].as_ref().expect("found slot is occupied").repr,
-                    PageRepr::Full(_)
-                ) {
-                    self.expand_slot(i);
-                    self.touch(i);
-                    self.enforce_budget();
+                if let PageRepr::Uniform(v) = *self.repr(i) {
+                    let slot = self.slots[i].as_mut().expect("found slot is occupied");
+                    slot.repr = PageRepr::Full(Box::new([v; SHADOW_PAGE_SIZE]));
+                    self.full_pages += 1;
+                    self.note_full_pages();
                 }
                 i
             }
             None => {
                 let i = self.insert(page, PageRepr::Full(Box::new([0u8; SHADOW_PAGE_SIZE])));
                 self.full_pages += 1;
-                self.touch(i);
-                self.enforce_budget();
+                self.note_full_pages();
                 i
             }
         };
-        self.touch(i);
         match &mut self.slots[i].as_mut().expect("found slot is occupied").repr {
             PageRepr::Full(frame) => frame,
-            _ => unreachable!("page was just expanded to a full frame"),
+            PageRepr::Uniform(_) => unreachable!("page was just expanded to a full frame"),
         }
     }
 
@@ -385,11 +280,9 @@ impl ShadowMemory {
         let page = addr >> SHADOW_PAGE_SHIFT;
         let off = (addr as usize) & (SHADOW_PAGE_SIZE - 1);
         let Some(i) = self.find(page) else { return 0 };
-        self.touch(i);
-        match &self.slots[i].as_ref().expect("found slot is occupied").repr {
+        match self.repr(i) {
             PageRepr::Full(p) => p[off],
             PageRepr::Uniform(v) => *v,
-            PageRepr::Compressed(c) => rle_read(c, off),
         }
     }
 
@@ -406,30 +299,20 @@ impl ShadowMemory {
         if off + n <= SHADOW_PAGE_SIZE {
             // Single-page fast path: one lookup for the whole access.
             let Some(i) = self.find(page) else { return 0 };
-            self.touch(i);
-            match &self.slots[i].as_ref().expect("found slot is occupied").repr {
+            let mut v = 0u64;
+            match self.repr(i) {
                 PageRepr::Full(p) => {
-                    let mut v = 0u64;
                     for i in 0..n {
                         v |= (p[off + i] as u64) << (8 * i);
                     }
-                    v
                 }
                 PageRepr::Uniform(b) => {
-                    let mut v = 0u64;
                     for i in 0..n {
                         v |= (*b as u64) << (8 * i);
                     }
-                    v
-                }
-                PageRepr::Compressed(c) => {
-                    let mut v = 0u64;
-                    for (i, b) in rle_read_n(c, off, n).into_iter().enumerate() {
-                        v |= (b as u64) << (8 * i);
-                    }
-                    v
                 }
             }
+            v
         } else {
             let mut v = 0u64;
             for i in 0..n {
@@ -486,17 +369,13 @@ impl ShadowMemory {
                 match self.find(page) {
                     Some(i) => {
                         let slot = self.slots[i].as_mut().expect("found slot is occupied");
-                        match &slot.repr {
-                            PageRepr::Full(_) => self.full_pages -= 1,
-                            PageRepr::Compressed(c) => self.compressed_bytes -= c.len(),
-                            PageRepr::Uniform(_) => {}
+                        if let PageRepr::Full(_) = slot.repr {
+                            self.full_pages -= 1;
                         }
                         slot.repr = PageRepr::Uniform(value);
-                        self.touch(i);
                     }
                     None => {
-                        let i = self.insert(page, PageRepr::Uniform(value));
-                        self.touch(i);
+                        self.insert(page, PageRepr::Uniform(value));
                     }
                 }
             } else {
@@ -507,8 +386,7 @@ impl ShadowMemory {
         }
     }
 
-    /// Pages currently resident as full frames (the quantity a page
-    /// budget bounds).
+    /// Pages currently resident as full frames.
     pub fn resident_full_pages(&self) -> usize {
         self.full_pages
     }
@@ -526,7 +404,6 @@ impl ShadowMemory {
                 let frame: Box<[u8; SHADOW_PAGE_SIZE]> = match &s.repr {
                     PageRepr::Full(p) => p.clone(),
                     PageRepr::Uniform(v) => Box::new([*v; SHADOW_PAGE_SIZE]),
-                    PageRepr::Compressed(c) => rle_expand(c),
                 };
                 if frame.iter().any(|&b| b != 0) {
                     Some((s.page, frame))
@@ -542,8 +419,7 @@ impl ShadowMemory {
 
 /// Semantic equality: two memories are equal when every metadata byte
 /// reads the same, regardless of table layout, page representation
-/// (full, uniform or compressed), budget configuration or zero-filled
-/// pages — a bounded run compares equal to its unbounded twin.
+/// (full or uniform), cap or zero-filled pages.
 impl PartialEq for ShadowMemory {
     fn eq(&self, other: &Self) -> bool {
         self.canonical_pages() == other.canonical_pages()
@@ -551,77 +427,6 @@ impl PartialEq for ShadowMemory {
 }
 
 impl Eq for ShadowMemory {}
-
-// ---------------------------------------------------------------------
-// Page-frame RLE codec
-// ---------------------------------------------------------------------
-
-/// Encodes a frame as `(value, run_length)` byte pairs (runs capped at
-/// 255). Worst case 2x the frame size — honest about incompressible
-/// pages, which is what makes the byte cap meaningful.
-fn rle_compress(frame: &[u8; SHADOW_PAGE_SIZE]) -> Box<[u8]> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < SHADOW_PAGE_SIZE {
-        let v = frame[i];
-        let mut run = 1usize;
-        while run < 255 && i + run < SHADOW_PAGE_SIZE && frame[i + run] == v {
-            run += 1;
-        }
-        out.push(v);
-        out.push(run as u8);
-        i += run;
-    }
-    out.into_boxed_slice()
-}
-
-fn rle_expand(rle: &[u8]) -> Box<[u8; SHADOW_PAGE_SIZE]> {
-    let mut frame = Box::new([0u8; SHADOW_PAGE_SIZE]);
-    let mut at = 0;
-    for pair in rle.chunks_exact(2) {
-        let (v, run) = (pair[0], pair[1] as usize);
-        frame[at..at + run].fill(v);
-        at += run;
-    }
-    debug_assert_eq!(at, SHADOW_PAGE_SIZE, "RLE frame decodes to a full page");
-    frame
-}
-
-/// Reads one byte of a compressed frame without expanding it.
-fn rle_read(rle: &[u8], off: usize) -> u8 {
-    let mut at = 0;
-    for pair in rle.chunks_exact(2) {
-        at += pair[1] as usize;
-        if off < at {
-            return pair[0];
-        }
-    }
-    debug_assert!(false, "RLE frame covers every page offset");
-    0
-}
-
-/// Reads `n <= 8` consecutive bytes of a compressed frame.
-fn rle_read_n(rle: &[u8], off: usize, n: usize) -> [u8; 8] {
-    let mut out = [0u8; 8];
-    let mut at = 0;
-    for pair in rle.chunks_exact(2) {
-        let start = at;
-        at += pair[1] as usize;
-        if at <= off {
-            continue;
-        }
-        for (i, b) in out.iter_mut().enumerate().take(n) {
-            let o = off + i;
-            if o >= start && o < at {
-                *b = pair[0];
-            }
-        }
-        if at >= off + n {
-            break;
-        }
-    }
-    out
-}
 
 #[cfg(test)]
 mod tests {
@@ -685,16 +490,31 @@ mod tests {
     #[test]
     fn whole_page_fill_stays_compact_and_reads_back() {
         let mut m = ShadowMemory::new();
+        // A one-frame cap: uniform pages cost no frame, so three of them
+        // stay under it.
+        m.set_mem_cap(Some(SHADOW_PAGE_SIZE));
         m.fill(SHADOW_PAGE_SIZE as u64, (3 * SHADOW_PAGE_SIZE) as u64, 0x7e);
         assert_eq!(m.len, 3);
         assert_eq!(m.resident_full_pages(), 0, "uniform fills cost no frames");
+        assert_eq!(m.shadow_bytes(), 0);
+        assert!(m.budget_exceeded().is_none());
         assert_eq!(m.read_u8(SHADOW_PAGE_SIZE as u64), 0x7e);
         assert_eq!(m.read_bytes(2 * SHADOW_PAGE_SIZE as u64 + 100, 8), u64::from_le_bytes([0x7e; 8]));
-        // Writing into a uniform page refaults it to a full frame.
+        // A partial write into a uniform page expands exactly that page
+        // to a full frame, which counts against the cap.
         m.write_u8(SHADOW_PAGE_SIZE as u64 + 5, 1);
         assert_eq!(m.resident_full_pages(), 1);
+        assert_eq!(m.shadow_bytes(), SHADOW_PAGE_SIZE);
+        assert_eq!(m.counters().peak_full_pages, 1);
+        assert!(m.budget_exceeded().is_none(), "one frame fits a one-frame cap");
         assert_eq!(m.read_u8(SHADOW_PAGE_SIZE as u64 + 4), 0x7e);
         assert_eq!(m.read_u8(SHADOW_PAGE_SIZE as u64 + 5), 1);
+        // A second expanded page does not fit.
+        m.write_u8(2 * SHADOW_PAGE_SIZE as u64, 2);
+        let e = *m.budget_exceeded().expect("two frames exceed a one-frame cap");
+        assert_eq!(e.full_pages, 2);
+        assert_eq!(e.used_bytes, 2 * SHADOW_PAGE_SIZE);
+        assert_eq!(m.read_u8(2 * SHADOW_PAGE_SIZE as u64 + 1), 0x7e);
     }
 
     #[test]
@@ -755,85 +575,13 @@ mod tests {
         assert_eq!(a.read_u8(0x42), 9);
     }
 
-    // -- bounded-memory behavior --------------------------------------
-
-    /// Writes a recognizable pattern across `pages` pages.
-    fn patterned(m: &mut ShadowMemory, pages: u64) {
-        for p in 0..pages {
-            for off in (0..SHADOW_PAGE_SIZE as u64).step_by(97) {
-                m.write_u8(p * SHADOW_PAGE_SIZE as u64 + off, ((p as u8) ^ (off as u8)) | 1);
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_run_is_bit_exact_vs_unbounded() {
-        let mut unbounded = ShadowMemory::new();
-        patterned(&mut unbounded, 20);
-        let mut bounded = ShadowMemory::new();
-        bounded.set_budget(Some(4), None);
-        patterned(&mut bounded, 20);
-        assert!(bounded.resident_full_pages() <= 4);
-        assert!(
-            bounded.counters().evictions + bounded.counters().compactions > 0,
-            "eviction must actually fire: {:?}",
-            bounded.counters()
-        );
-        assert_eq!(bounded, unbounded, "eviction is lossless");
-        // Every byte reads identically.
-        for p in 0..20u64 {
-            for off in (0..SHADOW_PAGE_SIZE as u64).step_by(61) {
-                let a = p * SHADOW_PAGE_SIZE as u64 + off;
-                assert_eq!(bounded.read_u8(a), unbounded.read_u8(a), "addr {a:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn lru_evicts_the_cold_page_first() {
-        let mut m = ShadowMemory::new();
-        m.set_budget(Some(2), None);
-        m.write_u8(0, 1); // page 0
-        m.write_u8(SHADOW_PAGE_SIZE as u64, 2); // page 1
-        // Keep page 0 hot.
-        assert_eq!(m.read_u8(0), 1);
-        // Page 2 materializes; page 1 (coldest) must be demoted.
-        m.write_u8(2 * SHADOW_PAGE_SIZE as u64, 3);
-        assert_eq!(m.resident_full_pages(), 2);
-        let c = m.counters();
-        assert_eq!(c.evictions + c.compactions, 1);
-        // Demoted page still reads correctly, then refaults on write.
-        assert_eq!(m.read_u8(SHADOW_PAGE_SIZE as u64), 2);
-        m.write_u8(SHADOW_PAGE_SIZE as u64 + 1, 9);
-        assert_eq!(m.counters().refaults, 1);
-        assert_eq!(m.read_u8(SHADOW_PAGE_SIZE as u64), 2);
-        assert_eq!(m.read_u8(SHADOW_PAGE_SIZE as u64 + 1), 9);
-    }
-
-    #[test]
-    fn mostly_uniform_cold_pages_compact_to_a_byte() {
-        let mut m = ShadowMemory::new();
-        m.set_budget(Some(1), None);
-        // Uniform page (all 0x11 via single-byte writes, not fill).
-        for off in 0..SHADOW_PAGE_SIZE as u64 {
-            m.write_u8(off, 0x11);
-        }
-        // Second page pushes the first out of the frame budget.
-        m.write_u8(SHADOW_PAGE_SIZE as u64, 1);
-        let c = m.counters();
-        assert_eq!(c.compactions, 1, "uniform page compacts: {c:?}");
-        assert_eq!(c.evictions, 0);
-        assert_eq!(m.read_u8(10), 0x11);
-    }
-
     #[test]
     fn byte_cap_latches_budget_exceeded_but_stays_correct() {
         let mut m = ShadowMemory::new();
-        // Tiny cap: two incompressible frames cannot fit.
-        m.set_budget(Some(1), Some(SHADOW_PAGE_SIZE + 100));
+        // Tiny cap: two full frames cannot fit.
+        m.set_mem_cap(Some(SHADOW_PAGE_SIZE + 100));
         for p in 0..4u64 {
             for off in 0..SHADOW_PAGE_SIZE as u64 {
-                // Incompressible-ish: alternate values within each run.
                 m.write_u8(
                     p * SHADOW_PAGE_SIZE as u64 + off,
                     ((off * 7 + p) % 251) as u8 + 1,
@@ -850,27 +598,6 @@ mod tests {
                 m.read_u8(p * SHADOW_PAGE_SIZE as u64 + 3),
                 ((3u64 * 7 + p) % 251) as u8 + 1
             );
-        }
-    }
-
-    #[test]
-    fn rle_round_trips_and_random_access_agrees() {
-        let mut frame = Box::new([0u8; SHADOW_PAGE_SIZE]);
-        for (i, b) in frame.iter_mut().enumerate() {
-            *b = match i % 7 {
-                0..=4 => 0xaa,
-                5 => (i % 256) as u8,
-                _ => 0,
-            };
-        }
-        let rle = rle_compress(&frame);
-        assert_eq!(rle_expand(&rle), frame);
-        for off in [0usize, 1, 6, 7, 255, 256, 4000, SHADOW_PAGE_SIZE - 1] {
-            assert_eq!(rle_read(&rle, off), frame[off], "off {off}");
-        }
-        for off in [0usize, 3, 250, 1000, SHADOW_PAGE_SIZE - 8] {
-            let got = rle_read_n(&rle, off, 8);
-            assert_eq!(&got[..8], &frame[off..off + 8], "off {off}");
         }
     }
 }

@@ -68,17 +68,10 @@ pub struct SystemConfig {
     /// software handlers, unbounded unfiltered queue). Used by the
     /// Figure 3 experiments only.
     pub ideal_consumer: bool,
-    /// Shadow-memory page budget: at most this many shadow pages are
-    /// kept fully resident; colder clean pages are compacted or
-    /// RLE-evicted losslessly and refault on the next write
-    /// ([`fade_shadow::ShadowMemory::set_budget`]). `None` (the
-    /// default) keeps every touched page resident.
-    pub shadow_page_budget: Option<usize>,
-    /// Hard cap on total shadow-memory bytes (resident frames plus
-    /// compressed evictions). Unlike the page budget — which only
-    /// trades memory for refault work — exceeding this cap latches a
-    /// typed [`fade_shadow::BudgetExceeded`] on the session. `None`
-    /// (the default) means uncapped.
+    /// Hard cap on shadow-memory bytes held in full page frames
+    /// ([`fade_shadow::ShadowMemory::set_mem_cap`]): exceeding it
+    /// latches a typed [`fade_shadow::BudgetExceeded`] on the session.
+    /// `None` (the default) means uncapped.
     pub shadow_mem_cap_bytes: Option<usize>,
     /// Hardware-parameter overrides for sensitivity sweeps.
     pub tweaks: FadeTweaks,
@@ -125,7 +118,6 @@ impl SystemConfig {
             sample_period: Self::DEFAULT_SAMPLE_PERIOD,
             sample_window: Self::DEFAULT_SAMPLE_WINDOW,
             ideal_consumer: false,
-            shadow_page_budget: None,
             shadow_mem_cap_bytes: None,
             tweaks: FadeTweaks::default(),
         }
@@ -199,16 +191,6 @@ impl SystemConfig {
     /// Enables the idealized one-event-per-cycle consumer (Section 3.2).
     pub fn with_ideal_consumer(mut self) -> Self {
         self.ideal_consumer = true;
-        self
-    }
-
-    /// Bounds resident shadow memory to `pages` full page frames
-    /// (clamped to at least 1 at use); colder clean pages are
-    /// losslessly compacted or RLE-evicted and refault on write.
-    /// Monitor-visible results are bit-exact with the unbounded
-    /// default — only memory footprint and eviction work change.
-    pub fn with_shadow_page_budget(mut self, pages: usize) -> Self {
-        self.shadow_page_budget = Some(pages);
         self
     }
 
@@ -293,10 +275,8 @@ mod tests {
     #[test]
     fn shadow_budget_knobs() {
         let c = SystemConfig::fade_single_core();
-        assert!(c.shadow_page_budget.is_none());
         assert!(c.shadow_mem_cap_bytes.is_none());
-        let c = c.with_shadow_page_budget(8).with_shadow_mem_cap(1 << 20);
-        assert_eq!(c.shadow_page_budget, Some(8));
+        let c = c.with_shadow_mem_cap(1 << 20);
         assert_eq!(c.shadow_mem_cap_bytes, Some(1 << 20));
     }
 

@@ -297,9 +297,8 @@ pub enum SessionRunError {
     /// exhaustion is *not* an error — see
     /// [`Session::source_exhausted`]).
     Source(SourceError),
-    /// Dirty shadow state exceeded the configured byte cap
-    /// ([`SystemConfig::with_shadow_mem_cap`]) even after lossless
-    /// eviction compressed everything it could.
+    /// Shadow state exceeded the configured byte cap
+    /// ([`SystemConfig::with_shadow_mem_cap`]).
     ShadowBudget(BudgetExceeded),
 }
 
@@ -483,9 +482,7 @@ impl SessionBuilder {
         }
 
         let mut state = MetadataState::new(mon_program.md_map());
-        if cfg.shadow_page_budget.is_some() || cfg.shadow_mem_cap_bytes.is_some() {
-            state.mem.set_budget(cfg.shadow_page_budget, cfg.shadow_mem_cap_bytes);
-        }
+        state.mem.set_mem_cap(cfg.shadow_mem_cap_bytes);
         monitor.init_state(&mut state);
         Ok(Session {
             monitors_stack: monitor.monitors_stack(),
@@ -1000,21 +997,18 @@ impl Session {
         self.source.degradation()
     }
 
-    /// Eviction/compaction statistics of the session's shadow memory
-    /// (all zero without a configured budget — see
-    /// [`SystemConfig::with_shadow_page_budget`]).
+    /// Residency statistics of the session's shadow memory.
     pub fn shadow_counters(&self) -> ShadowCounters {
         self.state.mem.counters()
     }
 
     /// The session's *live* shadow-memory footprint, delegating to
-    /// [`fade_shadow::ShadowMemory`]: total resident bytes (full page
-    /// frames plus compressed demoted pages) and the number of resident
-    /// full pages. This is the instantaneous quantity a multi-tenant
-    /// server admits/meters tenants on, as opposed to the historical
-    /// high-water mark in [`ShadowCounters::peak_full_pages`]: at any
-    /// instant `full_pages <= peak_full_pages`, and under a configured
-    /// page budget both stay at or below it.
+    /// [`fade_shadow::ShadowMemory`]: the bytes held in full page
+    /// frames and the number of those frames. This is the instantaneous
+    /// quantity a multi-tenant server admits/meters tenants on, as
+    /// opposed to the historical high-water mark in
+    /// [`ShadowCounters::peak_full_pages`]: at any instant
+    /// `full_pages <= peak_full_pages`.
     pub fn shadow_bytes_in_use(&self) -> ShadowUsage {
         let mem = &self.state.mem;
         ShadowUsage {
@@ -1028,10 +1022,10 @@ impl Session {
 /// (see [`Session::shadow_bytes_in_use`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShadowUsage {
-    /// Resident shadow bytes: full page frames plus the compressed
-    /// representation of demoted pages.
+    /// Resident shadow bytes: `full_pages` frames of
+    /// [`SHADOW_PAGE_SIZE`](fade_shadow::memory::SHADOW_PAGE_SIZE).
     pub bytes: usize,
-    /// Pages currently resident as full (uncompressed) frames.
+    /// Pages currently resident as full frames.
     pub full_pages: usize,
 }
 
@@ -2067,38 +2061,32 @@ mod tests {
     }
 
     /// `shadow_bytes_in_use` is the *instantaneous* footprint;
-    /// `ShadowCounters::peak_full_pages` is its post-enforcement
-    /// high-water mark. Stepping a budgeted session and polling both
-    /// pins the relationship: every observed instantaneous full-page
-    /// count stays at or below the budget and at or below the final
-    /// peak, and the peak is reached by some observed instant's
-    /// history (it never undershoots the running maximum we saw).
+    /// `ShadowCounters::peak_full_pages` is its high-water mark.
+    /// Stepping a session and polling both pins the relationship: every
+    /// observed instantaneous full-page count stays at or below the
+    /// final peak (the peak never undershoots the running maximum we
+    /// saw), and the bytes are exactly the full frames.
     #[test]
     fn shadow_usage_tracks_memory_and_respects_peak_semantics() {
-        const BUDGET: usize = 8;
         let mut s = Session::builder()
             .monitor("MemCheck")
             .source(bench::by_name("gcc").unwrap())
-            .config(SystemConfig::fade_single_core().with_shadow_page_budget(BUDGET))
+            .config(SystemConfig::fade_single_core())
             .build()
             .unwrap();
         let mut max_seen = 0usize;
         for _ in 0..40 {
             s.run(1_000).unwrap();
             let usage = s.shadow_bytes_in_use();
-            assert!(
-                usage.full_pages <= BUDGET,
-                "budget enforcement: {} full pages > budget {BUDGET}",
-                usage.full_pages
-            );
             assert_eq!(
                 usage.bytes,
                 s.state().mem.shadow_bytes(),
                 "accessor must delegate to ShadowMemory"
             );
-            assert!(
-                usage.bytes >= usage.full_pages * fade_shadow::memory::SHADOW_PAGE_SIZE,
-                "resident bytes must cover the full-page frames"
+            assert_eq!(
+                usage.bytes,
+                usage.full_pages * fade_shadow::memory::SHADOW_PAGE_SIZE,
+                "resident bytes are exactly the full-page frames"
             );
             max_seen = max_seen.max(usage.full_pages);
         }
@@ -2110,7 +2098,6 @@ mod tests {
             "peak is a high-water mark over every instant: saw {max_seen}, peak {peak}"
         );
         assert!(now <= peak, "the current instant can never exceed the peak");
-        assert!(peak <= BUDGET, "the peak is post-enforcement: {peak} > {BUDGET}");
     }
 
     #[test]

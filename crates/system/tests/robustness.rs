@@ -235,15 +235,14 @@ fn recovering_file_session_reports_degradation() {
 }
 
 /// A byte cap too small for the workload latches a typed, sticky
-/// [`SessionRunError::ShadowBudget`]; a *page* budget alone is
-/// lossless and never errors.
+/// [`SessionRunError::ShadowBudget`].
 #[test]
 fn shadow_byte_cap_fails_typed_and_sticky() {
     let b = bench::by_name("gcc").unwrap();
     let mut s = Session::builder()
         .monitor("MemLeak")
         .source(&b)
-        .config(cfg().with_shadow_page_budget(1).with_shadow_mem_cap(2 * 1024))
+        .config(cfg().with_shadow_mem_cap(2 * 1024))
         .build()
         .unwrap();
     let err = s.run(20_000).expect_err("2 KiB cannot hold even one shadow frame");

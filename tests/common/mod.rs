@@ -1,7 +1,6 @@
 //! Helpers shared by the differential harnesses
-//! (`tests/differential.rs`, `tests/trace_replay.rs`,
-//! `tests/budget_differential.rs`): the definition of "monitor-visible
-//! results" lives here once, so growing the bit-exactness contract (a
+//! (`tests/differential.rs`, `tests/trace_replay.rs`): the definition
+//! of "monitor-visible results" lives here once, so growing the bit-exactness contract (a
 //! new counter, a new assertion) updates every harness at the same
 //! time.
 
