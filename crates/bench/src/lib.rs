@@ -9,20 +9,19 @@
 //! matrix, run across `FADE_WORKERS` threads (default: all cores).
 
 pub mod experiments;
-pub mod matrix;
-pub mod table;
+mod matrix;
+mod table;
 
 pub use matrix::{
-    default_workers, drain_timings, Experiment, ExperimentError, ExperimentMatrix, MatrixResult,
-    MatrixTiming,
+    default_workers, drain_timings, Experiment, ExperimentMatrix, MatrixResult, MatrixTiming,
 };
 pub use table::Table;
 
 /// Default warmup instructions per measurement.
-pub const WARMUP: u64 = 30_000;
+pub(crate) const WARMUP: u64 = 30_000;
 /// Default measured instructions per run (binaries may scale this with
 /// the `FADE_MEASURE` environment variable).
-pub const MEASURE: u64 = 150_000;
+pub(crate) const MEASURE: u64 = 150_000;
 
 /// Reads the measurement length, honouring `FADE_MEASURE`.
 ///
@@ -30,7 +29,7 @@ pub const MEASURE: u64 = 150_000;
 ///
 /// Panics if `FADE_MEASURE` is set to anything but an instruction
 /// count.
-pub fn measure_len() -> u64 {
+pub(crate) fn measure_len() -> u64 {
     env_setting("FADE_MEASURE", "an instruction count").unwrap_or(MEASURE)
 }
 
@@ -40,7 +39,7 @@ pub fn measure_len() -> u64 {
 ///
 /// Panics if `FADE_WARMUP` is set to anything but an instruction
 /// count.
-pub fn warmup_len() -> u64 {
+pub(crate) fn warmup_len() -> u64 {
     env_setting("FADE_WARMUP", "an instruction count").unwrap_or(WARMUP)
 }
 

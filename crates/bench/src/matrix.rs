@@ -55,19 +55,19 @@ use crate::{env_setting, measure_len, warmup_len};
 #[derive(Clone, Debug)]
 pub struct Experiment {
     /// Display label (diagnostics and timing logs).
-    pub label: String,
+    pub(crate) label: String,
     /// The workload.
-    pub bench: BenchProfile,
+    pub(crate) bench: BenchProfile,
     /// The monitor, by registry name.
-    pub monitor: String,
+    pub(crate) monitor: String,
     /// The hardware configuration.
-    pub config: SystemConfig,
+    pub(crate) config: SystemConfig,
     /// Warmup instructions before the measured window.
-    pub warmup: u64,
+    pub(crate) warmup: u64,
     /// Measured instructions.
-    pub measure: u64,
+    pub(crate) measure: u64,
     /// Optional caller-built FADE program (ablations).
-    pub program: Option<FadeProgram>,
+    pub(crate) program: Option<FadeProgram>,
 }
 
 impl Experiment {
@@ -90,12 +90,6 @@ impl Experiment {
     pub fn window(mut self, warmup: u64, measure: u64) -> Self {
         self.warmup = warmup;
         self.measure = measure;
-        self
-    }
-
-    /// Replaces the display label.
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
         self
     }
 
@@ -135,7 +129,7 @@ impl Experiment {
 /// [`MatrixResult::outcomes`] at the experiment's declaration-order
 /// position and everything else runs to completion.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ExperimentError {
+pub(crate) enum ExperimentError {
     /// The session failed to build (unknown monitor, invalid FADE
     /// program, unreadable trace file). The underlying
     /// [`fade_system::SessionError`] is carried stringified.
@@ -163,17 +157,6 @@ pub enum ExperimentError {
         /// The panic payload, stringified.
         payload: String,
     },
-}
-
-impl ExperimentError {
-    /// The display label of the experiment that failed.
-    pub fn label(&self) -> &str {
-        match self {
-            ExperimentError::Build { label, .. }
-            | ExperimentError::Run { label, .. }
-            | ExperimentError::Panicked { label, .. } => label,
-        }
-    }
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -252,7 +235,8 @@ impl ExperimentMatrix {
 
     /// Resolves monitor names in this registry (out-of-tree monitors in
     /// a matrix).
-    pub fn registry(mut self, registry: Arc<MonitorRegistry>) -> Self {
+    #[cfg(test)]
+    fn registry(mut self, registry: Arc<MonitorRegistry>) -> Self {
         self.registry = registry;
         self
     }
@@ -260,7 +244,7 @@ impl ExperimentMatrix {
     /// Records this run's timing under `label` in the process-wide
     /// timing log (drained by `reproduce_all` for the performance
     /// trajectory).
-    pub fn timed(mut self, label: impl Into<String>) -> Self {
+    pub(crate) fn timed(mut self, label: impl Into<String>) -> Self {
         self.timing_label = Some(label.into());
         self
     }
@@ -277,27 +261,15 @@ impl ExperimentMatrix {
         self
     }
 
-    /// Number of experiments queued.
-    pub fn len(&self) -> usize {
-        self.experiments.len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.experiments.is_empty()
-    }
-
     /// Runs every experiment, sharded across the matrix's workers, and
     /// returns the outcomes **in declaration order** together with the
     /// wall-clock evidence of the sharding win.
     ///
     /// Experiments are isolated: a failed or panicking experiment
-    /// becomes a typed [`ExperimentError`] row in
-    /// [`MatrixResult::outcomes`] — it never kills the matrix, the
-    /// worker, or any sibling experiment. Drivers that treat any
-    /// failure as fatal use [`MatrixResult::into_reports`] /
-    /// [`ExperimentMatrix::run_stats`], which keep the old
-    /// panic-on-failure discipline.
+    /// becomes a typed error row at its declaration-order position — it
+    /// never kills the matrix, the worker, or any sibling experiment.
+    /// [`MatrixResult::into_reports`] and [`ExperimentMatrix::run_stats`]
+    /// then panic on the first error row.
     pub fn run(self) -> MatrixResult {
         let n = self.experiments.len();
         let workers = self.workers.clamp(1, n.max(1));
@@ -328,7 +300,6 @@ impl ExperimentMatrix {
             .sum();
         let result = MatrixResult {
             outcomes,
-            workers,
             wall_s,
             serial_s,
         };
@@ -351,8 +322,7 @@ impl ExperimentMatrix {
     ///
     /// Panics on the first failed experiment — the discipline the
     /// table-rendering binaries want: their grids are static, so any
-    /// failure is a harness bug. Use [`ExperimentMatrix::run`] and
-    /// inspect [`MatrixResult::outcomes`] to tolerate failures.
+    /// failure is a harness bug.
     pub fn run_stats(self) -> Vec<fade_system::RunStats> {
         self.run()
             .into_reports()
@@ -374,32 +344,23 @@ impl Default for ExperimentMatrix {
 pub struct MatrixResult {
     /// One outcome per experiment, in declaration order: the report,
     /// or the typed error that experiment (alone) failed with.
-    pub outcomes: Vec<Result<RunReport, ExperimentError>>,
-    /// Worker threads actually used.
-    pub workers: usize,
+    pub(crate) outcomes: Vec<Result<RunReport, ExperimentError>>,
     /// Wall-clock seconds for the whole (sharded) matrix.
-    pub wall_s: f64,
+    pub(crate) wall_s: f64,
     /// Sum of the per-experiment wall clocks of *successful* runs —
     /// what a single worker would have paid running the same grid back
     /// to back.
-    pub serial_s: f64,
+    pub(crate) serial_s: f64,
 }
 
 impl MatrixResult {
-    /// Sharded-over-serial wall-clock speedup (≈1.0 on one worker, up
-    /// to `workers`× on an idle machine).
-    pub fn speedup(&self) -> f64 {
-        self.serial_s / self.wall_s.max(1e-12)
-    }
-
     /// The successful reports, in declaration order.
     ///
     /// # Panics
     ///
     /// Panics on the first failed experiment (with its label and typed
     /// error) — the all-or-nothing discipline of the table-rendering
-    /// binaries. Inspect [`MatrixResult::outcomes`] or
-    /// [`MatrixResult::errors`] to tolerate failures instead.
+    /// binaries.
     pub fn into_reports(self) -> Vec<RunReport> {
         self.outcomes
             .into_iter()
@@ -409,15 +370,9 @@ impl MatrixResult {
             })
             .collect()
     }
-
-    /// The errors of every failed experiment, in declaration order
-    /// (empty when everything succeeded).
-    pub fn errors(&self) -> Vec<&ExperimentError> {
-        self.outcomes.iter().filter_map(|o| o.as_ref().err()).collect()
-    }
 }
 
-/// One recorded matrix timing (see [`ExperimentMatrix::timed`]).
+/// One recorded matrix timing (see `ExperimentMatrix::timed`).
 #[derive(Clone, Debug)]
 pub struct MatrixTiming {
     /// The label the matrix was timed under.
@@ -448,7 +403,7 @@ fn record_timing(t: MatrixTiming) {
     timing_log().lock().expect("timing log poisoned").push(t);
 }
 
-/// Drains every timing recorded by [`ExperimentMatrix::timed`] matrices
+/// Drains every timing recorded by `ExperimentMatrix::timed` matrices
 /// since the last drain — how `reproduce_all` collects per-section
 /// sharding evidence without threading a collector through every
 /// experiment function.
@@ -477,7 +432,7 @@ mod tests {
         m.push(tiny("gcc", "MemLeak"));
         m.push(tiny("hmmer", "MemCheck"));
         let result = m.run();
-        assert!(result.errors().is_empty());
+        assert!(result.outcomes.iter().all(Result::is_ok));
         assert!(result.serial_s > 0.0 && result.wall_s > 0.0);
         let reports = result.into_reports();
         let names: Vec<&str> = reports.iter().map(|r| r.stats.benchmark.as_str()).collect();
@@ -508,7 +463,7 @@ mod tests {
             }
             other => panic!("expected a Build error row, got {other:?}"),
         }
-        assert_eq!(result.errors().len(), 1);
+        assert_eq!(result.outcomes.iter().filter(|o| o.is_err()).count(), 1);
     }
 
     /// An AddrCheck that blows up on the first retired instruction —

@@ -22,7 +22,7 @@ impl Table {
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {

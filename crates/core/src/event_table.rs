@@ -18,7 +18,7 @@ use crate::update_logic::NbUpdate;
 /// Which event operand a rule refers to (the `s1`/`s2`/`d` columns of
 /// Figure 6(b)).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum OperandSel {
+pub(crate) enum OperandSel {
     /// First source operand.
     S1,
     /// Second source operand.
@@ -29,7 +29,7 @@ pub enum OperandSel {
 
 impl OperandSel {
     /// All operand selectors in field order.
-    pub const ALL: [OperandSel; 3] = [OperandSel::S1, OperandSel::S2, OperandSel::D];
+    pub(crate) const ALL: [OperandSel; 3] = [OperandSel::S1, OperandSel::S2, OperandSel::D];
 }
 
 /// Per-operand metadata-access rule: the valid/mem bits, evaluated MD
@@ -38,21 +38,21 @@ impl OperandSel {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct OperandRule {
     /// The operand participates in this entry's evaluation.
-    pub valid: bool,
+    pub(crate) valid: bool,
     /// The operand is the memory operand (metadata fetched through the
     /// MD cache); otherwise it is a register (metadata from the MD RF).
-    pub mem: bool,
+    pub(crate) mem: bool,
     /// Number of metadata bytes evaluated (1..=8).
-    pub md_bytes: u8,
+    pub(crate) md_bytes: u8,
     /// Mask applied to the fetched metadata before comparison.
-    pub mask: u64,
+    pub(crate) mask: u64,
     /// Invariant register compared against on a clean check.
     pub inv_id: Option<InvId>,
 }
 
 impl OperandRule {
     /// An invalid (non-participating) operand.
-    pub const INVALID: OperandRule = OperandRule {
+    pub(crate) const INVALID: OperandRule = OperandRule {
         valid: false,
         mem: false,
         md_bytes: 0,
@@ -121,7 +121,7 @@ pub enum RuCompose {
 /// The check kind of an event-table entry: clean check (CC bit) or
 /// redundant update (RU field). Exactly one applies per entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FilterKind {
+pub(crate) enum FilterKind {
     /// Clean check: every valid operand's masked metadata must equal its
     /// invariant register.
     CleanCheck,
@@ -139,12 +139,6 @@ impl HandlerPc {
     #[inline]
     pub const fn new(pc: u32) -> Self {
         HandlerPc(pc)
-    }
-
-    /// Raw PC value.
-    #[inline]
-    pub const fn raw(self) -> u32 {
-        self.0
     }
 }
 
@@ -166,7 +160,7 @@ pub struct EventTableEntry {
     /// Metadata-access rules for `s1`, `s2`, `d` (in that order).
     pub operands: [OperandRule; 3],
     /// Clean check or redundant update.
-    pub kind: FilterKind,
+    pub(crate) kind: FilterKind,
     /// Multi-shot bit: AND the previous shot's outcome into this one.
     pub ms: bool,
     /// Pointer to the next entry of a multi-shot chain.
@@ -245,7 +239,7 @@ impl EventTableEntry {
 
     /// The rule for an operand selector.
     #[inline]
-    pub fn operand(&self, sel: OperandSel) -> &OperandRule {
+    pub(crate) fn operand(&self, sel: OperandSel) -> &OperandRule {
         match sel {
             OperandSel::S1 => &self.operands[0],
             OperandSel::S2 => &self.operands[1],
@@ -256,7 +250,7 @@ impl EventTableEntry {
     /// Number of two-operand comparator blocks this entry needs in the
     /// Filter stage. The filter logic provides three (f1, f2, f3 in
     /// Figure 7); `FadeProgram::validate` enforces the bound.
-    pub fn comparators_needed(&self) -> usize {
+    pub(crate) fn comparators_needed(&self) -> usize {
         match self.kind {
             FilterKind::CleanCheck => self
                 .operands
@@ -279,7 +273,7 @@ pub struct EventTable {
 
 impl EventTable {
     /// Creates an empty table: every event is unmonitored.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventTable {
             entries: Box::new([None; EVENT_TABLE_ENTRIES]),
         }
@@ -292,27 +286,12 @@ impl EventTable {
     }
 
     /// Installs an entry (memory-mapped programming).
-    pub fn set(&mut self, id: EventId, entry: EventTableEntry) {
+    pub(crate) fn set(&mut self, id: EventId, entry: EventTableEntry) {
         self.entries[id.index()] = Some(entry);
     }
 
-    /// Removes an entry.
-    pub fn clear(&mut self, id: EventId) {
-        self.entries[id.index()] = None;
-    }
-
-    /// Number of programmed entries.
-    pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
-    }
-
-    /// Returns `true` if no entries are programmed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Iterates over `(id, entry)` pairs of programmed entries.
-    pub fn iter(&self) -> impl Iterator<Item = (EventId, &EventTableEntry)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (EventId, &EventTableEntry)> {
         self.entries
             .iter()
             .enumerate()
@@ -342,7 +321,7 @@ mod tests {
     #[test]
     fn empty_table_has_no_entries() {
         let t = EventTable::new();
-        assert!(t.is_empty());
+        assert_eq!(t.iter().count(), 0);
         assert!(t.entry(event_ids::LOAD).is_none());
     }
 
@@ -350,13 +329,11 @@ mod tests {
     fn set_and_lookup() {
         let mut t = EventTable::new();
         t.set(event_ids::LOAD, cc_entry());
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.iter().count(), 1);
         let e = t.entry(event_ids::LOAD).unwrap();
         assert!(e.operand(OperandSel::S1).valid);
         assert!(e.operand(OperandSel::S1).mem);
         assert!(!e.operand(OperandSel::S2).valid);
-        t.clear(event_ids::LOAD);
-        assert!(t.is_empty());
     }
 
     #[test]

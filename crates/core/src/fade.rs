@@ -76,7 +76,7 @@ pub struct FadeConfig {
     /// filtering exists precisely to hide this round trip (Section 5).
     pub blocking_resume_latency: u32,
     /// Blocking or non-blocking filtering.
-    pub mode: FilterMode,
+    pub(crate) mode: FilterMode,
     /// Memory latencies behind the MD cache.
     pub mem_lat: MemLatency,
 }
@@ -453,11 +453,6 @@ impl Fade {
     /// The loaded program.
     pub fn program(&self) -> &FadeProgram {
         &self.program
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FadeConfig {
-        &self.config
     }
 
     /// Advances the accelerator one cycle.

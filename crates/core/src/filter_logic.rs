@@ -24,7 +24,7 @@ pub struct OperandMeta {
 impl OperandMeta {
     /// The value for an operand selector.
     #[inline]
-    pub fn get(&self, sel: OperandSel) -> u64 {
+    pub(crate) fn get(&self, sel: OperandSel) -> u64 {
         match sel {
             OperandSel::S1 => self.s1,
             OperandSel::S2 => self.s2,
@@ -35,9 +35,9 @@ impl OperandMeta {
 
 /// Result of evaluating one shot of an entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FilterDecision {
+pub(crate) struct FilterDecision {
     /// The filtering condition of this shot was satisfied.
-    pub condition_holds: bool,
+    pub(crate) condition_holds: bool,
 }
 
 /// Evaluates one event-table entry (one *shot*) against fetched operand
@@ -47,7 +47,7 @@ pub struct FilterDecision {
 ///   metadata equal to the (equally masked) invariant value.
 /// * Redundant update: the composed source metadata must equal the
 ///   destination metadata.
-pub fn evaluate_shot(entry: &EventTableEntry, ops: &OperandMeta, inv: &InvRf) -> FilterDecision {
+pub(crate) fn evaluate_shot(entry: &EventTableEntry, ops: &OperandMeta, inv: &InvRf) -> FilterDecision {
     let holds = match entry.kind {
         FilterKind::CleanCheck => OperandSel::ALL.iter().all(|&sel| {
             let rule = entry.operand(sel);
@@ -82,20 +82,20 @@ pub fn evaluate_shot(entry: &EventTableEntry, ops: &OperandMeta, inv: &InvRf) ->
 /// The multi-shot chaining register of Figure 7: a one-bit clocked
 /// register plus the MS-controlled mux.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ShotChain {
+pub(crate) struct ShotChain {
     prev: bool,
 }
 
 impl ShotChain {
     /// Creates a chain register (initial content irrelevant; the first
     /// shot of a chain must have `ms == false`).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ShotChain { prev: true }
     }
 
     /// Combines this shot's outcome with the chain state per the MS bit,
     /// latches the result, and returns it.
-    pub fn step(&mut self, ms: bool, outcome: bool) -> bool {
+    pub(crate) fn step(&mut self, ms: bool, outcome: bool) -> bool {
         let combined = if ms { self.prev && outcome } else { outcome };
         self.prev = combined;
         combined

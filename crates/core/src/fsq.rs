@@ -27,16 +27,16 @@ impl std::error::Error for FsqFull {}
 
 /// One FSQ entry: an updated metadata value pending software completion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FsqEntry {
+pub(crate) struct FsqEntry {
     /// Metadata-space address of the update.
-    pub md_addr: u64,
+    pub(crate) md_addr: u64,
     /// Number of metadata bytes (1..=8).
-    pub bytes: u8,
+    pub(crate) bytes: u8,
     /// The updated value (little-endian packed).
-    pub value: u64,
+    pub(crate) value: u64,
     /// Token of the unfiltered event that produced the update; the entry
     /// is discarded when that event's handler completes.
-    pub token: u64,
+    pub(crate) token: u64,
 }
 
 /// An age-ordered, address-searchable store queue.
@@ -55,7 +55,6 @@ pub struct FsqEntry {
 pub struct Fsq {
     entries: VecDeque<FsqEntry>,
     capacity: usize,
-    max_occupancy: usize,
 }
 
 impl Fsq {
@@ -69,7 +68,6 @@ impl Fsq {
         Fsq {
             entries: VecDeque::new(),
             capacity,
-            max_occupancy: 0,
         }
     }
 
@@ -89,7 +87,6 @@ impl Fsq {
             value,
             token,
         });
-        self.max_occupancy = self.max_occupancy.max(self.entries.len());
         Ok(())
     }
 
@@ -104,15 +101,6 @@ impl Fsq {
             .rev()
             .find(|e| e.md_addr == md_addr && e.bytes == bytes)
             .map(|e| e.value)
-    }
-
-    /// Returns `true` if any entry overlaps the byte range (used to
-    /// detect partial-overlap hazards).
-    pub fn overlaps(&self, md_addr: u64, bytes: u8) -> bool {
-        let end = md_addr + bytes as u64;
-        self.entries
-            .iter()
-            .any(|e| e.md_addr < end && md_addr < e.md_addr + e.bytes as u64)
     }
 
     /// Discards all entries belonging to a completed unfiltered event.
@@ -131,13 +119,8 @@ impl Fsq {
     }
 
     /// Returns `true` when at capacity.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
-    }
-
-    /// Highest occupancy observed.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
     }
 }
 
@@ -171,18 +154,16 @@ mod tests {
         fsq.push(8, 1, 0, 1).unwrap();
         assert!(fsq.is_full());
         assert_eq!(fsq.push(16, 1, 0, 2), Err(FsqFull));
-        assert_eq!(fsq.max_occupancy(), 2);
     }
 
     #[test]
     fn overlap_detection() {
         let mut fsq = Fsq::new(4);
         fsq.push(0x100, 4, 0, 0).unwrap();
-        assert!(fsq.overlaps(0x102, 1));
-        assert!(fsq.overlaps(0xfe, 4));
-        assert!(!fsq.overlaps(0x104, 4));
         // Exact-width search misses on partial overlap.
         assert_eq!(fsq.search(0x102, 1), None);
+        assert_eq!(fsq.search(0xfe, 4), None);
+        assert_eq!(fsq.search(0x100, 4), Some(0));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Number of invariant registers. The event-table format of Figure 6(b)
 /// allots a 5-bit INV id per operand, i.e. 32 registers.
-pub const INV_REGS: usize = 32;
+pub(crate) const INV_REGS: usize = 32;
 
 /// Index of an invariant register (5 bits).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -29,7 +29,7 @@ impl InvId {
 
     /// Returns the register index.
     #[inline]
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         self.0 as usize
     }
 }

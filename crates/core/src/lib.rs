@@ -20,12 +20,12 @@
 //!   [`EventTable`] and an [`InvRf`] (invariant register file), with
 //!   three filtering modes: single-shot, multi-shot, and partial
 //!   ([`FilterMode`] is an orthogonal blocking/non-blocking switch);
-//! * the **Stack-Update Unit** ([`StackUpdateUnit`]) — an FSM for bulk
+//! * the **Stack-Update Unit** (`StackUpdateUnit`) — an FSM for bulk
 //!   frame metadata initialization on calls/returns;
 //! * the **MD cache** ([`TagCache`]) and **M-TLB** ([`MdTlb`]) — a 4 KB
 //!   metadata cache with an application-page→metadata-frame TLB;
 //! * the **non-blocking extensions** (Section 5) — metadata-update logic
-//!   ([`update_logic`]), the Metadata Write stage, and the Filter Store
+//!   (`update_logic`), the Metadata Write stage, and the Filter Store
 //!   Queue ([`Fsq`]).
 //!
 //! The top-level [`Fade`] struct ties these together behind a
@@ -51,28 +51,25 @@
 //! assert!(program.validate().is_ok());
 //! ```
 
-pub mod event_table;
-pub mod fade;
-pub mod filter_logic;
-pub mod fsq;
-pub mod invrf;
-pub mod md_cache;
-pub mod md_tlb;
-pub mod program;
-pub mod suu;
-pub mod update_logic;
+mod event_table;
+mod fade;
+mod filter_logic;
+mod fsq;
+mod invrf;
+mod md_cache;
+mod md_tlb;
+mod program;
+mod suu;
+mod update_logic;
 
 pub use crate::fade::{
     BatchStats, Fade, FadeConfig, FadeStats, FadeTick, FilterMode, UnfilteredEvent,
 };
-pub use event_table::{
-    EventTable, EventTableEntry, FilterKind, HandlerPc, OperandRule, OperandSel, RuCompose,
-};
-pub use filter_logic::{FilterDecision, OperandMeta};
-pub use fsq::{Fsq, FsqEntry, FsqFull};
-pub use invrf::{InvId, InvRf, INV_REGS};
+pub use event_table::{EventTable, EventTableEntry, HandlerPc, OperandRule, RuCompose};
+pub use filter_logic::OperandMeta;
+pub use fsq::{Fsq, FsqFull};
+pub use invrf::{InvId, InvRf};
 pub use md_cache::{CacheStats, TagCache, TagCacheConfig};
 pub use md_tlb::MdTlb;
 pub use program::{FadeProgram, ProgramError, SuuConfig};
-pub use suu::StackUpdateUnit;
 pub use update_logic::{NbAction, NbCond, NbCondOperand, NbUpdate};

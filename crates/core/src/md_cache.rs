@@ -29,7 +29,7 @@ impl TagCacheConfig {
     }
 
     /// The Table 1 shared L2: 2 MB, 16-way, 64 B lines.
-    pub const fn l2() -> Self {
+    pub(crate) const fn l2() -> Self {
         TagCacheConfig {
             size_bytes: 2 * 1024 * 1024,
             ways: 16,
@@ -44,7 +44,7 @@ impl TagCacheConfig {
 
     /// `log2(line_bytes)` — the address-to-line shift. Valid because
     /// [`TagCache::new`] rejects non-power-of-two line sizes.
-    pub const fn line_shift(&self) -> u32 {
+    pub(crate) const fn line_shift(&self) -> u32 {
         self.line_bytes.trailing_zeros()
     }
 }
@@ -159,15 +159,17 @@ impl TagCache {
         }
     }
 
-    /// Probes without updating LRU state or statistics.
-    pub fn probe(&self, addr: u64) -> bool {
+    /// Probes without updating LRU state or statistics: the residency
+    /// oracle of the unit tests.
+    #[cfg(test)]
+    pub(crate) fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.locate(addr);
         self.sets[set_idx].contains(&tag)
     }
 
     /// Installs the line containing `addr` without counting an access
     /// (used by the SUU, whose writes stream through the cache).
-    pub fn fill(&mut self, addr: u64) {
+    pub(crate) fn fill(&mut self, addr: u64) {
         let (set_idx, tag) = self.locate(addr);
         let set = &mut self.sets[set_idx];
         if let Some(pos) = set.iter().position(|&t| t == tag) {

@@ -21,7 +21,7 @@ pub struct MdTlb {
 
 impl MdTlb {
     /// The paper's configuration: 16 entries (Section 6).
-    pub const DEFAULT_ENTRIES: usize = 16;
+    pub(crate) const DEFAULT_ENTRIES: usize = 16;
 
     /// Creates an empty M-TLB.
     ///

@@ -140,7 +140,7 @@ impl FadeProgram {
 
     /// Mutable access to the invariant register file (runtime
     /// memory-mapped writes, e.g. per-thread signatures).
-    pub fn invariants_mut(&mut self) -> &mut InvRf {
+    pub(crate) fn invariants_mut(&mut self) -> &mut InvRf {
         &mut self.invariants
     }
 

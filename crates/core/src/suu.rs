@@ -15,7 +15,7 @@ use crate::md_cache::TagCache;
 /// pipeline stalls instruction filtering while the SUU is busy because
 /// stack updates change metadata state (Section 5.2).
 #[derive(Clone, Debug)]
-pub struct StackUpdateUnit {
+pub(crate) struct StackUpdateUnit {
     /// Remaining line writes for the in-flight update.
     lines_left: u32,
     /// Next metadata address to write.
@@ -26,8 +26,6 @@ pub struct StackUpdateUnit {
     value: u8,
     /// Total line writes issued (statistics).
     writes_issued: u64,
-    /// Total stack updates processed.
-    updates: u64,
 }
 
 /// Line size the SUU writes per cycle (matches the MD cache line).
@@ -35,20 +33,19 @@ const SUU_LINE_BYTES: u64 = 64;
 
 impl StackUpdateUnit {
     /// Creates an idle SUU.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StackUpdateUnit {
             lines_left: 0,
             cursor: 0,
             end: 0,
             value: 0,
             writes_issued: 0,
-            updates: 0,
         }
     }
 
     /// Returns `true` while an update is in flight.
     #[inline]
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.lines_left > 0
     }
 
@@ -63,7 +60,7 @@ impl StackUpdateUnit {
     /// # Panics
     ///
     /// Panics if the unit is already busy.
-    pub fn start(
+    pub(crate) fn start(
         &mut self,
         ev: &StackUpdateEvent,
         call_inv: InvId,
@@ -82,7 +79,6 @@ impl StackUpdateUnit {
         // Timing: one MD-cache line write per cycle over the range.
         let (start, len) = map.md_range(ev.base, ev.len);
         if len == 0 {
-            self.updates += 1;
             return 0;
         }
         let first_line = start / SUU_LINE_BYTES;
@@ -90,13 +86,12 @@ impl StackUpdateUnit {
         self.lines_left = (last_line - first_line + 1) as u32;
         self.cursor = first_line * SUU_LINE_BYTES;
         self.end = start + len;
-        self.updates += 1;
         self.lines_left
     }
 
     /// Advances one cycle: issues one line write into the MD cache.
     /// Returns `true` when the update completed this cycle.
-    pub fn tick(&mut self, md_cache: &mut TagCache) -> bool {
+    pub(crate) fn tick(&mut self, md_cache: &mut TagCache) -> bool {
         if !self.busy() {
             return false;
         }
@@ -108,13 +103,8 @@ impl StackUpdateUnit {
     }
 
     /// Total line writes issued.
-    pub fn writes_issued(&self) -> u64 {
+    pub(crate) fn writes_issued(&self) -> u64 {
         self.writes_issued
-    }
-
-    /// Total stack updates processed.
-    pub fn updates(&self) -> u64 {
-        self.updates
     }
 }
 
@@ -178,7 +168,6 @@ mod tests {
         };
         suu.start(&ret, InvId::new(0), InvId::new(1), &inv, &map, &mut st);
         assert_eq!(st.mem_meta(VirtAddr::new(0x8000)), 0);
-        assert_eq!(suu.updates(), 2);
     }
 
     #[test]

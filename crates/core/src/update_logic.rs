@@ -61,11 +61,11 @@ pub struct NbCond {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NbUpdate {
     /// Action applied when the condition holds (or unconditionally).
-    pub action: NbAction,
+    pub(crate) action: NbAction,
     /// Optional gating condition.
-    pub cond: Option<NbCond>,
+    pub(crate) cond: Option<NbCond>,
     /// Action applied when the condition fails.
-    pub else_action: Option<NbAction>,
+    pub(crate) else_action: Option<NbAction>,
 }
 
 impl NbUpdate {

@@ -9,9 +9,9 @@ use std::fmt;
 /// Log2 of the page size. 4 KiB pages, matching the M-TLB granularity.
 pub const PAGE_SHIFT: u32 = 12;
 /// Page size in bytes.
-pub const PAGE_SIZE: u32 = 1 << PAGE_SHIFT;
+pub(crate) const PAGE_SIZE: u32 = 1 << PAGE_SHIFT;
 /// Application word size in bytes (32-bit binaries).
-pub const WORD_SIZE: u32 = 4;
+pub(crate) const WORD_SIZE: u32 = 4;
 
 /// A 32-bit application virtual address.
 ///
@@ -29,7 +29,7 @@ pub struct VirtAddr(u32);
 
 impl VirtAddr {
     /// The null address.
-    pub const NULL: VirtAddr = VirtAddr(0);
+    pub(crate) const NULL: VirtAddr = VirtAddr(0);
 
     /// Creates a virtual address from its raw 32-bit value.
     #[inline]
@@ -110,45 +110,6 @@ impl From<VirtAddr> for u32 {
     }
 }
 
-/// A physical address in the monitor's metadata space.
-///
-/// Produced by the M-TLB translation of an application page to the
-/// physical page holding its metadata (Section 4.1, Metadata Read stage).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PhysAddr(u64);
-
-impl PhysAddr {
-    /// Creates a physical address from its raw value.
-    #[inline]
-    pub const fn new(raw: u64) -> Self {
-        PhysAddr(raw)
-    }
-
-    /// Returns the raw value.
-    #[inline]
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the physical frame number.
-    #[inline]
-    pub const fn frame(self) -> u64 {
-        self.0 >> PAGE_SHIFT
-    }
-}
-
-impl fmt::Debug for PhysAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PhysAddr({:#012x})", self.0)
-    }
-}
-
-impl fmt::Display for PhysAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:#012x}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,11 +138,5 @@ mod tests {
     fn display_formats_as_hex() {
         assert_eq!(VirtAddr::new(0x10).to_string(), "0x00000010");
         assert_eq!(format!("{:x}", VirtAddr::new(255)), "ff");
-    }
-
-    #[test]
-    fn phys_addr_frame() {
-        let p = PhysAddr::new(0x1234_5678);
-        assert_eq!(p.frame(), 0x1234_5678 >> PAGE_SHIFT);
     }
 }

@@ -44,12 +44,6 @@ impl EventId {
     pub const fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Returns the raw 7-bit value.
-    #[inline]
-    pub const fn raw(self) -> u8 {
-        self.0
-    }
 }
 
 impl fmt::Debug for EventId {
@@ -105,20 +99,6 @@ impl InstrEvent {
             result_ptr: false,
         }
     }
-
-    /// Packs the architectural fields into the Figure 6(a) wire format:
-    /// event ID (bits 0..7), app addr (8..40), app PC (40..72), src1
-    /// (72..77), src2 (77..82), dest (82..87). The simulator side-band
-    /// fields (`mem_size`, `tid`, `result_ptr`) are *not* encoded —
-    /// hardware derives or never sees them.
-    pub fn pack(&self) -> u128 {
-        (self.id.raw() as u128)
-            | ((self.app_addr.raw() as u128) << 8)
-            | ((self.app_pc.raw() as u128) << 40)
-            | ((self.src1.index() as u128) << 72)
-            | ((self.src2.index() as u128) << 77)
-            | ((self.dest.index() as u128) << 82)
-    }
 }
 
 /// Whether a stack update allocates (call) or deallocates (return) a frame.
@@ -151,14 +131,6 @@ pub struct StackUpdateEvent {
     pub kind: StackUpdateKind,
     /// Retiring hardware thread.
     pub tid: u8,
-}
-
-impl StackUpdateEvent {
-    /// One-past-the-end address of the frame.
-    #[inline]
-    pub const fn end(&self) -> VirtAddr {
-        self.base.wrapping_add(self.len)
-    }
 }
 
 /// High-level events: infrequent, complex actions that FADE deliberately
@@ -241,8 +213,22 @@ mod tests {
         let _ = EventId::new(128);
     }
 
-    /// Unpacks a Figure 6(a) word produced by [`InstrEvent::pack`] — the
-    /// round-trip oracle for `pack`. Side-band fields come back zeroed.
+    /// Packs the architectural fields into the Figure 6(a) wire format:
+    /// event ID (bits 0..7), app addr (8..40), app PC (40..72), src1
+    /// (72..77), src2 (77..82), dest (82..87). The simulator side-band
+    /// fields (`mem_size`, `tid`, `result_ptr`) are *not* encoded —
+    /// hardware derives or never sees them.
+    fn pack(e: &InstrEvent) -> u128 {
+        (e.id.index() as u128)
+            | ((e.app_addr.raw() as u128) << 8)
+            | ((e.app_pc.raw() as u128) << 40)
+            | ((e.src1.index() as u128) << 72)
+            | ((e.src2.index() as u128) << 77)
+            | ((e.dest.index() as u128) << 82)
+    }
+
+    /// Unpacks a Figure 6(a) word produced by [`pack`] — the round-trip
+    /// oracle for `pack`. Side-band fields come back zeroed.
     fn unpack(word: u128) -> InstrEvent {
         InstrEvent {
             id: EventId::new((word & 0x7f) as u8),
@@ -264,7 +250,7 @@ mod tests {
         e.src1 = Reg::new(31);
         e.src2 = Reg::new(1);
         e.dest = Reg::new(17);
-        let back = unpack(e.pack());
+        let back = unpack(pack(&e));
         assert_eq!(back.id, e.id);
         assert_eq!(back.app_addr, e.app_addr);
         assert_eq!(back.app_pc, e.app_pc);
@@ -280,17 +266,6 @@ mod tests {
         e.src1 = Reg::new(31);
         e.src2 = Reg::new(31);
         e.dest = Reg::new(31);
-        assert!(e.pack() < (1u128 << 87), "event word exceeds its field budget");
-    }
-
-    #[test]
-    fn stack_update_end() {
-        let e = StackUpdateEvent {
-            base: VirtAddr::new(0x1000),
-            len: 96,
-            kind: StackUpdateKind::Call,
-            tid: 0,
-        };
-        assert_eq!(e.end(), VirtAddr::new(0x1060));
+        assert!(pack(&e) < (1u128 << 87), "event word exceeds its field budget");
     }
 }

@@ -93,12 +93,6 @@ impl MemRef {
     pub const fn word(addr: VirtAddr) -> Self {
         MemRef { addr, size: 4 }
     }
-
-    /// A byte-sized access.
-    #[inline]
-    pub const fn byte(addr: VirtAddr) -> Self {
-        MemRef { addr, size: 1 }
-    }
 }
 
 /// A retired dynamic instruction, the unit the event producer observes.
@@ -185,12 +179,6 @@ impl AppInstr {
         self.tid = tid;
         self
     }
-
-    /// Returns `true` if the instruction references memory.
-    #[inline]
-    pub const fn is_memory(&self) -> bool {
-        self.mem.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +196,7 @@ mod tests {
         assert_eq!(i.src2, Some(Reg::new(2)));
         assert_eq!(i.dest, Some(Reg::new(3)));
         assert_eq!(i.tid, 2);
-        assert!(!i.is_memory());
+        assert!(i.mem.is_none());
     }
 
     #[test]
@@ -229,6 +217,5 @@ mod tests {
     fn memref_constructors() {
         let m = MemRef::word(VirtAddr::new(0x100));
         assert_eq!(m.size, 4);
-        assert_eq!(MemRef::byte(VirtAddr::new(0x100)).size, 1);
     }
 }

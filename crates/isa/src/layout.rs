@@ -20,7 +20,7 @@ pub const HEAP_SIZE: u32 = 1 << 30;
 /// Top of the downward-growing stack.
 pub const STACK_TOP: u32 = 0xf000_0000;
 /// Maximum stack size (256 MiB).
-pub const STACK_SIZE: u32 = 256 << 20;
+pub(crate) const STACK_SIZE: u32 = 256 << 20;
 
 /// Returns `true` for addresses in the stack segment.
 #[inline]

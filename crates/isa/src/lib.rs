@@ -27,14 +27,14 @@
 //! assert_eq!(id, fade_isa::event_ids::LOAD);
 //! ```
 
-pub mod addr;
-pub mod event;
-pub mod instr;
+mod addr;
+mod event;
+mod instr;
 pub mod layout;
-pub mod opclass;
-pub mod reg;
+mod opclass;
+mod reg;
 
-pub use addr::{PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE, WORD_SIZE};
+pub use addr::{VirtAddr, PAGE_SHIFT};
 pub use event::{
     AppEvent, EventId, HighLevelEvent, InstrEvent, StackUpdateEvent, StackUpdateKind,
     EVENT_TABLE_ENTRIES,

@@ -27,17 +27,17 @@ pub mod event_ids {
     /// Integer multiply/divide.
     pub const INT_MUL: EventId = EventId::new(5);
     /// Floating-point operation.
-    pub const FP_ALU: EventId = EventId::new(6);
+    pub(crate) const FP_ALU: EventId = EventId::new(6);
     /// Conditional branch.
     pub const BRANCH: EventId = EventId::new(7);
     /// Unconditional/indirect jump.
-    pub const JUMP: EventId = EventId::new(8);
+    pub(crate) const JUMP: EventId = EventId::new(8);
     /// Function call instruction (beyond the stack update itself).
-    pub const CALL: EventId = EventId::new(9);
+    pub(crate) const CALL: EventId = EventId::new(9);
     /// Function return instruction.
-    pub const RETURN: EventId = EventId::new(10);
+    pub(crate) const RETURN: EventId = EventId::new(10);
     /// Anything else (nop, prefetch): never monitored.
-    pub const OTHER: EventId = EventId::new(0);
+    pub(crate) const OTHER: EventId = EventId::new(0);
 
     /// First table index available for monitor-allocated multi-shot
     /// continuation entries.

@@ -26,10 +26,6 @@ impl Reg {
     /// The zero register (`%g0` on SPARC): always reads zero and its
     /// metadata is always clean.
     pub const ZERO: Reg = Reg(0);
-    /// Conventional stack pointer register (`%o6`/`%sp`).
-    pub const SP: Reg = Reg(14);
-    /// Conventional frame pointer register (`%i6`/`%fp`).
-    pub const FP: Reg = Reg(30);
     /// Conventional return-value register (`%o0`).
     pub const RET: Reg = Reg(8);
 
@@ -81,8 +77,6 @@ mod tests {
     #[test]
     fn well_known_registers() {
         assert!(Reg::ZERO.is_zero());
-        assert_eq!(Reg::SP.index(), 14);
-        assert_eq!(Reg::FP.index(), 30);
     }
 
     #[test]

@@ -20,9 +20,9 @@ use fade_shadow::{MetadataMap, MetadataState};
 use crate::monitor::{CostModel, EventClass, Monitor, MonitorKind};
 
 /// Metadata encoding: unallocated.
-pub const UNALLOCATED: u8 = 0;
+pub(crate) const UNALLOCATED: u8 = 0;
 /// Metadata encoding: allocated.
-pub const ALLOCATED: u8 = 1;
+pub(crate) const ALLOCATED: u8 = 1;
 
 const INV_ALLOCATED: InvId = InvId::new(0);
 const HANDLER_ACCESS: HandlerPc = HandlerPc::new(0xac00_0000);

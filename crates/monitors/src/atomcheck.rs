@@ -26,17 +26,17 @@ use fade_shadow::{MetadataMap, MetadataState};
 use crate::monitor::{CostModel, EventClass, Monitor, MonitorKind};
 
 /// The thread-status bit: set once a word has been referenced.
-pub const THREAD_STATUS: u8 = 0x80;
+pub(crate) const THREAD_STATUS: u8 = 0x80;
 
 /// INV register holding the current thread's signature.
-pub const INV_SIG: InvId = InvId::new(0);
+pub(crate) const INV_SIG: InvId = InvId::new(0);
 
 const HANDLER_LONG: HandlerPc = HandlerPc::new(0xa700_0000);
 const HANDLER_SHORT: HandlerPc = HandlerPc::new(0xa700_0100);
 
 /// Signature byte for a thread.
 #[inline]
-pub fn signature(tid: u8) -> u8 {
+pub(crate) fn signature(tid: u8) -> u8 {
     THREAD_STATUS | (tid & 0x7f)
 }
 

@@ -30,12 +30,12 @@
 //! assert!(mon.program().validate().is_ok());
 //! ```
 
-pub mod addrcheck;
-pub mod atomcheck;
-pub mod memcheck;
-pub mod memleak;
-pub mod monitor;
-pub mod taintcheck;
+mod addrcheck;
+mod atomcheck;
+mod memcheck;
+mod memleak;
+mod monitor;
+mod taintcheck;
 
 pub use addrcheck::AddrCheck;
 pub use atomcheck::AtomCheck;

@@ -24,11 +24,11 @@ use fade_shadow::{MetadataMap, MetadataState};
 use crate::monitor::{CostModel, EventClass, Monitor, MonitorKind};
 
 /// Metadata encoding: unallocated.
-pub const UNALLOCATED: u8 = 0;
+pub(crate) const UNALLOCATED: u8 = 0;
 /// Metadata encoding: allocated but uninitialized.
-pub const UNINIT: u8 = 1;
+pub(crate) const UNINIT: u8 = 1;
 /// Metadata encoding: allocated and initialized (defined).
-pub const INIT: u8 = 3;
+pub(crate) const INIT: u8 = 3;
 
 const INV_INIT: InvId = InvId::new(0);
 const INV_CALL: InvId = InvId::new(1);

@@ -27,9 +27,9 @@ use fade_shadow::{MetadataMap, MetadataState};
 use crate::monitor::{CostModel, EventClass, Monitor, MonitorKind};
 
 /// Metadata encoding: not a pointer.
-pub const NON_POINTER: u8 = 0;
+pub(crate) const NON_POINTER: u8 = 0;
 /// Metadata encoding: a pointer into a live allocation.
-pub const POINTER: u8 = 1;
+pub(crate) const POINTER: u8 = 1;
 
 const INV_NONPTR: InvId = InvId::new(0);
 const HANDLER: HandlerPc = HandlerPc::new(0x1e00_0000);

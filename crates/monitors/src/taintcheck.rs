@@ -22,9 +22,9 @@ use fade_shadow::{MetadataMap, MetadataState};
 use crate::monitor::{CostModel, EventClass, Monitor, MonitorKind};
 
 /// Metadata encoding: untainted.
-pub const UNTAINTED: u8 = 0;
+pub(crate) const UNTAINTED: u8 = 0;
 /// Metadata encoding: tainted.
-pub const TAINTED: u8 = 1;
+pub(crate) const TAINTED: u8 = 1;
 
 const INV_UNTAINTED: InvId = InvId::new(0);
 const HANDLER_PROP: HandlerPc = HandlerPc::new(0x7a00_0000);

@@ -15,13 +15,12 @@
 //! models: bit/gate counts of every FADE structure (event table,
 //! queues, FSQ, register files, pipeline, SUU, filter/update logic)
 //! multiplied by calibrated 40 nm per-bit/per-gate constants
-//! ([`tech::Tech40`]), plus a mini-CACTI for SRAM arrays
+//! (`tech::Tech40`), plus a mini-CACTI for SRAM arrays
 //! ([`cacti::cache_model`]).
 
-pub mod cacti;
-pub mod logic;
-pub mod tech;
+mod cacti;
+mod logic;
+mod tech;
 
 pub use cacti::{cache_model, CacheEstimate};
-pub use logic::{fade_logic_report, AreaPowerReport, StructureCost};
-pub use tech::Tech40;
+pub use logic::{fade_logic_report, AreaPowerReport};

@@ -4,7 +4,7 @@ use crate::tech::Tech40;
 
 /// Storage/logic class of a structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StructureKind {
+pub(crate) enum StructureKind {
     /// SRAM array (bits).
     Sram,
     /// CAM array (bits, searched associatively).
@@ -17,20 +17,20 @@ pub enum StructureKind {
 
 /// One FADE structure with its size and peak activity.
 #[derive(Clone, Debug)]
-pub struct StructureCost {
+pub(crate) struct StructureCost {
     /// Structure name (as in the paper's microarchitecture).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Storage class.
-    pub kind: StructureKind,
+    pub(crate) kind: StructureKind,
     /// Bits (for arrays) or gate count (for logic).
-    pub size: u64,
+    pub(crate) size: u64,
     /// Peak switching energy per cycle (pJ) at full activity.
-    pub peak_pj_per_cycle: f64,
+    pub(crate) peak_pj_per_cycle: f64,
 }
 
 impl StructureCost {
     /// Pre-overhead cell area in µm².
-    pub fn raw_area_um2(&self) -> f64 {
+    pub(crate) fn raw_area_um2(&self) -> f64 {
         let per_unit = match self.kind {
             StructureKind::Sram => Tech40::SRAM_BIT_UM2,
             StructureKind::Cam => Tech40::CAM_BIT_UM2,
@@ -45,9 +45,9 @@ impl StructureCost {
 #[derive(Clone, Debug)]
 pub struct AreaPowerReport {
     /// The modelled structures.
-    pub entries: Vec<StructureCost>,
+    pub(crate) entries: Vec<StructureCost>,
     /// Clock frequency used for power (GHz).
-    pub freq_ghz: f64,
+    pub(crate) freq_ghz: f64,
 }
 
 impl AreaPowerReport {

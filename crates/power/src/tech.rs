@@ -8,23 +8,21 @@
 
 /// 40 nm (TSMC half-node) technology parameters.
 #[derive(Clone, Copy, Debug)]
-pub struct Tech40;
+pub(crate) struct Tech40;
 
 impl Tech40 {
-    /// Supply voltage (V).
-    pub const VDD: f64 = 0.9;
     /// SRAM cell area including array periphery share (µm²/bit).
-    pub const SRAM_BIT_UM2: f64 = 0.45;
+    pub(crate) const SRAM_BIT_UM2: f64 = 0.45;
     /// CAM cell area including match-line share (µm²/bit).
-    pub const CAM_BIT_UM2: f64 = 1.10;
+    pub(crate) const CAM_BIT_UM2: f64 = 1.10;
     /// Standard-cell flip-flop area (µm²).
-    pub const FLOP_UM2: f64 = 4.5;
+    pub(crate) const FLOP_UM2: f64 = 4.5;
     /// NAND2-equivalent gate area (µm²).
-    pub const GATE_UM2: f64 = 0.9;
+    pub(crate) const GATE_UM2: f64 = 0.9;
     /// Post-synthesis overhead: routing, clock tree, cell utilization.
-    pub const SYNTHESIS_OVERHEAD: f64 = 2.38;
+    pub(crate) const SYNTHESIS_OVERHEAD: f64 = 2.38;
     /// Leakage power density (nW/µm²) at 0.9 V, typical corner.
-    pub const LEAK_NW_PER_UM2: f64 = 45.0;
+    pub(crate) const LEAK_NW_PER_UM2: f64 = 45.0;
 }
 
 #[cfg(test)]
@@ -37,6 +35,5 @@ mod tests {
         assert!(Tech40::SRAM_BIT_UM2 < Tech40::CAM_BIT_UM2);
         assert!(Tech40::CAM_BIT_UM2 < Tech40::FLOP_UM2);
         assert!(Tech40::SYNTHESIS_OVERHEAD > 1.0);
-        assert!(Tech40::VDD > 0.5 && Tech40::VDD < 1.2);
     }
 }

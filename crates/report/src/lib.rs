@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 /// characters by name, and the rest of the C0 range as `\u00XX` —
 /// everything else (UTF-8 included) passes through verbatim, which is
 /// valid JSON.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

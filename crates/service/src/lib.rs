@@ -13,12 +13,12 @@
 //! * [`protocol`] — the wire format: length-prefixed frames, the HELLO
 //!   handshake (tenant id, monitor, engine, `SystemConfig` knobs), the
 //!   END counters. Specified in `docs/PROTOCOL.md`.
-//! * [`server`] — the daemon. One framing thread per connection, one
+//! * `server` — the daemon. One framing thread per connection, one
 //!   [`fade_system::WorkerPool`] job per session;
 //!   [`serve_session`] is the (public, testable) serving procedure.
 //! * [`report`] — the JSON report lines, built on the shared
 //!   [`fade_report`] writer.
-//! * [`client`] — [`stream_session`], the client-side conversation.
+//! * `client` — [`stream_session`], the client-side conversation.
 //! * [`harness`] — [`measure_service_throughput`]: N concurrent
 //!   tenants, aggregate Mev/s and p50/p99 report latency.
 //!
@@ -43,21 +43,18 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-pub mod client;
+mod client;
 pub mod harness;
 pub mod protocol;
 pub mod report;
-pub mod server;
+mod server;
 
 pub use client::{stream_session, ClientError, TRACE_CHUNK};
 pub use harness::{
     measure_service_throughput, measure_service_throughput_at, temp_socket_path, LoadOptions,
-    ServiceThroughputReport, LOAD_POINTS,
+    LOAD_POINTS,
 };
-pub use protocol::{
-    EndSummary, EngineSel, FrameError, Hello, ProtocolError, DEFAULT_MAX_TRACE_BYTES,
-    MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
-};
+pub use protocol::{EndSummary, EngineSel, Hello};
 pub use server::{
     engine_name, send_shutdown, serve_session, Faded, ServerConfig, TenantError, SERVE_SLICE,
 };

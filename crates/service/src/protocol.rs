@@ -21,17 +21,17 @@ use fade_system::{Accel, Engine, SystemConfig};
 /// Protocol version carried in the first byte of every HELLO payload.
 /// A server refuses versions it does not speak with a typed error
 /// reply (never by guessing).
-pub const PROTOCOL_VERSION: u8 = 3;
+pub(crate) const PROTOCOL_VERSION: u8 = 3;
 
 /// Hard ceiling on one frame's payload (64 MiB). Anything larger is a
 /// protocol error: frames are buffered whole, so the bound is what
 /// keeps one client from ballooning daemon memory with a single
 /// length word.
-pub const MAX_FRAME_PAYLOAD: usize = 1 << 26;
+pub(crate) const MAX_FRAME_PAYLOAD: usize = 1 << 26;
 
 /// Default per-tenant cap on buffered `.fadet` bytes (256 MiB) — the
 /// store-and-forward backpressure bound (see `docs/PROTOCOL.md`).
-pub const DEFAULT_MAX_TRACE_BYTES: usize = 1 << 28;
+pub(crate) const DEFAULT_MAX_TRACE_BYTES: usize = 1 << 28;
 
 /// Client → server: session handshake (must be the first frame).
 pub const FRAME_HELLO: u8 = 0x01;
@@ -40,7 +40,7 @@ pub const FRAME_TRACE: u8 = 0x02;
 /// Client → server: end of trace; run the session and report.
 pub const FRAME_FINISH: u8 = 0x03;
 /// Client → server (admin): stop accepting, drain, exit.
-pub const FRAME_SHUTDOWN: u8 = 0x7F;
+pub(crate) const FRAME_SHUTDOWN: u8 = 0x7F;
 /// Server → client: one JSON report line (violation or summary).
 pub const FRAME_REPORT: u8 = 0x11;
 /// Server → client: session complete; binary counters payload.
@@ -65,7 +65,7 @@ pub enum ProtocolError {
         /// What the conversation state allowed.
         expected: &'static str,
     },
-    /// A frame's length word exceeded [`MAX_FRAME_PAYLOAD`].
+    /// A frame's length word exceeded `MAX_FRAME_PAYLOAD`.
     OversizedFrame(u64),
     /// HELLO's engine selector byte is not one of the three engine selectors.
     UnknownEngine(u8),
@@ -200,7 +200,7 @@ impl Hello {
     /// Encodes the HELLO payload (see `docs/PROTOCOL.md` for the
     /// layout).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.tenant.len() + self.monitor.len());
+        let mut out = Vec::with_capacity(24 + self.tenant.len() + self.monitor.len());
         out.push(PROTOCOL_VERSION);
         out.push(u8::from(self.recover));
         out.push(self.engine.to_byte());
@@ -213,7 +213,7 @@ impl Hello {
     }
 
     /// Decodes a HELLO payload.
-    pub fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, ProtocolError> {
         let mut p = Cursor { buf: payload, pos: 0 };
         let version = p.u8("HELLO version byte")?;
         if version != PROTOCOL_VERSION {
@@ -251,7 +251,7 @@ pub struct EndSummary {
 
 impl EndSummary {
     /// Encodes the END payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(20);
         put_u64(&mut out, self.events);
         put_u64(&mut out, self.instrs);

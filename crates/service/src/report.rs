@@ -34,7 +34,7 @@ pub fn violation_line(tenant: &str, seq: u32, text: &str) -> String {
 /// The degradation accounting of a recovering replay, as a nested
 /// JSON object (every field of [`DegradationReport`], faults
 /// included, so "bit-exact degradation" is checkable on the wire).
-pub fn degradation_json(d: &DegradationReport) -> String {
+pub(crate) fn degradation_json(d: &DegradationReport) -> String {
     let faults: Vec<String> = d
         .faults
         .iter()
@@ -98,7 +98,7 @@ pub fn summary_line(tenant: &str, engine: &str, report: &RunReport, usage: Shado
 /// A typed failure reply. `kind` is a stable machine-matchable tag
 /// (`"shadow_budget"`, `"monitor_panicked"`, …); `detail` is the
 /// human-readable cause.
-pub fn error_line(kind: &str, detail: &str) -> String {
+pub(crate) fn error_line(kind: &str, detail: &str) -> String {
     JsonObject::new()
         .str("type", "error")
         .str("error", kind)

@@ -62,17 +62,17 @@ pub const SERVE_SLICE: u64 = 65_536;
 pub struct ServerConfig {
     /// Path the unix-domain socket binds at (replaced if present,
     /// removed again on clean shutdown).
-    pub socket: PathBuf,
+    pub(crate) socket: PathBuf,
     /// Worker threads in the session pool.
     pub workers: usize,
     /// Per-tenant cap on buffered `.fadet` bytes; a stream exceeding
     /// it gets a `trace_too_large` error reply.
-    pub max_trace_bytes: usize,
+    pub(crate) max_trace_bytes: usize,
     /// Monitor registry sessions resolve names in (the builtin five
     /// by default; hosts may register out-of-tree monitors).
-    pub registry: Arc<MonitorRegistry>,
+    pub(crate) registry: Arc<MonitorRegistry>,
     /// Base system configuration tenants' HELLO knobs overlay.
-    pub base_config: SystemConfig,
+    pub(crate) base_config: SystemConfig,
 }
 
 impl ServerConfig {
@@ -142,7 +142,7 @@ impl Faded {
     }
 
     /// Blocks until the daemon shuts down (a client sent
-    /// [`FRAME_SHUTDOWN`], or another thread dropped the handle's
+    /// `FRAME_SHUTDOWN`, or another thread dropped the handle's
     /// clone of the shutdown flag — in practice: the `faded` binary
     /// parks here).
     pub fn wait(mut self) {
@@ -331,7 +331,7 @@ fn run_tenant(hello: &Hello, trace: Vec<u8>, stream: UnixStream, shared: &Shared
 }
 
 /// Why one tenant's session failed. Maps to the `error` field of the
-/// ERROR reply (see [`TenantError::kind`]).
+/// ERROR reply (see `TenantError::kind`).
 #[derive(Debug)]
 pub enum TenantError {
     /// The session failed to build: unreadable `.fadet` bytes (a corrupt
@@ -345,7 +345,7 @@ pub enum TenantError {
 
 impl TenantError {
     /// The stable machine-matchable error tag of the ERROR reply.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TenantError::Build(SessionError::Trace(_)) => "trace",
             TenantError::Build(SessionError::UnknownBench(_)) => "unknown_benchmark",

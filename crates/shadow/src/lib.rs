@@ -29,10 +29,10 @@
 //! assert_eq!(st.mem_meta(VirtAddr::new(0x1004)), 0); // next word
 //! ```
 
-pub mod map;
+mod map;
 pub mod memory;
-pub mod regfile;
-pub mod state;
+mod regfile;
+mod state;
 
 pub use map::MetadataMap;
 pub use memory::{BudgetExceeded, ShadowCounters, ShadowMemory};

@@ -28,7 +28,7 @@ pub struct MetadataMap {
 
 impl MetadataMap {
     /// Default base of the metadata space in the monitor's address space.
-    pub const DEFAULT_BASE: u64 = 0x1_0000_0000;
+    pub(crate) const DEFAULT_BASE: u64 = 0x1_0000_0000;
 
     /// Creates a mapping.
     ///
@@ -37,7 +37,7 @@ impl MetadataMap {
     /// Panics if `unit_bytes` is 0 or greater than 8, or if `gran_shift`
     /// exceeds the page shift (a metadata unit may not cover more than an
     /// application page).
-    pub fn new(base: u64, gran_shift: u8, unit_bytes: u8) -> Self {
+    pub(crate) fn new(base: u64, gran_shift: u8, unit_bytes: u8) -> Self {
         assert!(
             (1..=8).contains(&unit_bytes),
             "metadata unit must be 1..=8 bytes"
@@ -57,18 +57,6 @@ impl MetadataMap {
     /// the critical metadata of all five paper monitors.
     pub fn per_word() -> Self {
         MetadataMap::new(Self::DEFAULT_BASE, 2, 1)
-    }
-
-    /// Application bytes covered by one metadata unit.
-    #[inline]
-    pub const fn granularity(&self) -> u32 {
-        1 << self.gran_shift
-    }
-
-    /// Size of one metadata unit in bytes.
-    #[inline]
-    pub const fn unit_bytes(&self) -> u8 {
-        self.unit_bytes
     }
 
     /// Maps an application address to the metadata address of its unit.
@@ -116,7 +104,6 @@ mod tests {
     #[test]
     fn per_word_maps_words_to_bytes() {
         let m = MetadataMap::per_word();
-        assert_eq!(m.granularity(), 4);
         let a = m.md_addr(VirtAddr::new(0));
         assert_eq!(m.md_addr(VirtAddr::new(3)), a);
         assert_eq!(m.md_addr(VirtAddr::new(4)), a + 1);

@@ -22,7 +22,7 @@ use std::cell::Cell;
 
 /// Log2 of a shadow page, kept equal to the application page size so the
 /// M-TLB maps one application page to one metadata frame.
-pub const SHADOW_PAGE_SHIFT: u32 = 12;
+pub(crate) const SHADOW_PAGE_SHIFT: u32 = 12;
 /// Shadow page size in bytes.
 pub const SHADOW_PAGE_SIZE: usize = 1 << SHADOW_PAGE_SHIFT;
 
@@ -69,7 +69,7 @@ pub struct BudgetExceeded {
     /// Bytes actually held when the cap was first exceeded.
     pub used_bytes: usize,
     /// Full frames resident at that moment.
-    pub full_pages: usize,
+    pub(crate) full_pages: usize,
 }
 
 impl std::fmt::Display for BudgetExceeded {

@@ -16,7 +16,7 @@ pub struct RegMeta {
 
 impl RegMeta {
     /// Creates a register metadata file with all registers clean (0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RegMeta {
             bytes: [0; NUM_REGS],
             zero_value: 0,
@@ -60,7 +60,8 @@ impl RegMeta {
     }
 
     /// Returns `true` if every writable register is clean (0).
-    pub fn is_clean(&self) -> bool {
+    #[cfg(test)]
+    fn is_clean(&self) -> bool {
         self.bytes.iter().all(|&b| b == 0)
     }
 }

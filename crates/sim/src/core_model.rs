@@ -72,7 +72,7 @@ impl CoreKind {
     ///
     /// The paper notes applications generate up to 2x fewer events per
     /// cycle on the in-order core (Section 7.3).
-    pub const fn app_ipc_scale(self) -> f64 {
+    pub(crate) const fn app_ipc_scale(self) -> f64 {
         match self {
             CoreKind::InOrder1 => 0.5,
             CoreKind::LeanOoO2 => 0.75,
@@ -81,7 +81,7 @@ impl CoreKind {
     }
 
     /// Short display name used in experiment tables.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             CoreKind::InOrder1 => "in-order",
             CoreKind::LeanOoO2 => "2-way OoO",
@@ -104,7 +104,7 @@ pub struct CommitProfile {
     /// Mean length of a full-width commit burst, in cycles. Longer runs
     /// model cache-resident phases and produce deeper event-queue
     /// occupancy (compare omnetpp vs mcf in Figure 3(b)).
-    pub run_len_mean: f64,
+    pub(crate) run_len_mean: f64,
 }
 
 impl CommitProfile {
@@ -155,16 +155,13 @@ pub struct CommitModel {
     state: CommitState,
     pending: u32,
     rng: Rng,
-    target_ipc: f64,
 }
 
 impl CommitModel {
     /// Creates a commit model for the given core and benchmark profile.
     pub fn new(kind: CoreKind, profile: CommitProfile, rng: Rng) -> Self {
         let width = kind.width() as f64;
-        // IPC on this core, saturated just below peak so stalls exist.
-        let target_ipc = (profile.ipc_4way * kind.app_ipc_scale()).min(width * 0.98);
-        let run_frac = target_ipc / width;
+        let run_frac = Self::target_ipc(kind, profile) / width;
         // Scale run length with the ROB: small windows cannot sustain
         // long full-width bursts.
         let rob_scale = (kind.rob() as f64 / CoreKind::AggrOoO4.rob() as f64).max(0.05);
@@ -177,7 +174,6 @@ impl CommitModel {
             state: CommitState::Run(1),
             pending: 0,
             rng,
-            target_ipc,
         };
         model.state = CommitState::Run(model.draw_run());
         model
@@ -196,9 +192,11 @@ impl CommitModel {
         }
     }
 
-    /// The long-run IPC this model targets on its core.
-    pub fn target_ipc(&self) -> f64 {
-        self.target_ipc
+    /// The long-run IPC a model of `profile` targets on core `kind`:
+    /// the profile's IPC scaled to the core, saturated just below peak
+    /// so stalls exist.
+    fn target_ipc(kind: CoreKind, profile: CommitProfile) -> f64 {
+        (profile.ipc_4way * kind.app_ipc_scale()).min(kind.width() as f64 * 0.98)
     }
 
     /// Window capacity: the ROB, or one full commit group on a core
@@ -317,11 +315,6 @@ impl CommitModel {
     pub fn retire(&mut self, n: u32) {
         assert!(n <= self.retirable(), "cannot retire beyond window");
         self.pending -= n;
-    }
-
-    /// The modelled core kind.
-    pub fn kind(&self) -> CoreKind {
-        self.kind
     }
 }
 
@@ -469,7 +462,7 @@ mod tests {
                 retired += n as u64;
             }
             let got = retired as f64 / cycles as f64;
-            let want = m.target_ipc();
+            let want = CommitModel::target_ipc(kind, profile);
             assert!(
                 (got - want).abs() / want < 0.08,
                 "{kind:?}: got {got}, want {want}"

@@ -19,11 +19,11 @@
 //!   ([`RatioEstimator`]) and the [`CongestionCarry`] that seeds its
 //!   windows.
 
-pub mod cache;
-pub mod core_model;
-pub mod queue;
-pub mod rng;
-pub mod stats;
+mod cache;
+mod core_model;
+mod queue;
+mod rng;
+mod stats;
 
 pub use cache::MemLatency;
 pub use core_model::{CommitModel, CommitProfile, CoreKind, HandlerExec, SmtArbiter};
@@ -33,6 +33,3 @@ pub use stats::{
     gmean, t_critical_975, Cdf, CongestionCarry, CycleCi, CycleEstimate, LogHistogram,
     RatioEstimator, WindowSample,
 };
-
-/// Simulation time, in core clock cycles.
-pub type Cycle = u64;

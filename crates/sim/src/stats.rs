@@ -47,7 +47,7 @@ impl LogHistogram {
     }
 
     /// Upper bound of bucket `i` (inclusive).
-    pub fn bucket_upper(i: usize) -> u64 {
+    pub(crate) fn bucket_upper(i: usize) -> u64 {
         match i {
             0 => 0,
             i => 1u64 << (i - 1),
@@ -222,7 +222,7 @@ pub struct WindowSample {
 /// The **interval** is a Student-t 95% interval on that ratio over the
 /// windows' ratio residuals `dⱼ = cⱼ − R·eⱼ`, with
 /// `Var(R) = n·s²_d / E²`. With at least
-/// [`RatioEstimator::CV_MIN_WINDOWS`] windows, a control variate
+/// `RatioEstimator::CV_MIN_WINDOWS` windows, a control variate
 /// tightens it: the deterministic base cycles per event of the batched
 /// stretch adjacent to each window predict part of the window's
 /// residual, so a regression coefficient `β` is fitted and `dⱼ` is
@@ -241,7 +241,7 @@ impl RatioEstimator {
     /// more than the variance it removes (at n = 4 the residual df
     /// drops from 3 to 2 and the t critical value jumps from 3.18 to
     /// 4.30, which a noise-fitted slope never repays).
-    pub const CV_MIN_WINDOWS: usize = 6;
+    pub(crate) const CV_MIN_WINDOWS: usize = 6;
 
     /// Creates an estimator with no windows.
     pub fn new() -> Self {

@@ -44,7 +44,7 @@ pub struct SystemConfig {
     pub accel: Accel,
     /// Event queue depth (app → FADE, or app → monitor when
     /// unaccelerated). Paper default: 32.
-    pub event_queue: QueueDepth,
+    pub(crate) event_queue: QueueDepth,
     /// Unfiltered event queue depth (FADE → monitor). Paper default: 16.
     pub unfiltered_queue: QueueDepth,
     /// Simulation seed (workload and commit process).
@@ -62,37 +62,37 @@ pub struct SystemConfig {
     /// Batched execution mode: cycle-accurate events per sampling
     /// period (clamped to `sample_period`). Larger windows cost
     /// throughput but tighten the cycle estimate.
-    pub sample_window: u64,
+    pub(crate) sample_window: u64,
     /// Section 3.2's idealized study: the filtering accelerator
     /// consumes exactly one event per cycle (no metadata misses, free
     /// software handlers, unbounded unfiltered queue). Used by the
     /// Figure 3 experiments only.
-    pub ideal_consumer: bool,
+    pub(crate) ideal_consumer: bool,
     /// Hard cap on shadow-memory bytes held in full page frames
     /// ([`fade_shadow::ShadowMemory::set_mem_cap`]): exceeding it
     /// latches a typed [`fade_shadow::BudgetExceeded`] on the session.
     /// `None` (the default) means uncapped.
     pub shadow_mem_cap_bytes: Option<usize>,
     /// Hardware-parameter overrides for sensitivity sweeps.
-    pub tweaks: FadeTweaks,
+    pub(crate) tweaks: FadeTweaks,
 }
 
 /// Optional overrides of FADE's hardware parameters (the sensitivity
 /// analysis the paper mentions but omits for space, Section 6).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct FadeTweaks {
+pub(crate) struct FadeTweaks {
     /// MD cache capacity in bytes (2-way, 64 B lines).
-    pub md_cache_bytes: Option<u32>,
+    pub(crate) md_cache_bytes: Option<u32>,
     /// M-TLB entries.
-    pub tlb_entries: Option<usize>,
+    pub(crate) tlb_entries: Option<usize>,
     /// Filter store queue entries.
-    pub fsq_entries: Option<usize>,
+    pub(crate) fsq_entries: Option<usize>,
 }
 
 impl SystemConfig {
     /// Default sampling period of batched execution (monitored events):
     /// one cycle-accurate window per 16K events.
-    pub const DEFAULT_SAMPLE_PERIOD: u64 = 16_384;
+    pub(crate) const DEFAULT_SAMPLE_PERIOD: u64 = 16_384;
     /// Default cycle-accurate window length (monitored events): 1/4 of
     /// the period is simulated exactly, which keeps the extrapolated
     /// cycle estimate within a few percent of a full cycle-accurate run
@@ -103,7 +103,7 @@ impl SystemConfig {
     /// tail residual) needs a tail of at least 1024 events to engage —
     /// shorter windows fall back to whole-window recording, where
     /// boundary effects dominate the sample.
-    pub const DEFAULT_SAMPLE_WINDOW: u64 = 4_096;
+    pub(crate) const DEFAULT_SAMPLE_WINDOW: u64 = 4_096;
 
     /// The headline configuration: single-core dual-threaded 4-way OoO
     /// with Non-Blocking FADE (used for Figure 9 and Table 2).

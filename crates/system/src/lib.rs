@@ -45,17 +45,17 @@
 //! assert!(report.stats.slowdown() >= 1.0);
 //! ```
 
-pub mod config;
+mod config;
 pub mod pool;
-pub mod registry;
-pub mod run;
-pub mod session;
-pub mod system;
-pub mod throughput;
+mod registry;
+mod run;
+mod session;
+mod system;
+mod throughput;
 
-pub use config::{Accel, FadeTweaks, SystemConfig, Topology};
-pub use pool::{run_indexed, WorkerPool};
-pub use registry::{MonitorFactory, MonitorRegistry, UnknownMonitor};
+pub use config::{Accel, SystemConfig, Topology};
+pub use pool::WorkerPool;
+pub use registry::{MonitorRegistry, UnknownMonitor};
 pub use run::{ClassInstrs, RunStats, SamplingSummary, UtilBreakdown};
 pub use session::{
     Engine, MonitorSel, RunReport, Session, SessionBuilder, SessionError, SessionRunError,

@@ -101,9 +101,8 @@ struct PoolShared {
 ///   users that must *report* the panic catch it themselves inside the
 ///   job — the pool-level guard is the backstop that keeps one bad job
 ///   from killing every job queued behind it.)
-/// * **Shutdown:** dropping the pool (or calling
-///   [`WorkerPool::shutdown`]) stops intake, drains every job already
-///   queued, and joins the workers.
+/// * **Shutdown:** dropping the pool stops intake, drains every job
+///   already queued, and joins the workers.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -131,16 +130,11 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Queues a job for the next idle worker.
     ///
     /// # Panics
     ///
-    /// Panics if called after [`WorkerPool::shutdown`] began (callers
+    /// Panics if called after the pool began shutting down (callers
     /// own the pool, so submitting into a shutdown pool is a caller
     /// bug, not a runtime condition).
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
@@ -151,12 +145,6 @@ impl WorkerPool {
         self.shared.work.notify_one();
     }
 
-    /// Jobs queued but not yet claimed, plus jobs currently executing.
-    pub fn pending(&self) -> usize {
-        let state = self.shared.state.lock().expect("pool state poisoned");
-        state.jobs.len() + state.active
-    }
-
     /// Blocks until every queued and executing job has finished.
     pub fn wait_idle(&self) {
         let mut state = self.shared.state.lock().expect("pool state poisoned");
@@ -164,11 +152,6 @@ impl WorkerPool {
             state = self.shared.idle.wait(state).expect("pool state poisoned");
         }
     }
-
-    /// Stops intake, drains every queued job, and joins the workers.
-    /// (Equivalent to dropping the pool, but explicit at call sites
-    /// where the drain matters.)
-    pub fn shutdown(self) {}
 }
 
 impl Drop for WorkerPool {
@@ -249,7 +232,6 @@ mod tests {
         }
         pool.wait_idle();
         assert_eq!(sum.load(Ordering::Relaxed), 5050);
-        pool.shutdown();
     }
 
     #[test]

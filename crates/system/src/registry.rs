@@ -33,13 +33,13 @@ use fade_monitors::Monitor;
 /// A monitor constructor: each call returns a fresh, independent
 /// instance (sessions own their monitor exclusively, so a shared
 /// instance would alias state across runs).
-pub type MonitorFactory = Box<dyn Fn() -> Box<dyn Monitor> + Send + Sync>;
+pub(crate) type MonitorFactory = Box<dyn Fn() -> Box<dyn Monitor> + Send + Sync>;
 
 /// A name was not found in a [`MonitorRegistry`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnknownMonitor {
     /// The name that failed to resolve.
-    pub name: String,
+    pub(crate) name: String,
     /// Every name the registry does know, in registration order.
     pub known: Vec<String>,
 }
@@ -127,16 +127,6 @@ impl MonitorRegistry {
     pub fn names(&self) -> Vec<&str> {
         self.factories.iter().map(|(n, _)| n.as_str()).collect()
     }
-
-    /// Number of registered monitors.
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// `true` when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
-    }
 }
 
 impl Default for MonitorRegistry {
@@ -192,9 +182,9 @@ mod tests {
     #[test]
     fn register_replaces_same_name() {
         let mut r = MonitorRegistry::builtin();
-        let before = r.len();
+        let before = r.names().len();
         r.register(|| Box::new(fade_monitors::MemLeak::new()));
-        assert_eq!(r.len(), before);
+        assert_eq!(r.names().len(), before);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub struct ClassInstrs {
 
 impl ClassInstrs {
     /// Total monitor instructions.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.cc + self.ru + self.partial + self.complex + self.stack + self.high_level
     }
 
@@ -52,7 +52,7 @@ pub struct UtilBreakdown {
 
 impl UtilBreakdown {
     /// Total classified cycles.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.app_idle + self.monitor_idle + self.both
     }
 

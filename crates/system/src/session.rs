@@ -737,11 +737,6 @@ impl Session {
         &self.cfg
     }
 
-    /// The engine this session drives its trace with.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Runs the given closure on the engine behind the session's panic
     /// guard: a panic anywhere inside (monitor callbacks included) is
     /// caught at this boundary, converted to a sticky

@@ -28,14 +28,12 @@ pub struct SystemThroughputReport {
     pub monitor: String,
     /// Monitored events processed by each mode (identical streams).
     pub events: u64,
-    /// Application instructions retired by each mode.
-    pub instrs: u64,
     /// Wall-clock seconds of the cycle-accurate run.
-    pub cycle_s: f64,
+    pub(crate) cycle_s: f64,
     /// Wall-clock seconds of the batched run.
-    pub batched_s: f64,
+    pub(crate) batched_s: f64,
     /// Batched-run fast-path breakdown.
-    pub batch: BatchStats,
+    pub(crate) batch: BatchStats,
     /// Simulated cycles of the cycle-accurate run (exact).
     pub exact_cycles: u64,
     /// Simulated cycles the batched run estimated from its samples.
@@ -159,8 +157,7 @@ pub fn measure_system_throughput(
 /// `.fadet` trace (`fade_trace::read_trace_file`) and `instrs` retired
 /// instructions to consume, and both engines run the identical frozen
 /// workload. A buffer holding fewer than `instrs` instructions (a
-/// truncated trace) stops both engines cleanly at its end; the report's
-/// `instrs` is what actually retired.
+/// truncated trace) stops both engines cleanly at its end.
 ///
 /// # Panics
 ///
@@ -235,7 +232,6 @@ pub fn measure_system_throughput_records(
         benchmark: bench.name.to_string(),
         monitor: monitor_name.to_string(),
         events: cycle_sys.events_seen(),
-        instrs: cycle_sys.instrs(),
         cycle_s,
         batched_s,
         batch: batched_sys.batch_stats(),
@@ -282,14 +278,10 @@ mod tests {
         // engines against each other over the frozen trace.
         let r = measure_system_throughput_records(&b, "AddrCheck", &cfg, records.clone(), instrs);
         assert_eq!(r.events, 20_000);
-        assert_eq!(r.instrs, instrs);
 
-        // A truncated trace stops both engines at its end: the report
-        // counts the instructions that retired, not the request.
+        // A truncated trace stops both engines cleanly at its end.
         let short = records[..records.len() / 2].to_vec();
-        let short_instrs = short.iter().filter(|r| matches!(r, TraceRecord::Instr(_))).count();
         let r = measure_system_throughput_records(&b, "AddrCheck", &cfg, short, instrs);
-        assert_eq!(r.instrs, short_instrs as u64);
         assert!(r.events < 20_000);
     }
 
@@ -304,7 +296,6 @@ mod tests {
             benchmark: "none".into(),
             monitor: "none".into(),
             events: 0,
-            instrs: 0,
             cycle_s: 0.0,
             batched_s: 0.0,
             batch: BatchStats::default(),

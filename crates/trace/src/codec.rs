@@ -6,7 +6,7 @@
 //!
 //! 1. **Density.** Instruction PCs advance by a word and memory
 //!    accesses cluster, so both are stored as zigzag varint *deltas*
-//!    against a running [`Ctx`]; operand presence, the pointer-result
+//!    against a running `Ctx`; operand presence, the pointer-result
 //!    hint and the memory-operand size share one flags byte. Typical
 //!    generated traces land around 4–6 bytes/record, better than 4×
 //!    smaller than the in-memory [`TraceRecord`].
@@ -46,17 +46,6 @@ pub enum CodecError {
         /// Payload offset of the offending operand.
         offset: usize,
     },
-}
-
-impl CodecError {
-    /// The payload offset the error points at.
-    pub fn offset(&self) -> usize {
-        match *self {
-            CodecError::Truncated { offset }
-            | CodecError::BadTag { offset }
-            | CodecError::BadOperand { offset } => offset,
-        }
-    }
 }
 
 impl std::fmt::Display for CodecError {
@@ -140,7 +129,7 @@ const SIZE_EXPLICIT: u8 = 3; // size byte follows the address delta
 /// start from [`Ctx::default`] at every chunk boundary and must stay in
 /// lockstep record-for-record.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Ctx {
+pub(crate) struct Ctx {
     prev_pc: u32,
     prev_mem: u32,
     prev_stack: u32,
@@ -232,7 +221,7 @@ fn varint32(buf: &[u8], at: usize) -> Result<(u32, usize), CodecError> {
 }
 
 /// Encodes one record, updating the context.
-pub fn encode_record(ctx: &mut Ctx, r: &TraceRecord, out: &mut Vec<u8>) {
+pub(crate) fn encode_record(ctx: &mut Ctx, r: &TraceRecord, out: &mut Vec<u8>) {
     match r {
         TraceRecord::Instr(i) => {
             out.push(class_tag(i.class));
@@ -352,18 +341,15 @@ impl<'a> ChunkDecoder<'a> {
         }
     }
 
-    /// Bytes consumed so far.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// `true` once the whole payload has been consumed.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
-    /// Decodes the next record, or `None` at the payload end.
-    pub fn next_record(&mut self) -> Result<Option<TraceRecord>, CodecError> {
+    /// Decodes the next record, or `None` at the payload end: the
+    /// record-at-a-time walk of the unit tests.
+    #[cfg(test)]
+    fn next_record(&mut self) -> Result<Option<TraceRecord>, CodecError> {
         if self.is_done() {
             return Ok(None);
         }
@@ -525,7 +511,7 @@ impl<'a> ChunkDecoder<'a> {
 ///
 /// Slicing-by-8: eight bytes per step through eight lookup tables,
 /// with the byte-at-a-time loop for the tail.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     const T: [[u32; 256]; 8] = crc32_tables();
     let mut crc: u32 = 0xffff_ffff;
     let mut words = bytes.chunks_exact(8);

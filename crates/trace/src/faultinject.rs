@@ -152,11 +152,6 @@ impl<R: Read> FaultyReader<R> {
             rng: plan.offset ^ 0x5EED_5EED,
         }
     }
-
-    /// The fault being injected.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
 }
 
 impl<R: Read> Read for FaultyReader<R> {

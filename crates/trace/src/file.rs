@@ -81,17 +81,17 @@ use crate::codec::{crc32, encode_record, ChunkDecoder, CodecError, Ctx};
 use crate::program::TraceRecord;
 
 /// Magic header of a `.fadet` trace file.
-pub const FILE_MAGIC: &[u8; 8] = b"FADETRCF";
+pub(crate) const FILE_MAGIC: &[u8; 8] = b"FADETRCF";
 
 /// Current schema version. Readers reject anything newer and accept
 /// everything older (version 1 lacks the chunk index and uses the
 /// short trailer).
-pub const FORMAT_VERSION: u16 = 2;
+pub(crate) const FORMAT_VERSION: u16 = 2;
 
 /// Records per chunk the writer flushes at by default: large enough to
 /// amortize per-chunk overhead (13 bytes) to noise, small enough that
 /// corruption and resynchronization stay fine-grained.
-pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
+pub(crate) const DEFAULT_CHUNK_RECORDS: usize = 4096;
 
 const CHUNK_MARKER: u8 = 0x01;
 const END_MARKER: u8 = 0x00;
@@ -141,7 +141,7 @@ impl TraceMeta {
 pub enum TraceFileError {
     /// An underlying I/O failure (other than clean truncation).
     Io(String),
-    /// The file does not start with [`FILE_MAGIC`].
+    /// The file does not start with `FILE_MAGIC`.
     BadMagic,
     /// The file's schema version is newer than this reader.
     UnsupportedVersion {
@@ -306,7 +306,7 @@ impl std::fmt::Display for DegradationReport {
 ///
 /// Records are buffered into chunks of
 /// [`TraceWriter::with_chunk_records`] records (default
-/// [`DEFAULT_CHUNK_RECORDS`]), each flushed with its own record count
+/// `DEFAULT_CHUNK_RECORDS`), each flushed with its own record count
 /// and CRC-32; [`TraceWriter::finish`] writes the trailer. Dropping a
 /// writer without `finish` leaves a file readers reject as truncated —
 /// a half-written capture never masquerades as a complete one.
@@ -360,7 +360,7 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Appends one record.
-    pub fn write_record(&mut self, r: &TraceRecord) -> io::Result<()> {
+    pub(crate) fn write_record(&mut self, r: &TraceRecord) -> io::Result<()> {
         encode_record(&mut self.ctx, r, &mut self.chunk);
         self.chunk_records += 1;
         self.total += 1;
@@ -484,7 +484,7 @@ pub struct TraceReader<R: Read> {
 
 impl TraceReader<io::BufReader<std::fs::File>> {
     /// Opens a trace file from disk (strict mode).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
+    pub(crate) fn open(path: impl AsRef<Path>) -> Result<Self, TraceFileError> {
         let f = std::fs::File::open(path)?;
         TraceReader::new(io::BufReader::new(f))
     }
@@ -573,15 +573,9 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    /// `true` once the end of the trace has been reached (verified
-    /// trailer, or — in recover mode — the end of a damaged stream).
-    pub fn is_done(&self) -> bool {
-        self.done && self.chunk_pos >= self.chunk.len()
-    }
-
     /// Skipped-chunk accounting, in recover mode ([`None`] in strict
     /// mode, which aborts on the first fault instead). Counts are final
-    /// once [`TraceReader::is_done`]; a fault-free replay yields a
+    /// once the reader is exhausted; a fault-free replay yields a
     /// [`DegradationReport::is_clean`] report.
     pub fn degradation(&self) -> Option<&DegradationReport> {
         if self.recover {
@@ -938,7 +932,7 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// The next record, or `None` at the verified end of the trace.
-    pub fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceFileError> {
+    pub(crate) fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceFileError> {
         while self.chunk_pos >= self.chunk.len() {
             if self.done || !self.load_next_chunk()? {
                 return Ok(None);
@@ -1114,7 +1108,6 @@ mod tests {
         // Odd-sized pulls deliberately straddle chunk boundaries.
         while reader.next_records_into(&mut buf, 777).unwrap() > 0 {}
         assert_eq!(buf, records);
-        assert!(reader.is_done());
     }
 
     #[test]

@@ -5,22 +5,21 @@ use fade_sim::Rng;
 
 /// One live heap block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Block {
+pub(crate) struct Block {
     /// Base address.
-    pub base: VirtAddr,
+    pub(crate) base: VirtAddr,
     /// Length in bytes.
-    pub len: u32,
+    pub(crate) len: u32,
 }
 
 /// The synthetic program's heap: tracks live blocks so the generator
 /// can aim accesses at allocated memory (the common case AddrCheck
 /// filters) or deliberately at freed memory (the `wild_rate` knob).
 #[derive(Clone, Debug)]
-pub struct HeapModel {
+pub(crate) struct HeapModel {
     cursor: u32,
     live: Vec<Block>,
     freed: Vec<Block>,
-    bytes_live: u64,
 }
 
 impl HeapModel {
@@ -30,17 +29,16 @@ impl HeapModel {
     const MAX_FREED: usize = 256;
 
     /// Creates an empty heap.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HeapModel {
             cursor: layout::HEAP_BASE,
             live: Vec::new(),
             freed: Vec::new(),
-            bytes_live: 0,
         }
     }
 
     /// Allocates `len` bytes (word-aligned), returning the block.
-    pub fn malloc(&mut self, len: u32) -> Block {
+    pub(crate) fn malloc(&mut self, len: u32) -> Block {
         let len = len.max(4).next_multiple_of(4);
         // Wrap the bump cursor long before the segment ends; the heap
         // working set is bounded by MAX_LIVE blocks anyway.
@@ -53,23 +51,20 @@ impl HeapModel {
         };
         self.cursor += len;
         self.live.push(block);
-        self.bytes_live += len as u64;
         if self.live.len() > Self::MAX_LIVE {
-            let victim = self.live.remove(0);
-            self.bytes_live -= victim.len as u64;
+            self.live.remove(0);
         }
         block
     }
 
     /// Frees a random live block, returning it (None if the heap is
     /// empty).
-    pub fn free_random(&mut self, rng: &mut Rng) -> Option<Block> {
+    pub(crate) fn free_random(&mut self, rng: &mut Rng) -> Option<Block> {
         if self.live.is_empty() {
             return None;
         }
         let idx = rng.below(self.live.len() as u64) as usize;
         let block = self.live.swap_remove(idx);
-        self.bytes_live -= block.len as u64;
         self.freed.push(block);
         if self.freed.len() > Self::MAX_FREED {
             self.freed.remove(0);
@@ -78,7 +73,7 @@ impl HeapModel {
     }
 
     /// A random address inside a random live block (None if empty).
-    pub fn random_live_addr(&mut self, rng: &mut Rng) -> Option<VirtAddr> {
+    pub(crate) fn random_live_addr(&mut self, rng: &mut Rng) -> Option<VirtAddr> {
         if self.live.is_empty() {
             return None;
         }
@@ -89,7 +84,7 @@ impl HeapModel {
 
     /// A random address inside a previously freed block, if any — a
     /// use-after-free style wild access.
-    pub fn random_freed_addr(&mut self, rng: &mut Rng) -> Option<VirtAddr> {
+    pub(crate) fn random_freed_addr(&mut self, rng: &mut Rng) -> Option<VirtAddr> {
         if self.freed.is_empty() {
             return None;
         }
@@ -99,13 +94,8 @@ impl HeapModel {
     }
 
     /// Number of live blocks.
-    pub fn live_blocks(&self) -> usize {
+    pub(crate) fn live_blocks(&self) -> usize {
         self.live.len()
-    }
-
-    /// Bytes currently allocated.
-    pub fn bytes_live(&self) -> u64 {
-        self.bytes_live
     }
 }
 
@@ -126,7 +116,6 @@ mod tests {
         assert!(layout::is_heap(b.base));
         assert_eq!(b.len, 100);
         assert_eq!(h.live_blocks(), 1);
-        assert_eq!(h.bytes_live(), 100);
     }
 
     #[test]
@@ -146,7 +135,6 @@ mod tests {
         h.malloc(64);
         let freed = h.free_random(&mut rng).unwrap();
         assert_eq!(h.live_blocks(), 0);
-        assert_eq!(h.bytes_live(), 0);
         let wild = h.random_freed_addr(&mut rng).unwrap();
         assert!(wild.raw() >= freed.base.raw());
         assert!(wild.raw() < freed.base.raw() + freed.len);

@@ -44,17 +44,16 @@ pub mod bench;
 pub mod codec;
 pub mod faultinject;
 pub mod file;
-pub mod heap;
-pub mod profile;
-pub mod program;
+mod heap;
+mod profile;
+mod program;
 mod value;
 
-pub use bench::{by_name, parallel_suite, spec_int_suite, taint_suite};
+pub use bench::by_name;
 pub use faultinject::{FaultKind, FaultPlan, FaultyReader};
 pub use file::{
-    decode_trace, decode_trace_recovering, encode_trace, read_trace_file, write_trace_file,
-    DegradationReport, SkippedChunk, TraceFileError, TraceMeta, TraceReader, TraceWriter,
+    decode_trace, encode_trace, read_trace_file, write_trace_file, DegradationReport, SkippedChunk,
+    TraceFileError, TraceMeta, TraceReader, TraceWriter,
 };
-pub use heap::HeapModel;
-pub use profile::{BenchProfile, InstrMix};
+pub use profile::BenchProfile;
 pub use program::{SyntheticProgram, TraceRecord};

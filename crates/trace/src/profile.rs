@@ -7,31 +7,31 @@ use fade_sim::CommitProfile;
 /// Call/return instructions are generated by the call-stack machinery
 /// (see [`BenchProfile::call_rate`]) and are not part of the mix.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct InstrMix {
+pub(crate) struct InstrMix {
     /// Memory loads.
-    pub load: f64,
+    pub(crate) load: f64,
     /// Memory stores.
-    pub store: f64,
+    pub(crate) store: f64,
     /// Two-source integer ALU.
-    pub int_alu: f64,
+    pub(crate) int_alu: f64,
     /// Moves / immediates.
-    pub int_move: f64,
+    pub(crate) int_move: f64,
     /// Integer multiply/divide.
-    pub int_mul: f64,
+    pub(crate) int_mul: f64,
     /// Floating point.
-    pub fp_alu: f64,
+    pub(crate) fp_alu: f64,
     /// Conditional branches.
-    pub branch: f64,
+    pub(crate) branch: f64,
     /// Jumps.
-    pub jump: f64,
+    pub(crate) jump: f64,
     /// Nops / non-architectural.
-    pub nop: f64,
+    pub(crate) nop: f64,
 }
 
 impl InstrMix {
     /// A generic integer-code mix (~25% loads, ~10% stores, typical for
     /// SPEC-int).
-    pub const fn spec_int() -> Self {
+    pub(crate) const fn spec_int() -> Self {
         InstrMix {
             load: 0.21,
             store: 0.09,
@@ -46,7 +46,7 @@ impl InstrMix {
     }
 
     /// The weights as a slice in [`crate::program`]'s class order.
-    pub fn weights(&self) -> [f64; 9] {
+    pub(crate) fn weights(&self) -> [f64; 9] {
         [
             self.load,
             self.store,
@@ -72,52 +72,52 @@ pub struct BenchProfile {
     /// Commit behaviour on the reference core (IPC, burstiness).
     pub commit: CommitProfile,
     /// Instruction-class mix.
-    pub mix: InstrMix,
+    pub(crate) mix: InstrMix,
     /// Function calls per instruction (each call implies a later
     /// return and a pair of stack-update events).
-    pub call_rate: f64,
+    pub(crate) call_rate: f64,
     /// Mean stack frame size in bytes.
-    pub frame_mean: u32,
+    pub(crate) frame_mean: u32,
     /// Heap allocations per instruction (each produces a malloc
     /// high-level event and, eventually, a free).
-    pub malloc_rate: f64,
+    pub(crate) malloc_rate: f64,
     /// Mean heap allocation size in bytes.
-    pub alloc_mean: u32,
+    pub(crate) alloc_mean: u32,
     /// Probability that a generated ALU/move source is drawn from the
     /// pointer-holding registers: the pointer density seen by MemLeak.
-    pub pointer_density: f64,
+    pub(crate) pointer_density: f64,
     /// Probability that a load/store address targets tainted data (only
     /// meaningful for the TaintCheck benchmarks).
-    pub taint_density: f64,
+    pub(crate) taint_density: f64,
     /// Taint-source (external input) events per instruction.
-    pub taint_source_rate: f64,
+    pub(crate) taint_source_rate: f64,
     /// Probability a store performs the first write to a fresh
     /// allocation's word (MemCheck's uninit→init transitions).
-    pub first_write_rate: f64,
+    pub(crate) first_write_rate: f64,
     /// Probability a load reads a never-written (uninitialized) word.
-    pub uninit_rate: f64,
+    pub(crate) uninit_rate: f64,
     /// Probability a memory access targets unallocated memory (drives
     /// AddrCheck's residual unfiltered events).
-    pub wild_rate: f64,
+    pub(crate) wild_rate: f64,
     /// Probability a store targets the current stack frame (locals
     /// dominate the store stream of compiled code).
-    pub stack_frac: f64,
+    pub(crate) stack_frac: f64,
     /// Probability a memory address reuses the hot set (temporal
     /// locality); the rest are drawn fresh from live regions.
-    pub locality: f64,
+    pub(crate) locality: f64,
     /// Hardware threads (1, or 4 for the parallel suite).
     pub threads: u8,
     /// Instructions per time slice on the time-sliced core.
-    pub timeslice: u32,
+    pub(crate) timeslice: u32,
     /// For parallel benchmarks: probability an access touches data last
     /// touched by another thread (drives AtomCheck check failures).
-    pub sharing: f64,
+    pub(crate) sharing: f64,
 }
 
 impl BenchProfile {
     /// A neutral single-threaded profile; benchmark constructors
     /// override the interesting knobs.
-    pub fn base(name: &'static str, ipc: f64, run_len: f64) -> Self {
+    pub(crate) fn base(name: &'static str, ipc: f64, run_len: f64) -> Self {
         BenchProfile {
             name,
             commit: CommitProfile::new(ipc, run_len),

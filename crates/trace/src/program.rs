@@ -154,7 +154,8 @@ impl SyntheticProgram {
     }
 
     /// The benchmark profile driving this program.
-    pub fn profile(&self) -> &BenchProfile {
+    #[cfg(test)]
+    fn profile(&self) -> &BenchProfile {
         &self.profile
     }
 
@@ -762,7 +763,7 @@ mod tests {
     #[should_panic(expected = "weights must be non-empty with positive sum")]
     fn mix_without_positive_total_is_rejected() {
         let mut p = bench::by_name("gcc").unwrap();
-        p.mix = crate::InstrMix {
+        p.mix = crate::profile::InstrMix {
             load: 0.0,
             store: 0.0,
             int_alu: 0.0,

@@ -9,7 +9,7 @@ use fade_repro::trace::bench;
 
 /// The benchmark suite a monitor is evaluated on (Section 6 of the
 /// paper; mirrors `fade_bench::experiments::suite_for`).
-pub fn suite_for(monitor: &str) -> Vec<BenchProfile> {
+pub(crate) fn suite_for(monitor: &str) -> Vec<BenchProfile> {
     match monitor {
         "AtomCheck" => bench::parallel_suite(),
         "TaintCheck" => bench::taint_suite(),
@@ -21,7 +21,7 @@ pub fn suite_for(monitor: &str) -> Vec<BenchProfile> {
 /// sessions run over the same trace prefix. Only the accelerator's
 /// functional counters are compared; its cycle/stall counters
 /// legitimately depend on the engine.
-pub fn assert_monitor_visible_equal(a: &Session, b: &Session, what: &str) {
+pub(crate) fn assert_monitor_visible_equal(a: &Session, b: &Session, what: &str) {
     assert_eq!(a.instrs(), b.instrs(), "{what}: instruction counts");
     assert_eq!(a.events_seen(), b.events_seen(), "{what}: event counts");
     assert!(a.state() == b.state(), "{what}: final MetadataState");
