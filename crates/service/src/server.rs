@@ -22,6 +22,12 @@
 //! local [`Session`] by construction, and a slow client can never pin
 //! one of the pool's workers.
 //!
+//! Session work runs on at most [`ServerConfig::workers`] pool threads
+//! plus `available_parallelism() − 1` read-ahead helpers: a session
+//! that finds a process-wide read-ahead lease free decodes its trace on
+//! a helper while its worker runs the engine (see
+//! [`fade_system::SessionBuilder::build`]).
+//!
 //! # Isolation
 //!
 //! Every per-tenant failure — corrupt header, unknown monitor or

@@ -391,25 +391,25 @@ impl ShadowMemory {
         self.full_pages
     }
 
+    /// Materialized pages holding at least one non-zero byte (pages of
+    /// zeros read exactly like untouched ones).
+    fn nonzero_pages(&self) -> impl Iterator<Item = &PageSlot> {
+        self.slots.iter().flatten().filter(|s| !s.repr.is_zero())
+    }
+
     /// Materialized pages with at least one non-zero byte, expanded and
-    /// sorted by page number — the canonical content of the memory,
-    /// independent of table layout, page representation, and pages that
-    /// hold only zeros (which read identically to untouched pages).
+    /// sorted by page number — the canonical content of the memory, and
+    /// the oracle the in-place [`PartialEq`] is tested against.
+    #[cfg(test)]
     fn canonical_pages(&self) -> Vec<(u64, Box<[u8; SHADOW_PAGE_SIZE]>)> {
         let mut pages: Vec<(u64, Box<[u8; SHADOW_PAGE_SIZE]>)> = self
-            .slots
-            .iter()
-            .flatten()
-            .filter_map(|s| {
-                let frame: Box<[u8; SHADOW_PAGE_SIZE]> = match &s.repr {
+            .nonzero_pages()
+            .map(|s| {
+                let frame = match &s.repr {
                     PageRepr::Full(p) => p.clone(),
                     PageRepr::Uniform(v) => Box::new([*v; SHADOW_PAGE_SIZE]),
                 };
-                if frame.iter().any(|&b| b != 0) {
-                    Some((s.page, frame))
-                } else {
-                    None
-                }
+                (s.page, frame)
             })
             .collect();
         pages.sort_unstable_by_key(|&(page, _)| page);
@@ -417,12 +417,43 @@ impl ShadowMemory {
     }
 }
 
+impl PageRepr {
+    /// Every byte of the page is zero.
+    fn is_zero(&self) -> bool {
+        match self {
+            PageRepr::Full(p) => p.iter().all(|&b| b == 0),
+            PageRepr::Uniform(v) => *v == 0,
+        }
+    }
+
+    /// The two pages hold the same bytes, whatever their storage.
+    fn same_bytes(&self, other: &PageRepr) -> bool {
+        match (self, other) {
+            (PageRepr::Full(a), PageRepr::Full(b)) => a == b,
+            (PageRepr::Uniform(a), PageRepr::Uniform(b)) => a == b,
+            (PageRepr::Full(p), PageRepr::Uniform(v)) | (PageRepr::Uniform(v), PageRepr::Full(p)) => {
+                p.iter().all(|b| b == v)
+            }
+        }
+    }
+}
+
 /// Semantic equality: two memories are equal when every metadata byte
 /// reads the same, regardless of table layout, page representation
-/// (full or uniform), cap or zero-filled pages.
+/// (full or uniform), cap or zero-filled pages. Compares pages in place:
+/// each non-zero page of one side must read the same on the other, and
+/// both sides must hold as many non-zero pages.
 impl PartialEq for ShadowMemory {
     fn eq(&self, other: &Self) -> bool {
-        self.canonical_pages() == other.canonical_pages()
+        let mut pages = 0;
+        for s in self.nonzero_pages() {
+            pages += 1;
+            match other.find(s.page) {
+                Some(i) if other.repr(i).same_bytes(&s.repr) => {}
+                _ => return false,
+            }
+        }
+        pages == other.nonzero_pages().count()
     }
 }
 
@@ -430,6 +461,8 @@ impl Eq for ShadowMemory {}
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -563,6 +596,79 @@ mod tests {
         assert_eq!(a, b);
         b.write_u8(0x90_000, 3);
         assert_ne!(a, b);
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Write(u64, u8),
+        WriteWide(u64, usize, u64),
+        Fill(u64, u64, u8),
+    }
+
+    /// Ops over three pages with two byte values, so that independent
+    /// sequences often leave equal memories.
+    fn op() -> impl Strategy<Value = Op> {
+        let page = SHADOW_PAGE_SIZE as u64;
+        let value = || prop_oneof![Just(0u8), Just(0x11u8)];
+        prop_oneof![
+            (0..3 * page, value()).prop_map(|(a, v)| Op::Write(a, v)),
+            (0..3 * page, 1usize..=8, prop_oneof![Just(0u64), Just(0x1111_1111_1111_1111u64)])
+                .prop_map(|(a, n, v)| Op::WriteWide(a, n, v)),
+            (0..3 * page, 0..2 * page, value()).prop_map(|(a, n, v)| Op::Fill(a, n, v)),
+            (0u64..3, value()).prop_map(move |(p, v)| Op::Fill(p * page, page, v)),
+        ]
+    }
+
+    fn apply(ops: &[Op]) -> ShadowMemory {
+        let mut m = ShadowMemory::new();
+        for op in ops {
+            match *op {
+                Op::Write(a, v) => m.write_u8(a, v),
+                Op::WriteWide(a, n, v) => m.write_bytes(a, n, v),
+                Op::Fill(a, n, v) => m.fill(a, n, v),
+            }
+        }
+        m
+    }
+
+    /// `m`'s content rebuilt from its canonical pages in reverse page
+    /// order: uniform pages by whole-page fill, others byte by byte, with
+    /// an extra zero-filled page that holds nothing.
+    fn rebuilt(m: &ShadowMemory) -> ShadowMemory {
+        let mut r = ShadowMemory::new();
+        r.fill(7 * SHADOW_PAGE_SIZE as u64, SHADOW_PAGE_SIZE as u64, 0);
+        for (page, frame) in m.canonical_pages().into_iter().rev() {
+            let base = page << SHADOW_PAGE_SHIFT;
+            if frame.iter().all(|&b| b == frame[0]) {
+                r.fill(base, SHADOW_PAGE_SIZE as u64, frame[0]);
+            } else {
+                for (off, &b) in frame.iter().enumerate().filter(|(_, &b)| b != 0) {
+                    r.write_u8(base + off as u64, b);
+                }
+            }
+        }
+        r
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// In-place equality agrees with comparing expanded canonical
+        /// pages, for random pairs and for rebuilt copies.
+        #[test]
+        fn equality_agrees_with_canonical_pages(
+            ops_a in prop::collection::vec(op(), 0..10),
+            ops_b in prop::collection::vec(op(), 0..10),
+        ) {
+            let a = apply(&ops_a);
+            let b = apply(&ops_b);
+            prop_assert_eq!(a == b, a.canonical_pages() == b.canonical_pages());
+            prop_assert_eq!(b == a, a == b);
+            let r = rebuilt(&a);
+            prop_assert!(r == a);
+            prop_assert!(a == r);
+            prop_assert!(r.canonical_pages() == a.canonical_pages());
+        }
     }
 
     #[test]

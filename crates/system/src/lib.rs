@@ -47,6 +47,7 @@
 
 mod config;
 pub mod pool;
+mod read_ahead;
 mod registry;
 mod run;
 mod session;

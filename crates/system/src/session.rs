@@ -69,6 +69,7 @@ use fade_trace::{
 };
 
 use crate::config::{Accel, SystemConfig, Topology};
+use crate::read_ahead::{read_ahead, LeasePool, SPARE_CPUS};
 use crate::registry::{MonitorRegistry, UnknownMonitor};
 use crate::run::{ClassInstrs, RunStats, SamplingSummary, UtilBreakdown};
 use crate::system::{
@@ -350,6 +351,9 @@ pub struct SessionBuilder {
     registry: Option<Arc<MonitorRegistry>>,
     program: Option<FadeProgram>,
     recover: bool,
+    /// Where the session's read-ahead lease comes from: always
+    /// [`SPARE_CPUS`] outside this crate's tests.
+    leases: &'static LeasePool,
 }
 
 impl SessionBuilder {
@@ -362,7 +366,16 @@ impl SessionBuilder {
             registry: None,
             program: None,
             recover: false,
+            leases: &SPARE_CPUS,
         }
+    }
+
+    /// Draws the read-ahead lease from `pool`: a pool that never grants
+    /// one pins the inline path, an unbounded one forces read-ahead.
+    #[cfg(test)]
+    pub(crate) fn leases(mut self, pool: &'static LeasePool) -> Self {
+        self.leases = pool;
+        self
     }
 
     /// Selects the monitor: a registered name (`&str`/`String`) or a
@@ -426,6 +439,14 @@ impl SessionBuilder {
 
     /// Builds the [`Session`].
     ///
+    /// If a CPU is free for it, the session reads its trace ahead: a
+    /// helper thread owned by the session decodes or generates records
+    /// in bounded batches while the engine runs. Sessions hold at most
+    /// `available_parallelism() − 1` such helpers between them; a
+    /// session that finds none free (and every session on one CPU)
+    /// runs its source inline. The engine sees the same records,
+    /// errors and panics either way, so no result depends on it.
+    ///
     /// # Errors
     ///
     /// Every failure is a typed [`SessionError`], first one wins: missing
@@ -487,7 +508,8 @@ impl SessionBuilder {
         Ok(Session {
             monitors_stack: monitor.monitors_stack(),
             monitor,
-            source,
+            // Last, so a build that fails starts no helper.
+            source: read_ahead(source, self.leases),
             source_state: SourceState::Live,
             commit: CommitModel::new(cfg.core, bench.commit, Rng::seed_from(cfg.seed ^ 0xbace)),
             arbiter: SmtArbiter::new(),
@@ -611,6 +633,12 @@ fn accelerator(
 /// Sessions are `Send`: a built session can move to a worker thread and
 /// run there, which is how the experiment-matrix driver shards runs
 /// across cores.
+///
+/// A session may own one read-ahead helper thread, for as long as it
+/// holds one of the process's `available_parallelism() − 1` read-ahead
+/// leases (see [`SessionBuilder::build`]). Dropping the session returns
+/// the lease at once and never waits for the helper, which exits on
+/// its own once its current read returns.
 ///
 /// Two driving styles:
 ///

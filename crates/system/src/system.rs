@@ -56,7 +56,9 @@ impl From<fade_trace::TraceFileError> for SourceError {
 ///
 /// Sources are `Send` so whole sessions can move to worker threads
 /// (the parallel experiment driver shards an experiment matrix across
-/// cores; each session owns its source exclusively).
+/// cores; each session owns its source exclusively), and so a session
+/// can read its source ahead on a helper thread (see
+/// [`crate::SessionBuilder::build`]).
 pub trait TraceSource: Send {
     /// Appends up to `n` records to `buf`, returning how many were
     /// appended.

@@ -37,6 +37,12 @@
 //! );
 //! ```
 
+/// The README's ```rust blocks, compiled (and run unless marked
+/// `no_run`) as doctests, so they keep up with the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use fade as accel;
 pub use fade_isa as isa;
 pub use fade_monitors as monitors;
