@@ -3,9 +3,10 @@
 //! stall breakdown. Not a paper figure itself — a tuning aid.
 //!
 //! The whole monitor × benchmark × {FADE, unaccelerated} grid is one
-//! `ExperimentMatrix`, sharded across workers.
+//! `Runs::run` call, sharded across workers.
 
-use fade_bench::{experiments::suite_for, Experiment, ExperimentMatrix, Table};
+use fade_bench::experiments::{suite_for, Runs};
+use fade_bench::Table;
 use fade_monitors::all_monitors;
 use fade_system::SystemConfig;
 
@@ -40,34 +41,25 @@ fn main() {
         usage();
     }
 
-    let mut matrix = ExperimentMatrix::new();
-    for mon in &monitors {
-        if !selected(mon.name()) {
-            continue;
-        }
-        for b in suite_for(mon.name()) {
-            matrix.push(Experiment::new(b.clone(), mon.name(), SystemConfig::fade_single_core()));
-            matrix.push(Experiment::new(
-                b,
-                mon.name(),
-                SystemConfig::unaccelerated_single_core(),
-            ));
-        }
-    }
-    let mut runs = matrix.run_stats().into_iter();
+    let names: Vec<&str> = monitors
+        .iter()
+        .map(|m| m.name())
+        .filter(|&n| selected(n))
+        .collect();
+    let fade = SystemConfig::fade_single_core();
+    let unacc = SystemConfig::unaccelerated_single_core();
+    let mut runs = Runs::default();
+    runs.run("calibrate", &[(&names, fade), (&names, unacc)]);
 
-    for mon in &monitors {
-        if !selected(mon.name()) {
-            continue;
-        }
-        println!("== {} ==", mon.name());
+    for name in names {
+        println!("== {name} ==");
         let mut t = Table::new([
             "bench", "appIPC", "monIPC", "filt%", "sw-slow", "fade-slow", "ufq%", "drain%",
             "suu%", "md%", "tlb%", "appblk%", "occ",
         ]);
-        for b in suite_for(mon.name()) {
-            let f = runs.next().expect("one FADE run per bench");
-            let u = runs.next().expect("one unaccelerated run per bench");
+        for b in suite_for(name) {
+            let f = runs.get(name, &b, &fade);
+            let u = runs.get(name, &b, &unacc);
             let fs = f.fade.unwrap();
             let cyc = f.cycles.max(1) as f64;
             t.row([

@@ -1,5 +1,7 @@
 //! Regenerates the paper's Figure 10.
 
+use fade_bench::experiments::{fig10, Runs};
+
 fn main() {
-    print!("{}", fade_bench::experiments::fig10());
+    print!("{}", fig10(&mut Runs::default()));
 }

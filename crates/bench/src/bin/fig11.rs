@@ -1,5 +1,7 @@
 //! Regenerates the paper's Figure 11.
 
+use fade_bench::experiments::{fig11, Runs};
+
 fn main() {
-    print!("{}", fade_bench::experiments::fig11());
+    print!("{}", fig11(&mut Runs::default()));
 }

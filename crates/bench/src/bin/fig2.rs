@@ -1,5 +1,7 @@
 //! Regenerates the paper's Figure 2.
 
+use fade_bench::experiments::{fig2, Runs};
+
 fn main() {
-    print!("{}", fade_bench::experiments::fig2());
+    print!("{}", fig2(&mut Runs::default()));
 }

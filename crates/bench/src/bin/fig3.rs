@@ -1,5 +1,7 @@
 //! Regenerates the paper's Figure 3.
 
+use fade_bench::experiments::{fig3, Runs};
+
 fn main() {
-    print!("{}", fade_bench::experiments::fig3());
+    print!("{}", fig3(&mut Runs::default()));
 }

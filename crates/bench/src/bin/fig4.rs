@@ -1,5 +1,7 @@
 //! Regenerates the paper's Figure 4.
 
+use fade_bench::experiments::{fig4, Runs};
+
 fn main() {
-    print!("{}", fade_bench::experiments::fig4());
+    print!("{}", fig4(&mut Runs::default()));
 }

@@ -1,5 +1,7 @@
 //! Regenerates the paper's Figure 9.
 
+use fade_bench::experiments::{fig9, Runs};
+
 fn main() {
-    print!("{}", fade_bench::experiments::fig9());
+    print!("{}", fig9(&mut Runs::default()));
 }

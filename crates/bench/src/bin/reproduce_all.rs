@@ -5,12 +5,15 @@
 //! performance trajectory). Scale the window with FADE_MEASURE /
 //! FADE_WARMUP (instructions).
 //!
-//! Every experiment section runs as a sharded `ExperimentMatrix`
+//! The sections share one `Runs` table, so each distinct (monitor,
+//! benchmark, configuration) point runs once: a section runs only the
+//! points no earlier section ran, as one sharded `ExperimentMatrix`
 //! across `--workers N` threads (default: all cores; also
-//! `FADE_WORKERS`); the JSON's `matrix_results` rows record each
-//! section's worker count, sharded wall-clock, and serial-equivalent
-//! time (the sum of per-run wall clocks — what one worker would have
-//! paid), so the sharding win lands in the perf trajectory.
+//! `FADE_WORKERS`). The JSON's `matrix_results` rows record, for each
+//! section that ran new points, their count, the worker count, the
+//! sharded wall-clock and the serial-equivalent time (the sum of
+//! per-run wall clocks — what one worker would have paid). A section
+//! that only reads earlier points writes no row.
 //!
 //! Stdout carries only section banners, figures and tables, so at
 //! defaults it is the figure golden `tests/golden/figures.txt`. Every
@@ -30,8 +33,8 @@
 
 use std::path::{Path, PathBuf};
 
-use fade_bench::experiments as ex;
-use fade_bench::{drain_timings, MatrixTiming};
+use fade_bench::experiments::{self as ex, Runs};
+use fade_bench::MatrixTiming;
 use fade_report::{JsonDocument, JsonObject};
 use fade_service::{measure_service_throughput, EngineSel, LoadOptions};
 use fade_system::{measure_system_throughput_records, record_trace_prefix, SystemConfig};
@@ -182,11 +185,11 @@ fn system_json(replay_dir: Option<&Path>, prefixes: Vec<PointPrefix>) -> Vec<Str
     rows
 }
 
-type Section = (&'static str, fn() -> String);
+type Section = (&'static str, fn(&mut Runs) -> String);
 
-/// One JSON row per `.timed(...)` matrix a section ran: the sharding
+/// One JSON row per batch of new points a section ran: the sharding
 /// evidence (since schema v4).
-fn matrix_json(rows: &[(String, MatrixTiming)]) -> Vec<String> {
+fn matrix_json(rows: &[(&str, MatrixTiming)]) -> Vec<String> {
     rows.iter()
         .map(|(section, t)| {
             JsonObject::new()
@@ -262,16 +265,17 @@ fn main() {
         ("Figure 9", ex::fig9),
         ("Figure 10", ex::fig10),
         ("Figure 11", ex::fig11),
-        ("Section 7.6", ex::power),
+        ("Section 7.6", |_| ex::power()),
     ];
-    let mut matrix_rows: Vec<(String, MatrixTiming)> = Vec::new();
-    drain_timings();
+    let mut runs = Runs::default();
+    let mut matrix_rows: Vec<(&str, MatrixTiming)> = Vec::new();
     for (name, f) in sections {
         println!("================================================================");
         println!("{name}");
         println!("================================================================");
-        println!("{}", f());
-        for t in drain_timings() {
+        let ran = runs.timings().len();
+        println!("{}", f(&mut runs));
+        for t in &runs.timings()[ran..] {
             eprintln!(
                 "  [matrix {}: {} experiments on {} workers, {:.2}s sharded vs {:.2}s serial = {:.2}x]",
                 t.label,
@@ -281,7 +285,7 @@ fn main() {
                 t.serial_s,
                 t.speedup(),
             );
-            matrix_rows.push((name.to_string(), t));
+            matrix_rows.push((name, t.clone()));
         }
     }
     // One generation pass feeds recording and the live system section.

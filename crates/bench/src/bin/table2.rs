@@ -1,5 +1,7 @@
 //! Regenerates the paper's Table 2.
 
+use fade_bench::experiments::{table2, Runs};
+
 fn main() {
-    print!("{}", fade_bench::experiments::table2());
+    print!("{}", table2(&mut Runs::default()));
 }

@@ -1,17 +1,18 @@
 //! The paper's experiments, one function per table/figure.
 //!
-//! Each function *declares* its grid of simulation points as
-//! [`Experiment`] data, hands the whole grid to the sharded
-//! [`ExperimentMatrix`] driver (all points of a figure run concurrently
-//! across `FADE_WORKERS` threads), then renders the paper-style text
-//! table(s) from the results — with the paper's reference values in the
-//! last column(s) so paper-vs-measured comparison is immediate. The
+//! Each function *declares* its grid of simulation points with one
+//! [`Runs::run`] call, then renders the paper-style text table(s) from
+//! [`Runs::get`] — with the paper's reference values in the last
+//! column(s) so paper-vs-measured comparison is immediate. The
 //! `reproduce_all` binary calls every one of these and is the source of
 //! EXPERIMENTS.md.
 //!
-//! Declaration and consumption walk the same loops in the same order,
-//! so adding a point means adding it to both walks — the `Results`
-//! consumer panics if the two ever disagree in length.
+//! Sections share one [`Runs`] table keyed by (monitor, benchmark,
+//! [`SystemConfig`]): a point that an earlier section (or an earlier
+//! entry of the same grid) already ran is read back, not run again.
+//! Every run is deterministic, so sharing moves no figure cell. A
+//! section that reads a point it never declared panics with the
+//! point's name.
 
 use fade::FilterMode;
 use fade_monitors::all_monitors;
@@ -20,7 +21,7 @@ use fade_system::{RunStats, SystemConfig};
 use fade_trace::{bench, BenchProfile};
 
 use crate::table::Table;
-use crate::{Experiment, ExperimentMatrix};
+use crate::{Experiment, ExperimentMatrix, MatrixTiming};
 
 /// The benchmark suite a monitor is evaluated on (Section 6).
 pub fn suite_for(monitor: &str) -> Vec<BenchProfile> {
@@ -31,70 +32,139 @@ pub fn suite_for(monitor: &str) -> Vec<BenchProfile> {
     }
 }
 
-/// One grid point with the harness-default window.
-fn point(b: &BenchProfile, monitor: &str, cfg: &SystemConfig) -> Experiment {
-    Experiment::new(b.clone(), monitor, *cfg)
+/// Every builtin monitor's name, in registry order.
+fn monitor_names() -> Vec<&'static str> {
+    all_monitors().iter().map(|m| m.name()).collect()
 }
 
-/// Results of a section's matrix, consumed in declaration order.
-struct Results(std::vec::IntoIter<RunStats>);
-
-impl Results {
-    fn next(&mut self) -> RunStats {
-        self.0
-            .next()
-            .expect("consumption must walk the same points as declaration")
-    }
+fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-impl Drop for Results {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            assert!(
-                self.0.next().is_none(),
-                "declared experiments were left unconsumed"
-            );
+/// One run experiment: its key and its statistics.
+struct Point {
+    monitor: String,
+    bench: &'static str,
+    config: SystemConfig,
+    stats: RunStats,
+}
+
+/// Every experiment the sections have run, keyed by (monitor,
+/// benchmark, [`SystemConfig`]), plus the timing of each batch that ran
+/// them.
+#[derive(Default)]
+pub struct Runs {
+    points: Vec<Point>,
+    timings: Vec<MatrixTiming>,
+}
+
+impl Runs {
+    /// Runs every point of `grid` that the table does not hold yet: each
+    /// `(monitors, config)` pair expands over [`suite_for`] each monitor,
+    /// and the new points run as one [`ExperimentMatrix`] whose timing
+    /// is recorded under `section`. A grid with no new point runs
+    /// nothing and records no timing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any new experiment fails (the grids are static, so a
+    /// failure is a harness bug).
+    pub fn run(&mut self, section: &str, grid: &[(&[&str], SystemConfig)]) {
+        let mut fresh: Vec<(&str, BenchProfile, SystemConfig)> = Vec::new();
+        for &(monitors, config) in grid {
+            for &monitor in monitors {
+                for b in suite_for(monitor) {
+                    let queued = fresh
+                        .iter()
+                        .any(|(m, q, c)| *m == monitor && q.name == b.name && *c == config);
+                    if !queued && self.find(monitor, &b, &config).is_none() {
+                        fresh.push((monitor, b, config));
+                    }
+                }
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        let mut matrix = ExperimentMatrix::new();
+        matrix.extend(
+            fresh
+                .iter()
+                .map(|(monitor, b, config)| Experiment::new(b.clone(), *monitor, *config)),
+        );
+        let result = matrix.run();
+        self.timings.push(MatrixTiming {
+            label: section.to_string(),
+            experiments: fresh.len(),
+            workers: result.workers,
+            wall_s: result.wall_s,
+            serial_s: result.serial_s,
+        });
+        for ((monitor, b, config), report) in fresh.into_iter().zip(result.into_reports()) {
+            self.points.push(Point {
+                monitor: monitor.to_string(),
+                bench: b.name,
+                config,
+                stats: report.stats,
+            });
         }
     }
-}
 
-/// Runs a section's declared points through the sharded driver.
-fn run_section(section: &str, points: Vec<Experiment>) -> Results {
-    let mut m = ExperimentMatrix::new().timed(section);
-    m.extend(points);
-    Results(m.run_stats().into_iter())
+    /// The statistics of `monitor` on `bench` under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the point, if no [`Runs::run`] declared it.
+    pub fn get(&self, monitor: &str, bench: &BenchProfile, config: &SystemConfig) -> &RunStats {
+        self.find(monitor, bench, config).unwrap_or_else(|| {
+            panic!(
+                "no section declared {monitor} on {} under {config:?}",
+                bench.name
+            )
+        })
+    }
+
+    /// One timing per batch [`Runs::run`] ran, in run order.
+    pub fn timings(&self) -> &[MatrixTiming] {
+        &self.timings
+    }
+
+    fn find(
+        &self,
+        monitor: &str,
+        bench: &BenchProfile,
+        config: &SystemConfig,
+    ) -> Option<&RunStats> {
+        self.points
+            .iter()
+            .find(|p| p.monitor == monitor && p.bench == bench.name && p.config == *config)
+            .map(|p| &p.stats)
+    }
+
+    /// The mean of `f` over `monitor`'s suite under `config`.
+    fn mean(&self, monitor: &str, config: &SystemConfig, f: impl Fn(&RunStats) -> f64) -> f64 {
+        let xs: Vec<f64> = suite_for(monitor)
+            .iter()
+            .map(|b| f(self.get(monitor, b, config)))
+            .collect();
+        mean(&xs)
+    }
 }
 
 /// Figure 2: application IPC split into monitored and unmonitored.
-pub fn fig2() -> String {
-    let mut points = Vec::new();
-    for mon in all_monitors() {
-        for b in suite_for(mon.name()) {
-            points.push(point(&b, mon.name(), &SystemConfig::fade_single_core()));
-        }
-    }
-    for monitor in ["AddrCheck", "MemLeak"] {
-        for b in suite_for(monitor) {
-            points.push(point(&b, monitor, &SystemConfig::fade_single_core()));
-        }
-    }
-    let mut runs = run_section("fig2", points);
+pub fn fig2(runs: &mut Runs) -> String {
+    let fade = SystemConfig::fade_single_core();
+    let monitors = monitor_names();
+    runs.run("fig2", &[(&monitors, fade)]);
 
     let mut out = String::new();
     out.push_str("Figure 2(a): app IPC split, averaged per monitor (4-way OoO)\n");
     let mut t = Table::new(["monitor", "app IPC", "monitored IPC", "unmonitored IPC"]);
-    for mon in all_monitors() {
-        let mut app = Vec::new();
-        let mut monit = Vec::new();
-        for _ in suite_for(mon.name()) {
-            let s = runs.next();
-            app.push(s.app_ipc());
-            monit.push(s.monitored_ipc());
-        }
-        let a = app.iter().sum::<f64>() / app.len() as f64;
-        let m = monit.iter().sum::<f64>() / monit.len() as f64;
+    for name in monitors {
+        let a = runs.mean(name, &fade, RunStats::app_ipc);
+        let m = runs.mean(name, &fade, RunStats::monitored_ipc);
         t.row([
-            mon.name().to_string(),
+            name.to_string(),
             format!("{a:.2}"),
             format!("{m:.2}"),
             format!("{:.2}", a - m),
@@ -109,7 +179,7 @@ pub fn fig2() -> String {
         out.push('\n');
         let mut t = Table::new(["bench", "app IPC", "monitored IPC"]);
         for b in suite_for(monitor) {
-            let s = runs.next();
+            let s = runs.get(monitor, &b, &fade);
             t.row([
                 b.name.to_string(),
                 format!("{:.2}", s.app_ipc()),
@@ -123,23 +193,23 @@ pub fn fig2() -> String {
 
 /// Figure 3: event-queue occupancy (infinite queue) and the effect of
 /// queue size on MemLeak's slowdown.
-pub fn fig3() -> String {
+pub fn fig3(runs: &mut Runs) -> String {
     let ideal = |depth: QueueDepth| {
         SystemConfig::fade_single_core()
             .with_event_queue(depth)
             .with_ideal_consumer()
     };
-    let mut points = Vec::new();
-    for monitor in ["AddrCheck", "MemLeak"] {
-        for b in suite_for(monitor) {
-            points.push(point(&b, monitor, &ideal(QueueDepth::Unbounded)));
-        }
-    }
-    for b in suite_for("MemLeak") {
-        points.push(point(&b, "MemLeak", &ideal(QueueDepth::Bounded(32 * 1024))));
-        points.push(point(&b, "MemLeak", &ideal(QueueDepth::Bounded(32))));
-    }
-    let mut runs = run_section("fig3", points);
+    let unbounded = ideal(QueueDepth::Unbounded);
+    let big = ideal(QueueDepth::Bounded(32 * 1024));
+    let small = ideal(QueueDepth::Bounded(32));
+    runs.run(
+        "fig3",
+        &[
+            (&["AddrCheck", "MemLeak"], unbounded),
+            (&["MemLeak"], big),
+            (&["MemLeak"], small),
+        ],
+    );
 
     let mut out = String::new();
     for (title, monitor) in [
@@ -150,7 +220,7 @@ pub fn fig3() -> String {
         out.push('\n');
         let mut t = Table::new(["bench", "p50", "p90", "p99", "p99.9", "max-bucket"]);
         for b in suite_for(monitor) {
-            let s = runs.next();
+            let s = runs.get(monitor, &b, &unbounded);
             t.row([
                 b.name.to_string(),
                 s.occupancy.percentile(50.0).to_string(),
@@ -167,14 +237,14 @@ pub fn fig3() -> String {
     let mut big_all = Vec::new();
     let mut small_all = Vec::new();
     for b in suite_for("MemLeak") {
-        let big = runs.next();
-        let small = runs.next();
-        big_all.push(big.slowdown());
-        small_all.push(small.slowdown());
+        let big = runs.get("MemLeak", &b, &big).slowdown();
+        let small = runs.get("MemLeak", &b, &small).slowdown();
+        big_all.push(big);
+        small_all.push(small);
         t.row([
             b.name.to_string(),
-            format!("{:.2}", big.slowdown()),
-            format!("{:.2}", small.slowdown()),
+            format!("{big:.2}"),
+            format!("{small:.2}"),
         ]);
     }
     t.row([
@@ -188,39 +258,28 @@ pub fn fig3() -> String {
 
 /// Figure 4: monitor time breakdown, unfiltered-event distances, burst
 /// sizes.
-pub fn fig4() -> String {
-    let mut points = Vec::new();
-    for mon in all_monitors() {
-        for b in suite_for(mon.name()) {
-            points.push(point(&b, mon.name(), &SystemConfig::unaccelerated_single_core()));
-        }
-    }
-    for b in suite_for("MemLeak") {
-        points.push(point(&b, "MemLeak", &SystemConfig::fade_single_core()));
-    }
-    for mon in all_monitors() {
-        for b in suite_for(mon.name()) {
-            points.push(point(&b, mon.name(), &SystemConfig::fade_single_core()));
-        }
-    }
-    let mut runs = run_section("fig4", points);
+pub fn fig4(runs: &mut Runs) -> String {
+    let unacc = SystemConfig::unaccelerated_single_core();
+    let fade = SystemConfig::fade_single_core();
+    let monitors = monitor_names();
+    runs.run("fig4", &[(&monitors, unacc), (&monitors, fade)]);
 
     let mut out = String::new();
     out.push_str("Figure 4(a): software monitor time breakdown (% of handler instructions)\n");
     let mut t = Table::new(["monitor", "CC%", "RU%", "complex%", "stack%", "high-level%"]);
-    for mon in all_monitors() {
+    for &name in &monitors {
         let mut acc = fade_system::ClassInstrs::default();
-        for _ in suite_for(mon.name()) {
-            let s = runs.next();
-            acc.cc += s.class_instrs.cc;
-            acc.ru += s.class_instrs.ru;
-            acc.partial += s.class_instrs.partial;
-            acc.complex += s.class_instrs.complex;
-            acc.stack += s.class_instrs.stack;
-            acc.high_level += s.class_instrs.high_level;
+        for b in suite_for(name) {
+            let c = &runs.get(name, &b, &unacc).class_instrs;
+            acc.cc += c.cc;
+            acc.ru += c.ru;
+            acc.partial += c.partial;
+            acc.complex += c.complex;
+            acc.stack += c.stack;
+            acc.high_level += c.high_level;
         }
         t.row([
-            mon.name().to_string(),
+            name.to_string(),
             format!("{:.1}", acc.pct(acc.cc + acc.partial)),
             format!("{:.1}", acc.pct(acc.ru)),
             format!("{:.1}", acc.pct(acc.complex)),
@@ -233,7 +292,7 @@ pub fn fig4() -> String {
     out.push_str("\nFigure 4(b): distance between unfiltered events, MemLeak (CDF)\n");
     let mut t = Table::new(["bench", "%<=2", "%<=8", "%<=16", "%<=64", "mean"]);
     for b in suite_for("MemLeak") {
-        let s = runs.next();
+        let s = runs.get("MemLeak", &b, &fade);
         let cdf = s.unfiltered_distances.cdf();
         t.row([
             b.name.to_string(),
@@ -248,20 +307,22 @@ pub fn fig4() -> String {
 
     out.push_str("\nFigure 4(c): mean unfiltered burst size (gap <= 16 filterable events)\n");
     let mut t = Table::new(["monitor", "per-bench mean burst sizes"]);
-    for mon in all_monitors() {
-        let mut cells = Vec::new();
-        for b in suite_for(mon.name()) {
-            let s = runs.next();
-            cells.push(format!("{}={:.0}", b.name, s.burst_sizes.mean()));
-        }
-        t.row([mon.name().to_string(), cells.join(" ")]);
+    for name in monitors {
+        let cells: Vec<String> = suite_for(name)
+            .iter()
+            .map(|b| {
+                let mean = runs.get(name, b, &fade).burst_sizes.mean();
+                format!("{}={mean:.0}", b.name)
+            })
+            .collect();
+        t.row([name.to_string(), cells.join(" ")]);
     }
     out.push_str(&t.render());
     out
 }
 
 /// Table 2: filtering efficiency per monitor.
-pub fn table2() -> String {
+pub fn table2(runs: &mut Runs) -> String {
     let paper = [
         ("AddrCheck", 99.5),
         ("AtomCheck", 85.5),
@@ -269,23 +330,14 @@ pub fn table2() -> String {
         ("MemLeak", 87.0),
         ("TaintCheck", 84.0),
     ];
-    let mut points = Vec::new();
-    for (name, _) in paper {
-        for b in suite_for(name) {
-            points.push(point(&b, name, &SystemConfig::fade_single_core()));
-        }
-    }
-    let mut runs = run_section("table2", points);
+    let fade = SystemConfig::fade_single_core();
+    runs.run("table2", &[(&paper.map(|(name, _)| name), fade)]);
 
     let mut out = String::new();
     out.push_str("Table 2: FADE filtering efficiency\n");
     let mut t = Table::new(["monitor", "measured", "paper"]);
     for (name, paper_val) in paper {
-        let mut ratios = Vec::new();
-        for _ in suite_for(name) {
-            ratios.push(100.0 * runs.next().filtering_ratio());
-        }
-        let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;
+        let avg = runs.mean(name, &fade, |s| 100.0 * s.filtering_ratio());
         t.row([
             name.to_string(),
             format!("{avg:.1}%"),
@@ -299,21 +351,11 @@ pub fn table2() -> String {
 /// Figure 9: FADE vs the unaccelerated system, per benchmark, for
 /// AddrCheck, MemLeak and AtomCheck (plus the per-monitor averages the
 /// text quotes for MemCheck and TaintCheck).
-pub fn fig9() -> String {
-    let mut points = Vec::new();
-    for monitor in ["AddrCheck", "MemLeak", "AtomCheck"] {
-        for b in suite_for(monitor) {
-            points.push(point(&b, monitor, &SystemConfig::unaccelerated_single_core()));
-            points.push(point(&b, monitor, &SystemConfig::fade_single_core()));
-        }
-    }
-    for mon in all_monitors() {
-        for b in suite_for(mon.name()) {
-            points.push(point(&b, mon.name(), &SystemConfig::unaccelerated_single_core()));
-            points.push(point(&b, mon.name(), &SystemConfig::fade_single_core()));
-        }
-    }
-    let mut runs = run_section("fig9", points);
+pub fn fig9(runs: &mut Runs) -> String {
+    let unacc = SystemConfig::unaccelerated_single_core();
+    let fade = SystemConfig::fade_single_core();
+    let monitors = monitor_names();
+    runs.run("fig9", &[(&monitors, unacc), (&monitors, fade)]);
 
     let mut out = String::new();
     for (fig, monitor) in [
@@ -324,23 +366,17 @@ pub fn fig9() -> String {
         out.push_str(fig);
         out.push('\n');
         let mut t = Table::new(["bench", "unaccelerated", "FADE"]);
-        let mut un = Vec::new();
-        let mut fa = Vec::new();
         for b in suite_for(monitor) {
-            let u = runs.next();
-            let f = runs.next();
-            un.push(u.slowdown());
-            fa.push(f.slowdown());
             t.row([
                 b.name.to_string(),
-                format!("{:.2}", u.slowdown()),
-                format!("{:.2}", f.slowdown()),
+                format!("{:.2}", runs.get(monitor, &b, &unacc).slowdown()),
+                format!("{:.2}", runs.get(monitor, &b, &fade).slowdown()),
             ]);
         }
         t.row([
             "mean".to_string(),
-            format!("{:.2}", un.iter().sum::<f64>() / un.len() as f64),
-            format!("{:.2}", fa.iter().sum::<f64>() / fa.len() as f64),
+            format!("{:.2}", runs.mean(monitor, &unacc, RunStats::slowdown)),
+            format!("{:.2}", runs.mean(monitor, &fade, RunStats::slowdown)),
         ]);
         out.push_str(&t.render());
         out.push('\n');
@@ -349,50 +385,35 @@ pub fn fig9() -> String {
     let mut t = Table::new(["monitor", "unaccelerated", "FADE"]);
     let mut all_u = Vec::new();
     let mut all_f = Vec::new();
-    for mon in all_monitors() {
-        let mut un = Vec::new();
-        let mut fa = Vec::new();
-        for _ in suite_for(mon.name()) {
-            un.push(runs.next().slowdown());
-            fa.push(runs.next().slowdown());
-        }
-        let (u, f) = (
-            un.iter().sum::<f64>() / un.len() as f64,
-            fa.iter().sum::<f64>() / fa.len() as f64,
-        );
+    for name in monitors {
+        let u = runs.mean(name, &unacc, RunStats::slowdown);
+        let f = runs.mean(name, &fade, RunStats::slowdown);
         all_u.push(u);
         all_f.push(f);
-        t.row([mon.name().to_string(), format!("{u:.2}"), format!("{f:.2}")]);
+        t.row([name.to_string(), format!("{u:.2}"), format!("{f:.2}")]);
     }
     t.row([
         "average".to_string(),
-        format!("{:.2}", all_u.iter().sum::<f64>() / all_u.len() as f64),
-        format!("{:.2}", all_f.iter().sum::<f64>() / all_f.len() as f64),
+        format!("{:.2}", mean(&all_u)),
+        format!("{:.2}", mean(&all_f)),
     ]);
     out.push_str(&t.render());
     out
 }
 
 /// Figure 10: sensitivity to the core microarchitecture.
-pub fn fig10() -> String {
-    let cfg_for = |accel: bool, core: CoreKind| {
-        if accel {
-            SystemConfig::fade_single_core().with_core(core)
-        } else {
-            SystemConfig::unaccelerated_single_core().with_core(core)
-        }
-    };
-    let mut points = Vec::new();
-    for mon in all_monitors() {
-        for accel in [false, true] {
-            for core in [CoreKind::AggrOoO4, CoreKind::LeanOoO2, CoreKind::InOrder1] {
-                for b in suite_for(mon.name()) {
-                    points.push(point(&b, mon.name(), &cfg_for(accel, core)));
-                }
-            }
-        }
-    }
-    let mut runs = run_section("fig10", points);
+pub fn fig10(runs: &mut Runs) -> String {
+    let cores = [CoreKind::AggrOoO4, CoreKind::LeanOoO2, CoreKind::InOrder1];
+    let configs: Vec<SystemConfig> = [
+        SystemConfig::unaccelerated_single_core(),
+        SystemConfig::fade_single_core(),
+    ]
+    .iter()
+    .flat_map(|cfg| cores.map(|core| cfg.with_core(core)))
+    .collect();
+    let monitors = monitor_names();
+    let grid: Vec<_> = configs.iter().map(|&cfg| (&monitors[..], cfg)).collect();
+    runs.run("fig10", &grid);
 
     let mut out = String::new();
     out.push_str("Figure 10: slowdown per monitor and core type (single-core system)\n");
@@ -405,16 +426,10 @@ pub fn fig10() -> String {
         "FADE 2-way",
         "FADE in-ord",
     ]);
-    for mon in all_monitors() {
-        let mut cells = vec![mon.name().to_string()];
-        for _accel in [false, true] {
-            for _core in [CoreKind::AggrOoO4, CoreKind::LeanOoO2, CoreKind::InOrder1] {
-                let mut sl = Vec::new();
-                for _ in suite_for(mon.name()) {
-                    sl.push(runs.next().slowdown());
-                }
-                cells.push(format!("{:.2}", sl.iter().sum::<f64>() / sl.len() as f64));
-            }
+    for name in monitors {
+        let mut cells = vec![name.to_string()];
+        for cfg in &configs {
+            cells.push(format!("{:.2}", runs.mean(name, cfg, RunStats::slowdown)));
         }
         t.row(cells);
     }
@@ -424,47 +439,24 @@ pub fn fig10() -> String {
 
 /// Figure 11: single vs two-core FADE, two-core utilization, and
 /// blocking vs non-blocking filtering.
-pub fn fig11() -> String {
-    let mut points = Vec::new();
-    for mon in all_monitors() {
-        for b in suite_for(mon.name()) {
-            points.push(point(&b, mon.name(), &SystemConfig::fade_single_core()));
-            points.push(point(&b, mon.name(), &SystemConfig::fade_two_core()));
-        }
-    }
-    for mon in all_monitors() {
-        for b in suite_for(mon.name()) {
-            points.push(point(&b, mon.name(), &SystemConfig::fade_two_core()));
-        }
-    }
-    for mon in all_monitors() {
-        for b in suite_for(mon.name()) {
-            points.push(point(
-                &b,
-                mon.name(),
-                &SystemConfig::fade_single_core().with_mode(FilterMode::Blocking),
-            ));
-            points.push(point(&b, mon.name(), &SystemConfig::fade_single_core()));
-        }
-    }
-    let mut runs = run_section("fig11", points);
+pub fn fig11(runs: &mut Runs) -> String {
+    let one = SystemConfig::fade_single_core();
+    let two = SystemConfig::fade_two_core();
+    let blocking = SystemConfig::fade_single_core().with_mode(FilterMode::Blocking);
+    let monitors = monitor_names();
+    runs.run(
+        "fig11",
+        &[(&monitors, one), (&monitors, two), (&monitors, blocking)],
+    );
 
     let mut out = String::new();
     out.push_str("Figure 11(a): single-core vs two-core FADE (average slowdown)\n");
     let mut t = Table::new(["monitor", "single-core", "two-core", "two-core gain"]);
-    for mon in all_monitors() {
-        let mut one = Vec::new();
-        let mut two = Vec::new();
-        for _ in suite_for(mon.name()) {
-            one.push(runs.next().slowdown());
-            two.push(runs.next().slowdown());
-        }
-        let (o, w) = (
-            one.iter().sum::<f64>() / one.len() as f64,
-            two.iter().sum::<f64>() / two.len() as f64,
-        );
+    for &name in &monitors {
+        let o = runs.mean(name, &one, RunStats::slowdown);
+        let w = runs.mean(name, &two, RunStats::slowdown);
         t.row([
-            mon.name().to_string(),
+            name.to_string(),
             format!("{o:.2}"),
             format!("{w:.2}"),
             format!("{:.0}%", 100.0 * (o / w - 1.0)),
@@ -474,39 +466,23 @@ pub fn fig11() -> String {
 
     out.push_str("\nFigure 11(b): two-core utilization breakdown (% of cycles)\n");
     let mut t = Table::new(["monitor", "app core idle", "monitor core idle", "both utilized"]);
-    for mon in all_monitors() {
-        let mut acc = (0.0, 0.0, 0.0);
-        let mut n = 0.0;
-        for _ in suite_for(mon.name()) {
-            let s = runs.next();
-            let (a, m, both) = s.util.percentages();
-            acc = (acc.0 + a, acc.1 + m, acc.2 + both);
-            n += 1.0;
-        }
+    for &name in &monitors {
         t.row([
-            mon.name().to_string(),
-            format!("{:.1}", acc.0 / n),
-            format!("{:.1}", acc.1 / n),
-            format!("{:.1}", acc.2 / n),
+            name.to_string(),
+            format!("{:.1}", runs.mean(name, &two, |s| s.util.percentages().0)),
+            format!("{:.1}", runs.mean(name, &two, |s| s.util.percentages().1)),
+            format!("{:.1}", runs.mean(name, &two, |s| s.util.percentages().2)),
         ]);
     }
     out.push_str(&t.render());
 
     out.push_str("\nFigure 11(c): blocking vs non-blocking FADE (average slowdown)\n");
     let mut t = Table::new(["monitor", "blocking", "non-blocking", "NB benefit"]);
-    for mon in all_monitors() {
-        let mut blk = Vec::new();
-        let mut nb = Vec::new();
-        for _ in suite_for(mon.name()) {
-            blk.push(runs.next().slowdown());
-            nb.push(runs.next().slowdown());
-        }
-        let (bk, n) = (
-            blk.iter().sum::<f64>() / blk.len() as f64,
-            nb.iter().sum::<f64>() / nb.len() as f64,
-        );
+    for name in monitors {
+        let bk = runs.mean(name, &blocking, RunStats::slowdown);
+        let n = runs.mean(name, &one, RunStats::slowdown);
         t.row([
-            mon.name().to_string(),
+            name.to_string(),
             format!("{bk:.2}"),
             format!("{n:.2}"),
             format!("{:.2}x", bk / n),

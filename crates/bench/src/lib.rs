@@ -5,16 +5,16 @@
 //! shared table-printing helpers.
 //!
 //! Experiments are declared as data ([`Experiment`]) and executed by
-//! the sharded [`ExperimentMatrix`] driver — every paper figure is one
-//! matrix, run across `FADE_WORKERS` threads (default: all cores).
+//! the sharded [`ExperimentMatrix`] driver across `FADE_WORKERS`
+//! threads (default: all cores). The paper's sections share one
+//! [`experiments::Runs`] table, so each distinct (monitor, benchmark,
+//! configuration) point runs once however many figures read it.
 
 pub mod experiments;
 mod matrix;
 mod table;
 
-pub use matrix::{
-    default_workers, drain_timings, Experiment, ExperimentMatrix, MatrixResult, MatrixTiming,
-};
+pub use matrix::{default_workers, Experiment, ExperimentMatrix, MatrixResult, MatrixTiming};
 pub use table::Table;
 
 /// Default warmup instructions per measurement.

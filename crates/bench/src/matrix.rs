@@ -42,7 +42,7 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fade::FadeProgram;
@@ -212,7 +212,6 @@ pub struct ExperimentMatrix {
     experiments: Vec<Experiment>,
     workers: usize,
     registry: Arc<MonitorRegistry>,
-    timing_label: Option<String>,
 }
 
 impl ExperimentMatrix {
@@ -223,7 +222,6 @@ impl ExperimentMatrix {
             experiments: Vec::new(),
             workers: default_workers(),
             registry: Arc::new(MonitorRegistry::builtin()),
-            timing_label: None,
         }
     }
 
@@ -238,14 +236,6 @@ impl ExperimentMatrix {
     #[cfg(test)]
     fn registry(mut self, registry: Arc<MonitorRegistry>) -> Self {
         self.registry = registry;
-        self
-    }
-
-    /// Records this run's timing under `label` in the process-wide
-    /// timing log (drained by `reproduce_all` for the performance
-    /// trajectory).
-    pub(crate) fn timed(mut self, label: impl Into<String>) -> Self {
-        self.timing_label = Some(label.into());
         self
     }
 
@@ -298,21 +288,12 @@ impl ExperimentMatrix {
             .iter()
             .filter_map(|o| o.as_ref().ok().map(|r| r.wall_s))
             .sum();
-        let result = MatrixResult {
+        MatrixResult {
             outcomes,
+            workers,
             wall_s,
             serial_s,
-        };
-        if let Some(label) = self.timing_label {
-            record_timing(MatrixTiming {
-                label,
-                experiments: n,
-                workers,
-                wall_s: result.wall_s,
-                serial_s: result.serial_s,
-            });
         }
-        result
     }
 
     /// [`ExperimentMatrix::run`], keeping only the [`fade_system::RunStats`] of
@@ -345,6 +326,8 @@ pub struct MatrixResult {
     /// One outcome per experiment, in declaration order: the report,
     /// or the typed error that experiment (alone) failed with.
     pub(crate) outcomes: Vec<Result<RunReport, ExperimentError>>,
+    /// Worker threads used.
+    pub(crate) workers: usize,
     /// Wall-clock seconds for the whole (sharded) matrix.
     pub(crate) wall_s: f64,
     /// Sum of the per-experiment wall clocks of *successful* runs —
@@ -372,10 +355,11 @@ impl MatrixResult {
     }
 }
 
-/// One recorded matrix timing (see `ExperimentMatrix::timed`).
+/// The timing of one batch of experiments (see
+/// [`crate::experiments::Runs::timings`]).
 #[derive(Clone, Debug)]
 pub struct MatrixTiming {
-    /// The label the matrix was timed under.
+    /// The section the batch ran for.
     pub label: String,
     /// Experiments in the matrix.
     pub experiments: usize,
@@ -392,23 +376,6 @@ impl MatrixTiming {
     pub fn speedup(&self) -> f64 {
         self.serial_s / self.wall_s.max(1e-12)
     }
-}
-
-fn timing_log() -> &'static Mutex<Vec<MatrixTiming>> {
-    static LOG: std::sync::OnceLock<Mutex<Vec<MatrixTiming>>> = std::sync::OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn record_timing(t: MatrixTiming) {
-    timing_log().lock().expect("timing log poisoned").push(t);
-}
-
-/// Drains every timing recorded by `ExperimentMatrix::timed` matrices
-/// since the last drain — how `reproduce_all` collects per-section
-/// sharding evidence without threading a collector through every
-/// experiment function.
-pub fn drain_timings() -> Vec<MatrixTiming> {
-    std::mem::take(&mut *timing_log().lock().expect("timing log poisoned"))
 }
 
 #[cfg(test)]
@@ -549,18 +516,5 @@ mod tests {
             }
             other => panic!("expected a MonitorPanicked run-error row, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn timings_are_recorded_and_drained() {
-        drain_timings();
-        let mut m = ExperimentMatrix::new().timed("unit-test");
-        m.push(tiny("mcf", "AddrCheck"));
-        m.run();
-        let timings = drain_timings();
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].label, "unit-test");
-        assert_eq!(timings[0].experiments, 1);
-        assert!(drain_timings().is_empty(), "drain must empty the log");
     }
 }

@@ -160,23 +160,17 @@ impl Faded {
     /// Requests shutdown and blocks until every accepted connection
     /// and queued session has drained and the socket file is removed.
     pub fn shutdown(mut self) {
-        self.request_shutdown();
+        request_shutdown(&self.shutdown, &self.socket);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-    }
-
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = UnixStream::connect(&self.socket);
     }
 }
 
 impl Drop for Faded {
     fn drop(&mut self) {
         if let Some(h) = self.accept.take() {
-            self.request_shutdown();
+            request_shutdown(&self.shutdown, &self.socket);
             let _ = h.join();
         }
     }
@@ -192,12 +186,11 @@ struct Shared {
     socket: PathBuf,
 }
 
-impl Shared {
-    /// Flags shutdown and wakes the accept loop.
-    fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = UnixStream::connect(&self.socket);
-    }
+/// Flags shutdown and wakes the blocking accept loop on `socket` with
+/// a throwaway connection.
+fn request_shutdown(shutdown: &AtomicBool, socket: &Path) {
+    shutdown.store(true, Ordering::SeqCst);
+    let _ = UnixStream::connect(socket);
 }
 
 fn accept_loop(listener: UnixListener, cfg: ServerConfig, shutdown: Arc<AtomicBool>) {
@@ -251,7 +244,7 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
             Ok(h) => h,
             Err(e) => return send_error(&stream, "protocol", &e.to_string()),
         },
-        Ok(Some((FRAME_SHUTDOWN, _))) => return shared.request_shutdown(),
+        Ok(Some((FRAME_SHUTDOWN, _))) => return request_shutdown(&shared.shutdown, &shared.socket),
         Ok(Some((kind, _))) => {
             let e = ProtocolError::UnexpectedFrame {
                 got: kind,
@@ -281,7 +274,9 @@ fn handle_connection(stream: UnixStream, shared: &Arc<Shared>) {
                 trace.extend_from_slice(&payload);
             }
             Ok(Some((FRAME_FINISH, _))) => break,
-            Ok(Some((FRAME_SHUTDOWN, _))) => return shared.request_shutdown(),
+            Ok(Some((FRAME_SHUTDOWN, _))) => {
+                return request_shutdown(&shared.shutdown, &shared.socket)
+            }
             Ok(Some((kind, _))) => {
                 let e = ProtocolError::UnexpectedFrame {
                     got: kind,

@@ -34,7 +34,7 @@ pub enum Accel {
 }
 
 /// A complete system configuration.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Core microarchitecture (both cores in two-core systems).
     pub core: CoreKind,
@@ -79,7 +79,7 @@ pub struct SystemConfig {
 
 /// Optional overrides of FADE's hardware parameters (the sensitivity
 /// analysis the paper mentions but omits for space, Section 6).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct FadeTweaks {
     /// MD cache capacity in bytes (2-way, 64 B lines).
     pub(crate) md_cache_bytes: Option<u32>,
