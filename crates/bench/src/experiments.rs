@@ -60,10 +60,10 @@ pub struct Runs {
 
 impl Runs {
     /// Runs every point of `grid` that the table does not hold yet: each
-    /// `(monitors, config)` pair expands over [`suite_for`] each monitor,
-    /// and the new points run as one [`ExperimentMatrix`] whose timing
-    /// is recorded under `section`. A grid with no new point runs
-    /// nothing and records no timing.
+    /// `(monitors, config)` pair expands to every monitor on each of its
+    /// [`suite_for`] benchmarks, and the new points run as one
+    /// [`ExperimentMatrix`] whose timing is recorded under `section`. A
+    /// grid with no new point runs nothing and records no timing.
     ///
     /// # Panics
     ///
