@@ -5,7 +5,7 @@
 //! The whole monitor × benchmark × {FADE, unaccelerated} grid is one
 //! `Runs::run` call, sharded across workers.
 
-use fade_bench::experiments::{suite_for, Runs};
+use fade_bench::experiments::{suite_for, Entry, Runs};
 use fade_bench::Table;
 use fade_monitors::all_monitors;
 use fade_system::SystemConfig;
@@ -49,7 +49,7 @@ fn main() {
     let fade = SystemConfig::fade_single_core();
     let unacc = SystemConfig::unaccelerated_single_core();
     let mut runs = Runs::default();
-    runs.run("calibrate", &[(&names, fade), (&names, unacc)]);
+    runs.run("calibrate", &[Entry::new(&names, fade), Entry::new(&names, unacc)]);
 
     for name in names {
         println!("== {name} ==");
@@ -58,8 +58,8 @@ fn main() {
             "suu%", "md%", "tlb%", "appblk%", "occ",
         ]);
         for b in suite_for(name) {
-            let f = runs.get(name, &b, &fade);
-            let u = runs.get(name, &b, &unacc);
+            let f = runs.get(name, b.name, &fade, None);
+            let u = runs.get(name, b.name, &unacc, None);
             let fs = f.fade.unwrap();
             let cyc = f.cycles.max(1) as f64;
             t.row([

@@ -1,4 +1,5 @@
 //! Runs every experiment of the paper's evaluation section in order,
+//! then the design-choice ablations and hardware sensitivity sweeps,
 //! printing paper-style tables, then measures full-system and serving
 //! throughput and dumps everything to
 //! `BENCH_pipeline.json` (the machine-readable seed of the repo's
@@ -6,8 +7,8 @@
 //! FADE_WARMUP (instructions).
 //!
 //! The sections share one `Runs` table, so each distinct (monitor,
-//! benchmark, configuration) point runs once: a section runs only the
-//! points no earlier section ran, as one sharded `ExperimentMatrix`
+//! benchmark, configuration, FADE program) point runs once: a section
+//! runs only the points no earlier section ran, as one sharded `ExperimentMatrix`
 //! across `--workers N` threads (default: all cores; also
 //! `FADE_WORKERS`). The JSON's `matrix_results` rows record, for each
 //! section that ran new points, their count, the worker count, the
@@ -257,7 +258,7 @@ fn main() {
         "{} workers (override with --workers N)",
         fade_bench::default_workers()
     );
-    let sections: [Section; 8] = [
+    let sections: [Section; 10] = [
         ("Figure 2", ex::fig2),
         ("Figure 3", ex::fig3),
         ("Figure 4", ex::fig4),
@@ -266,6 +267,8 @@ fn main() {
         ("Figure 10", ex::fig10),
         ("Figure 11", ex::fig11),
         ("Section 7.6", |_| ex::power()),
+        ("Ablations", ex::ablation),
+        ("Sensitivity", ex::sensitivity),
     ];
     let mut runs = Runs::default();
     let mut matrix_rows: Vec<(&str, MatrixTiming)> = Vec::new();

@@ -1,93 +1,7 @@
-//! Sensitivity analysis of FADE's hardware parameters — the study the
-//! paper performed but excluded for space ("A sensitivity analysis for
-//! these two structures ... shows that this design point offers the
-//! best cost-performance ratio", Section 6). Sweeps the MD cache
-//! capacity, M-TLB reach, FSQ depth, and the two decoupling queues, and
-//! prints slowdown plus the area cost of each cache point.
-//!
-//! Every sweep point is declared up front and the whole grid runs
-//! through the sharded `ExperimentMatrix` driver.
+//! Prints the sensitivity sweeps of FADE's hardware parameters.
 
-use fade_bench::{Experiment, ExperimentMatrix, Table};
-use fade_sim::QueueDepth;
-use fade_system::SystemConfig;
-use fade_trace::bench;
-
-const MONITOR: &str = "MemLeak";
-const WORKLOAD: &str = "gcc";
-
-const MD_CACHE_KB: [u32; 5] = [1, 2, 4, 8, 16];
-const TLB_ENTRIES: [usize; 5] = [4, 8, 16, 32, 64];
-const FSQ_ENTRIES: [usize; 6] = [1, 2, 4, 8, 16, 32];
-const EVENT_QUEUE: [usize; 6] = [8, 16, 32, 64, 128, 1024];
-const UNFILTERED_QUEUE: [usize; 6] = [2, 4, 8, 16, 32, 64];
+use fade_bench::experiments::{sensitivity, Runs};
 
 fn main() {
-    let b = bench::by_name(WORKLOAD).unwrap();
-    let pt = |cfg: SystemConfig| Experiment::new(b.clone(), MONITOR, cfg);
-
-    let mut matrix = ExperimentMatrix::new();
-    for kb in MD_CACHE_KB {
-        matrix.push(pt(SystemConfig::fade_single_core().with_md_cache_bytes(kb * 1024)));
-    }
-    for n in TLB_ENTRIES {
-        matrix.push(pt(SystemConfig::fade_single_core().with_tlb_entries(n)));
-    }
-    for n in FSQ_ENTRIES {
-        matrix.push(pt(SystemConfig::fade_single_core().with_fsq_entries(n)));
-    }
-    for n in EVENT_QUEUE {
-        matrix.push(pt(
-            SystemConfig::fade_single_core().with_event_queue(QueueDepth::Bounded(n))
-        ));
-    }
-    for n in UNFILTERED_QUEUE {
-        let mut cfg = SystemConfig::fade_single_core();
-        cfg.unfiltered_queue = QueueDepth::Bounded(n);
-        matrix.push(pt(cfg));
-    }
-    let mut runs = matrix.run_stats().into_iter();
-    let mut slow = || -> f64 { runs.next().expect("one result per sweep point").slowdown() };
-
-    println!("Sensitivity sweeps ({MONITOR} on {WORKLOAD}, single-core 4-way OoO FADE)\n");
-
-    println!("MD cache capacity (2-way, 64B lines; paper design point: 4KB)");
-    let mut t = Table::new(["capacity", "slowdown", "cache area (mm^2)"]);
-    for kb in MD_CACHE_KB {
-        let est = fade_power::cache_model((kb * 1024) as u64, 2, 64, 2.0);
-        t.row([
-            format!("{kb} KB"),
-            format!("{:.2}", slow()),
-            format!("{:.4}", est.area_mm2),
-        ]);
-    }
-    t.print();
-
-    println!("\nM-TLB entries (paper design point: 16)");
-    let mut t = Table::new(["entries", "slowdown"]);
-    for n in TLB_ENTRIES {
-        t.row([n.to_string(), format!("{:.2}", slow())]);
-    }
-    t.print();
-
-    println!("\nFSQ entries (non-blocking filtering; paper design point: 16)");
-    let mut t = Table::new(["entries", "slowdown"]);
-    for n in FSQ_ENTRIES {
-        t.row([n.to_string(), format!("{:.2}", slow())]);
-    }
-    t.print();
-
-    println!("\nEvent queue depth (paper design point: 32)");
-    let mut t = Table::new(["entries", "slowdown"]);
-    for n in EVENT_QUEUE {
-        t.row([n.to_string(), format!("{:.2}", slow())]);
-    }
-    t.print();
-
-    println!("\nUnfiltered queue depth (paper design point: 16)");
-    let mut t = Table::new(["entries", "slowdown"]);
-    for n in UNFILTERED_QUEUE {
-        t.row([n.to_string(), format!("{:.2}", slow())]);
-    }
-    t.print();
+    print!("{}", sensitivity(&mut Runs::default()));
 }

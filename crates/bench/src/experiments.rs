@@ -1,21 +1,23 @@
-//! The paper's experiments, one function per table/figure.
+//! The paper's experiments, one function per table, figure or study:
+//! the evaluation's figures and Table 2, Section 7.6's area and power,
+//! the design-choice ablations and the hardware sensitivity sweeps.
 //!
 //! Each function *declares* its grid of simulation points with one
-//! [`Runs::run`] call, then renders the paper-style text table(s) from
-//! [`Runs::get`] — with the paper's reference values in the last
-//! column(s) so paper-vs-measured comparison is immediate. The
-//! `reproduce_all` binary calls every one of these and is the source of
-//! EXPERIMENTS.md.
+//! [`Runs::run`] call, then renders paper-style text table(s) from
+//! [`Runs::get`]. Table 2 and Section 7.6 also print the paper's
+//! reference values. The `reproduce_all` binary calls every one of
+//! these; its stdout is the figure golden `tests/golden/figures.txt`.
 //!
 //! Sections share one [`Runs`] table keyed by (monitor, benchmark,
-//! [`SystemConfig`]): a point that an earlier section (or an earlier
-//! entry of the same grid) already ran is read back, not run again.
-//! Every run is deterministic, so sharing moves no figure cell. A
-//! section that reads a point it never declared panics with the
+//! [`SystemConfig`], FADE program): a point that an earlier section (or
+//! an earlier entry of the same grid) already ran is read back, not run
+//! again. Every run is deterministic, so sharing moves no figure cell.
+//! A section that reads a point it never declared panics with the
 //! point's name.
 
-use fade::FilterMode;
-use fade_monitors::all_monitors;
+use fade::{FadeProgram, FilterMode, InvId};
+use fade_isa::event_ids;
+use fade_monitors::{all_monitors, monitor_by_name};
 use fade_sim::{gmean, CoreKind, QueueDepth};
 use fade_system::{RunStats, SystemConfig};
 use fade_trace::{bench, BenchProfile};
@@ -41,44 +43,95 @@ fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// One run experiment: its key and its statistics.
-struct Point {
-    monitor: String,
-    bench: &'static str,
+/// One entry of a section's grid: each of `monitors` under `config`,
+/// on the monitor's [`suite_for`] benchmarks with its own FADE program
+/// unless the entry names others.
+pub struct Entry<'a> {
+    monitors: &'a [&'a str],
     config: SystemConfig,
-    stats: RunStats,
+    benches: Option<&'a [&'a str]>,
+    program: Option<FadeProgram>,
+}
+
+impl<'a> Entry<'a> {
+    /// `monitors` on their suites under `config`, with their own
+    /// programs.
+    pub fn new(monitors: &'a [&'a str], config: SystemConfig) -> Self {
+        Entry { monitors, config, benches: None, program: None }
+    }
+
+    /// Runs only the named benchmarks.
+    pub fn on(mut self, benches: &'a [&'a str]) -> Self {
+        self.benches = Some(benches);
+        self
+    }
+
+    /// Loads `program` instead of the monitor's own (ablations).
+    pub fn program(mut self, program: FadeProgram) -> Self {
+        self.program = Some(program);
+        self
+    }
+}
+
+/// What identifies one experiment. `program` is `None` for the
+/// monitor's own program, so an unedited program is the default point.
+#[derive(PartialEq)]
+struct Key {
+    monitor: String,
+    bench: String,
+    config: SystemConfig,
+    program: Option<FadeProgram>,
+}
+
+impl Key {
+    fn new(monitor: &str, bench: &str, config: SystemConfig, edit: Option<&FadeProgram>) -> Self {
+        let own = || monitor_by_name(monitor).map(|m| m.program());
+        Key {
+            monitor: monitor.to_string(),
+            bench: bench.to_string(),
+            config,
+            program: edit.filter(|&p| own().as_ref() != Some(p)).cloned(),
+        }
+    }
 }
 
 /// Every experiment the sections have run, keyed by (monitor,
-/// benchmark, [`SystemConfig`]), plus the timing of each batch that ran
-/// them.
+/// benchmark, [`SystemConfig`], FADE program), plus the timing of each
+/// batch that ran them.
 #[derive(Default)]
 pub struct Runs {
-    points: Vec<Point>,
+    points: Vec<(Key, RunStats)>,
     timings: Vec<MatrixTiming>,
 }
 
 impl Runs {
     /// Runs every point of `grid` that the table does not hold yet: each
-    /// `(monitors, config)` pair expands to every monitor on each of its
-    /// [`suite_for`] benchmarks, and the new points run as one
-    /// [`ExperimentMatrix`] whose timing is recorded under `section`. A
-    /// grid with no new point runs nothing and records no timing.
+    /// [`Entry`] expands to every monitor on each of its benchmarks, and
+    /// the new points run as one [`ExperimentMatrix`] whose timing is
+    /// recorded under `section`. A grid with no new point runs nothing
+    /// and records no timing.
     ///
     /// # Panics
     ///
-    /// Panics if any new experiment fails (the grids are static, so a
-    /// failure is a harness bug).
-    pub fn run(&mut self, section: &str, grid: &[(&[&str], SystemConfig)]) {
-        let mut fresh: Vec<(&str, BenchProfile, SystemConfig)> = Vec::new();
-        for &(monitors, config) in grid {
-            for &monitor in monitors {
-                for b in suite_for(monitor) {
-                    let queued = fresh
+    /// Panics on an unknown benchmark name, or if any new experiment
+    /// fails (the grids are static, so a failure is a harness bug).
+    pub fn run(&mut self, section: &str, grid: &[Entry]) {
+        let mut fresh: Vec<(Key, BenchProfile)> = Vec::new();
+        for entry in grid {
+            for &monitor in entry.monitors {
+                let benches = match entry.benches {
+                    Some(names) => names
                         .iter()
-                        .any(|(m, q, c)| *m == monitor && q.name == b.name && *c == config);
-                    if !queued && self.find(monitor, &b, &config).is_none() {
-                        fresh.push((monitor, b, config));
+                        .map(|&n| {
+                            bench::by_name(n).unwrap_or_else(|| panic!("unknown benchmark {n}"))
+                        })
+                        .collect(),
+                    None => suite_for(monitor),
+                };
+                for b in benches {
+                    let key = Key::new(monitor, b.name, entry.config, entry.program.as_ref());
+                    if !fresh.iter().any(|(k, _)| *k == key) && self.find(&key).is_none() {
+                        fresh.push((key, b));
                     }
                 }
             }
@@ -87,11 +140,10 @@ impl Runs {
             return;
         }
         let mut matrix = ExperimentMatrix::new();
-        matrix.extend(
-            fresh
-                .iter()
-                .map(|(monitor, b, config)| Experiment::new(b.clone(), *monitor, *config)),
-        );
+        matrix.extend(fresh.iter().map(|(key, b)| Experiment {
+            program: key.program.clone(),
+            ..Experiment::new(b.clone(), key.monitor.as_str(), key.config)
+        }));
         let result = matrix.run();
         self.timings.push(MatrixTiming {
             label: section.to_string(),
@@ -100,27 +152,28 @@ impl Runs {
             wall_s: result.wall_s,
             serial_s: result.serial_s,
         });
-        for ((monitor, b, config), report) in fresh.into_iter().zip(result.into_reports()) {
-            self.points.push(Point {
-                monitor: monitor.to_string(),
-                bench: b.name,
-                config,
-                stats: report.stats,
-            });
+        for ((key, _), report) in fresh.into_iter().zip(result.into_reports()) {
+            self.points.push((key, report.stats));
         }
     }
 
-    /// The statistics of `monitor` on `bench` under `config`.
+    /// The statistics of `monitor` on benchmark `bench` under `config`,
+    /// running `program` (`None`: the monitor's own).
     ///
     /// # Panics
     ///
     /// Panics, naming the point, if no [`Runs::run`] declared it.
-    pub fn get(&self, monitor: &str, bench: &BenchProfile, config: &SystemConfig) -> &RunStats {
-        self.find(monitor, bench, config).unwrap_or_else(|| {
-            panic!(
-                "no section declared {monitor} on {} under {config:?}",
-                bench.name
-            )
+    pub fn get(
+        &self,
+        monitor: &str,
+        bench: &str,
+        config: &SystemConfig,
+        program: Option<&FadeProgram>,
+    ) -> &RunStats {
+        let key = Key::new(monitor, bench, *config, program);
+        self.find(&key).unwrap_or_else(|| {
+            let edited = if key.program.is_some() { " with an edited program" } else { "" };
+            panic!("no section declared {monitor} on {bench} under {config:?}{edited}")
         })
     }
 
@@ -129,23 +182,15 @@ impl Runs {
         &self.timings
     }
 
-    fn find(
-        &self,
-        monitor: &str,
-        bench: &BenchProfile,
-        config: &SystemConfig,
-    ) -> Option<&RunStats> {
-        self.points
-            .iter()
-            .find(|p| p.monitor == monitor && p.bench == bench.name && p.config == *config)
-            .map(|p| &p.stats)
+    fn find(&self, key: &Key) -> Option<&RunStats> {
+        self.points.iter().find(|(k, _)| k == key).map(|(_, stats)| stats)
     }
 
     /// The mean of `f` over `monitor`'s suite under `config`.
     fn mean(&self, monitor: &str, config: &SystemConfig, f: impl Fn(&RunStats) -> f64) -> f64 {
         let xs: Vec<f64> = suite_for(monitor)
             .iter()
-            .map(|b| f(self.get(monitor, b, config)))
+            .map(|b| f(self.get(monitor, b.name, config, None)))
             .collect();
         mean(&xs)
     }
@@ -155,7 +200,7 @@ impl Runs {
 pub fn fig2(runs: &mut Runs) -> String {
     let fade = SystemConfig::fade_single_core();
     let monitors = monitor_names();
-    runs.run("fig2", &[(&monitors, fade)]);
+    runs.run("fig2", &[Entry::new(&monitors, fade)]);
 
     let mut out = String::new();
     out.push_str("Figure 2(a): app IPC split, averaged per monitor (4-way OoO)\n");
@@ -179,7 +224,7 @@ pub fn fig2(runs: &mut Runs) -> String {
         out.push('\n');
         let mut t = Table::new(["bench", "app IPC", "monitored IPC"]);
         for b in suite_for(monitor) {
-            let s = runs.get(monitor, &b, &fade);
+            let s = runs.get(monitor, b.name, &fade, None);
             t.row([
                 b.name.to_string(),
                 format!("{:.2}", s.app_ipc()),
@@ -205,9 +250,9 @@ pub fn fig3(runs: &mut Runs) -> String {
     runs.run(
         "fig3",
         &[
-            (&["AddrCheck", "MemLeak"], unbounded),
-            (&["MemLeak"], big),
-            (&["MemLeak"], small),
+            Entry::new(&["AddrCheck", "MemLeak"], unbounded),
+            Entry::new(&["MemLeak"], big),
+            Entry::new(&["MemLeak"], small),
         ],
     );
 
@@ -220,7 +265,7 @@ pub fn fig3(runs: &mut Runs) -> String {
         out.push('\n');
         let mut t = Table::new(["bench", "p50", "p90", "p99", "p99.9", "max-bucket"]);
         for b in suite_for(monitor) {
-            let s = runs.get(monitor, &b, &unbounded);
+            let s = runs.get(monitor, b.name, &unbounded, None);
             t.row([
                 b.name.to_string(),
                 s.occupancy.percentile(50.0).to_string(),
@@ -237,8 +282,8 @@ pub fn fig3(runs: &mut Runs) -> String {
     let mut big_all = Vec::new();
     let mut small_all = Vec::new();
     for b in suite_for("MemLeak") {
-        let big = runs.get("MemLeak", &b, &big).slowdown();
-        let small = runs.get("MemLeak", &b, &small).slowdown();
+        let big = runs.get("MemLeak", b.name, &big, None).slowdown();
+        let small = runs.get("MemLeak", b.name, &small, None).slowdown();
         big_all.push(big);
         small_all.push(small);
         t.row([
@@ -262,7 +307,7 @@ pub fn fig4(runs: &mut Runs) -> String {
     let unacc = SystemConfig::unaccelerated_single_core();
     let fade = SystemConfig::fade_single_core();
     let monitors = monitor_names();
-    runs.run("fig4", &[(&monitors, unacc), (&monitors, fade)]);
+    runs.run("fig4", &[Entry::new(&monitors, unacc), Entry::new(&monitors, fade)]);
 
     let mut out = String::new();
     out.push_str("Figure 4(a): software monitor time breakdown (% of handler instructions)\n");
@@ -270,7 +315,7 @@ pub fn fig4(runs: &mut Runs) -> String {
     for &name in &monitors {
         let mut acc = fade_system::ClassInstrs::default();
         for b in suite_for(name) {
-            let c = &runs.get(name, &b, &unacc).class_instrs;
+            let c = &runs.get(name, b.name, &unacc, None).class_instrs;
             acc.cc += c.cc;
             acc.ru += c.ru;
             acc.partial += c.partial;
@@ -292,7 +337,7 @@ pub fn fig4(runs: &mut Runs) -> String {
     out.push_str("\nFigure 4(b): distance between unfiltered events, MemLeak (CDF)\n");
     let mut t = Table::new(["bench", "%<=2", "%<=8", "%<=16", "%<=64", "mean"]);
     for b in suite_for("MemLeak") {
-        let s = runs.get("MemLeak", &b, &fade);
+        let s = runs.get("MemLeak", b.name, &fade, None);
         let cdf = s.unfiltered_distances.cdf();
         t.row([
             b.name.to_string(),
@@ -311,7 +356,7 @@ pub fn fig4(runs: &mut Runs) -> String {
         let cells: Vec<String> = suite_for(name)
             .iter()
             .map(|b| {
-                let mean = runs.get(name, b, &fade).burst_sizes.mean();
+                let mean = runs.get(name, b.name, &fade, None).burst_sizes.mean();
                 format!("{}={mean:.0}", b.name)
             })
             .collect();
@@ -331,7 +376,7 @@ pub fn table2(runs: &mut Runs) -> String {
         ("TaintCheck", 84.0),
     ];
     let fade = SystemConfig::fade_single_core();
-    runs.run("table2", &[(&paper.map(|(name, _)| name), fade)]);
+    runs.run("table2", &[Entry::new(&paper.map(|(name, _)| name), fade)]);
 
     let mut out = String::new();
     out.push_str("Table 2: FADE filtering efficiency\n");
@@ -355,7 +400,7 @@ pub fn fig9(runs: &mut Runs) -> String {
     let unacc = SystemConfig::unaccelerated_single_core();
     let fade = SystemConfig::fade_single_core();
     let monitors = monitor_names();
-    runs.run("fig9", &[(&monitors, unacc), (&monitors, fade)]);
+    runs.run("fig9", &[Entry::new(&monitors, unacc), Entry::new(&monitors, fade)]);
 
     let mut out = String::new();
     for (fig, monitor) in [
@@ -369,8 +414,8 @@ pub fn fig9(runs: &mut Runs) -> String {
         for b in suite_for(monitor) {
             t.row([
                 b.name.to_string(),
-                format!("{:.2}", runs.get(monitor, &b, &unacc).slowdown()),
-                format!("{:.2}", runs.get(monitor, &b, &fade).slowdown()),
+                format!("{:.2}", runs.get(monitor, b.name, &unacc, None).slowdown()),
+                format!("{:.2}", runs.get(monitor, b.name, &fade, None).slowdown()),
             ]);
         }
         t.row([
@@ -412,7 +457,7 @@ pub fn fig10(runs: &mut Runs) -> String {
     .flat_map(|cfg| cores.map(|core| cfg.with_core(core)))
     .collect();
     let monitors = monitor_names();
-    let grid: Vec<_> = configs.iter().map(|&cfg| (&monitors[..], cfg)).collect();
+    let grid: Vec<_> = configs.iter().map(|&cfg| Entry::new(&monitors, cfg)).collect();
     runs.run("fig10", &grid);
 
     let mut out = String::new();
@@ -446,7 +491,7 @@ pub fn fig11(runs: &mut Runs) -> String {
     let monitors = monitor_names();
     runs.run(
         "fig11",
-        &[(&monitors, one), (&monitors, two), (&monitors, blocking)],
+        &[Entry::new(&monitors, one), Entry::new(&monitors, two), Entry::new(&monitors, blocking)],
     );
 
     let mut out = String::new();
@@ -523,5 +568,182 @@ pub fn power() -> String {
          Paper reference: logic 0.09 mm^2 / 122 mW; cache 0.03 mm^2 / 151 mW; total 0.12 mm^2 / 273 mW\n",
         cache.access_ns
     ));
+    out
+}
+
+/// `monitor`'s own FADE program, with `edit` applied.
+fn edited_program(monitor: &str, edit: impl FnOnce(&mut FadeProgram)) -> FadeProgram {
+    let mut program =
+        monitor_by_name(monitor).unwrap_or_else(|| panic!("unknown monitor {monitor}")).program();
+    edit(&mut program);
+    program
+}
+
+/// Clears the partial bit on AtomCheck's load/store entries and makes
+/// the clean check unsatisfiable, so every dispatch runs the long
+/// handler (clearing the bit alone would over-filter, see below).
+fn no_partial(p: &mut FadeProgram) {
+    for id in [event_ids::LOAD, event_ids::STORE] {
+        let mut raw = *p.table().entry(id).expect("AtomCheck programs loads/stores");
+        raw.partial = false;
+        // Without the partial bit a passing check would filter the
+        // event outright and lose the access-type update; force
+        // dispatch by making the check unsatisfiable.
+        raw.operands[0].inv_id = raw.operands[0].inv_id.map(|_| InvId::new(31));
+        raw.operands[2].inv_id = raw.operands[2].inv_id.map(|_| InvId::new(31));
+        p.set_entry(id, raw);
+        p.set_invariant(InvId::new(31), 0xfe); // never matches
+    }
+}
+
+/// Ablations of FADE's design choices, each against the design point:
+///
+/// 1. **Stack-Update Unit** (Section 4.2): with the SUU removed, stack
+///    updates run as software handlers on the monitor core.
+/// 2. **Partial filtering** (Section 4.1): with the partial bit
+///    cleared, every AtomCheck event takes the full handler.
+/// 3. **Non-blocking filtering** (Section 5): the blocking baseline of
+///    Figure 11(c), per benchmark.
+/// 4. **Multi-shot encoding** (Section 4.1): MemCheck re-encoded as
+///    two-shot chains — same filtering, one extra cycle per chained
+///    event.
+pub fn ablation(runs: &mut Runs) -> String {
+    const SUU: [(&str, &str); 3] =
+        [("MemCheck", "gcc"), ("MemLeak", "gcc"), ("MemLeak", "astar")];
+    const PARTIAL: [&str; 3] = ["water", "ocean", "stream."];
+    const BLOCKING: [&str; 4] = ["astar", "gcc", "mcf", "omnet"];
+    const MULTI_SHOT: [&str; 2] = ["gcc", "hmmer"];
+    let fade = SystemConfig::fade_single_core();
+    let blocking = fade.with_mode(FilterMode::Blocking);
+    let no_suu = |monitor| edited_program(monitor, FadeProgram::clear_suu);
+    let no_partial = edited_program("AtomCheck", no_partial);
+    let multi_shot = fade_monitors::MemCheck::new().program_multi_shot();
+    let mut grid = vec![
+        Entry::new(&["AtomCheck"], fade).on(&PARTIAL),
+        Entry::new(&["AtomCheck"], fade).on(&PARTIAL).program(no_partial.clone()),
+        Entry::new(&["MemLeak"], fade).on(&BLOCKING),
+        Entry::new(&["MemLeak"], blocking).on(&BLOCKING),
+        Entry::new(&["MemCheck"], fade).on(&MULTI_SHOT),
+        Entry::new(&["MemCheck"], fade).on(&MULTI_SHOT).program(multi_shot.clone()),
+    ];
+    for (monitor, bench) in &SUU {
+        let (monitors, benches) = (std::slice::from_ref(monitor), std::slice::from_ref(bench));
+        grid.push(Entry::new(monitors, fade).on(benches));
+        grid.push(Entry::new(monitors, fade).on(benches).program(no_suu(monitor)));
+    }
+    runs.run("ablation", &grid);
+
+    let slow = |monitor: &str, bench: &str, config: &SystemConfig, program: Option<&FadeProgram>| {
+        format!("{:.2}", runs.get(monitor, bench, config, program).slowdown())
+    };
+    let mut out = String::from("Ablation 1: Stack-Update Unit (monitors that shadow the stack)\n");
+    let mut t = Table::new(["monitor/bench", "with SUU", "SUU disabled (software)"]);
+    for (monitor, bench) in SUU {
+        t.row([
+            format!("{monitor}/{bench}"),
+            slow(monitor, bench, &fade, None),
+            slow(monitor, bench, &fade, Some(&no_suu(monitor))),
+        ]);
+    }
+    out.push_str(&t.render());
+    for (title, header, monitor, benches, config, program) in [
+        (
+            "Ablation 2: partial filtering (AtomCheck)",
+            ["bench", "partial filtering", "full handler always"],
+            "AtomCheck",
+            &PARTIAL[..],
+            &fade,
+            Some(&no_partial),
+        ),
+        (
+            "Ablation 3: non-blocking filtering (per benchmark, MemLeak)",
+            ["bench", "non-blocking", "blocking"],
+            "MemLeak",
+            &BLOCKING,
+            &blocking,
+            None,
+        ),
+        (
+            "Ablation 4: single-shot vs multi-shot encoding (MemCheck)",
+            ["bench", "single-shot", "two-shot chain"],
+            "MemCheck",
+            &MULTI_SHOT,
+            &fade,
+            Some(&multi_shot),
+        ),
+    ] {
+        out.push_str(&format!("\n{title}\n"));
+        let mut t = Table::new(header);
+        for &bench in benches {
+            t.row([
+                bench.to_string(),
+                slow(monitor, bench, &fade, None),
+                slow(monitor, bench, config, program),
+            ]);
+        }
+        out.push_str(&t.render());
+    }
+    out
+}
+
+/// Sensitivity of MemLeak on gcc to FADE's hardware parameters — the
+/// study the paper performed but left out for space ("A sensitivity
+/// analysis for these two structures ... shows that this design point
+/// offers the best cost-performance ratio", Section 6): MD cache
+/// capacity (with its area), M-TLB reach, FSQ depth and the two
+/// decoupling queues.
+pub fn sensitivity(runs: &mut Runs) -> String {
+    const MONITOR: &str = "MemLeak";
+    const WORKLOAD: &str = "gcc";
+    let fade = SystemConfig::fade_single_core();
+    let md_cache = [1, 2, 4, 8, 16].map(|kb: u32| (kb, fade.with_md_cache_bytes(kb * 1024)));
+    let unfiltered_queue = |n| {
+        let mut cfg = fade;
+        cfg.unfiltered_queue = QueueDepth::Bounded(n);
+        cfg
+    };
+    let sweeps = [
+        (
+            "M-TLB entries (paper design point: 16)",
+            [4, 8, 16, 32, 64].map(|n| (n, fade.with_tlb_entries(n))).to_vec(),
+        ),
+        (
+            "FSQ entries (non-blocking filtering; paper design point: 16)",
+            [1, 2, 4, 8, 16, 32].map(|n| (n, fade.with_fsq_entries(n))).to_vec(),
+        ),
+        (
+            "Event queue depth (paper design point: 32)",
+            [8, 16, 32, 64, 128, 1024]
+                .map(|n| (n, fade.with_event_queue(QueueDepth::Bounded(n))))
+                .to_vec(),
+        ),
+        (
+            "Unfiltered queue depth (paper design point: 16)",
+            [2, 4, 8, 16, 32, 64].map(|n| (n, unfiltered_queue(n))).to_vec(),
+        ),
+    ];
+    let configs = md_cache.iter().map(|(_, cfg)| cfg);
+    let configs = configs.chain(sweeps.iter().flat_map(|(_, s)| s.iter().map(|(_, cfg)| cfg)));
+    let grid: Vec<_> = configs.map(|&cfg| Entry::new(&[MONITOR], cfg).on(&[WORKLOAD])).collect();
+    runs.run("sensitivity", &grid);
+
+    let slow = |cfg| format!("{:.2}", runs.get(MONITOR, WORKLOAD, cfg, None).slowdown());
+    let mut out =
+        format!("Sensitivity sweeps ({MONITOR} on {WORKLOAD}, single-core 4-way OoO FADE)\n\n");
+    out.push_str("MD cache capacity (2-way, 64B lines; paper design point: 4KB)\n");
+    let mut t = Table::new(["capacity", "slowdown", "cache area (mm^2)"]);
+    for (kb, cfg) in &md_cache {
+        let area = fade_power::cache_model(u64::from(*kb) * 1024, 2, 64, 2.0).area_mm2;
+        t.row([format!("{kb} KB"), slow(cfg), format!("{area:.4}")]);
+    }
+    out.push_str(&t.render());
+    for (title, sweep) in &sweeps {
+        out.push_str(&format!("\n{title}\n"));
+        let mut t = Table::new(["entries", "slowdown"]);
+        for (n, cfg) in sweep {
+            t.row([n.to_string(), slow(cfg)]);
+        }
+        out.push_str(&t.render());
+    }
     out
 }

@@ -1,14 +1,16 @@
 //! # fade-bench
 //!
-//! The benchmark harness: one binary per paper table/figure (run with
-//! `cargo run -p fade-bench --release --bin <figN|table2|power>`) and
-//! shared table-printing helpers.
+//! The benchmark harness: one binary per paper table, figure or study
+//! (run with `cargo run -p fade-bench --release --bin
+//! <figN|table2|power|ablation|sensitivity>`) and shared table-printing
+//! helpers.
 //!
 //! Experiments are declared as data ([`Experiment`]) and executed by
 //! the sharded [`ExperimentMatrix`] driver across `FADE_WORKERS`
 //! threads (default: all cores). The paper's sections share one
 //! [`experiments::Runs`] table, so each distinct (monitor, benchmark,
-//! configuration) point runs once however many figures read it.
+//! configuration, FADE program) point runs once however many sections
+//! read it.
 
 pub mod experiments;
 mod matrix;

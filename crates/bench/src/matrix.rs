@@ -93,13 +93,6 @@ impl Experiment {
         self
     }
 
-    /// Loads a caller-built FADE program instead of the monitor's own
-    /// (ablations: SUU removal, alternative encodings).
-    pub fn program(mut self, program: FadeProgram) -> Self {
-        self.program = Some(program);
-        self
-    }
-
     /// Builds and runs this experiment's session on the current thread.
     fn run(&self, registry: &Arc<MonitorRegistry>) -> Result<RunReport, ExperimentError> {
         let mut builder = Session::builder()
@@ -258,8 +251,7 @@ impl ExperimentMatrix {
     /// Experiments are isolated: a failed or panicking experiment
     /// becomes a typed error row at its declaration-order position — it
     /// never kills the matrix, the worker, or any sibling experiment.
-    /// [`MatrixResult::into_reports`] and [`ExperimentMatrix::run_stats`]
-    /// then panic on the first error row.
+    /// [`MatrixResult::into_reports`] then panics on the first error row.
     pub fn run(self) -> MatrixResult {
         let n = self.experiments.len();
         let workers = self.workers.clamp(1, n.max(1));
@@ -296,21 +288,6 @@ impl ExperimentMatrix {
         }
     }
 
-    /// [`ExperimentMatrix::run`], keeping only the [`fade_system::RunStats`] of
-    /// each report (the common case for table-rendering code).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first failed experiment — the discipline the
-    /// table-rendering binaries want: their grids are static, so any
-    /// failure is a harness bug.
-    pub fn run_stats(self) -> Vec<fade_system::RunStats> {
-        self.run()
-            .into_reports()
-            .into_iter()
-            .map(|r| r.stats)
-            .collect()
-    }
 }
 
 impl Default for ExperimentMatrix {

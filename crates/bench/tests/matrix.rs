@@ -55,10 +55,15 @@ fn fingerprint(s: &RunStats) -> (String, String, u64, u64, u64, u64, u64, Option
     )
 }
 
+/// Runs `m`, keeping each report's statistics.
+fn stats(m: ExperimentMatrix) -> Vec<RunStats> {
+    m.run().into_reports().into_iter().map(|r| r.stats).collect()
+}
+
 fn run_grid(seed: u64, workers: usize) -> Vec<RunStats> {
     let mut m = ExperimentMatrix::new().workers(workers);
     m.extend(grid(seed));
-    m.run_stats()
+    stats(m)
 }
 
 proptest! {
@@ -93,22 +98,21 @@ fn seeds_do_not_alias_across_shards() {
     };
     let mut solo_matrix = ExperimentMatrix::new().workers(1);
     solo_matrix.push(solo_exp());
-    let solo = fingerprint(&solo_matrix.run_stats().remove(0));
+    let solo = fingerprint(&stats(solo_matrix).remove(0));
 
     for workers in [1, 3] {
         // Embedded first.
         let mut m = ExperimentMatrix::new().workers(workers);
         m.push(solo_exp());
         m.extend(grid(7));
-        let first = fingerprint(&m.run_stats().remove(0));
+        let first = fingerprint(&stats(m).remove(0));
         assert_eq!(solo, first, "experiment drifted when run first on {workers} workers");
 
         // Embedded last.
         let mut m = ExperimentMatrix::new().workers(workers);
         m.extend(grid(9));
         m.push(solo_exp());
-        let stats = m.run_stats();
-        let last = fingerprint(stats.last().unwrap());
+        let last = fingerprint(stats(m).last().unwrap());
         assert_eq!(solo, last, "experiment drifted when run last on {workers} workers");
     }
 }
@@ -128,7 +132,7 @@ fn distinct_seeds_produce_distinct_runs() {
     let mut m = ExperimentMatrix::new().workers(2);
     m.push(exp(1));
     m.push(exp(2));
-    let stats = m.run_stats();
+    let stats = stats(m);
     assert_ne!(
         fingerprint(&stats[0]),
         fingerprint(&stats[1]),

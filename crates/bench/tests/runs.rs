@@ -1,14 +1,16 @@
 //! The shared experiment table's contract: a (monitor, benchmark,
-//! config) point runs once, however many sections declare it, and
-//! reading it back gives the same statistics as running it afresh.
+//! config, FADE program) point runs once, however many sections declare
+//! it, and reading it back gives the same statistics as running it
+//! afresh.
 //!
 //! Every test runs short windows: `FADE_WARMUP` and `FADE_MEASURE` are
 //! set once, before any experiment is declared.
 
 use std::sync::Once;
 
-use fade_bench::experiments::{suite_for, Runs};
+use fade_bench::experiments::{suite_for, Entry, Runs};
 use fade_bench::{Experiment, ExperimentMatrix};
+use fade_monitors::monitor_by_name;
 use fade_sim::CoreKind;
 use fade_system::SystemConfig;
 
@@ -37,8 +39,8 @@ fn an_overlapping_run_runs_only_its_new_points() {
     let unacc = SystemConfig::unaccelerated_single_core();
     let suite = suite_for(MONITOR);
     let mut runs = Runs::default();
-    runs.run("first", &[(&[MONITOR], fade)]);
-    runs.run("second", &[(&[MONITOR], fade), (&[MONITOR], unacc)]);
+    runs.run("first", &[Entry::new(&[MONITOR], fade)]);
+    runs.run("second", &[Entry::new(&[MONITOR], fade), Entry::new(&[MONITOR], unacc)]);
     assert_eq!(
         batches(&runs),
         [("first", suite.len()), ("second", suite.len())]
@@ -51,10 +53,10 @@ fn an_overlapping_run_runs_only_its_new_points() {
             .iter()
             .map(|b| Experiment::new(b.clone(), MONITOR, fade)),
     );
-    for (b, stats) in suite.iter().zip(fresh.run_stats()) {
+    for (b, report) in suite.iter().zip(fresh.run().into_reports()) {
         assert_eq!(
-            format!("{:?}", runs.get(MONITOR, b, &fade)),
-            format!("{stats:?}"),
+            format!("{:?}", runs.get(MONITOR, b.name, &fade, None)),
+            format!("{:?}", report.stats),
             "{MONITOR} on {}",
             b.name
         );
@@ -67,9 +69,9 @@ fn an_equal_config_is_reused_however_it_was_built() {
     let mut runs = Runs::default();
     // The grid repeats its own points too: they run once.
     let fade = SystemConfig::fade_single_core();
-    runs.run("first", &[(&[MONITOR, MONITOR], fade), (&[MONITOR], fade)]);
+    runs.run("first", &[Entry::new(&[MONITOR, MONITOR], fade), Entry::new(&[MONITOR], fade)]);
     let four_way = SystemConfig::fade_single_core().with_core(CoreKind::AggrOoO4);
-    runs.run("again", &[(&[MONITOR], four_way)]);
+    runs.run("again", &[Entry::new(&[MONITOR], four_way)]);
     assert_eq!(batches(&runs), [("first", suite_for(MONITOR).len())]);
 }
 
@@ -77,12 +79,12 @@ fn an_equal_config_is_reused_however_it_was_built() {
 fn reading_an_undeclared_point_names_it() {
     short_windows();
     let mut runs = Runs::default();
-    runs.run("first", &[(&[MONITOR], SystemConfig::fade_single_core())]);
+    runs.run("first", &[Entry::new(&[MONITOR], SystemConfig::fade_single_core())]);
     // Same monitor and benchmark, another config: not declared.
     let b = &suite_for(MONITOR)[0];
     let blocking = SystemConfig::fade_single_core().with_mode(fade::FilterMode::Blocking);
     let payload = std::panic::catch_unwind(|| {
-        runs.get(MONITOR, b, &blocking);
+        runs.get(MONITOR, b.name, &blocking, None);
     })
     .expect_err("an undeclared point must panic");
     let msg = payload
@@ -91,4 +93,56 @@ fn reading_an_undeclared_point_names_it() {
     for part in [MONITOR, b.name, &format!("{blocking:?}")] {
         assert!(msg.contains(part), "{part:?} missing from {msg:?}");
     }
+}
+
+#[test]
+fn an_unedited_program_reads_back_the_default_point() {
+    short_windows();
+    let fade = SystemConfig::fade_single_core();
+    let own = monitor_by_name(MONITOR).unwrap().program();
+    let mut runs = Runs::default();
+    runs.run("default", &[Entry::new(&[MONITOR], fade)]);
+    runs.run("unedited", &[Entry::new(&[MONITOR], fade).program(own.clone())]);
+    assert_eq!(batches(&runs), [("default", suite_for(MONITOR).len())]);
+    for b in suite_for(MONITOR) {
+        let unedited = runs.get(MONITOR, b.name, &fade, Some(&own));
+        assert!(std::ptr::eq(unedited, runs.get(MONITOR, b.name, &fade, None)), "{}", b.name);
+    }
+}
+
+#[test]
+fn an_edited_program_is_a_new_point() {
+    short_windows();
+    let fade = SystemConfig::fade_single_core();
+    let mut no_suu = monitor_by_name("MemLeak").unwrap().program();
+    no_suu.clear_suu();
+    let mut runs = Runs::default();
+    runs.run("own", &[Entry::new(&["MemLeak"], fade).on(&["gcc"])]);
+    runs.run("no SUU", &[Entry::new(&["MemLeak"], fade).on(&["gcc"]).program(no_suu.clone())]);
+    assert_eq!(batches(&runs), [("own", 1), ("no SUU", 1)]);
+    assert_ne!(
+        format!("{:?}", runs.get("MemLeak", "gcc", &fade, None)),
+        format!("{:?}", runs.get("MemLeak", "gcc", &fade, Some(&no_suu))),
+    );
+}
+
+#[test]
+fn an_entry_that_names_benchmarks_runs_only_those() {
+    short_windows();
+    let fade = SystemConfig::fade_single_core();
+    let suite = suite_for(MONITOR);
+    let named = [suite[1].name, suite[3].name];
+    let mut runs = Runs::default();
+    runs.run("named", &[Entry::new(&[MONITOR], fade).on(&named)]);
+    assert_eq!(batches(&runs), [("named", named.len())]);
+    for name in named {
+        runs.get(MONITOR, name, &fade, None);
+    }
+    let unnamed = std::panic::catch_unwind(|| {
+        runs.get(MONITOR, suite[0].name, &fade, None);
+    });
+    assert!(unnamed.is_err(), "{} was not named", suite[0].name);
+    // The named points are the suite's: declaring it runs only the rest.
+    runs.run("suite", &[Entry::new(&[MONITOR], fade)]);
+    assert_eq!(batches(&runs), [("named", named.len()), ("suite", suite.len() - named.len())]);
 }

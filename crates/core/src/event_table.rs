@@ -266,7 +266,7 @@ impl EventTableEntry {
 }
 
 /// The 128-entry event table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EventTable {
     entries: Box<[Option<EventTableEntry>; EVENT_TABLE_ENTRIES]>,
 }

@@ -56,7 +56,7 @@ impl fmt::Display for InvId {
 /// rf.write(InvId::new(2), 0x0101_0101);
 /// assert_eq!(rf.read(InvId::new(2)), 0x0101_0101);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InvRf {
     regs: [u64; INV_REGS],
 }

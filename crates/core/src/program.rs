@@ -88,7 +88,7 @@ impl fmt::Display for ProgramError {
 impl std::error::Error for ProgramError {}
 
 /// A complete FADE program.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FadeProgram {
     table: EventTable,
     invariants: InvRf,

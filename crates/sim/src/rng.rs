@@ -4,7 +4,7 @@
 //! stream) so results are bit-identical across platforms and toolchain
 //! versions — external RNG crates change default streams between major
 //! versions, which would silently invalidate the calibrated experiment
-//! numbers recorded in EXPERIMENTS.md.
+//! numbers pinned in `tests/golden/figures.txt`.
 
 /// A deterministic xoshiro256++ random number generator.
 ///
