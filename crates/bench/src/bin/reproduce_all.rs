@@ -8,13 +8,14 @@
 //!
 //! The sections share one `Runs` table, so each distinct (monitor,
 //! benchmark, configuration, FADE program) point runs once: a section
-//! runs only the points no earlier section ran, as one sharded `ExperimentMatrix`
-//! across `--workers N` threads (default: all cores; also
-//! `FADE_WORKERS`). The JSON's `matrix_results` rows record, for each
-//! section that ran new points, their count, the worker count, the
-//! sharded wall-clock and the serial-equivalent time (the sum of
-//! per-run wall clocks — what one worker would have paid). A section
-//! that only reads earlier points writes no row.
+//! runs only the points no earlier section ran, as one batch sharded
+//! across `--workers N` threads (default: `FADE_WORKERS`, else all
+//! cores; the service section uses the same count). The JSON's
+//! `matrix_results` rows record, for each section that ran new points,
+//! their count, the worker count, the sharded wall-clock and the
+//! serial-equivalent time (the sum of per-run wall clocks — what one
+//! worker would have paid). A section that only reads earlier points
+//! writes no row.
 //!
 //! Stdout carries only section banners, figures and tables, so at
 //! defaults it is the figure golden `tests/golden/figures.txt`. Every
@@ -34,8 +35,7 @@
 
 use std::path::{Path, PathBuf};
 
-use fade_bench::experiments::{self as ex, Runs};
-use fade_bench::MatrixTiming;
+use fade_bench::experiments::{self as ex, MatrixTiming, Runs};
 use fade_report::{JsonDocument, JsonObject};
 use fade_service::{measure_service_throughput, EngineSel, LoadOptions};
 use fade_system::{measure_system_throughput_records, record_trace_prefix, SystemConfig};
@@ -209,11 +209,12 @@ fn matrix_json(rows: &[(&str, MatrixTiming)]) -> Vec<String> {
 /// Multi-tenant serving throughput (since schema v8): an in-process
 /// `faded` daemon on a temporary socket, N concurrent tenants
 /// streaming recorded `.fadet` sessions, sustained aggregate event
-/// rate and FINISH→END report latency (median and max).
-fn service_json() -> Vec<String> {
+/// rate and FINISH→END report latency (median and max), on `workers`
+/// pool threads (clamped to 2..=8).
+fn service_json(workers: usize) -> Vec<String> {
     let opts = LoadOptions {
         tenants: 8,
-        workers: fade_bench::default_workers().clamp(2, 8),
+        workers: workers.clamp(2, 8),
         events_per_tenant: 50_000,
         engine: EngineSel::Batched,
     };
@@ -249,15 +250,8 @@ fn main() {
         eprintln!("reproduce_all: {e}");
         std::process::exit(2);
     });
-    // The env var is how the experiment declarations (and any figure
-    // binary run standalone) pick up the worker count.
-    if let Some(n) = args.workers {
-        std::env::set_var("FADE_WORKERS", n.to_string());
-    }
-    eprintln!(
-        "{} workers (override with --workers N)",
-        fade_bench::default_workers()
-    );
+    let workers = args.workers.unwrap_or_else(fade_bench::default_workers);
+    eprintln!("{workers} workers (override with --workers N)");
     let sections: [Section; 10] = [
         ("Figure 2", ex::fig2),
         ("Figure 3", ex::fig3),
@@ -270,7 +264,7 @@ fn main() {
         ("Ablations", ex::ablation),
         ("Sensitivity", ex::sensitivity),
     ];
-    let mut runs = Runs::default();
+    let mut runs = Runs::new(workers);
     let mut matrix_rows: Vec<(&str, MatrixTiming)> = Vec::new();
     for (name, f) in sections {
         println!("================================================================");
@@ -306,7 +300,7 @@ fn main() {
     println!("================================================================");
     println!("Service throughput (faded daemon, concurrent tenants)");
     println!("================================================================");
-    let service_rows = service_json();
+    let service_rows = service_json(workers);
     let matrix_rows = matrix_json(&matrix_rows);
     let json = JsonDocument::new("fade-pipeline-throughput/v12")
         .section("system_results", system_rows)

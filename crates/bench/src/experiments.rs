@@ -15,15 +15,17 @@
 //! A section that reads a point it never declared panics with the
 //! point's name.
 
+use std::time::Instant;
+
 use fade::{FadeProgram, FilterMode, InvId};
 use fade_isa::event_ids;
 use fade_monitors::{all_monitors, monitor_by_name};
 use fade_sim::{gmean, CoreKind, QueueDepth};
-use fade_system::{RunStats, SystemConfig};
+use fade_system::{Engine, RunReport, RunStats, Session, SystemConfig};
 use fade_trace::{bench, BenchProfile};
 
 use crate::table::Table;
-use crate::{Experiment, ExperimentMatrix, MatrixTiming};
+use crate::{default_workers, measure_len, warmup_len};
 
 /// The benchmark suite a monitor is evaluated on (Section 6).
 pub fn suite_for(monitor: &str) -> Vec<BenchProfile> {
@@ -93,28 +95,91 @@ impl Key {
             program: edit.filter(|&p| own().as_ref() != Some(p)).cloned(),
         }
     }
+
+    /// Runs this point on `bench` through the exact cycle engine:
+    /// `warmup` instructions, then `measure` measured ones.
+    fn run(&self, bench: &BenchProfile, warmup: u64, measure: u64) -> Result<RunReport, String> {
+        let mut builder = Session::builder()
+            .monitor(self.monitor.as_str())
+            .source(bench.clone())
+            .engine(Engine::Cycle)
+            .config(self.config);
+        if let Some(p) = &self.program {
+            builder = builder.program(p.clone());
+        }
+        let session = builder.build().map_err(|e| format!("build failed: {e}"))?;
+        session.run_measured(warmup, measure).map_err(|e| format!("run failed: {e}"))
+    }
+
+    /// The point as panic messages name it.
+    fn describe(&self) -> String {
+        let edited = if self.program.is_some() { " with an edited program" } else { "" };
+        format!("{} on {} under {}{edited}", self.monitor, self.bench, self.config.label())
+    }
+}
+
+/// The timing of one batch of experiments (see [`Runs::timings`]).
+#[derive(Clone, Debug)]
+pub struct MatrixTiming {
+    /// The section the batch ran for.
+    pub label: String,
+    /// Experiments in the batch.
+    pub experiments: usize,
+    /// Worker threads used.
+    pub workers: usize,
+    /// Sharded wall-clock seconds.
+    pub wall_s: f64,
+    /// Serial-equivalent seconds (sum of per-run wall clocks).
+    pub serial_s: f64,
+}
+
+impl MatrixTiming {
+    /// Sharded-over-serial wall-clock speedup.
+    pub fn speedup(&self) -> f64 {
+        self.serial_s / self.wall_s.max(1e-12)
+    }
 }
 
 /// Every experiment the sections have run, keyed by (monitor,
 /// benchmark, [`SystemConfig`], FADE program), plus the timing of each
 /// batch that ran them.
-#[derive(Default)]
 pub struct Runs {
+    workers: usize,
     points: Vec<(Key, RunStats)>,
     timings: Vec<MatrixTiming>,
 }
 
+impl Default for Runs {
+    /// An empty table on [`default_workers`] threads.
+    fn default() -> Self {
+        Runs::new(default_workers())
+    }
+}
+
 impl Runs {
+    /// An empty table whose batches shard over `workers` threads (at
+    /// least one).
+    pub fn new(workers: usize) -> Self {
+        Runs { workers: workers.max(1), points: Vec::new(), timings: Vec::new() }
+    }
+
     /// Runs every point of `grid` that the table does not hold yet: each
     /// [`Entry`] expands to every monitor on each of its benchmarks, and
-    /// the new points run as one [`ExperimentMatrix`] whose timing is
-    /// recorded under `section`. A grid with no new point runs nothing
-    /// and records no timing.
+    /// the new points run as one batch, each a cycle-engine [`Session`]
+    /// over the `FADE_WARMUP`/`FADE_MEASURE` window, sharded over the
+    /// table's workers. The batch's timing is recorded under `section`.
+    /// A grid with no new point runs nothing and records no timing.
+    ///
+    /// Results do not depend on the worker count: each run's RNG seeds
+    /// derive from its own [`SystemConfig::seed`], never from which
+    /// worker ran it.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown benchmark name, or if any new experiment
-    /// fails (the grids are static, so a failure is a harness bug).
+    /// Panics on an unknown benchmark name, or, after the batch, on the
+    /// first new point in declaration order that failed (the grids are
+    /// static, so a failure is a harness bug), naming its monitor,
+    /// benchmark, config and whether its program was edited.
     pub fn run(&mut self, section: &str, grid: &[Entry]) {
         let mut fresh: Vec<(Key, BenchProfile)> = Vec::new();
         for entry in grid {
@@ -139,22 +204,28 @@ impl Runs {
         if fresh.is_empty() {
             return;
         }
-        let mut matrix = ExperimentMatrix::new();
-        matrix.extend(fresh.iter().map(|(key, b)| Experiment {
-            program: key.program.clone(),
-            ..Experiment::new(b.clone(), key.monitor.as_str(), key.config)
-        }));
-        let result = matrix.run();
-        self.timings.push(MatrixTiming {
-            label: section.to_string(),
-            experiments: fresh.len(),
-            workers: result.workers,
-            wall_s: result.wall_s,
-            serial_s: result.serial_s,
+        let (warmup, measure) = (warmup_len(), measure_len());
+        let experiments = fresh.len();
+        let workers = self.workers.min(experiments);
+        let start = Instant::now();
+        let outcomes = fade_system::pool::run_indexed(workers, experiments, |i| {
+            let (key, b) = &fresh[i];
+            key.run(b, warmup, measure)
         });
-        for ((key, _), report) in fresh.into_iter().zip(result.into_reports()) {
+        let wall_s = start.elapsed().as_secs_f64();
+        let mut serial_s = 0.0;
+        for ((key, _), outcome) in fresh.into_iter().zip(outcomes) {
+            let report = outcome.unwrap_or_else(|e| panic!("{}: {e}", key.describe()));
+            serial_s += report.wall_s;
             self.points.push((key, report.stats));
         }
+        self.timings.push(MatrixTiming {
+            label: section.to_string(),
+            experiments,
+            workers,
+            wall_s,
+            serial_s,
+        });
     }
 
     /// The statistics of `monitor` on benchmark `bench` under `config`,
@@ -171,10 +242,8 @@ impl Runs {
         program: Option<&FadeProgram>,
     ) -> &RunStats {
         let key = Key::new(monitor, bench, *config, program);
-        self.find(&key).unwrap_or_else(|| {
-            let edited = if key.program.is_some() { " with an edited program" } else { "" };
-            panic!("no section declared {monitor} on {bench} under {config:?}{edited}")
-        })
+        self.find(&key)
+            .unwrap_or_else(|| panic!("no section declared {} ({config:?})", key.describe()))
     }
 
     /// One timing per batch [`Runs::run`] ran, in run order.

@@ -5,18 +5,15 @@
 //! <figN|table2|power|ablation|sensitivity>`) and shared table-printing
 //! helpers.
 //!
-//! Experiments are declared as data ([`Experiment`]) and executed by
-//! the sharded [`ExperimentMatrix`] driver across `FADE_WORKERS`
-//! threads (default: all cores). The paper's sections share one
-//! [`experiments::Runs`] table, so each distinct (monitor, benchmark,
-//! configuration, FADE program) point runs once however many sections
-//! read it.
+//! The paper's sections share one [`experiments::Runs`] table, so each
+//! distinct (monitor, benchmark, configuration, FADE program) point
+//! runs once however many sections read it. `Runs` runs each batch of
+//! new points sharded across [`default_workers`] threads
+//! (`FADE_WORKERS`, default: all cores) unless it is given a count.
 
 pub mod experiments;
-mod matrix;
 mod table;
 
-pub use matrix::{default_workers, Experiment, ExperimentMatrix, MatrixResult, MatrixTiming};
 pub use table::Table;
 
 /// Default warmup instructions per measurement.
@@ -43,6 +40,18 @@ pub(crate) fn measure_len() -> u64 {
 /// count.
 pub(crate) fn warmup_len() -> u64 {
     env_setting("FADE_WARMUP", "an instruction count").unwrap_or(WARMUP)
+}
+
+/// Worker count for a batch of experiments: `FADE_WORKERS` if set,
+/// else the machine's available parallelism.
+///
+/// # Panics
+///
+/// Panics if `FADE_WORKERS` is set to anything but a positive count.
+pub fn default_workers() -> usize {
+    env_setting::<std::num::NonZeroUsize>("FADE_WORKERS", "a positive worker count")
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, |n| n.get())
 }
 
 /// The harness setting in environment variable `name`, parsed; `None`

@@ -1,48 +1,60 @@
-//! The parallel experiment driver's contract: sharding is invisible.
+//! The sharding contract of `Runs`: the worker count is invisible.
 //!
 //! 1. **Determinism under sharding** (property): for any seed and any
-//!    worker count, `ExperimentMatrix` returns bit-identical results in
-//!    the same order as a single-worker run of the same grid.
+//!    worker count, a `Runs` table holds bit-identical results to a
+//!    single-worker table that ran the same grid.
 //! 2. **No seed aliasing across shards** (regression): a run's RNG
 //!    streams derive only from its own `SystemConfig::seed` — never
 //!    from which worker or slot executed it — so the same experiment
 //!    embedded in different grid positions, grid sizes, and worker
 //!    counts always produces the same result as running it alone.
+//!
+//! Every test runs short windows: `FADE_WARMUP` and `FADE_MEASURE` are
+//! set once, before any experiment is declared.
 
-use fade_bench::{Experiment, ExperimentMatrix};
+use std::slice::from_ref;
+use std::sync::Once;
+
+use fade_bench::experiments::{Entry, Runs};
 use fade_system::{RunStats, SystemConfig};
-use fade_trace::bench;
 use proptest::prelude::*;
 
-/// Small windows: the sweep runs whole grids many times.
-const WARM: u64 = 1_000;
-const MEAS: u64 = 4_000;
+/// (benchmark, monitor) points of the test grid.
+const POINTS: [(&str, &str); 5] = [
+    ("mcf", "AddrCheck"),
+    ("gcc", "MemLeak"),
+    ("hmmer", "MemCheck"),
+    ("water", "AtomCheck"),
+    ("astar-taint", "TaintCheck"),
+];
 
-fn grid(seed: u64) -> Vec<Experiment> {
-    let points = [
-        ("mcf", "AddrCheck"),
-        ("gcc", "MemLeak"),
-        ("hmmer", "MemCheck"),
-        ("water", "AtomCheck"),
-        ("astar-taint", "TaintCheck"),
-        ("gcc", "MemLeak"),
-    ];
-    points
-        .iter()
-        .map(|(b, m)| {
-            Experiment::new(
-                bench::by_name(b).unwrap(),
-                *m,
-                SystemConfig::fade_single_core().with_seed(seed),
-            )
-            .window(WARM, MEAS)
-        })
-        .collect()
+/// Small windows: the sweep runs whole grids many times.
+fn short_windows() {
+    static SET: Once = Once::new();
+    SET.call_once(|| {
+        std::env::set_var("FADE_WARMUP", "1000");
+        std::env::set_var("FADE_MEASURE", "4000");
+    });
+}
+
+fn config(seed: u64) -> SystemConfig {
+    SystemConfig::fade_single_core().with_seed(seed)
+}
+
+/// `bench` under `monitor` alone, at `seed`.
+fn point<'a>(bench: &'a &'a str, monitor: &'a &'a str, seed: u64) -> Entry<'a> {
+    Entry::new(from_ref(monitor), config(seed)).on(from_ref(bench))
+}
+
+fn grid(seed: u64) -> Vec<Entry<'static>> {
+    POINTS.iter().map(|(b, m)| point(b, m, seed)).collect()
 }
 
 /// The deterministic face of a run (cycle counts included: same seed ⇒
 /// same cycles, sharded or not).
-fn fingerprint(s: &RunStats) -> (String, String, u64, u64, u64, u64, u64, Option<[u64; 7]>) {
+type Fingerprint = (String, String, u64, u64, u64, u64, u64, Option<[u64; 7]>);
+
+fn fingerprint(s: &RunStats) -> Fingerprint {
     (
         s.benchmark.clone(),
         s.monitor.clone(),
@@ -55,29 +67,23 @@ fn fingerprint(s: &RunStats) -> (String, String, u64, u64, u64, u64, u64, Option
     )
 }
 
-/// Runs `m`, keeping each report's statistics.
-fn stats(m: ExperimentMatrix) -> Vec<RunStats> {
-    m.run().into_reports().into_iter().map(|r| r.stats).collect()
-}
-
-fn run_grid(seed: u64, workers: usize) -> Vec<RunStats> {
-    let mut m = ExperimentMatrix::new().workers(workers);
-    m.extend(grid(seed));
-    stats(m)
+fn run_grid(seed: u64, workers: usize) -> Vec<Fingerprint> {
+    short_windows();
+    let mut runs = Runs::new(workers);
+    runs.run("grid", &grid(seed));
+    POINTS
+        .iter()
+        .map(|(b, m)| fingerprint(runs.get(m, b, &config(seed), None)))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Any seed, any worker count: identical results in identical order.
+    /// Any seed, any worker count: identical results.
     #[test]
     fn sharded_results_equal_single_worker(seed in 0u64..1_000_000, workers in 2usize..8) {
-        let one = run_grid(seed, 1);
-        let many = run_grid(seed, workers);
-        prop_assert_eq!(one.len(), many.len());
-        for (a, b) in one.iter().zip(&many) {
-            prop_assert_eq!(fingerprint(a), fingerprint(b));
-        }
+        prop_assert_eq!(run_grid(seed, 1), run_grid(seed, workers));
     }
 }
 
@@ -88,32 +94,21 @@ proptest! {
 /// would diverge from (a).
 #[test]
 fn seeds_do_not_alias_across_shards() {
-    let solo_exp = || {
-        Experiment::new(
-            bench::by_name("gcc").unwrap(),
-            "MemLeak",
-            SystemConfig::fade_single_core().with_seed(0xabcd),
-        )
-        .window(WARM, MEAS)
+    short_windows();
+    const SEED: u64 = 0xabcd;
+    let solo = || point(&"gcc", &"MemLeak", SEED);
+    let run = |workers: usize, grid: Vec<Entry>| {
+        let mut runs = Runs::new(workers);
+        runs.run("grid", &grid);
+        fingerprint(runs.get("MemLeak", "gcc", &config(SEED), None))
     };
-    let mut solo_matrix = ExperimentMatrix::new().workers(1);
-    solo_matrix.push(solo_exp());
-    let solo = fingerprint(&stats(solo_matrix).remove(0));
+    let alone = run(1, vec![solo()]);
 
     for workers in [1, 3] {
-        // Embedded first.
-        let mut m = ExperimentMatrix::new().workers(workers);
-        m.push(solo_exp());
-        m.extend(grid(7));
-        let first = fingerprint(&stats(m).remove(0));
-        assert_eq!(solo, first, "experiment drifted when run first on {workers} workers");
-
-        // Embedded last.
-        let mut m = ExperimentMatrix::new().workers(workers);
-        m.extend(grid(9));
-        m.push(solo_exp());
-        let last = fingerprint(stats(m).last().unwrap());
-        assert_eq!(solo, last, "experiment drifted when run last on {workers} workers");
+        let first = run(workers, std::iter::once(solo()).chain(grid(7)).collect());
+        assert_eq!(alone, first, "experiment drifted when run first on {workers} workers");
+        let last = run(workers, grid(9).into_iter().chain([solo()]).collect());
+        assert_eq!(alone, last, "experiment drifted when run last on {workers} workers");
     }
 }
 
@@ -121,21 +116,12 @@ fn seeds_do_not_alias_across_shards() {
 /// result (the seed actually reaches the workload).
 #[test]
 fn distinct_seeds_produce_distinct_runs() {
-    let exp = |seed: u64| {
-        Experiment::new(
-            bench::by_name("gcc").unwrap(),
-            "MemLeak",
-            SystemConfig::fade_single_core().with_seed(seed),
-        )
-        .window(WARM, MEAS)
-    };
-    let mut m = ExperimentMatrix::new().workers(2);
-    m.push(exp(1));
-    m.push(exp(2));
-    let stats = stats(m);
+    short_windows();
+    let mut runs = Runs::new(2);
+    runs.run("seeds", &[point(&"gcc", &"MemLeak", 1), point(&"gcc", &"MemLeak", 2)]);
     assert_ne!(
-        fingerprint(&stats[0]),
-        fingerprint(&stats[1]),
+        fingerprint(runs.get("MemLeak", "gcc", &config(1), None)),
+        fingerprint(runs.get("MemLeak", "gcc", &config(2), None)),
         "different seeds must generate different traces"
     );
 }

@@ -9,7 +9,6 @@
 use std::sync::Once;
 
 use fade_bench::experiments::{suite_for, Entry, Runs};
-use fade_bench::{Experiment, ExperimentMatrix};
 use fade_monitors::monitor_by_name;
 use fade_sim::CoreKind;
 use fade_system::SystemConfig;
@@ -46,20 +45,53 @@ fn an_overlapping_run_runs_only_its_new_points() {
         [("first", suite.len()), ("second", suite.len())]
     );
 
-    // A reused point is the run a fresh matrix produces.
-    let mut fresh = ExperimentMatrix::new();
-    fresh.extend(
-        suite
-            .iter()
-            .map(|b| Experiment::new(b.clone(), MONITOR, fade)),
-    );
-    for (b, report) in suite.iter().zip(fresh.run().into_reports()) {
+    // A reused point is the run a fresh table produces.
+    let mut fresh = Runs::default();
+    fresh.run("fresh", &[Entry::new(&[MONITOR], fade)]);
+    for b in &suite {
         assert_eq!(
             format!("{:?}", runs.get(MONITOR, b.name, &fade, None)),
-            format!("{:?}", report.stats),
+            format!("{:?}", fresh.get(MONITOR, b.name, &fade, None)),
             "{MONITOR} on {}",
             b.name
         );
+    }
+}
+
+#[test]
+fn the_design_point_reads_back_however_its_hardware_was_set() {
+    short_windows();
+    let fade = SystemConfig::fade_single_core();
+    let b = suite_for(MONITOR)[0].name;
+    let mut runs = Runs::default();
+    runs.run("design point", &[Entry::new(&[MONITOR], fade).on(&[b])]);
+    for cfg in [
+        fade.with_md_cache_bytes(4096),
+        fade.with_tlb_entries(16),
+        fade.with_fsq_entries(16),
+    ] {
+        runs.run("sweep", &[Entry::new(&[MONITOR], cfg).on(&[b])]);
+        assert!(std::ptr::eq(runs.get(MONITOR, b, &cfg, None), runs.get(MONITOR, b, &fade, None)));
+    }
+    assert_eq!(batches(&runs), [("design point", 1)]);
+}
+
+#[test]
+fn a_failed_point_panics_naming_it() {
+    short_windows();
+    let fade = SystemConfig::fade_single_core();
+    let payload = std::panic::catch_unwind(|| {
+        Runs::new(2).run(
+            "bad",
+            &[Entry::new(&[MONITOR], fade), Entry::new(&["NoSuchMonitor"], fade).on(&["gcc"])],
+        );
+    })
+    .expect_err("an unknown monitor must panic");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    for part in ["NoSuchMonitor on gcc", &fade.label()] {
+        assert!(msg.contains(part), "{part:?} missing from {msg:?}");
     }
 }
 

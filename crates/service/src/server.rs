@@ -9,8 +9,8 @@
 //! tenant's `.fadet` bytes — bounded by
 //! [`ServerConfig::max_trace_bytes`], the backpressure rule of
 //! `docs/PROTOCOL.md`. At FINISH the buffered trace becomes one job on
-//! the shared [`WorkerPool`] (the work-stealing core extracted from
-//! `fade_bench::ExperimentMatrix`): the job builds a completely
+//! the shared [`WorkerPool`] (the work-stealing core behind
+//! `fade_bench::experiments::Runs`): the job builds a completely
 //! ordinary [`Session`] over the bytes, runs it to exhaustion, and
 //! streams violation lines, a summary line, and an END frame back.
 //!

@@ -211,8 +211,7 @@ fn eight_concurrent_tenants_are_bit_exact_with_in_process_sessions() {
 }
 
 /// An AddrCheck that panics on its first selection decision — the
-/// fixture for monitor-panic isolation (mirrors the `ExperimentMatrix`
-/// regression fixture, here behind a served connection).
+/// fixture for monitor-panic isolation behind a served connection.
 struct PanicMonitor(fade_monitors::AddrCheck);
 
 impl fade_monitors::Monitor for PanicMonitor {

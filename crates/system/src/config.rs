@@ -1,6 +1,6 @@
 //! System configurations (Figure 8 and Section 6 of the paper).
 
-use fade::FilterMode;
+use fade::{FadeConfig, FilterMode};
 use fade_sim::{CoreKind, QueueDepth};
 
 /// Where the application and monitor threads run.
@@ -73,20 +73,33 @@ pub struct SystemConfig {
     /// latches a typed [`fade_shadow::BudgetExceeded`] on the session.
     /// `None` (the default) means uncapped.
     pub shadow_mem_cap_bytes: Option<usize>,
-    /// Hardware-parameter overrides for sensitivity sweeps.
+    /// The hardware parameters the sensitivity sweeps vary.
     pub(crate) tweaks: FadeTweaks,
 }
 
-/// Optional overrides of FADE's hardware parameters (the sensitivity
-/// analysis the paper mentions but omits for space, Section 6).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// FADE's hardware parameters that the sensitivity analysis varies
+/// (the paper mentions it but omits it for space, Section 6). The
+/// default is the paper's design point, so a sweep point at the design
+/// point equals [`SystemConfig::fade_single_core`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct FadeTweaks {
     /// MD cache capacity in bytes (2-way, 64 B lines).
-    pub(crate) md_cache_bytes: Option<u32>,
+    pub(crate) md_cache_bytes: u32,
     /// M-TLB entries.
-    pub(crate) tlb_entries: Option<usize>,
+    pub(crate) tlb_entries: usize,
     /// Filter store queue entries.
-    pub(crate) fsq_entries: Option<usize>,
+    pub(crate) fsq_entries: usize,
+}
+
+impl Default for FadeTweaks {
+    fn default() -> Self {
+        let paper = FadeConfig::paper(FilterMode::NonBlocking);
+        FadeTweaks {
+            md_cache_bytes: paper.md_cache.size_bytes,
+            tlb_entries: paper.tlb_entries,
+            fsq_entries: paper.fsq_entries,
+        }
+    }
 }
 
 impl SystemConfig {
@@ -202,21 +215,21 @@ impl SystemConfig {
         self
     }
 
-    /// Overrides the MD cache capacity (sensitivity sweeps).
+    /// Replaces the MD cache capacity (sensitivity sweeps).
     pub fn with_md_cache_bytes(mut self, bytes: u32) -> Self {
-        self.tweaks.md_cache_bytes = Some(bytes);
+        self.tweaks.md_cache_bytes = bytes;
         self
     }
 
-    /// Overrides the M-TLB entry count (sensitivity sweeps).
+    /// Replaces the M-TLB entry count (sensitivity sweeps).
     pub fn with_tlb_entries(mut self, entries: usize) -> Self {
-        self.tweaks.tlb_entries = Some(entries);
+        self.tweaks.tlb_entries = entries;
         self
     }
 
-    /// Overrides the FSQ entry count (sensitivity sweeps).
+    /// Replaces the FSQ entry count (sensitivity sweeps).
     pub fn with_fsq_entries(mut self, entries: usize) -> Self {
-        self.tweaks.fsq_entries = Some(entries);
+        self.tweaks.fsq_entries = entries;
         self
     }
 
@@ -259,6 +272,10 @@ mod tests {
         // with_mode on unaccelerated is a no-op.
         let u = SystemConfig::unaccelerated_single_core().with_mode(FilterMode::Blocking);
         assert!(matches!(u.accel, Accel::None));
+        // The paper's hardware design point is the default config.
+        let f = SystemConfig::fade_single_core();
+        assert_eq!(f.with_md_cache_bytes(4096).with_tlb_entries(16).with_fsq_entries(16), f);
+        assert_ne!(f.with_fsq_entries(8), f);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Work-stealing execution primitives, shared by the experiment
-//! matrix driver (`fade-bench`) and the `faded` monitoring service
+//! table (`fade-bench`) and the `faded` monitoring service
 //! (`fade-service`).
 //!
 //! Two shapes of the same scheduling idea — workers claim the next
@@ -8,7 +8,8 @@
 //! * [`run_indexed`] — the *static* shape: a known, fixed number of
 //!   independent tasks, fanned out over scoped worker threads, results
 //!   returned **in index order** regardless of which worker ran what.
-//!   This is the scheduler core `fade_bench::ExperimentMatrix` runs on.
+//!   This is the scheduler core `fade_bench::experiments::Runs` shards
+//!   its batches on.
 //! * [`WorkerPool`] — the *dynamic* shape: a long-lived fixed pool of
 //!   worker threads draining a shared job queue, for callers (the
 //!   `faded` daemon) whose work arrives over time rather than as a
@@ -18,7 +19,8 @@
 //! Neither shape imposes ordering between concurrent pieces of work;
 //! determinism is the *caller's* property (every task must derive its
 //! results from its own inputs, never from placement), which is exactly
-//! the contract the matrix's determinism-under-sharding tests pin.
+//! the contract the experiment table's determinism-under-sharding tests
+//! pin.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,10 +37,10 @@ use std::sync::{Arc, Condvar, Mutex};
 /// # Panics
 ///
 /// If `f` itself panics the panic propagates out of the scope and tears
-/// the whole call down. Callers that want per-task isolation wrap their
-/// task body in [`std::panic::catch_unwind`] and return the outcome as
-/// a `Result` value — see `fade_bench::ExperimentMatrix`, which maps
-/// panics to typed error rows.
+/// the whole call down. Callers that want per-task isolation keep `f`
+/// from panicking and return each outcome as a `Result` value — see
+/// `fade_bench::experiments::Runs`, whose sessions turn a monitor panic
+/// into a `SessionRunError`.
 pub fn run_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -581,10 +581,8 @@ fn open_recorded(
 
 /// The accelerator a session's config asks for (`None` when
 /// unaccelerated), loaded with `program` if given and the monitor's own
-/// program otherwise. Caller-built programs (ablations) run on the
-/// paper's baseline hardware parameters — ablations compare programs,
-/// not hardware tweaks; everything else gets the config's full tweak
-/// set.
+/// program otherwise. The config describes the hardware whatever
+/// program is loaded.
 fn accelerator(
     cfg: &SystemConfig,
     mon_program: FadeProgram,
@@ -596,29 +594,17 @@ fn accelerator(
     let mut fc = FadeConfig::paper(mode);
     fc.event_queue = cfg.event_queue;
     fc.unfiltered_queue = cfg.unfiltered_queue;
-    if program.is_none() {
-        if let Some(bytes) = cfg.tweaks.md_cache_bytes {
-            fc.md_cache = fade::TagCacheConfig {
-                size_bytes: bytes,
-                ways: 2,
-                line_bytes: 64,
-            };
-        }
-        if let Some(n) = cfg.tweaks.tlb_entries {
-            fc.tlb_entries = n;
-        }
-        if let Some(n) = cfg.tweaks.fsq_entries {
-            fc.fsq_entries = n;
-        }
-        if cfg.ideal_consumer {
-            // Section 3.2's queueing study: the accelerator consumes
-            // exactly one event per cycle with no metadata-miss, drain
-            // or backpressure stalls.
-            fc.tlb_miss_penalty = 0;
-            fc.blocking_resume_latency = 0;
-            fc.mem_lat = fade_sim::MemLatency { l1: 0, l2: 0, dram: 0 };
-            fc.unfiltered_queue = fade_sim::QueueDepth::Unbounded;
-        }
+    fc.md_cache.size_bytes = cfg.tweaks.md_cache_bytes;
+    fc.tlb_entries = cfg.tweaks.tlb_entries;
+    fc.fsq_entries = cfg.tweaks.fsq_entries;
+    if cfg.ideal_consumer {
+        // Section 3.2's queueing study: the accelerator consumes
+        // exactly one event per cycle with no metadata-miss, drain
+        // or backpressure stalls.
+        fc.tlb_miss_penalty = 0;
+        fc.blocking_resume_latency = 0;
+        fc.mem_lat = fade_sim::MemLatency { l1: 0, l2: 0, dram: 0 };
+        fc.unfiltered_queue = fade_sim::QueueDepth::Unbounded;
     }
     Some(Box::new(Fade::new(fc, program.unwrap_or(mon_program))))
 }
