@@ -5,9 +5,12 @@
 //! application side of the monitored system; like FADE's own
 //! decoupling of the application core from the filter, it need not
 //! wait for the engine. [`read_ahead`] wraps a session's
-//! [`TraceSource`] in [`ReadAhead`]: a helper thread owns the source
-//! and reads it in batches of [`BATCH`] records; the engine copies
-//! records out of those batches at whatever sizes it asks for.
+//! [`TraceSource`] in [`ReadAhead`]: a helper thread reads the source
+//! in batches of [`BATCH`] records, one writer chunk, so a `.fadet`
+//! reader decodes each chunk straight into a batch. The engine refills
+//! [`BATCH`] records at a time into an empty buffer, and gets each
+//! batch whole by a swap of buffers: every record is written once.
+//! Requests of other sizes are copied out of the batch.
 //!
 //! The decorator answers every call exactly as the inner source would
 //! have: the same records, `Ok(k < n)` only at the end of the trace, a
@@ -18,35 +21,56 @@
 //! Each side polls briefly for the other before it blocks ([`POLL`]),
 //! so a hand-over rarely waits for a parked thread to be woken.
 //!
-//! Read-ahead is bounded twice. Per session, [`BUFFERS`] batch buffers
-//! circulate between the helper and the engine. Per process, a helper
-//! needs a [`Lease`] from [`SPARE_CPUS`], which holds
+//! Read-ahead is bounded twice. Per process, a session needs a
+//! [`Lease`] from [`SPARE_CPUS`], which holds
 //! `available_parallelism() − 1` of them: a session that finds none
-//! free runs its source inline, as does every session on one CPU.
+//! free runs its source inline, as does every session on one CPU. Per
+//! lease, one long-lived [`Helper`] thread, started on first use, owns
+//! [`BUFFERS`] batch buffers and parks between sessions, so a session
+//! spawns no thread and allocates no batch. The engine's record buffer
+//! ([`Feed`]) is one of those batches, and goes back to the helper
+//! with the others when the session ends.
+//!
+//! Dropping a session never waits for its helper. A helper still
+//! inside the ended session's source call reads nothing more for it,
+//! and takes up the next session's source once that call returns. If
+//! that takes longer than [`STUCK`], the source has blocked: the next
+//! session retires the helper, which exits once its call returns, and
+//! its lease gets a fresh one.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvError, Sender, SyncSender, TryRecvError};
-use std::sync::OnceLock;
+use std::sync::mpsc::{
+    self, Receiver, RecvError, RecvTimeoutError, Sender, SyncSender, TryRecvError,
+};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use fade_trace::{DegradationReport, TraceRecord};
+use fade_trace::{DegradationReport, TraceRecord, DEFAULT_CHUNK_RECORDS};
 
 use crate::system::{SourceError, TraceSource};
 
-/// Records the helper reads per batch.
-const BATCH: usize = 2048;
+/// Records per read-ahead batch and per engine refill: one writer
+/// chunk of a `.fadet` stream.
+pub(crate) const BATCH: usize = DEFAULT_CHUNK_RECORDS;
 
-/// Batch buffers a session circulates: the one the engine copies out
-/// of, plus at most two the helper has filled ahead of it.
+/// Batch buffers a helper owns: the one its session's engine works
+/// through and at most two the helper has filled ahead of it.
 const BUFFERS: usize = 3;
 
-/// A process-wide count of read-ahead helpers and its cap.
+/// How long a session waits for its helper to take up its source
+/// before it takes the source back and starts a fresh helper. A helper
+/// finishes any source call it is in first, and a call reads one batch.
+const STUCK: Duration = Duration::from_millis(100);
+
+/// A process-wide count of read-ahead leases, its cap, and the helpers
+/// of the leases no session holds.
 #[derive(Debug)]
 pub(crate) struct LeasePool {
     held: AtomicUsize,
     cap: fn() -> usize,
+    parked: Mutex<Vec<Helper>>,
 }
 
 /// The leases every session draws from: one per CPU beyond the first.
@@ -63,18 +87,25 @@ impl LeasePool {
         LeasePool {
             held: AtomicUsize::new(0),
             cap,
+            parked: Mutex::new(Vec::new()),
         }
     }
 
-    /// Takes a lease if one is free; never waits for one.
+    /// Takes a lease, with its parked helper if it has one; never waits
+    /// for a lease.
     fn try_lease(&'static self) -> Option<Lease> {
         let cap = (self.cap)();
         self.held
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |held| {
                 (held < cap).then_some(held + 1)
             })
-            .ok()
-            .map(|_| Lease(self))
+            .ok()?;
+        let helper = self
+            .parked
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        Some(Lease { pool: self, helper })
     }
 
     /// Leases currently held.
@@ -84,74 +115,187 @@ impl LeasePool {
     }
 }
 
-/// The right to one read-ahead helper, returned on drop.
-struct Lease(&'static LeasePool);
+/// The right to one read-ahead helper. On drop the helper parks in the
+/// pool, then the lease returns.
+struct Lease {
+    pool: &'static LeasePool,
+    helper: Option<Helper>,
+}
 
 impl Drop for Lease {
     fn drop(&mut self) {
-        self.0.held.fetch_sub(1, Ordering::AcqRel);
+        if let Some(helper) = self.helper.take() {
+            let mut parked = self
+                .pool
+                .parked
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            parked.push(helper);
+        }
+        self.pool.held.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// Wraps `source` in a [`ReadAhead`] if `pool` has a free lease and a
-/// helper thread starts; otherwise returns `source` to run inline.
-pub(crate) fn read_ahead(
+/// One session's source and its two channels, as a helper serves them.
+struct Job {
     source: Box<dyn TraceSource>,
-    pool: &'static LeasePool,
-) -> Box<dyn TraceSource> {
-    let Some(lease) = pool.try_lease() else {
-        return source;
+    full: SyncSender<Batch>,
+    free: Receiver<Vec<TraceRecord>>,
+}
+
+/// What a helper thread and the lease that owns it share.
+#[derive(Default)]
+struct Slot {
+    /// A session's source, waiting for the thread to take it up.
+    job: Option<Job>,
+    /// The session whose source the thread took up last has ended: it
+    /// reads no further batch for it.
+    ended: bool,
+    /// The handle is gone: the thread exits once it is free.
+    retired: bool,
+}
+
+/// The handle to a long-lived read-ahead thread. Dropping it retires
+/// the thread.
+struct Helper(Arc<(Mutex<Slot>, Condvar)>);
+
+impl std::fmt::Debug for Helper {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Helper")
+    }
+}
+
+impl Helper {
+    /// Starts a helper thread; `None` if the thread does not start.
+    fn spawn() -> Option<Helper> {
+        let shared = Arc::new((Mutex::new(Slot::default()), Condvar::new()));
+        let theirs = Arc::clone(&shared);
+        std::thread::Builder::new()
+            .name("fade-read-ahead".into())
+            .spawn(move || helper(&theirs))
+            .ok()?;
+        Some(Helper(shared))
+    }
+
+    /// Locks the slot. Each update of a slot is one assignment, so a
+    /// lock poisoned by a panicking holder still guards a valid slot.
+    fn slot(&self) -> std::sync::MutexGuard<'_, Slot> {
+        self.0 .0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `job` for the thread, which takes it up once it is free.
+    fn submit(&self, job: Job) {
+        self.slot().job = Some(job);
+        self.0 .1.notify_one();
+    }
+
+    /// Takes back a job the thread has not taken up yet.
+    fn retract(&self) -> Option<Job> {
+        self.slot().job.take()
+    }
+
+    /// Ends the session the thread serves, and takes back its job if
+    /// the thread has not taken it up yet.
+    fn end_session(&self) -> Option<Job> {
+        let mut slot = self.slot();
+        slot.ended = true;
+        slot.job.take()
+    }
+}
+
+impl Drop for Helper {
+    fn drop(&mut self) {
+        self.slot().retired = true;
+        self.0 .1.notify_one();
+    }
+}
+
+/// A session's trace source and the record buffer its engine refills.
+///
+/// A read-ahead session's buffer is one of its helper's batches once
+/// the first refill swaps one in, and goes back to the helper when the
+/// session ends.
+pub(crate) struct Feed {
+    pub(crate) source: Box<dyn TraceSource>,
+    pub(crate) records: Vec<TraceRecord>,
+    /// The helper's channel for spent buffers, when reading ahead.
+    give_back: Option<Sender<Vec<TraceRecord>>>,
+}
+
+impl Feed {
+    fn inline(source: Box<dyn TraceSource>) -> Self {
+        Feed {
+            source,
+            records: Vec::with_capacity(BATCH),
+            give_back: None,
+        }
+    }
+}
+
+impl Drop for Feed {
+    fn drop(&mut self) {
+        let spent = std::mem::take(&mut self.records);
+        if let (Some(helper), true) = (&self.give_back, spent.capacity() > 0) {
+            let _ = helper.send(spent);
+        }
+    }
+}
+
+/// Wraps `source` in a [`ReadAhead`] if `pool` has a free lease and its
+/// helper runs (or starts); otherwise feeds `source` inline.
+pub(crate) fn read_ahead(source: Box<dyn TraceSource>, pool: &'static LeasePool) -> Feed {
+    let Some(mut lease) = pool.try_lease() else {
+        return Feed::inline(source);
     };
-    // The source follows the thread over a channel, so a failed spawn
-    // leaves it here to run inline.
-    let (hand_over, handed) = mpsc::channel::<Box<dyn TraceSource>>();
-    let (full_tx, full) = mpsc::sync_channel(BUFFERS - 1);
+    let Some(helper) = lease.helper.take().or_else(Helper::spawn) else {
+        return Feed::inline(source);
+    };
+    let (full_tx, full) = mpsc::sync_channel(BUFFERS);
     let (free, free_rx) = mpsc::channel();
-    // The only buffers the session ever holds; the helper recycles them.
-    for _ in 0..BUFFERS {
-        let _ = free.send(Vec::with_capacity(BATCH));
-    }
-    let spawned = std::thread::Builder::new()
-        .name("fade-read-ahead".into())
-        .spawn(move || {
-            if let Ok(source) = handed.recv() {
-                helper(source, &full_tx, &free_rx);
-            }
-        });
-    if spawned.is_err() {
-        return source;
-    }
     let degradation = source.degradation().cloned();
-    if let Err(mpsc::SendError(source)) = hand_over.send(source) {
-        return source;
-    }
-    Box::new(ReadAhead {
-        full,
-        free,
+    helper.submit(Job {
+        source,
+        full: full_tx,
+        free: free_rx,
+    });
+    lease.helper = Some(helper);
+    Feed {
+        give_back: Some(free.clone()),
+        source: Box::new(ReadAhead {
+            full,
+            free,
+            records: Vec::new(),
+            pos: 0,
+            end: None,
+            degradation,
+            pending: true,
+            lease,
+        }),
+        // The first refill swaps in a batch.
         records: Vec::new(),
-        pos: 0,
-        end: None,
-        degradation,
-        _lease: lease,
-    })
+    }
 }
 
 /// How long either side polls for the other's next message before it
 /// blocks.
 const POLL: Duration = Duration::from_micros(200);
 
-/// Receives from `rx`, polling and yielding the CPU for up to [`POLL`]
-/// before blocking: a thread parked on an idle CPU can take far longer
-/// to wake (on a virtual machine, until its vCPU is scheduled again)
-/// than the other side takes to fill or drain a batch.
-fn recv_soon<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+/// Receives from `rx` within `limit` (`Duration::MAX`: no limit),
+/// polling and yielding the CPU for up to [`POLL`] before blocking: a
+/// thread parked on an idle CPU can take far longer to wake (on a
+/// virtual machine, until its vCPU is scheduled again) than the other
+/// side takes to fill or drain a batch.
+fn recv_soon<T>(rx: &Receiver<T>, limit: Duration) -> Result<T, RecvTimeoutError> {
     let start = Instant::now();
     loop {
         match rx.try_recv() {
             Ok(v) => return Ok(v),
-            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
             Err(TryRecvError::Empty) if start.elapsed() < POLL => std::thread::yield_now(),
-            Err(TryRecvError::Empty) => return rx.recv(),
+            // A deadline past `Instant`'s range waits without one.
+            Err(TryRecvError::Empty) => {
+                return rx.recv_timeout(limit.saturating_sub(start.elapsed()))
+            }
         }
     }
 }
@@ -175,15 +319,48 @@ struct Batch {
     degradation: Option<DegradationReport>,
 }
 
-/// The helper thread: fills the session's recycled buffers from
-/// `source` until the stream ends or the session hangs up, then drops
-/// the source.
-fn helper(
-    mut source: Box<dyn TraceSource>,
-    full: &SyncSender<Batch>,
-    free: &Receiver<Vec<TraceRecord>>,
-) {
-    while let Ok(mut records) = recv_soon(free) {
+/// A helper thread: serves each session's source that its lease queues
+/// and keeps its batch buffers between them, until it is retired.
+fn helper(shared: &(Mutex<Slot>, Condvar)) {
+    let (slot, wake) = shared;
+    let mut buffers = Vec::new();
+    loop {
+        let job = {
+            let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            loop {
+                if let Some(job) = slot.job.take() {
+                    slot.ended = false;
+                    break job;
+                }
+                if slot.retired {
+                    return;
+                }
+                slot = wake.wait(slot).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        serve(job, &mut buffers, slot);
+    }
+}
+
+/// Fills `buffers` with `job`'s source and sends them to its session
+/// until the stream ends or the session ends, then drops the source
+/// and takes back every buffer the session returns before it hangs up.
+fn serve(job: Job, buffers: &mut Vec<Vec<TraceRecord>>, slot: &Mutex<Slot>) {
+    let Job {
+        mut source,
+        full,
+        free,
+    } = job;
+    // A buffer lost in a race with a hang-up is replaced here.
+    buffers.resize_with(BUFFERS, || Vec::with_capacity(BATCH));
+    while let Some(mut records) = buffers
+        .pop()
+        .or_else(|| recv_soon(&free, Duration::MAX).ok())
+    {
+        if slot.lock().unwrap_or_else(PoisonError::into_inner).ended {
+            buffers.push(records);
+            break;
+        }
         records.clear();
         let end = fill(source.as_mut(), &mut records);
         let last = end.is_some();
@@ -193,10 +370,16 @@ fn helper(
             end,
             degradation,
         };
-        if full.send(batch).is_err() || last {
-            return;
+        if let Err(mpsc::SendError(batch)) = full.send(batch) {
+            buffers.push(batch.records);
+            break;
+        }
+        if last {
+            break;
         }
     }
+    drop(source);
+    buffers.extend(free.iter());
 }
 
 /// Reads up to [`BATCH`] records into `records`; returns what ended the
@@ -220,9 +403,10 @@ fn fill(source: &mut dyn TraceSource, records: &mut Vec<TraceRecord>) -> Option<
 
 /// A [`TraceSource`] served from batches a helper thread reads ahead.
 ///
-/// Dropping it hangs up both channels: the helper drops the source and
-/// exits once its current read returns. Drop never joins the helper,
-/// and the lease returns with the session, not with the thread.
+/// Dropping it hands its buffers back and hangs up both channels: the
+/// helper drops the source once its current read returns. Drop never
+/// waits for the helper; the lease, with its helper, returns with the
+/// session.
 struct ReadAhead {
     full: Receiver<Batch>,
     free: Sender<Vec<TraceRecord>>,
@@ -232,7 +416,10 @@ struct ReadAhead {
     /// What follows `records`; `None` while more batches come.
     end: Option<End>,
     degradation: Option<DegradationReport>,
-    _lease: Lease,
+    /// No batch has come yet: the helper may still be in an earlier
+    /// session's source call.
+    pending: bool,
+    lease: Lease,
 }
 
 impl ReadAhead {
@@ -244,17 +431,64 @@ impl ReadAhead {
             let _ = self.free.send(spent);
         }
         self.pos = 0;
+        let batch = if self.pending {
+            self.first_batch()
+        } else {
+            recv_soon(&self.full, Duration::MAX).map_err(|_| RecvError)
+        };
         // The helper hangs up only after its last batch, which a
         // resumed panic leaves no batch to follow.
-        let Ok(batch) = recv_soon(&self.full) else {
+        let Ok(batch) = batch else {
             self.end = Some(End::Failed(SourceError::Other(
                 "trace source panicked earlier".into(),
             )));
             return;
         };
+        self.pending = false;
         self.records = batch.records;
         self.end = batch.end;
         self.degradation = batch.degradation;
+    }
+
+    /// Waits for the first batch. While the helper has not taken up
+    /// the source, it waits at most [`STUCK`] at a time; then it takes
+    /// the source back and hands it to a fresh helper.
+    fn first_batch(&mut self) -> Result<Batch, RecvError> {
+        loop {
+            match recv_soon(&self.full, STUCK) {
+                Ok(batch) => return Ok(batch),
+                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+            let helper = self
+                .lease
+                .helper
+                .as_mut()
+                .expect("a reading lease has a helper");
+            if let Some(job) = helper.retract() {
+                if let Some(fresh) = Helper::spawn() {
+                    // Dropping the old handle retires its thread.
+                    *helper = fresh;
+                }
+                helper.submit(job);
+            }
+        }
+    }
+}
+
+impl Drop for ReadAhead {
+    fn drop(&mut self) {
+        // A source the helper never took up goes with the session.
+        drop(self.lease.helper.as_ref().and_then(Helper::end_session));
+        // Hand the helper back its buffers; it takes them until the
+        // channel hangs up.
+        let spent = std::mem::take(&mut self.records);
+        if spent.capacity() > 0 {
+            let _ = self.free.send(spent);
+        }
+        while let Ok(batch) = self.full.try_recv() {
+            let _ = self.free.send(batch.records);
+        }
     }
 }
 
@@ -266,10 +500,19 @@ impl TraceSource for ReadAhead {
     ) -> Result<usize, SourceError> {
         let mut appended = 0;
         loop {
-            let take = (self.records.len() - self.pos).min(n - appended);
-            buf.extend_from_slice(&self.records[self.pos..self.pos + take]);
-            self.pos += take;
-            appended += take;
+            let left = self.records.len() - self.pos;
+            if buf.is_empty() && self.pos == 0 && left > 0 && left <= n {
+                // A whole batch into an empty buffer: swap it in, and
+                // the caller's buffer goes back to the helper.
+                std::mem::swap(buf, &mut self.records);
+                self.records.clear();
+                appended = left;
+            } else {
+                let take = left.min(n - appended);
+                buf.extend_from_slice(&self.records[self.pos..self.pos + take]);
+                self.pos += take;
+                appended += take;
+            }
             if appended == n {
                 return Ok(n);
             }
@@ -583,6 +826,142 @@ mod tests {
         });
         done.recv_timeout(Duration::from_secs(10))
             .expect("dropping the session returned without the helper");
+        drop(unblock);
+    }
+
+    #[test]
+    fn requests_of_any_size_get_the_inner_answers() {
+        let b = bench::by_name("hmmer").unwrap();
+        let (records, _) = record_trace_prefix(&b, "AddrCheck", 0, 3_000);
+        assert!(records.len() > 2 * BATCH, "{} records", records.len());
+        // Whole batches into an emptied buffer swap; every other request
+        // copies, into a buffer that may still hold records.
+        let sizes = [BATCH, 1, 7, BATCH - 1, BATCH + 1, BATCH];
+        let answers = |source: &mut dyn TraceSource| {
+            let mut buf = Vec::new();
+            let mut answers = Vec::new();
+            for (i, &n) in sizes.iter().cycle().enumerate() {
+                if n == BATCH {
+                    buf.clear();
+                }
+                let k = source.next_records_into(&mut buf, n).unwrap();
+                answers.push((k, buf.clone()));
+                if k < n || i > 64 {
+                    return answers;
+                }
+            }
+            unreachable!()
+        };
+        let inline = answers(&mut ReplayBuffer::new(records.clone()));
+        let mut feed = read_ahead(Box::new(ReplayBuffer::new(records)), &ALWAYS);
+        assert_eq!(answers(feed.source.as_mut()), inline);
+    }
+
+    /// Replays records and notes the thread of every call.
+    struct OnThread {
+        records: ReplayBuffer,
+        threads: std::sync::Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl TraceSource for OnThread {
+        fn next_records_into(
+            &mut self,
+            buf: &mut Vec<TraceRecord>,
+            n: usize,
+        ) -> Result<usize, SourceError> {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            self.records.next_records_into(buf, n)
+        }
+    }
+
+    #[test]
+    fn back_to_back_sessions_share_one_helper_thread() {
+        static ONE: LeasePool = LeasePool::new(|| 1);
+        let b = bench::by_name("hmmer").unwrap();
+        let threads = std::sync::Arc::default();
+        for (i, engine) in [Engine::batched(), Engine::Cycle, Engine::batched()]
+            .into_iter()
+            .enumerate()
+        {
+            let (records, _) = record_trace_prefix(&b, "AddrCheck", i as u64, 9_000);
+            let out = |pool, threads| {
+                let source = OnThread {
+                    records: ReplayBuffer::new(records.clone()),
+                    threads,
+                };
+                let s = builder("AddrCheck", engine, pool)
+                    .trace_source(b.clone(), Box::new(source))
+                    .build()
+                    .unwrap();
+                fingerprint(s, u64::MAX)
+            };
+            let inline = out(&INLINE, std::sync::Arc::default());
+            let ahead = out(&ONE, std::sync::Arc::clone(&threads));
+            assert!(
+                inline == ahead,
+                "session {i}, {engine:?}\ninline: {inline}\nahead:  {ahead}"
+            );
+            assert_eq!(ONE.held(), 0);
+        }
+        let threads = threads.lock().unwrap();
+        assert!(threads.len() >= 3, "{threads:?}");
+        assert!(
+            threads
+                .iter()
+                .all(|&t| t == threads[0] && t != std::thread::current().id()),
+            "the sessions' sources ran on {threads:?}"
+        );
+    }
+
+    /// Says when it is called, then blocks until its sender hangs up.
+    struct BlocksWhenCalled {
+        called: mpsc::Sender<()>,
+        release: Receiver<()>,
+    }
+
+    impl TraceSource for BlocksWhenCalled {
+        fn next_records_into(
+            &mut self,
+            _: &mut Vec<TraceRecord>,
+            _: usize,
+        ) -> Result<usize, SourceError> {
+            let _ = self.called.send(());
+            let _ = self.release.recv();
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn a_lease_whose_helper_is_stuck_gets_a_fresh_one() {
+        static ONE: LeasePool = LeasePool::new(|| 1);
+        let b = bench::by_name("gcc").unwrap();
+        let (called, calls) = mpsc::channel();
+        let (unblock, release) = mpsc::channel();
+        let stuck = builder("MemLeak", Engine::Cycle, &ONE)
+            .trace_source(b.clone(), Box::new(BlocksWhenCalled { called, release }))
+            .build()
+            .unwrap();
+        calls
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the helper calls the source");
+        drop(stuck);
+        assert_eq!(ONE.held(), 0);
+        let build = |pool| {
+            builder("MemLeak", Engine::batched(), pool)
+                .source(&b)
+                .build()
+                .unwrap()
+        };
+        let next = build(&ONE);
+        assert_eq!(ONE.held(), 1, "the next session reads ahead");
+        assert_eq!(
+            fingerprint(next, 20_000),
+            fingerprint(build(&INLINE), 20_000)
+        );
+        assert_eq!(ONE.held(), 0);
         drop(unblock);
     }
 }

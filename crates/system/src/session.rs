@@ -69,7 +69,7 @@ use fade_trace::{
 };
 
 use crate::config::{Accel, SystemConfig, Topology};
-use crate::read_ahead::{read_ahead, LeasePool, SPARE_CPUS};
+use crate::read_ahead::{read_ahead, Feed, LeasePool, BATCH, SPARE_CPUS};
 use crate::registry::{MonitorRegistry, UnknownMonitor};
 use crate::run::{ClassInstrs, RunStats, SamplingSummary, UtilBreakdown};
 use crate::system::{
@@ -439,13 +439,14 @@ impl SessionBuilder {
 
     /// Builds the [`Session`].
     ///
-    /// If a CPU is free for it, the session reads its trace ahead: a
-    /// helper thread owned by the session decodes or generates records
-    /// in bounded batches while the engine runs. Sessions hold at most
-    /// `available_parallelism() − 1` such helpers between them; a
-    /// session that finds none free (and every session on one CPU)
-    /// runs its source inline. The engine sees the same records,
-    /// errors and panics either way, so no result depends on it.
+    /// If a CPU is free for it, the session reads its trace ahead: the
+    /// helper thread of a read-ahead lease decodes or generates records
+    /// in bounded batches while the engine runs. A process has
+    /// `available_parallelism() − 1` such leases, each with one
+    /// long-lived helper; a session that finds none free (and every
+    /// session on one CPU) runs its source inline. The engine sees the
+    /// same records, errors and panics either way, so no result depends
+    /// on it.
     ///
     /// # Errors
     ///
@@ -509,7 +510,7 @@ impl SessionBuilder {
             monitors_stack: monitor.monitors_stack(),
             monitor,
             // Last, so a build that fails starts no helper.
-            source: read_ahead(source, self.leases),
+            feed: read_ahead(source, self.leases),
             source_state: SourceState::Live,
             commit: CommitModel::new(cfg.core, bench.commit, Rng::seed_from(cfg.seed ^ 0xbace)),
             arbiter: SmtArbiter::new(),
@@ -518,7 +519,6 @@ impl SessionBuilder {
             fade: accelerator(&cfg, mon_program, self.program),
             sw_queue: BoundedQueue::new(cfg.event_queue),
             cur_token: None,
-            record_buf: Vec::with_capacity(RECORD_BATCH),
             record_pos: 0,
             producer_paused: false,
             instr_cap: None,
@@ -620,11 +620,12 @@ fn accelerator(
 /// run there, which is how the experiment-matrix driver shards runs
 /// across cores.
 ///
-/// A session may own one read-ahead helper thread, for as long as it
-/// holds one of the process's `available_parallelism() − 1` read-ahead
-/// leases (see [`SessionBuilder::build`]). Dropping the session returns
-/// the lease at once and never waits for the helper, which exits on
-/// its own once its current read returns.
+/// A session may borrow one read-ahead helper thread, for as long as
+/// it holds one of the process's `available_parallelism() − 1`
+/// read-ahead leases (see [`SessionBuilder::build`]). Each lease keeps
+/// its helper from session to session. Dropping the session returns
+/// the lease at once and never waits for the helper, which drops the
+/// source once its current read returns.
 ///
 /// Two driving styles:
 ///
@@ -637,7 +638,10 @@ pub struct Session {
     monitor: Box<dyn Monitor>,
     /// `monitor.monitors_stack()`, read once at build.
     monitors_stack: bool,
-    source: Box<dyn TraceSource>,
+    /// The trace source and the buffer it refills, consumed from
+    /// `record_pos`. A record the cycle engine could not enqueue stays
+    /// unconsumed at `record_pos` until it can.
+    feed: Feed,
     source_state: SourceState,
     commit: CommitModel,
     arbiter: SmtArbiter,
@@ -648,10 +652,6 @@ pub struct Session {
     fade: Option<Box<Fade>>,
     sw_queue: BoundedQueue<AppEvent>,
     cur_token: Option<u64>,
-    /// Batch-refilled trace records (consumed from `record_pos`). A
-    /// record the cycle engine could not enqueue stays unconsumed at
-    /// `record_pos` until it can.
-    record_buf: Vec<TraceRecord>,
     record_pos: usize,
 
     // Batched execution mode (`run_batched`).
@@ -1003,7 +1003,7 @@ impl Session {
     /// lost, byte offsets. `None` for non-recovering sources; a clean
     /// report ([`DegradationReport::is_clean`]) on fault-free files.
     pub fn degradation(&self) -> Option<&DegradationReport> {
-        self.source.degradation()
+        self.feed.source.degradation()
     }
 
     /// Residency statistics of the session's shadow memory.
@@ -1076,11 +1076,6 @@ pub struct RunReport {
 /// (Section 3.4 defines a burst as unfiltered events separated by at
 /// most 16 filterable events).
 const BURST_GAP: u64 = 16;
-
-/// Trace records pulled from the generator per refill: the commit loop
-/// consumes them one at a time, but generating them in slices keeps the
-/// generator's dispatch out of the per-cycle path.
-const RECORD_BATCH: usize = 64;
 
 /// Default events handed to [`Fade::run_batch_with`] per call in
 /// batched mode when no sampling window is configured. With sampling,
@@ -1211,21 +1206,26 @@ impl Counts {
 }
 
 impl Session {
-    /// Ensures the record buffer has an unconsumed record, pulling up
-    /// to `n` more from the source if needed. Returns `false` when no
-    /// record is available — the source is exhausted or failed (state
-    /// is latched; a dead source is never pulled again).
-    fn refill_records(&mut self, n: usize) -> bool {
-        if self.record_pos < self.record_buf.len() {
+    /// Ensures the record buffer has an unconsumed record, refilling
+    /// the emptied buffer with up to [`BATCH`] records (one writer
+    /// chunk, or one read-ahead batch) if needed. Returns `false` when
+    /// no record is available — the source is exhausted or failed
+    /// (state is latched; a dead source is never pulled again).
+    fn refill_records(&mut self) -> bool {
+        if self.record_pos < self.feed.records.len() {
             return true;
         }
         if !matches!(self.source_state, SourceState::Live) {
             return false;
         }
-        self.record_buf.clear();
+        self.feed.records.clear();
         self.record_pos = 0;
-        match self.source.next_records_into(&mut self.record_buf, n) {
-            Ok(_) if !self.record_buf.is_empty() => true,
+        match self
+            .feed
+            .source
+            .next_records_into(&mut self.feed.records, BATCH)
+        {
+            Ok(_) if !self.feed.records.is_empty() => true,
             Ok(_) => {
                 self.source_state = SourceState::Exhausted;
                 false
@@ -1242,7 +1242,8 @@ impl Session {
     /// a backpressured one) has been consumed. The run loops stop here
     /// instead of spinning on an empty trace.
     fn out_of_records(&self) -> bool {
-        !matches!(self.source_state, SourceState::Live) && self.record_pos == self.record_buf.len()
+        !matches!(self.source_state, SourceState::Live)
+            && self.record_pos == self.feed.records.len()
     }
 
     /// `true` when nothing is in flight anywhere: accelerator (or
@@ -1552,22 +1553,21 @@ impl Session {
             chunk.clear();
             let cap = budget.min(chunk_cap);
             let instrs0 = self.counts.instrs;
-            // Larger refills than the cycle engine's: the batch path
-            // consumes records in bulk. A dead source cuts the chunk;
-            // the outer loops see `out_of_records`.
+            // A dead source cuts the chunk; the outer loops see
+            // `out_of_records`.
             'collect: while (chunk.len() as u64) < cap
                 && self.counts.instrs < instr_target
-                && self.refill_records(1024)
+                && self.refill_records()
             {
                 // Records are consumed in place (no per-record copy out
                 // of the buffer); `record_pos` only advances past a
                 // record once it is accepted, so chunk/target cuts
                 // leave the remainder for the next consumer.
-                while self.record_pos < self.record_buf.len() {
+                while self.record_pos < self.feed.records.len() {
                     if (chunk.len() as u64) >= cap || self.counts.instrs >= instr_target {
                         break 'collect;
                     }
-                    let rec = &self.record_buf[self.record_pos];
+                    let rec = &self.feed.records[self.record_pos];
                     self.record_pos += 1;
                     if let TraceRecord::Instr(_) = rec {
                         self.counts.instrs += 1;
@@ -1810,10 +1810,10 @@ impl Session {
     /// sequence as calling the generator directly); `None` once the
     /// source is exhausted or failed.
     fn next_trace_record(&mut self) -> Option<TraceRecord> {
-        if !self.refill_records(RECORD_BATCH) {
+        if !self.refill_records() {
             return None;
         }
-        let r = self.record_buf[self.record_pos];
+        let r = self.feed.records[self.record_pos];
         self.record_pos += 1;
         Some(r)
     }

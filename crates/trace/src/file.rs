@@ -90,8 +90,10 @@ pub(crate) const FORMAT_VERSION: u16 = 2;
 
 /// Records per chunk the writer flushes at by default: large enough to
 /// amortize per-chunk overhead (13 bytes) to noise, small enough that
-/// corruption and resynchronization stay fine-grained.
-pub(crate) const DEFAULT_CHUNK_RECORDS: usize = 4096;
+/// corruption and resynchronization stay fine-grained. A caller that
+/// asks [`TraceReader::next_records_into`] for this many records at a
+/// time gets each chunk decoded straight into its buffer.
+pub const DEFAULT_CHUNK_RECORDS: usize = 4096;
 
 const CHUNK_MARKER: u8 = 0x01;
 const END_MARKER: u8 = 0x00;
@@ -645,10 +647,16 @@ impl<R: Read> TraceReader<R> {
     // -- frame parsing ------------------------------------------------
 
     /// Loads and verifies the next chunk; `false` at the (verified)
-    /// trailer. Peeks via `buf` and consumes bytes only when the whole
-    /// frame verifies, so on `Err` the stream still holds the failed
-    /// frame's bytes and recovery can rescan them.
-    fn load_next_frame_strict(&mut self) -> Result<bool, TraceFileError> {
+    /// trailer. A chunk of at most `room` records is decoded straight
+    /// onto the end of `out`; a larger one goes to the reader's own
+    /// chunk buffer. Peeks via `buf` and consumes bytes only when the
+    /// whole frame verifies, so on `Err` the stream still holds the
+    /// failed frame's bytes and recovery can rescan them.
+    fn load_next_frame_strict(
+        &mut self,
+        out: &mut Vec<TraceRecord>,
+        room: usize,
+    ) -> Result<bool, TraceFileError> {
         let chunk_offset = self.pos;
         if self.fill(1)? < 1 {
             return Err(TraceFileError::Truncated { offset: self.pos });
@@ -684,15 +692,19 @@ impl<R: Read> TraceReader<R> {
                     return Err(TraceFileError::ChecksumMismatch { chunk_offset });
                 }
                 // The old chunk is fully drained (loop invariant), so
-                // decoding into it is safe — but a failed decode may
-                // leave partial records behind, which must not be
-                // served as real ones.
-                self.chunk.clear();
-                self.chunk_pos = 0;
-                if let Err(error) =
-                    ChunkDecoder::new(payload).decode_all(nrecords as usize, &mut self.chunk)
-                {
+                // decoding into it is safe. A failed decode may leave
+                // partial records behind, which must not be served as
+                // real ones: the target is cut back to where it began.
+                let dest = if nrecords as usize <= room {
+                    out
+                } else {
                     self.chunk.clear();
+                    self.chunk_pos = 0;
+                    &mut self.chunk
+                };
+                let start = dest.len();
+                if let Err(error) = ChunkDecoder::new(payload).decode_all(nrecords as usize, dest) {
+                    dest.truncate(start);
                     return Err(TraceFileError::Corrupt { chunk_offset, error });
                 }
                 self.consume(frame_len);
@@ -841,14 +853,19 @@ impl<R: Read> TraceReader<R> {
         self.degradation.records_lost = self.claimed_lost;
     }
 
-    /// Loads the next chunk, recovering from faults in recover mode.
-    fn load_next_chunk(&mut self) -> Result<bool, TraceFileError> {
+    /// Loads the next chunk, recovering from faults in recover mode;
+    /// `out` and `room` as for [`Self::load_next_frame_strict`].
+    fn load_next_chunk(
+        &mut self,
+        out: &mut Vec<TraceRecord>,
+        room: usize,
+    ) -> Result<bool, TraceFileError> {
         debug_assert!(self.chunk_pos >= self.chunk.len());
         if !self.recover {
-            return self.load_next_frame_strict();
+            return self.load_next_frame_strict(out, room);
         }
         let fault_offset = self.pos;
-        let first_err = match self.load_next_frame_strict() {
+        let first_err = match self.load_next_frame_strict(out, room) {
             Ok(r) => return Ok(r),
             Err(e @ TraceFileError::Io(_)) => return Err(e),
             Err(TraceFileError::CountMismatch { expected, .. }) => {
@@ -900,7 +917,7 @@ impl<R: Read> TraceReader<R> {
                 continue;
             }
             let resume = self.pos;
-            match self.load_next_frame_strict() {
+            match self.load_next_frame_strict(out, room) {
                 Ok(r) => {
                     self.degradation.chunks_skipped += 1;
                     self.claimed_lost += claimed;
@@ -934,7 +951,8 @@ impl<R: Read> TraceReader<R> {
     /// The next record, or `None` at the verified end of the trace.
     pub(crate) fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceFileError> {
         while self.chunk_pos >= self.chunk.len() {
-            if self.done || !self.load_next_chunk()? {
+            // No room outside: every chunk lands in the reader's own.
+            if self.done || !self.load_next_chunk(&mut Vec::new(), 0)? {
                 return Ok(None);
             }
         }
@@ -945,6 +963,12 @@ impl<R: Read> TraceReader<R> {
 
     /// Appends up to `n` records to `buf`, returning how many were
     /// appended (fewer only at the verified end of the trace).
+    ///
+    /// A chunk that fits in what is left of `n` is decoded straight
+    /// into `buf`, so each of its records is written once; a chunk
+    /// that does not is decoded into the reader and copied out as
+    /// asked. Either way a chunk that fails to decode adds nothing to
+    /// `buf`.
     pub fn next_records_into(
         &mut self,
         buf: &mut Vec<TraceRecord>,
@@ -953,9 +977,11 @@ impl<R: Read> TraceReader<R> {
         let mut appended = 0;
         while appended < n {
             if self.chunk_pos >= self.chunk.len() {
-                if self.done || !self.load_next_chunk()? {
+                let before = buf.len();
+                if self.done || !self.load_next_chunk(buf, n - appended)? {
                     break;
                 }
+                appended += buf.len() - before;
                 continue;
             }
             let take = (self.chunk.len() - self.chunk_pos).min(n - appended);
@@ -1217,6 +1243,30 @@ mod tests {
             r.buf.capacity(),
             bytes.len()
         );
+        // A checksummed chunk that claims far more records than the
+        // 64 Ki the decoder reserves up front, none of which decodes,
+        // read whole into a caller's cleared buffer: the buffer
+        // reserves no more than that cap and keeps no record.
+        let claimed = 1u32 << 20;
+        let payload = vec![0xffu8; claimed as usize];
+        let mut crafted = bytes[..header_len].to_vec();
+        crafted.push(CHUNK_MARKER);
+        crafted.extend_from_slice(&claimed.to_le_bytes());
+        crafted.extend_from_slice(&claimed.to_le_bytes());
+        crafted.extend_from_slice(&crc32(&payload).to_le_bytes());
+        crafted.extend_from_slice(&payload);
+        let mut r = TraceReader::new(&crafted[..]).unwrap();
+        let mut buf = Vec::new();
+        assert!(matches!(
+            r.next_records_into(&mut buf, usize::MAX),
+            Err(TraceFileError::Corrupt { .. })
+        ));
+        assert!(buf.is_empty());
+        assert!(
+            buf.capacity() <= 64 * 1024,
+            "the caller's buffer reserved {} records for a crafted count of {claimed}",
+            buf.capacity()
+        );
     }
 
     /// A source that hands out one byte per `read`.
@@ -1357,6 +1407,57 @@ mod tests {
             at += 13 + plen as usize;
         }
         (bytes, offsets)
+    }
+
+    #[test]
+    fn a_chunk_that_fails_to_decode_serves_none_of_its_records() {
+        let records = sample("gcc", 42, 30);
+        let (bytes, offsets) = chunked(&records, 10);
+        // The second chunk, checksummed again with one more record
+        // claimed and a byte no record starts with appended: ten
+        // records decode before the chunk fails.
+        let (at, next) = (offsets[1], offsets[2]);
+        let mut payload = bytes[at + 13..next].to_vec();
+        payload.push(0xff);
+        let mut crafted = bytes[..at].to_vec();
+        crafted.push(CHUNK_MARKER);
+        crafted.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        crafted.extend_from_slice(&11u32.to_le_bytes());
+        crafted.extend_from_slice(&crc32(&payload).to_le_bytes());
+        crafted.extend_from_slice(&payload);
+        crafted.extend_from_slice(&bytes[next..]);
+        // Whole chunks, as read-ahead asks, decode into the caller's
+        // buffer; smaller requests copy out of the reader's chunk.
+        for n in [usize::MAX, 10, 3] {
+            let mut r = TraceReader::new(&crafted[..]).unwrap();
+            let mut served = Vec::new();
+            let mut call = Vec::new();
+            let error = loop {
+                call.clear();
+                match r.next_records_into(&mut call, n) {
+                    Ok(_) => served.extend_from_slice(&call),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(error, TraceFileError::Corrupt { .. }),
+                "{n}: {error:?}"
+            );
+            served.extend_from_slice(&call);
+            assert_eq!(served, records[..10], "requests of {n}");
+            let mut r = TraceReader::new(&crafted[..]).unwrap().with_recovery();
+            let mut served = Vec::new();
+            loop {
+                call.clear();
+                let k = r.next_records_into(&mut call, n).unwrap();
+                served.extend_from_slice(&call);
+                if k < n {
+                    break;
+                }
+            }
+            let survivors: Vec<_> = [&records[..10], &records[20..]].concat();
+            assert_eq!(served, survivors, "recovering, requests of {n}");
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use bench::by_name;
 pub use faultinject::{FaultKind, FaultPlan, FaultyReader};
 pub use file::{
     decode_trace, encode_trace, read_trace_file, write_trace_file, DegradationReport, SkippedChunk,
-    TraceFileError, TraceMeta, TraceReader, TraceWriter,
+    TraceFileError, TraceMeta, TraceReader, TraceWriter, DEFAULT_CHUNK_RECORDS,
 };
 pub use profile::BenchProfile;
 pub use program::{SyntheticProgram, TraceRecord};

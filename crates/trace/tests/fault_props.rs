@@ -8,7 +8,11 @@
 //!   records bit-exactly or a typed error;
 //! * recover mode returns a chunk-aligned subsequence of the original
 //!   records, with the loss accounted in the `DegradationReport`;
-//! * transport-only faults (short reads) are fully lossless.
+//! * transport-only faults (short reads) are fully lossless;
+//! * a read in any request sizes, whole chunks into a cleared buffer
+//!   as a session's refills ask or sizes that straddle chunks, returns
+//!   what one `read_all` does: the same records, the same error after
+//!   the same record count, the same `DegradationReport`.
 //!
 //! The sweep width defaults to 256 seeds per kind; override with the
 //! `FAULT_SEEDS` environment variable (CI runs the full sweep in
@@ -16,7 +20,10 @@
 
 use fade_trace::faultinject::{FaultKind, FaultPlan, FaultyReader};
 use fade_trace::file::decode_trace_recovering;
-use fade_trace::{bench, decode_trace, DegradationReport, SyntheticProgram, TraceMeta, TraceRecord};
+use fade_trace::{
+    bench, decode_trace, DegradationReport, SyntheticProgram, TraceFileError, TraceMeta,
+    TraceReader, TraceRecord,
+};
 
 const PER_CHUNK: usize = 256;
 
@@ -160,6 +167,71 @@ fn fault_sweep_never_panics_or_silently_corrupts() {
                 (_, Ok((recs, report))) => check_accounting(&ctx, &recs, &report, &records),
                 // Header faults are not recoverable: still typed.
                 (_, Err(_)) => {}
+            }
+        }
+    }
+}
+
+/// What one read of a faulted stream produced: the records appended
+/// before it stopped, the error that stopped it, and the recover-mode
+/// report.
+type Outcome = (
+    Vec<TraceRecord>,
+    Option<TraceFileError>,
+    Option<DegradationReport>,
+);
+
+/// Reads `bytes` through `plan`'s faulty transport with
+/// `next_records_into` calls of `sizes` (cycling) until a call falls
+/// short or fails. With `whole`, each call goes into a cleared buffer,
+/// as a session's refills do; otherwise every call appends to one.
+/// `None` when the header does not parse.
+fn read_in(
+    bytes: &[u8],
+    plan: FaultPlan,
+    recover: bool,
+    sizes: &[usize],
+    whole: bool,
+) -> Option<Outcome> {
+    let mut r = TraceReader::new(FaultyReader::new(bytes, plan)).ok()?;
+    if recover {
+        r = r.with_recovery();
+    }
+    let mut records = Vec::new();
+    let mut call = Vec::new();
+    let mut error = None;
+    for &n in sizes.iter().cycle() {
+        call.clear();
+        let out = if whole { &mut call } else { &mut records };
+        let got = r.next_records_into(out, n);
+        records.extend_from_slice(&call);
+        match got {
+            Ok(k) if k == n => {}
+            Ok(_) => break,
+            Err(e) => {
+                error = Some(e);
+                break;
+            }
+        }
+    }
+    Some((records, error, r.degradation().cloned()))
+}
+
+#[test]
+fn fault_sweep_reads_the_same_in_any_request_sizes() {
+    let (_, bytes) = sample_trace();
+    let n = seeds();
+    for kind in FaultKind::ALL {
+        for seed in 0..n {
+            let plan = FaultPlan::seeded(seed, kind, bytes.len() as u64);
+            for recover in [false, true] {
+                let ctx = format!("{kind:?} seed {seed} recover {recover}");
+                // `read_all` is one call for everything.
+                let all = read_in(&bytes, plan, recover, &[usize::MAX], false);
+                let chunks = read_in(&bytes, plan, recover, &[PER_CHUNK], true);
+                let sizes = read_in(&bytes, plan, recover, &[1, 7, 4095, 4097], false);
+                assert_eq!(chunks, all, "{ctx}: whole-chunk requests");
+                assert_eq!(sizes, all, "{ctx}: requests of 1, 7, 4095 and 4097");
             }
         }
     }
