@@ -4,19 +4,21 @@
 //! Decoding a `.fadet` stream or generating a synthetic one is the
 //! application side of the monitored system; like FADE's own
 //! decoupling of the application core from the filter, it need not
-//! wait for the engine. [`read_ahead`] wraps a session's
-//! [`TraceSource`] in [`ReadAhead`]: a helper thread reads the source
-//! in batches of [`BATCH`] records, one writer chunk, so a `.fadet`
-//! reader decodes each chunk straight into a batch. The engine refills
-//! [`BATCH`] records at a time into an empty buffer, and gets each
-//! batch whole by a swap of buffers: every record is written once.
-//! Requests of other sizes are copied out of the batch.
+//! wait for the engine. A session reads its [`TraceSource`] through a
+//! [`Feed`], which refills the engine's record buffer one batch of
+//! [`BATCH`] records (one writer chunk) at a time. Inline, the source
+//! appends the batch to the emptied buffer itself. Reading ahead, a
+//! helper thread reads the source into batch buffers of its own, so a
+//! `.fadet` reader decodes each chunk straight into a batch, and each
+//! refill swaps the next full batch for the spent one: every record is
+//! written once.
 //!
-//! The decorator answers every call exactly as the inner source would
-//! have: the same records, `Ok(k < n)` only at the end of the trace, a
-//! source error on the same call (after the same records), and a panic
-//! inside the source resumed on the engine's thread at that same call.
-//! Results therefore never depend on whether a session reads ahead.
+//! Every refill answers exactly as the inline one would have: the same
+//! records, fewer than [`BATCH`] only at the end of the trace, a source
+//! error on the same refill (after the same records), and a panic
+//! inside the source resumed on the engine's thread at that same
+//! refill. Results therefore never depend on whether a session reads
+//! ahead.
 //!
 //! Each side polls briefly for the other before it blocks ([`POLL`]),
 //! so a hand-over rarely waits for a parked thread to be woken.
@@ -25,11 +27,13 @@
 //! [`Lease`] from [`SPARE_CPUS`], which holds
 //! `available_parallelism() − 1` of them: a session that finds none
 //! free runs its source inline, as does every session on one CPU. Per
-//! lease, one long-lived [`Helper`] thread, started on first use, owns
-//! [`BUFFERS`] batch buffers and parks between sessions, so a session
-//! spawns no thread and allocates no batch. The engine's record buffer
-//! ([`Feed`]) is one of those batches, and goes back to the helper
-//! with the others when the session ends.
+//! lease, one [`Helper`] thread, started on first use, owns [`BUFFERS`]
+//! batch buffers and parks between sessions, so back-to-back sessions
+//! spawn no thread and allocate no batch. The engine's record buffer
+//! is one of those batches, and goes back to the helper with the
+//! others when the session ends. A helper that no session takes up
+//! within [`IDLE`] frees its buffers and exits; its lease starts a
+//! fresh one when it is next used.
 //!
 //! Dropping a session never waits for its helper. A helper still
 //! inside the ended session's source call reads nothing more for it,
@@ -41,9 +45,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{
-    self, Receiver, RecvError, RecvTimeoutError, Sender, SyncSender, TryRecvError,
-};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -51,8 +53,8 @@ use fade_trace::{DegradationReport, TraceRecord, DEFAULT_CHUNK_RECORDS};
 
 use crate::system::{SourceError, TraceSource};
 
-/// Records per read-ahead batch and per engine refill: one writer
-/// chunk of a `.fadet` stream.
+/// Records per refill, inline or read ahead: one writer chunk of a
+/// `.fadet` stream.
 pub(crate) const BATCH: usize = DEFAULT_CHUNK_RECORDS;
 
 /// Batch buffers a helper owns: the one its session's engine works
@@ -63,6 +65,10 @@ const BUFFERS: usize = 3;
 /// before it takes the source back and starts a fresh helper. A helper
 /// finishes any source call it is in first, and a call reads one batch.
 const STUCK: Duration = Duration::from_millis(100);
+
+/// How long a parked helper waits for its lease's next session before
+/// it frees its buffers and exits.
+const IDLE: Duration = Duration::from_secs(1);
 
 /// A process-wide count of read-ahead leases, its cap, and the helpers
 /// of the leases no session holds.
@@ -151,7 +157,8 @@ struct Slot {
     /// The session whose source the thread took up last has ended: it
     /// reads no further batch for it.
     ended: bool,
-    /// The handle is gone: the thread exits once it is free.
+    /// The thread takes up no further job: its handle is gone, and it
+    /// exits once free, or it was idle for [`IDLE`] and has exited.
     retired: bool,
 }
 
@@ -183,10 +190,16 @@ impl Helper {
         self.0 .0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queues `job` for the thread, which takes it up once it is free.
-    fn submit(&self, job: Job) {
-        self.slot().job = Some(job);
+    /// Queues `job` for the thread, which takes it up once it is free;
+    /// gives `job` back if the thread has exited.
+    fn submit(&self, job: Job) -> Result<(), Job> {
+        let mut slot = self.slot();
+        if slot.retired {
+            return Err(job);
+        }
+        slot.job = Some(job);
         self.0 .1.notify_one();
+        Ok(())
     }
 
     /// Takes back a job the thread has not taken up yet.
@@ -210,69 +223,107 @@ impl Drop for Helper {
     }
 }
 
+/// Queues `job` on `helper`, or on a fresh helper if there is none or
+/// its thread has exited; gives `job` back if no thread starts.
+fn start(helper: Option<Helper>, job: Job) -> Result<Helper, Job> {
+    let job = match helper {
+        Some(helper) => match helper.submit(job) {
+            Ok(()) => return Ok(helper),
+            Err(job) => job,
+        },
+        None => job,
+    };
+    let Some(fresh) = Helper::spawn() else {
+        return Err(job);
+    };
+    fresh.submit(job)?;
+    Ok(fresh)
+}
+
 /// A session's trace source and the record buffer its engine refills.
-///
-/// A read-ahead session's buffer is one of its helper's batches once
-/// the first refill swaps one in, and goes back to the helper when the
-/// session ends.
 pub(crate) struct Feed {
-    pub(crate) source: Box<dyn TraceSource>,
+    /// The records of the last refill.
     pub(crate) records: Vec<TraceRecord>,
-    /// The helper's channel for spent buffers, when reading ahead.
-    give_back: Option<Sender<Vec<TraceRecord>>>,
+    source: Source,
+}
+
+/// Where a [`Feed`]'s batches come from.
+enum Source {
+    /// The engine's thread calls the source itself.
+    Inline(Box<dyn TraceSource>),
+    /// A lease's helper thread reads the source ahead.
+    Ahead(ReadAhead),
 }
 
 impl Feed {
-    fn inline(source: Box<dyn TraceSource>) -> Self {
-        Feed {
-            source,
-            records: Vec::with_capacity(BATCH),
-            give_back: None,
+    /// Replaces `records` with the source's next [`BATCH`] records.
+    ///
+    /// # Errors
+    ///
+    /// The source's error, after the records it read before it. A panic
+    /// inside the source resumes here.
+    pub(crate) fn refill(&mut self) -> Result<(), SourceError> {
+        match &mut self.source {
+            Source::Inline(source) => {
+                self.records.clear();
+                source.next_records_into(&mut self.records, BATCH)?;
+                Ok(())
+            }
+            Source::Ahead(ahead) => ahead.refill(&mut self.records),
+        }
+    }
+
+    /// The source's degradation report once the records served so far
+    /// were read.
+    pub(crate) fn degradation(&self) -> Option<&DegradationReport> {
+        match &self.source {
+            Source::Inline(source) => source.degradation(),
+            Source::Ahead(ahead) => ahead.degradation.as_ref(),
         }
     }
 }
 
 impl Drop for Feed {
     fn drop(&mut self) {
-        let spent = std::mem::take(&mut self.records);
-        if let (Some(helper), true) = (&self.give_back, spent.capacity() > 0) {
-            let _ = helper.send(spent);
+        if let Source::Ahead(ahead) = &mut self.source {
+            ahead.end(std::mem::take(&mut self.records));
         }
     }
 }
 
-/// Wraps `source` in a [`ReadAhead`] if `pool` has a free lease and its
-/// helper runs (or starts); otherwise feeds `source` inline.
+/// Feeds `source` from its lease's helper if `pool` has a free lease
+/// and a helper runs (or starts) for it; otherwise inline.
 pub(crate) fn read_ahead(source: Box<dyn TraceSource>, pool: &'static LeasePool) -> Feed {
-    let Some(mut lease) = pool.try_lease() else {
-        return Feed::inline(source);
+    let inline = |source| Feed {
+        records: Vec::with_capacity(BATCH),
+        source: Source::Inline(source),
     };
-    let Some(helper) = lease.helper.take().or_else(Helper::spawn) else {
-        return Feed::inline(source);
+    let Some(mut lease) = pool.try_lease() else {
+        return inline(source);
     };
     let (full_tx, full) = mpsc::sync_channel(BUFFERS);
     let (free, free_rx) = mpsc::channel();
     let degradation = source.degradation().cloned();
-    helper.submit(Job {
+    let job = Job {
         source,
         full: full_tx,
         free: free_rx,
-    });
-    lease.helper = Some(helper);
+    };
+    match start(lease.helper.take(), job) {
+        Ok(helper) => lease.helper = Some(helper),
+        Err(job) => return inline(job.source),
+    }
     Feed {
-        give_back: Some(free.clone()),
-        source: Box::new(ReadAhead {
+        // The first refill swaps in a batch.
+        records: Vec::new(),
+        source: Source::Ahead(ReadAhead {
             full,
             free,
-            records: Vec::new(),
-            pos: 0,
-            end: None,
+            after: None,
             degradation,
             pending: true,
             lease,
         }),
-        // The first refill swaps in a batch.
-        records: Vec::new(),
     }
 }
 
@@ -320,7 +371,8 @@ struct Batch {
 }
 
 /// A helper thread: serves each session's source that its lease queues
-/// and keeps its batch buffers between them, until it is retired.
+/// and keeps its batch buffers between them, until it is retired or
+/// idle for [`IDLE`].
 fn helper(shared: &(Mutex<Slot>, Condvar)) {
     let (slot, wake) = shared;
     let mut buffers = Vec::new();
@@ -335,7 +387,14 @@ fn helper(shared: &(Mutex<Slot>, Condvar)) {
                 if slot.retired {
                     return;
                 }
-                slot = wake.wait(slot).unwrap_or_else(PoisonError::into_inner);
+                let (next, wait) = wake
+                    .wait_timeout(slot, IDLE)
+                    .unwrap_or_else(PoisonError::into_inner);
+                slot = next;
+                if wait.timed_out() && slot.job.is_none() {
+                    slot.retired = true;
+                    return;
+                }
             }
         };
         serve(job, &mut buffers, slot);
@@ -401,20 +460,17 @@ fn fill(source: &mut dyn TraceSource, records: &mut Vec<TraceRecord>) -> Option<
     None
 }
 
-/// A [`TraceSource`] served from batches a helper thread reads ahead.
+/// A [`Feed`]'s end of the channels to its lease's helper.
 ///
-/// Dropping it hands its buffers back and hangs up both channels: the
-/// helper drops the source once its current read returns. Drop never
-/// waits for the helper; the lease, with its helper, returns with the
-/// session.
+/// Ending it ([`ReadAhead::end`]) hands every buffer back and hangs up
+/// both channels: the helper drops the source once its current read
+/// returns. Nothing here waits for the helper; the lease, with its
+/// helper, returns with the session.
 struct ReadAhead {
     full: Receiver<Batch>,
     free: Sender<Vec<TraceRecord>>,
-    /// The batch being copied out, from `pos`.
-    records: Vec<TraceRecord>,
-    pos: usize,
-    /// What follows `records`; `None` while more batches come.
-    end: Option<End>,
+    /// What every refill after the last batch answers.
+    after: Option<Result<(), SourceError>>,
     degradation: Option<DegradationReport>,
     /// No batch has come yet: the helper may still be in an earlier
     /// session's source call.
@@ -423,41 +479,61 @@ struct ReadAhead {
 }
 
 impl ReadAhead {
-    /// Recycles the spent batch and waits for the next one.
-    fn next_batch(&mut self) {
-        let spent = std::mem::take(&mut self.records);
-        if spent.capacity() > 0 {
-            // The helper may have finished already; then it needs none.
-            let _ = self.free.send(spent);
+    /// Hands the spent `records` back to the helper and swaps in the
+    /// next batch.
+    fn refill(&mut self, records: &mut Vec<TraceRecord>) -> Result<(), SourceError> {
+        self.give_back(std::mem::take(records));
+        if let Some(after) = &self.after {
+            return after.clone();
         }
-        self.pos = 0;
         let batch = if self.pending {
             self.first_batch()
         } else {
-            recv_soon(&self.full, Duration::MAX).map_err(|_| RecvError)
+            recv_soon(&self.full, Duration::MAX).ok()
         };
-        // The helper hangs up only after its last batch, which a
-        // resumed panic leaves no batch to follow.
-        let Ok(batch) = batch else {
-            self.end = Some(End::Failed(SourceError::Other(
-                "trace source panicked earlier".into(),
-            )));
-            return;
+        // The helper hangs up only after its last batch, so only a
+        // helper thread that died leaves none.
+        let Some(batch) = batch else {
+            return Err(SourceError::Other("read-ahead helper hung up".into()));
         };
         self.pending = false;
-        self.records = batch.records;
-        self.end = batch.end;
+        *records = batch.records;
         self.degradation = batch.degradation;
+        match batch.end {
+            None => Ok(()),
+            Some(End::Exhausted) => {
+                self.after = Some(Ok(()));
+                Ok(())
+            }
+            Some(End::Failed(e)) => {
+                self.after = Some(Err(e.clone()));
+                Err(e)
+            }
+            Some(End::Panicked(payload)) => {
+                self.after = Some(Err(SourceError::Other(
+                    "trace source panicked earlier".into(),
+                )));
+                resume_unwind(payload)
+            }
+        }
+    }
+
+    /// Sends a spent buffer back to the helper. A helper that has
+    /// finished with the session already needs none.
+    fn give_back(&self, spent: Vec<TraceRecord>) {
+        if spent.capacity() > 0 {
+            let _ = self.free.send(spent);
+        }
     }
 
     /// Waits for the first batch. While the helper has not taken up
     /// the source, it waits at most [`STUCK`] at a time; then it takes
     /// the source back and hands it to a fresh helper.
-    fn first_batch(&mut self) -> Result<Batch, RecvError> {
+    fn first_batch(&mut self) -> Option<Batch> {
         loop {
             match recv_soon(&self.full, STUCK) {
-                Ok(batch) => return Ok(batch),
-                Err(RecvTimeoutError::Disconnected) => return Err(RecvError),
+                Ok(batch) => return Some(batch),
+                Err(RecvTimeoutError::Disconnected) => return None,
                 Err(RecvTimeoutError::Timeout) => {}
             }
             let helper = self
@@ -466,71 +542,26 @@ impl ReadAhead {
                 .as_mut()
                 .expect("a reading lease has a helper");
             if let Some(job) = helper.retract() {
-                if let Some(fresh) = Helper::spawn() {
+                match start(None, job) {
                     // Dropping the old handle retires its thread.
-                    *helper = fresh;
+                    Ok(fresh) => *helper = fresh,
+                    // The old thread is busy, not idle, so it takes the
+                    // job back.
+                    Err(job) => drop(helper.submit(job)),
                 }
-                helper.submit(job);
             }
         }
     }
-}
 
-impl Drop for ReadAhead {
-    fn drop(&mut self) {
-        // A source the helper never took up goes with the session.
+    /// Ends the session: a source the helper never took up goes with
+    /// it, and the helper gets back the engine's buffer and every
+    /// batch not yet received.
+    fn end(&mut self, records: Vec<TraceRecord>) {
         drop(self.lease.helper.as_ref().and_then(Helper::end_session));
-        // Hand the helper back its buffers; it takes them until the
-        // channel hangs up.
-        let spent = std::mem::take(&mut self.records);
-        if spent.capacity() > 0 {
-            let _ = self.free.send(spent);
-        }
+        self.give_back(records);
         while let Ok(batch) = self.full.try_recv() {
-            let _ = self.free.send(batch.records);
+            self.give_back(batch.records);
         }
-    }
-}
-
-impl TraceSource for ReadAhead {
-    fn next_records_into(
-        &mut self,
-        buf: &mut Vec<TraceRecord>,
-        n: usize,
-    ) -> Result<usize, SourceError> {
-        let mut appended = 0;
-        loop {
-            let left = self.records.len() - self.pos;
-            if buf.is_empty() && self.pos == 0 && left > 0 && left <= n {
-                // A whole batch into an empty buffer: swap it in, and
-                // the caller's buffer goes back to the helper.
-                std::mem::swap(buf, &mut self.records);
-                self.records.clear();
-                appended = left;
-            } else {
-                let take = left.min(n - appended);
-                buf.extend_from_slice(&self.records[self.pos..self.pos + take]);
-                self.pos += take;
-                appended += take;
-            }
-            if appended == n {
-                return Ok(n);
-            }
-            match &self.end {
-                None => self.next_batch(),
-                Some(End::Exhausted) => return Ok(appended),
-                Some(End::Failed(e)) => return Err(e.clone()),
-                Some(End::Panicked(_)) => {
-                    if let Some(End::Panicked(payload)) = self.end.take() {
-                        resume_unwind(payload);
-                    }
-                }
-            }
-        }
-    }
-
-    fn degradation(&self) -> Option<&DegradationReport> {
-        self.degradation.as_ref()
     }
 }
 
@@ -829,38 +860,10 @@ mod tests {
         drop(unblock);
     }
 
-    #[test]
-    fn requests_of_any_size_get_the_inner_answers() {
-        let b = bench::by_name("hmmer").unwrap();
-        let (records, _) = record_trace_prefix(&b, "AddrCheck", 0, 3_000);
-        assert!(records.len() > 2 * BATCH, "{} records", records.len());
-        // Whole batches into an emptied buffer swap; every other request
-        // copies, into a buffer that may still hold records.
-        let sizes = [BATCH, 1, 7, BATCH - 1, BATCH + 1, BATCH];
-        let answers = |source: &mut dyn TraceSource| {
-            let mut buf = Vec::new();
-            let mut answers = Vec::new();
-            for (i, &n) in sizes.iter().cycle().enumerate() {
-                if n == BATCH {
-                    buf.clear();
-                }
-                let k = source.next_records_into(&mut buf, n).unwrap();
-                answers.push((k, buf.clone()));
-                if k < n || i > 64 {
-                    return answers;
-                }
-            }
-            unreachable!()
-        };
-        let inline = answers(&mut ReplayBuffer::new(records.clone()));
-        let mut feed = read_ahead(Box::new(ReplayBuffer::new(records)), &ALWAYS);
-        assert_eq!(answers(feed.source.as_mut()), inline);
-    }
-
     /// Replays records and notes the thread of every call.
     struct OnThread {
         records: ReplayBuffer,
-        threads: std::sync::Arc<Mutex<Vec<std::thread::ThreadId>>>,
+        threads: Arc<Mutex<Vec<std::thread::ThreadId>>>,
     }
 
     impl TraceSource for OnThread {
@@ -877,31 +880,43 @@ mod tests {
         }
     }
 
+    /// One session of `engine` replaying `records` through
+    /// [`OnThread`], rendered by [`fingerprint`].
+    fn on_thread(
+        records: &[TraceRecord],
+        engine: Engine,
+        pool: &'static LeasePool,
+        threads: &Arc<Mutex<Vec<std::thread::ThreadId>>>,
+    ) -> String {
+        let source = OnThread {
+            records: ReplayBuffer::new(records.to_vec()),
+            threads: Arc::clone(threads),
+        };
+        let s = builder("AddrCheck", engine, pool)
+            .trace_source(bench::by_name("hmmer").unwrap(), Box::new(source))
+            .build()
+            .unwrap();
+        fingerprint(s, u64::MAX)
+    }
+
     #[test]
     fn back_to_back_sessions_share_one_helper_thread() {
         static ONE: LeasePool = LeasePool::new(|| 1);
         let b = bench::by_name("hmmer").unwrap();
-        let threads = std::sync::Arc::default();
-        for (i, engine) in [Engine::batched(), Engine::Cycle, Engine::batched()]
+        let sessions: Vec<_> = [Engine::batched(), Engine::Cycle, Engine::batched()]
             .into_iter()
             .enumerate()
-        {
-            let (records, _) = record_trace_prefix(&b, "AddrCheck", i as u64, 9_000);
-            let out = |pool, threads| {
-                let source = OnThread {
-                    records: ReplayBuffer::new(records.clone()),
-                    threads,
-                };
-                let s = builder("AddrCheck", engine, pool)
-                    .trace_source(b.clone(), Box::new(source))
-                    .build()
-                    .unwrap();
-                fingerprint(s, u64::MAX)
-            };
-            let inline = out(&INLINE, std::sync::Arc::default());
-            let ahead = out(&ONE, std::sync::Arc::clone(&threads));
+            .map(|(i, engine)| {
+                let (records, _) = record_trace_prefix(&b, "AddrCheck", i as u64, 9_000);
+                let inline = on_thread(&records, engine, &INLINE, &Arc::default());
+                (records, engine, inline)
+            })
+            .collect();
+        let threads = Arc::default();
+        for (i, (records, engine, inline)) in sessions.iter().enumerate() {
+            let ahead = on_thread(records, *engine, &ONE, &threads);
             assert!(
-                inline == ahead,
+                *inline == ahead,
                 "session {i}, {engine:?}\ninline: {inline}\nahead:  {ahead}"
             );
             assert_eq!(ONE.held(), 0);
@@ -913,6 +928,34 @@ mod tests {
                 .iter()
                 .all(|&t| t == threads[0] && t != std::thread::current().id()),
             "the sessions' sources ran on {threads:?}"
+        );
+    }
+
+    #[test]
+    fn an_idle_helper_exits_and_its_lease_starts_another() {
+        static ONE: LeasePool = LeasePool::new(|| 1);
+        let (records, _) =
+            record_trace_prefix(&bench::by_name("hmmer").unwrap(), "AddrCheck", 0, 9_000);
+        let inline = on_thread(&records, Engine::batched(), &INLINE, &Arc::default());
+        let (first, second) = (Arc::default(), Arc::default());
+        assert_eq!(on_thread(&records, Engine::batched(), &ONE, &first), inline);
+        assert_eq!(ONE.parked.lock().unwrap().len(), 1, "the helper parks");
+        let parked = Instant::now();
+        while !ONE.parked.lock().unwrap()[0].slot().retired {
+            assert!(
+                parked.elapsed() < IDLE + Duration::from_secs(10),
+                "the parked helper did not exit"
+            );
+            std::thread::sleep(IDLE / 10);
+        }
+        assert_eq!(
+            on_thread(&records, Engine::batched(), &ONE, &second),
+            inline
+        );
+        let (first, second) = (first.lock().unwrap(), second.lock().unwrap());
+        assert!(
+            second.iter().all(|&t| t == second[0]) && second[0] != first[0],
+            "the sessions' sources ran on {first:?}, then on {second:?}"
         );
     }
 

@@ -69,7 +69,7 @@ use fade_trace::{
 };
 
 use crate::config::{Accel, SystemConfig, Topology};
-use crate::read_ahead::{read_ahead, Feed, LeasePool, BATCH, SPARE_CPUS};
+use crate::read_ahead::{read_ahead, Feed, LeasePool, SPARE_CPUS};
 use crate::registry::{MonitorRegistry, UnknownMonitor};
 use crate::run::{ClassInstrs, RunStats, SamplingSummary, UtilBreakdown};
 use crate::system::{
@@ -1003,7 +1003,7 @@ impl Session {
     /// lost, byte offsets. `None` for non-recovering sources; a clean
     /// report ([`DegradationReport::is_clean`]) on fault-free files.
     pub fn degradation(&self) -> Option<&DegradationReport> {
-        self.feed.source.degradation()
+        self.feed.degradation()
     }
 
     /// Residency statistics of the session's shadow memory.
@@ -1207,10 +1207,10 @@ impl Counts {
 
 impl Session {
     /// Ensures the record buffer has an unconsumed record, refilling
-    /// the emptied buffer with up to [`BATCH`] records (one writer
-    /// chunk, or one read-ahead batch) if needed. Returns `false` when
-    /// no record is available — the source is exhausted or failed
-    /// (state is latched; a dead source is never pulled again).
+    /// it with the source's next batch ([`Feed::refill`], one writer
+    /// chunk of records) if needed. Returns `false` when no record is
+    /// available — the source is exhausted or failed (state is
+    /// latched; a dead source is never pulled again).
     fn refill_records(&mut self) -> bool {
         if self.record_pos < self.feed.records.len() {
             return true;
@@ -1218,15 +1218,10 @@ impl Session {
         if !matches!(self.source_state, SourceState::Live) {
             return false;
         }
-        self.feed.records.clear();
         self.record_pos = 0;
-        match self
-            .feed
-            .source
-            .next_records_into(&mut self.feed.records, BATCH)
-        {
-            Ok(_) if !self.feed.records.is_empty() => true,
-            Ok(_) => {
+        match self.feed.refill() {
+            Ok(()) if !self.feed.records.is_empty() => true,
+            Ok(()) => {
                 self.source_state = SourceState::Exhausted;
                 false
             }
