@@ -4,21 +4,24 @@
 //! Decoding a `.fadet` stream or generating a synthetic one is the
 //! application side of the monitored system; like FADE's own
 //! decoupling of the application core from the filter, it need not
-//! wait for the engine. A session reads its [`TraceSource`] through a
-//! [`Feed`], which refills the engine's record buffer one batch of
-//! [`BATCH`] records (one writer chunk) at a time. Inline, the source
-//! appends the batch to the emptied buffer itself. Reading ahead, a
-//! helper thread reads the source into batch buffers of its own, so a
+//! wait for the engine. A session's engine reads every record through
+//! a [`Feed`], which owns the record buffer, the engine's cursor into
+//! it and the end of the trace. A refill is exactly one source call,
+//! asking for [`BATCH`] records (one writer chunk). Inline, the source
+//! appends them to the emptied buffer itself. Reading ahead, a helper
+//! thread makes the same calls into batch buffers of its own, so a
 //! `.fadet` reader decodes each chunk straight into a batch, and each
-//! refill swaps the next full batch for the spent one: every record is
+//! refill swaps the next batch for the spent one: every record is
 //! written once.
 //!
-//! Every refill answers exactly as the inline one would have: the same
-//! records, fewer than [`BATCH`] only at the end of the trace, a source
-//! error on the same refill (after the same records), and a panic
-//! inside the source resumed on the engine's thread at that same
-//! refill. Results therefore never depend on whether a session reads
-//! ahead.
+//! A batch carries its call's records and its result, so every refill
+//! answers exactly as the inline one would have: the same records
+//! (fewer than [`BATCH`] wherever the source returned a short read), a
+//! source error after the same records, and a panic inside the source
+//! resumed on the engine's thread. The trace ends at the first call
+//! that appends nothing, fails or panics; the feed latches that end
+//! and never calls the source again, and the helper stops there too.
+//! Results therefore never depend on whether a session reads ahead.
 //!
 //! Each side polls briefly for the other before it blocks ([`POLL`]),
 //! so a hand-over rarely waits for a parked thread to be woken.
@@ -42,7 +45,6 @@
 //! session retires the helper, which exits once its call returns, and
 //! its lease gets a fresh one.
 
-use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
@@ -240,11 +242,37 @@ fn start(helper: Option<Helper>, job: Job) -> Result<Helper, Job> {
     Ok(fresh)
 }
 
-/// A session's trace source and the record buffer its engine refills.
+/// A session's trace source, the record buffer its engine reads, the
+/// engine's cursor into it and the end of the trace.
 pub(crate) struct Feed {
-    /// The records of the last refill.
-    pub(crate) records: Vec<TraceRecord>,
+    /// The records of the last refill; the engine has read `..pos`.
+    records: Vec<TraceRecord>,
+    pos: usize,
+    /// Set by the source call that ended the trace; the source is never
+    /// called after it.
+    end: Option<End>,
     source: Source,
+}
+
+/// Why a [`Feed`]'s source gives no further records.
+enum End {
+    /// A call appended no records: the trace ran to its end.
+    Exhausted,
+    /// A call failed, after the records it appended, or panicked.
+    Failed(SourceError),
+}
+
+/// What one source call answered besides its records, with a panic
+/// inside it caught.
+type Call = std::thread::Result<Result<usize, SourceError>>;
+
+/// One source call: replaces `records` with the source's next (up to)
+/// [`BATCH`] records.
+fn source_call(source: &mut dyn TraceSource, records: &mut Vec<TraceRecord>) -> Call {
+    records.clear();
+    catch_unwind(AssertUnwindSafe(|| {
+        source.next_records_into(records, BATCH)
+    }))
 }
 
 /// Where a [`Feed`]'s batches come from.
@@ -256,21 +284,80 @@ enum Source {
 }
 
 impl Feed {
-    /// Replaces `records` with the source's next [`BATCH`] records.
-    ///
-    /// # Errors
-    ///
-    /// The source's error, after the records it read before it. A panic
-    /// inside the source resumes here.
-    pub(crate) fn refill(&mut self) -> Result<(), SourceError> {
-        match &mut self.source {
-            Source::Inline(source) => {
-                self.records.clear();
-                source.next_records_into(&mut self.records, BATCH)?;
-                Ok(())
-            }
-            Source::Ahead(ahead) => ahead.refill(&mut self.records),
+    fn new(source: Source, records: Vec<TraceRecord>) -> Feed {
+        Feed {
+            records,
+            pos: 0,
+            end: None,
+            source,
         }
+    }
+
+    /// The next record, refilling the spent buffer first; `None` once
+    /// the trace has ended and every record was read. A panic inside
+    /// the source resumes here.
+    #[inline]
+    pub(crate) fn next(&mut self) -> Option<&TraceRecord> {
+        if self.pos == self.records.len() && !self.refill() {
+            return None;
+        }
+        self.pos += 1;
+        Some(&self.records[self.pos - 1])
+    }
+
+    /// Puts back the record [`Feed::next`] returned last: the next call
+    /// returns it again.
+    pub(crate) fn unread(&mut self) {
+        self.pos -= 1;
+    }
+
+    /// `true` once [`Feed::next`] was asked for a record past the end of
+    /// the trace: a source that fails after its last records runs out
+    /// where one that ends there does.
+    pub(crate) fn ran_out(&self) -> bool {
+        self.end.is_some() && self.records.is_empty()
+    }
+
+    /// `true` once a source call appended no records.
+    pub(crate) fn exhausted(&self) -> bool {
+        matches!(self.end, Some(End::Exhausted))
+    }
+
+    /// The source's error, once a source call failed.
+    pub(crate) fn failure(&self) -> Option<&SourceError> {
+        match &self.end {
+            Some(End::Failed(e)) => Some(e),
+            _ => None,
+        }
+    }
+
+    /// Replaces the spent buffer with one source call's records, unless
+    /// the trace has ended, and latches the end that call reports;
+    /// `false` if it brought no record.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) -> bool {
+        self.records.clear();
+        self.pos = 0;
+        if self.end.is_some() {
+            return false;
+        }
+        let call = match &mut self.source {
+            Source::Inline(source) => source_call(source.as_mut(), &mut self.records),
+            Source::Ahead(ahead) => ahead.swap(&mut self.records),
+        };
+        match call {
+            Ok(Ok(_)) if self.records.is_empty() => self.end = Some(End::Exhausted),
+            Ok(Ok(_)) => {}
+            Ok(Err(e)) => self.end = Some(End::Failed(e)),
+            Err(payload) => {
+                self.end = Some(End::Failed(SourceError::Other(
+                    "trace source panicked earlier".into(),
+                )));
+                resume_unwind(payload)
+            }
+        }
+        !self.records.is_empty()
     }
 
     /// The source's degradation report once the records served so far
@@ -294,10 +381,7 @@ impl Drop for Feed {
 /// Feeds `source` from its lease's helper if `pool` has a free lease
 /// and a helper runs (or starts) for it; otherwise inline.
 pub(crate) fn read_ahead(source: Box<dyn TraceSource>, pool: &'static LeasePool) -> Feed {
-    let inline = |source| Feed {
-        records: Vec::with_capacity(BATCH),
-        source: Source::Inline(source),
-    };
+    let inline = |source| Feed::new(Source::Inline(source), Vec::with_capacity(BATCH));
     let Some(mut lease) = pool.try_lease() else {
         return inline(source);
     };
@@ -313,18 +397,15 @@ pub(crate) fn read_ahead(source: Box<dyn TraceSource>, pool: &'static LeasePool)
         Ok(helper) => lease.helper = Some(helper),
         Err(job) => return inline(job.source),
     }
-    Feed {
-        // The first refill swaps in a batch.
-        records: Vec::new(),
-        source: Source::Ahead(ReadAhead {
-            full,
-            free,
-            after: None,
-            degradation,
-            pending: true,
-            lease,
-        }),
-    }
+    let ahead = ReadAhead {
+        full,
+        free,
+        degradation,
+        pending: true,
+        lease,
+    };
+    // The first refill swaps in a batch.
+    Feed::new(Source::Ahead(ahead), Vec::new())
 }
 
 /// How long either side polls for the other's next message before it
@@ -351,21 +432,10 @@ fn recv_soon<T>(rx: &Receiver<T>, limit: Duration) -> Result<T, RecvTimeoutError
     }
 }
 
-/// What stopped the inner source's stream.
-enum End {
-    /// It appended no records: the trace is over.
-    Exhausted,
-    /// It failed with a typed error.
-    Failed(SourceError),
-    /// It panicked; the payload resumes on the engine's thread.
-    Panicked(Box<dyn Any + Send>),
-}
-
-/// One batch of records, in stream order.
+/// One source call's records, in stream order, and its result.
 struct Batch {
     records: Vec<TraceRecord>,
-    /// Set on the last batch: what the next record would have been.
-    end: Option<End>,
+    call: Call,
     /// The source's degradation report once `records` were read.
     degradation: Option<DegradationReport>,
 }
@@ -401,9 +471,10 @@ fn helper(shared: &(Mutex<Slot>, Condvar)) {
     }
 }
 
-/// Fills `buffers` with `job`'s source and sends them to its session
-/// until the stream ends or the session ends, then drops the source
-/// and takes back every buffer the session returns before it hangs up.
+/// Fills `buffers` with `job`'s source, one source call each, and sends
+/// them to its session until a call appends nothing, fails or panics,
+/// or the session ends; then drops the source and takes back every
+/// buffer the session returns before it hangs up.
 fn serve(job: Job, buffers: &mut Vec<Vec<TraceRecord>>, slot: &Mutex<Slot>) {
     let Job {
         mut source,
@@ -420,13 +491,13 @@ fn serve(job: Job, buffers: &mut Vec<Vec<TraceRecord>>, slot: &Mutex<Slot>) {
             buffers.push(records);
             break;
         }
-        records.clear();
-        let end = fill(source.as_mut(), &mut records);
-        let last = end.is_some();
+        let call = source_call(source.as_mut(), &mut records);
+        // The same end the feed latches.
+        let last = !matches!(call, Ok(Ok(_))) || records.is_empty();
         let degradation = source.degradation().cloned();
         let batch = Batch {
             records,
-            end,
+            call,
             degradation,
         };
         if let Err(mpsc::SendError(batch)) = full.send(batch) {
@@ -441,25 +512,6 @@ fn serve(job: Job, buffers: &mut Vec<Vec<TraceRecord>>, slot: &Mutex<Slot>) {
     buffers.extend(free.iter());
 }
 
-/// Reads up to [`BATCH`] records into `records`; returns what ended the
-/// stream if it ended first. Short reads that are not the end are
-/// topped up, so a batch falls short only at the end of the stream.
-fn fill(source: &mut dyn TraceSource, records: &mut Vec<TraceRecord>) -> Option<End> {
-    while records.len() < BATCH {
-        let before = records.len();
-        let call = catch_unwind(AssertUnwindSafe(|| {
-            source.next_records_into(records, BATCH - before)
-        }));
-        match call {
-            Ok(Ok(_)) if records.len() > before => {}
-            Ok(Ok(_)) => return Some(End::Exhausted),
-            Ok(Err(e)) => return Some(End::Failed(e)),
-            Err(payload) => return Some(End::Panicked(payload)),
-        }
-    }
-    None
-}
-
 /// A [`Feed`]'s end of the channels to its lease's helper.
 ///
 /// Ending it ([`ReadAhead::end`]) hands every buffer back and hangs up
@@ -469,8 +521,6 @@ fn fill(source: &mut dyn TraceSource, records: &mut Vec<TraceRecord>) -> Option<
 struct ReadAhead {
     full: Receiver<Batch>,
     free: Sender<Vec<TraceRecord>>,
-    /// What every refill after the last batch answers.
-    after: Option<Result<(), SourceError>>,
     degradation: Option<DegradationReport>,
     /// No batch has come yet: the helper may still be in an earlier
     /// session's source call.
@@ -480,12 +530,9 @@ struct ReadAhead {
 
 impl ReadAhead {
     /// Hands the spent `records` back to the helper and swaps in the
-    /// next batch.
-    fn refill(&mut self, records: &mut Vec<TraceRecord>) -> Result<(), SourceError> {
+    /// next batch; returns its source call's result.
+    fn swap(&mut self, records: &mut Vec<TraceRecord>) -> Call {
         self.give_back(std::mem::take(records));
-        if let Some(after) = &self.after {
-            return after.clone();
-        }
         let batch = if self.pending {
             self.first_batch()
         } else {
@@ -494,28 +541,12 @@ impl ReadAhead {
         // The helper hangs up only after its last batch, so only a
         // helper thread that died leaves none.
         let Some(batch) = batch else {
-            return Err(SourceError::Other("read-ahead helper hung up".into()));
+            return Ok(Err(SourceError::Other("read-ahead helper hung up".into())));
         };
         self.pending = false;
         *records = batch.records;
         self.degradation = batch.degradation;
-        match batch.end {
-            None => Ok(()),
-            Some(End::Exhausted) => {
-                self.after = Some(Ok(()));
-                Ok(())
-            }
-            Some(End::Failed(e)) => {
-                self.after = Some(Err(e.clone()));
-                Err(e)
-            }
-            Some(End::Panicked(payload)) => {
-                self.after = Some(Err(SourceError::Other(
-                    "trace source panicked earlier".into(),
-                )));
-                resume_unwind(payload)
-            }
-        }
+        batch.call
     }
 
     /// Sends a spent buffer back to the helper. A helper that has
@@ -799,6 +830,76 @@ mod tests {
                 inline == ahead,
                 "{engine:?}\ninline: {inline}\nahead:  {ahead}"
             );
+        }
+    }
+
+    /// Replays records and fails when asked for record `at`, after
+    /// appending every record before it.
+    struct FailsAt {
+        records: ReplayBuffer,
+        left: usize,
+    }
+
+    impl TraceSource for FailsAt {
+        fn next_records_into(
+            &mut self,
+            buf: &mut Vec<TraceRecord>,
+            n: usize,
+        ) -> Result<usize, SourceError> {
+            let k = self.records.next_records_into(buf, n.min(self.left))?;
+            self.left -= k;
+            if k < n {
+                return Err(SourceError::Other("trace source gave out".into()));
+            }
+            Ok(k)
+        }
+    }
+
+    #[test]
+    fn a_failing_source_is_served_like_one_that_ends_there() {
+        let b = bench::by_name("gcc").unwrap();
+        let (records, _) = record_trace_prefix(&b, "MemLeak", 0, 8_000);
+        // The second call appends 1,404 records, then fails.
+        let at = BATCH + 1_404;
+        for engine in [Engine::Cycle, Engine::batched()] {
+            for pool in [&INLINE, &ALWAYS] {
+                // One run call to the end of the trace: its outcome, and
+                // everything else the run can observe.
+                let run = |source: Box<dyn TraceSource>| {
+                    let mut s = builder("MemLeak", engine, pool)
+                        .trace_source(b.clone(), source)
+                        .build()
+                        .unwrap();
+                    let outcome = s.run(u64::MAX / 2);
+                    let mut state = DefaultHasher::new();
+                    format!("{:?}", s.state()).hash(&mut state);
+                    let seen = format!(
+                        "{} instrs, {} cycles, {} estimated, {} events, state {:x}\n{:?}",
+                        s.instrs(),
+                        s.cycles(),
+                        s.estimated_total_cycles(),
+                        s.events_seen(),
+                        state.finish(),
+                        s.monitor().reports()
+                    );
+                    (outcome, seen)
+                };
+                let (failed, failing) = run(Box::new(FailsAt {
+                    records: ReplayBuffer::new(records.clone()),
+                    left: at,
+                }));
+                let (ended, ending) = run(Box::new(ReplayBuffer::new(records[..at].to_vec())));
+                let what = format!("{engine:?}, {} leases", (pool.cap)());
+                assert!(
+                    matches!(failed, Err(crate::SessionRunError::Source(_))),
+                    "{what}: {failed:?}"
+                );
+                assert_eq!(ended, Ok(()), "{what}");
+                assert!(
+                    failing == ending,
+                    "{what}\nfailing: {failing}\nending:  {ending}"
+                );
+            }
         }
     }
 

@@ -31,6 +31,15 @@
 //! The batched engine drains most events through the accelerator's fast
 //! path and drops back to the cycle-level step for sampled windows.
 //!
+//! Both engines read every trace record through one `read_ahead::Feed`,
+//! which owns the record buffer, the engine's cursor into it and the
+//! end of the trace (live, exhausted or failed). A refill is one source
+//! call for up to one writer chunk of records, made inline or ahead on
+//! a helper thread; a call may return fewer, and only a call that
+//! appends nothing, fails or panics ends the trace. A source that fails
+//! after appending records is served like one that ends there; the run
+//! call that made the failing refill returns the error.
+//!
 //! # Example
 //!
 //! ```
@@ -511,7 +520,6 @@ impl SessionBuilder {
             monitor,
             // Last, so a build that fails starts no helper.
             feed: read_ahead(source, self.leases),
-            source_state: SourceState::Live,
             commit: CommitModel::new(cfg.core, bench.commit, Rng::seed_from(cfg.seed ^ 0xbace)),
             arbiter: SmtArbiter::new(),
             handler: HandlerExec::new(cfg.core),
@@ -519,7 +527,6 @@ impl SessionBuilder {
             fade: accelerator(&cfg, mon_program, self.program),
             sw_queue: BoundedQueue::new(cfg.event_queue),
             cur_token: None,
-            record_pos: 0,
             producer_paused: false,
             instr_cap: None,
             estimator: RatioEstimator::new(),
@@ -638,11 +645,11 @@ pub struct Session {
     monitor: Box<dyn Monitor>,
     /// `monitor.monitors_stack()`, read once at build.
     monitors_stack: bool,
-    /// The trace source and the buffer it refills, consumed from
-    /// `record_pos`. A record the cycle engine could not enqueue stays
-    /// unconsumed at `record_pos` until it can.
+    /// The trace source, the record buffer it refills, the engine's
+    /// cursor into it and the end of the trace. A record the cycle
+    /// engine could not enqueue goes back ([`Feed::unread`]) until it
+    /// can.
     feed: Feed,
-    source_state: SourceState,
     commit: CommitModel,
     arbiter: SmtArbiter,
     handler: HandlerExec,
@@ -652,7 +659,6 @@ pub struct Session {
     fade: Option<Box<Fade>>,
     sw_queue: BoundedQueue<AppEvent>,
     cur_token: Option<u64>,
-    record_pos: usize,
 
     // Batched execution mode (`run_batched`).
     /// `step` skips the application side (drain: the producer is
@@ -769,7 +775,7 @@ impl Session {
             self.poisoned = Some(err.clone());
             return Err(err);
         }
-        if let SourceState::Failed(e) = &self.source_state {
+        if let Some(e) = self.feed.failure() {
             return Err(SessionRunError::Source(e.clone()));
         }
         if let Some(b) = self.state.mem.budget_exceeded() {
@@ -995,7 +1001,7 @@ impl Session {
     /// outcome — replaying a shorter-than-requested trace is not an
     /// error).
     pub fn source_exhausted(&self) -> bool {
-        matches!(self.source_state, SourceState::Exhausted)
+        self.feed.exhausted()
     }
 
     /// The degradation accounting of a recovering trace-file source
@@ -1090,17 +1096,6 @@ const BATCH_CHUNK: u64 = 1024;
 /// sample on monitor-bound windows — below this, per-window boundary
 /// effects don't amortize and the tail over-samples peak congestion.
 const MIN_TAIL_EVENTS: u64 = 1024;
-
-/// Lifecycle of the engine's trace source: once a source reports
-/// exhaustion or failure the engine never pulls from it again.
-enum SourceState {
-    /// Still delivering records.
-    Live,
-    /// Cleanly out of records (a finite replay ran to its end).
-    Exhausted,
-    /// Failed mid-stream with a typed error.
-    Failed(SourceError),
-}
 
 /// The engine's monotone counters since construction. The measured
 /// window reports each one as "now minus the snapshot taken at
@@ -1206,41 +1201,6 @@ impl Counts {
 }
 
 impl Session {
-    /// Ensures the record buffer has an unconsumed record, refilling
-    /// it with the source's next batch ([`Feed::refill`], one writer
-    /// chunk of records) if needed. Returns `false` when no record is
-    /// available — the source is exhausted or failed (state is
-    /// latched; a dead source is never pulled again).
-    fn refill_records(&mut self) -> bool {
-        if self.record_pos < self.feed.records.len() {
-            return true;
-        }
-        if !matches!(self.source_state, SourceState::Live) {
-            return false;
-        }
-        self.record_pos = 0;
-        match self.feed.refill() {
-            Ok(()) if !self.feed.records.is_empty() => true,
-            Ok(()) => {
-                self.source_state = SourceState::Exhausted;
-                false
-            }
-            Err(e) => {
-                self.source_state = SourceState::Failed(e);
-                false
-            }
-        }
-    }
-
-    /// `true` when the source can feed the engine no further records:
-    /// it is exhausted or failed and every buffered record (including
-    /// a backpressured one) has been consumed. The run loops stop here
-    /// instead of spinning on an empty trace.
-    fn out_of_records(&self) -> bool {
-        !matches!(self.source_state, SourceState::Live)
-            && self.record_pos == self.feed.records.len()
-    }
-
     /// `true` when nothing is in flight anywhere: accelerator (or
     /// software queue) empty and the monitor-thread handler idle.
     fn quiesced(&self) -> bool {
@@ -1302,7 +1262,7 @@ impl Session {
         }
         let batch_len = period - window;
         while self.counts.instrs < target {
-            if self.out_of_records() {
+            if self.feed.ran_out() {
                 self.quiesce();
                 return;
             }
@@ -1511,10 +1471,10 @@ impl Session {
         let cycle_cap = (instr_target - self.counts.instrs)
             .saturating_mul(400)
             .saturating_add(self.counts.cycles + 200_000);
-        let mut out_of_records = false;
+        let mut ran_out = false;
         while self.counts.instrs < instr_target && self.counts.events() < event_target {
-            if self.out_of_records() {
-                out_of_records = true;
+            if self.feed.ran_out() {
+                ran_out = true;
                 break;
             }
             self.step();
@@ -1526,7 +1486,7 @@ impl Session {
             );
         }
         self.instr_cap = None;
-        if out_of_records {
+        if ran_out {
             self.quiesce();
         }
     }
@@ -1542,42 +1502,34 @@ impl Session {
         let window = self.cfg.sample_window.min(self.cfg.sample_period.max(1));
         let chunk_cap = if window > 0 { window } else { BATCH_CHUNK };
         let mut budget = event_budget;
-        while budget > 0 && self.counts.instrs < instr_target && !self.out_of_records() {
+        while budget > 0 && self.counts.instrs < instr_target && !self.feed.ran_out() {
             // ---- Collect one chunk of monitored events. ----
             let mut chunk = std::mem::take(&mut self.batch_buf);
             chunk.clear();
             let cap = budget.min(chunk_cap);
             let instrs0 = self.counts.instrs;
-            // A dead source cuts the chunk; the outer loops see
-            // `out_of_records`.
-            'collect: while (chunk.len() as u64) < cap
-                && self.counts.instrs < instr_target
-                && self.refill_records()
-            {
-                // Records are consumed in place (no per-record copy out
-                // of the buffer); `record_pos` only advances past a
-                // record once it is accepted, so chunk/target cuts
-                // leave the remainder for the next consumer.
-                while self.record_pos < self.feed.records.len() {
-                    if (chunk.len() as u64) >= cap || self.counts.instrs >= instr_target {
-                        break 'collect;
-                    }
-                    let rec = &self.feed.records[self.record_pos];
-                    self.record_pos += 1;
-                    if let TraceRecord::Instr(_) = rec {
-                        self.counts.instrs += 1;
-                    }
-                    let selected = select_event(self.monitor.as_ref(), self.monitors_stack, rec);
-                    if let Some(ev) = selected {
-                        chunk.push(ev);
-                        self.counts.note_event(&ev);
-                        if let AppEvent::HighLevel(HighLevelEvent::ThreadSwitch { .. }) = ev {
-                            // Cut the chunk so the monitor's
-                            // invariant-register updates land before
-                            // the next event is filtered — same order
-                            // as the cycle engine's dispatch path.
-                            break 'collect;
-                        }
+            // Records are read in place (no per-record copy out of the
+            // feed's buffer), and only as far as the chunk takes them,
+            // so chunk and target cuts leave the rest for the next
+            // consumer. The end of the trace cuts the chunk; the outer
+            // loops see the feed run out.
+            while (chunk.len() as u64) < cap && self.counts.instrs < instr_target {
+                let Some(rec) = self.feed.next() else {
+                    break;
+                };
+                if let TraceRecord::Instr(_) = rec {
+                    self.counts.instrs += 1;
+                }
+                let selected = select_event(self.monitor.as_ref(), self.monitors_stack, rec);
+                if let Some(ev) = selected {
+                    chunk.push(ev);
+                    self.counts.note_event(&ev);
+                    if let AppEvent::HighLevel(HighLevelEvent::ThreadSwitch { .. }) = ev {
+                        // Cut the chunk so the monitor's
+                        // invariant-register updates land before the
+                        // next event is filtered — same order as the
+                        // cycle engine's dispatch path.
+                        break;
                     }
                 }
             }
@@ -1682,14 +1634,14 @@ impl Session {
                 // Out of records: the application side idles from here
                 // on; the run loops stop once the monitoring side
                 // quiesces.
-                let Some(rec) = self.next_trace_record() else {
+                let Some(&rec) = self.feed.next() else {
                     break;
                 };
                 if let Some(ev) = select_event(self.monitor.as_ref(), self.monitors_stack, &rec) {
                     if self.try_enqueue(ev).is_err() {
                         // Backpressure: leave the record unconsumed for
                         // the next retirement attempt.
-                        self.record_pos -= 1;
+                        self.feed.unread();
                         blocked = true;
                         break;
                     }
@@ -1799,18 +1751,6 @@ impl Session {
             self.util.monitor_idle += k;
         }
         true
-    }
-
-    /// The next trace record, through the batch-refilled buffer (same
-    /// sequence as calling the generator directly); `None` once the
-    /// source is exhausted or failed.
-    fn next_trace_record(&mut self) -> Option<TraceRecord> {
-        if !self.refill_records() {
-            return None;
-        }
-        let r = self.feed.records[self.record_pos];
-        self.record_pos += 1;
-        Some(r)
     }
 
     /// Attempts to hand one event to the monitoring side; a full queue

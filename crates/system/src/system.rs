@@ -15,8 +15,8 @@ use crate::run::ClassInstrs;
 
 /// Why a [`TraceSource`] stopped delivering records mid-run.
 ///
-/// Exhaustion is *not* an error — a source signals it by appending
-/// fewer records than asked (see [`TraceSource::next_records_into`]).
+/// Exhaustion is *not* an error — a source signals it by appending no
+/// records (see [`TraceSource::next_records_into`]).
 /// A `SourceError` means the source failed: the bytes behind it went
 /// bad in a way even a recovering reader could not resynchronize past.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,8 +47,9 @@ impl From<fade_trace::TraceFileError> for SourceError {
 
 /// Where a [`crate::Session`] gets its trace records.
 ///
-/// The engine pulls records in batches; a source appends up to `n`
-/// records per call. Implementations exist for on-the-fly synthetic
+/// The engine pulls records in batches, one call per batch; a source
+/// appends up to `n` records per call, and a short read is not the
+/// end. Implementations exist for on-the-fly synthetic
 /// generation ([`SyntheticProgram`]), pre-generated buffers
 /// ([`ReplayBuffer`]), and recorded `.fadet` trace files
 /// ([`fade_trace::TraceReader`]) — so any future real workload is just
@@ -69,7 +70,8 @@ pub trait TraceSource: Send {
     /// the engine stops pulling and the run ends early with whatever
     /// trace existed. `Err` means the source failed mid-stream; the
     /// engine also stops pulling and the session's run call returns
-    /// [`crate::SessionRunError::Source`].
+    /// [`crate::SessionRunError::Source`]. The records the failing call
+    /// appended are still served, as if the trace ended after them.
     fn next_records_into(
         &mut self,
         buf: &mut Vec<TraceRecord>,

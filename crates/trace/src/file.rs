@@ -75,6 +75,7 @@
 //! ```
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::codec::{crc32, encode_record, ChunkDecoder, CodecError, Ctx};
@@ -637,14 +638,52 @@ impl<R: Read> TraceReader<R> {
     }
 
     fn peek_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes(self.buffered()[off..off + 4].try_into().expect("4 bytes"))
+        le_u32(self.buffered(), off)
     }
 
     fn peek_u64(&self, off: usize) -> u64 {
         u64::from_le_bytes(self.buffered()[off..off + 8].try_into().expect("8 bytes"))
     }
 
+    /// Ensures `n` bytes are buffered; a stream that ends first is
+    /// [`TraceFileError::Truncated`] where it ended.
+    fn fill_all(&mut self, n: usize) -> Result<(), TraceFileError> {
+        let avail = self.fill(n)?;
+        if avail < n {
+            return Err(TraceFileError::Truncated {
+                offset: self.pos + avail as u64,
+            });
+        }
+        Ok(())
+    }
+
     // -- frame parsing ------------------------------------------------
+
+    /// Fills the frame at the stream position and checks its CRC-32,
+    /// consuming nothing. `covered` checks the frame's first `head`
+    /// bytes (`None`: [`TraceFileError::BadStructure`]) and gives the
+    /// bytes the CRC stored at `crc_at` covers; the frame ends after
+    /// both. Returns its length.
+    fn fill_frame(
+        &mut self,
+        head: usize,
+        crc_at: usize,
+        covered: impl FnOnce(&[u8]) -> Option<Range<usize>>,
+    ) -> Result<usize, TraceFileError> {
+        let offset = self.pos;
+        self.fill_all(head)?;
+        let covers =
+            covered(&self.buffered()[..head]).ok_or(TraceFileError::BadStructure { offset })?;
+        let len = covers.end.max(crc_at + 4);
+        self.fill_all(len)?;
+        let frame = &self.buffered()[..len];
+        if crc32(&frame[covers]) != le_u32(frame, crc_at) {
+            return Err(TraceFileError::ChecksumMismatch {
+                chunk_offset: offset,
+            });
+        }
+        Ok(len)
+    }
 
     /// Loads and verifies the next chunk; `false` at the (verified)
     /// trailer. A chunk of at most `room` records is decoded straight
@@ -658,44 +697,25 @@ impl<R: Read> TraceReader<R> {
         room: usize,
     ) -> Result<bool, TraceFileError> {
         let chunk_offset = self.pos;
-        if self.fill(1)? < 1 {
-            return Err(TraceFileError::Truncated { offset: self.pos });
-        }
+        self.fill_all(1)?;
         match self.buffered()[0] {
             CHUNK_MARKER => {
-                let avail = self.fill(13)?;
-                if avail < 13 {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
-                let plen = self.peek_u32(1);
-                let nrecords = self.peek_u32(5);
-                if plen > MAX_CHUNK_PAYLOAD
-                    || nrecords > MAX_CHUNK_RECORDS
-                    || (nrecords == 0) != (plen == 0)
-                    // Every record costs at least a tag byte.
-                    || (nrecords as u64) > (plen as u64)
-                {
-                    return Err(TraceFileError::BadStructure { offset: chunk_offset });
-                }
-                let crc = self.peek_u32(9);
-                let frame_len = 13 + plen as usize;
-                let avail = self.fill(frame_len)?;
-                if avail < frame_len {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
+                let frame_len = self.fill_frame(13, 9, |head| {
+                    let (plen, nrecords) = (le_u32(head, 1), le_u32(head, 5));
+                    let sane = plen <= MAX_CHUNK_PAYLOAD
+                        && nrecords <= MAX_CHUNK_RECORDS
+                        && (nrecords == 0) == (plen == 0)
+                        // Every record costs at least a tag byte.
+                        && nrecords <= plen;
+                    sane.then(|| 13..13 + plen as usize)
+                })?;
+                let nrecords = self.peek_u32(5) as usize;
                 let payload = &self.buf[self.head + 13..self.head + frame_len];
-                if crc32(payload) != crc {
-                    return Err(TraceFileError::ChecksumMismatch { chunk_offset });
-                }
                 // The old chunk is fully drained (loop invariant), so
                 // decoding into it is safe. A failed decode may leave
                 // partial records behind, which must not be served as
                 // real ones: the target is cut back to where it began.
-                let dest = if nrecords as usize <= room {
+                let dest = if nrecords <= room {
                     out
                 } else {
                     self.chunk.clear();
@@ -703,7 +723,7 @@ impl<R: Read> TraceReader<R> {
                     &mut self.chunk
                 };
                 let start = dest.len();
-                if let Err(error) = ChunkDecoder::new(payload).decode_all(nrecords as usize, dest) {
+                if let Err(error) = ChunkDecoder::new(payload).decode_all(nrecords, dest) {
                     dest.truncate(start);
                     return Err(TraceFileError::Corrupt { chunk_offset, error });
                 }
@@ -717,30 +737,12 @@ impl<R: Read> TraceReader<R> {
                 if self.version < 2 {
                     return Err(TraceFileError::BadStructure { offset: chunk_offset });
                 }
-                let avail = self.fill(13)?;
-                if avail < 13 {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
-                let plen = self.peek_u32(1);
-                let nchunks = self.peek_u32(5);
-                if plen > MAX_CHUNK_PAYLOAD
-                    || u64::from(nchunks) * INDEX_ENTRY_BYTES as u64 != u64::from(plen)
-                {
-                    return Err(TraceFileError::BadStructure { offset: chunk_offset });
-                }
-                let crc = self.peek_u32(9);
-                let frame_len = 13 + plen as usize;
-                let avail = self.fill(frame_len)?;
-                if avail < frame_len {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
-                if crc32(&self.buffered()[13..frame_len]) != crc {
-                    return Err(TraceFileError::ChecksumMismatch { chunk_offset });
-                }
+                let frame_len = self.fill_frame(13, 9, |head| {
+                    let (plen, nchunks) = (le_u32(head, 1), le_u32(head, 5));
+                    let sane = plen <= MAX_CHUNK_PAYLOAD
+                        && u64::from(nchunks) * INDEX_ENTRY_BYTES as u64 == u64::from(plen);
+                    sane.then(|| 13..13 + plen as usize)
+                })?;
                 self.consume(frame_len);
                 // No records loaded; the caller's drain loop advances to
                 // the trailer.
@@ -748,17 +750,8 @@ impl<R: Read> TraceReader<R> {
             }
             END_MARKER => {
                 let tlen = self.trailer_len();
-                let avail = self.fill(tlen)?;
-                if avail < tlen {
-                    return Err(TraceFileError::Truncated {
-                        offset: self.pos + avail as u64,
-                    });
-                }
+                self.fill_frame(tlen, tlen - 4, |_| Some(1..tlen - 4))?;
                 let count = self.peek_u64(1);
-                let crc = self.peek_u32(tlen - 4);
-                if crc32(&self.buffered()[1..tlen - 4]) != crc {
-                    return Err(TraceFileError::ChecksumMismatch { chunk_offset });
-                }
                 if count != self.total_seen {
                     return Err(TraceFileError::CountMismatch {
                         expected: count,
@@ -807,32 +800,23 @@ impl<R: Read> TraceReader<R> {
         trailer_offset: u64,
         expected: u64,
     ) -> Result<(), TraceFileError> {
-        let tlen = self.trailer_len();
-        self.consume(tlen);
+        self.consume(self.trailer_len());
         self.done = true;
-        if expected >= self.total_seen {
-            // Trailer is authoritative: it was CRC-verified and counts
-            // at least as many records as survived.
-            self.degradation.trailer_verified = true;
-            self.degradation.records_lost = expected - self.total_seen;
-            if self.degradation.chunks_skipped == 0 {
-                // No chunk fault explains the gap (e.g. a whole chunk
-                // was cleanly excised): account it explicitly.
-                self.degradation.faults.push(SkippedChunk {
-                    offset: trailer_offset,
-                    resumed_at: None,
-                    error: TraceFileError::CountMismatch {
-                        expected,
-                        found: self.total_seen,
-                    },
-                });
-            }
+        // The trailer is authoritative when it counts at least as many
+        // records as survived: it was CRC-verified. One that claims
+        // *fewer* records than were decoded has a damaged count field;
+        // the per-chunk claimed counts stand in for it.
+        let trusted = expected >= self.total_seen;
+        self.degradation.trailer_verified = trusted;
+        self.degradation.records_lost = if trusted {
+            expected - self.total_seen
         } else {
-            // The trailer claims *fewer* records than actually decoded:
-            // the count field itself is damaged. Fall back to the
-            // per-chunk claimed counts.
-            self.degradation.trailer_verified = false;
-            self.degradation.records_lost = self.claimed_lost;
+            self.claimed_lost
+        };
+        // A skipped chunk explains the gap a trusted trailer shows;
+        // otherwise (e.g. a whole chunk was cleanly excised) the
+        // mismatch is accounted explicitly.
+        if !trusted || self.degradation.chunks_skipped == 0 {
             self.degradation.faults.push(SkippedChunk {
                 offset: trailer_offset,
                 resumed_at: None,
@@ -851,6 +835,26 @@ impl<R: Read> TraceReader<R> {
         self.done = true;
         self.degradation.truncated_tail = true;
         self.degradation.records_lost = self.claimed_lost;
+    }
+
+    /// Accounts one skipped frame: the fault at `offset`, the records
+    /// its header claimed, and the bytes up to where the read resumed
+    /// (`None`: the end of the stream).
+    fn skipped(
+        &mut self,
+        offset: u64,
+        resumed_at: Option<u64>,
+        claimed: u64,
+        error: TraceFileError,
+    ) {
+        self.degradation.chunks_skipped += 1;
+        self.claimed_lost += claimed;
+        self.degradation.bytes_skipped += resumed_at.unwrap_or(self.pos) - offset;
+        self.degradation.faults.push(SkippedChunk {
+            offset,
+            resumed_at,
+            error,
+        });
     }
 
     /// Loads the next chunk, recovering from faults in recover mode;
@@ -900,14 +904,7 @@ impl<R: Read> TraceReader<R> {
         self.consume(1);
         loop {
             if self.fill(1)? == 0 {
-                self.degradation.chunks_skipped += 1;
-                self.claimed_lost += claimed;
-                self.degradation.bytes_skipped += self.pos - fault_offset;
-                self.degradation.faults.push(SkippedChunk {
-                    offset: fault_offset,
-                    resumed_at: None,
-                    error: first_err,
-                });
+                self.skipped(fault_offset, None, claimed, first_err);
                 self.end_at_truncated_tail();
                 return Ok(false);
             }
@@ -919,26 +916,12 @@ impl<R: Read> TraceReader<R> {
             let resume = self.pos;
             match self.load_next_frame_strict(out, room) {
                 Ok(r) => {
-                    self.degradation.chunks_skipped += 1;
-                    self.claimed_lost += claimed;
-                    self.degradation.bytes_skipped += resume - fault_offset;
-                    self.degradation.faults.push(SkippedChunk {
-                        offset: fault_offset,
-                        resumed_at: Some(resume),
-                        error: first_err,
-                    });
+                    self.skipped(fault_offset, Some(resume), claimed, first_err);
                     return Ok(r);
                 }
                 Err(e @ TraceFileError::Io(_)) => return Err(e),
                 Err(TraceFileError::CountMismatch { expected, .. }) => {
-                    self.degradation.chunks_skipped += 1;
-                    self.claimed_lost += claimed;
-                    self.degradation.bytes_skipped += resume - fault_offset;
-                    self.degradation.faults.push(SkippedChunk {
-                        offset: fault_offset,
-                        resumed_at: Some(resume),
-                        error: first_err,
-                    });
+                    self.skipped(fault_offset, Some(resume), claimed, first_err);
                     self.accept_mismatched_trailer(resume, expected)?;
                     return Ok(false);
                 }
@@ -1006,6 +989,11 @@ impl<R: Read> Iterator for TraceReader<R> {
     fn next(&mut self) -> Option<Self::Item> {
         self.next_record().transpose()
     }
+}
+
+/// The little-endian `u32` at `off` in `bytes`.
+fn le_u32(bytes: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"))
 }
 
 fn read_exact_at<R: Read>(r: &mut R, buf: &mut [u8], pos: &mut u64) -> Result<(), TraceFileError> {
@@ -1158,16 +1146,29 @@ mod tests {
     #[test]
     fn every_truncation_is_a_typed_error() {
         let records = sample("gcc", 42, 300);
-        let bytes = encode_trace(&meta(), &records);
-        for cut in 0..bytes.len() {
-            let err = decode_trace(&bytes[..cut]).unwrap_err();
-            // Any strict prefix must fail (the trailer is mandatory),
-            // and must fail with a typed error, not a panic.
-            match err {
-                TraceFileError::BadMagic
-                | TraceFileError::BadHeader
-                | TraceFileError::Truncated { .. } => {}
-                other => panic!("cut at {cut}: unexpected {other:?}"),
+        // One chunk, and three: cuts fall in every frame kind.
+        let mut w = TraceWriter::new(Vec::new(), &meta())
+            .unwrap()
+            .with_chunk_records(100);
+        w.write_all(&records).unwrap();
+        let chunked = w.finish().unwrap();
+        let header_len = 8 + 2 + 2 + (1 + 3 + 8) + 4;
+        for bytes in [encode_trace(&meta(), &records), chunked] {
+            for cut in 0..bytes.len() {
+                let err = decode_trace(&bytes[..cut]).unwrap_err();
+                // Any strict prefix must fail (the trailer is mandatory),
+                // and must fail with a typed error, not a panic. Past the
+                // header, every frame kind names the cut as where it ended.
+                if cut >= header_len {
+                    assert_eq!(err, TraceFileError::Truncated { offset: cut as u64 });
+                    continue;
+                }
+                match err {
+                    TraceFileError::BadMagic
+                    | TraceFileError::BadHeader
+                    | TraceFileError::Truncated { .. } => {}
+                    other => panic!("cut at {cut}: unexpected {other:?}"),
+                }
             }
         }
     }
